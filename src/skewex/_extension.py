@@ -19,8 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import Algebra, make_algebra
-from .errors import AssociativityFails, NotAssociative, SkewexError, UnitFails
+from .algebra import Algebra, _sparse_multiply, _sparse_table, make_algebra
+from .errors import (
+    AnnihilatorFails,
+    AssociativityFails,
+    NotAssociative,
+    SkewexError,
+    UnitFails,
+)
 from .linalg import (
     Mat,
     Poly,
@@ -30,7 +36,9 @@ from .linalg import (
     ONE,
     is_zero_vec,
     kernel,
+    minimal_polynomial,
     span,
+    unit_vec,
     vec_add,
     zero_vec,
 )
@@ -93,6 +101,8 @@ class FreeModel:
         p: Poly,
         monomial_product: Callable[[int, int, int, int], TermList],
     ):
+        """Fold monomial_product(a, i, b, j), the left-normal form of
+        (e_a X^i)(e_b X^j), into the window for every pair of grid indices."""
         self.base = base
         self.p = p
         self.d = p.degree
@@ -109,6 +119,7 @@ class FreeModel:
             for i in range(self.d)
             for a in range(self.n)
         ]
+        self.sc_nonzero = _sparse_table(self.sc)
 
     def index(self, a: int, i: int) -> int:
         return i * self.n + a
@@ -134,19 +145,7 @@ class FreeModel:
         return tuple(v[power * self.n + a] for a in range(self.n))
 
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        out = [ZERO] * self.dim
-        for r, xr in enumerate(x):
-            if not xr:
-                continue
-            row = self.sc[r]
-            for c, yc in enumerate(y):
-                if not yc:
-                    continue
-                f = xr * yc
-                for k, s in enumerate(row[c]):
-                    if s:
-                        out[k] += f * s
-        return tuple(out)
+        return _sparse_multiply(self.sc_nonzero, x, y)
 
     def left_multiply_base(self, a_index: int, v: Vec) -> Vec:
         """Multiply each window coefficient on the left by the base basis element."""
@@ -208,7 +207,7 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
     """
     for v in relations.basis:
         for r in range(model.dim):
-            basis_vec = tuple(ONE if t == r else ZERO for t in range(model.dim))
+            basis_vec = unit_vec(r, model.dim)
             if not relations.contains(model.multiply(basis_vec, v)):
                 raise AssociativityFails("relation submodule is not left absorbing")
             if not relations.contains(model.multiply(v, basis_vec)):
@@ -228,7 +227,8 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
 
     q = len(coords)
     sc = [
-        [project(model.multiply(section(unit(q, i)), section(unit(q, j)))) for j in range(q)]
+        [project(model.multiply(section(unit_vec(i, q)), section(unit_vec(j, q))))
+         for j in range(q)]
         for i in range(q)
     ]
     all_labels = model.labels()
@@ -238,12 +238,32 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
         quot = make_algebra(q, sc, unit_vecq, labels)
     except (NotAssociative, UnitFails) as exc:  # pragma: no cover - internal guard
         raise AssociativityFails(str(exc)) from exc
-    proj = Mat.from_columns([project(unit(model.dim, c)) for c in range(model.dim)])
+    proj = Mat.from_columns([project(unit_vec(c, model.dim)) for c in range(model.dim)])
     return quot, proj
 
 
-def unit(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
+    """orbits[b][k] = twist^k(e_b) for k <= length, the table both grids read."""
+    orbits = []
+    for b in range(base.dim):
+        orbit = [base.basis_element(b)]
+        for _ in range(length):
+            orbit.append(twist.apply(orbit[-1]))
+        orbits.append(orbit)
+    return orbits
+
+
+def _check_annihilates(twist: Mat, p: Poly) -> None:
+    """Raise AnnihilatorFails, with a witness column, unless p(twist) = 0."""
+    if not p.mod(minimal_polynomial(twist)).is_zero():
+        image = p.eval_matrix(twist)
+        witness = next(j for j in range(twist.cols) if not is_zero_vec(image.column(j)))
+        raise AnnihilatorFails(witness, image.column(witness))
+
+
+def extension_embedding_injective(result: ExtensionResult) -> bool:
+    """The base-to-extension map has zero kernel."""
+    return kernel(result.embed).dim == 0
 
 
 def free_model_as_algebra(model: FreeModel) -> Algebra:

@@ -3,7 +3,9 @@
 An Algebra is a dense tensor c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k
 plus a distinguished unit vector.  Construction always validates
 associativity on all basis triples and the two-sided unit law, so any
-Algebra in circulation is genuinely an associative unital algebra.
+Algebra in circulation is genuinely an associative unital algebra.  Beside
+the dense tensor every Algebra keeps a sparse table of its nonzero
+constants, which products and the associativity check walk.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -11,6 +13,7 @@ Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -40,15 +43,51 @@ from .linalg import (
 )
 
 
+# sparse[i][j] lists the nonzero (k, c) of the dense sc[i][j], ascending in k.
+SparseTable = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+
+
+def _sparse_table(sc) -> SparseTable:
+    """The nonzero (k, c) pairs of every product in a dense table."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(product) if c) for product in row)
+        for row in sc
+    )
+
+
+def _sparse_multiply(table: SparseTable, x: Vec, y: Vec) -> Vec:
+    """x * y from a sparse table, walking only nonzero entries and constants."""
+    out = [ZERO] * len(x)
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in ys:
+            c = xi * yj
+            for k, s in row[j]:
+                out[k] += c * s
+    return tuple(out)
+
+
 class Algebra:
-    """Validated structure-constant algebra; immutable by convention."""
+    """Validated structure-constant algebra; immutable by convention.
+
+    sc[i][j] is the dense coordinate vector of e_i * e_j.  sc_nonzero[i][j]
+    holds the same product as its nonzero (k, c) pairs in ascending k, built
+    once here; multiply walks only those pairs and the nonzero entries of
+    both factors, so its cost follows the number of nonzero constants (n^3
+    of the n^6 for M_n) rather than dim^3.
+    """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
         self.dim = dim
-        # sc[i][j] is the coordinate vector of e_i * e_j.
         self.sc: tuple[tuple[Vec, ...], ...] = tuple(
             tuple(vec(sc[i][j]) for j in range(dim)) for i in range(dim)
         )
+        if any(len(v) != dim for row in self.sc for v in row):
+            raise DimensionMismatch("structure constants differ from dimension")
+        self.sc_nonzero = _sparse_table(self.sc)
         self.unit: Vec = vec(unit)
         self.labels: tuple[str, ...] = tuple(labels) if labels else tuple(
             f"e{i}" for i in range(dim)
@@ -72,19 +111,7 @@ class Algebra:
         """Bilinear product via the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length differs from algebra dimension")
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.sc[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(row[j]):
-                    if s:
-                        out[k] += c * s
-        return tuple(out)
+        return _sparse_multiply(self.sc_nonzero, x, y)
 
     def power(self, x: Vec, m: int) -> Vec:
         acc = self.unit
@@ -119,21 +146,53 @@ class Algebra:
 
 
 def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> Algebra:
-    """Build and validate an algebra; raises NotAssociative / UnitFails."""
+    """Build and validate an algebra; raises NotAssociative / UnitFails.
+
+    The unit law is checked first, against each basis element in turn; then
+    associativity on every basis triple in (i, j, k) order, and the first
+    failing triple is reported.
+    """
     algebra = Algebra(dim, sc, unit, labels)
     for i in range(dim):
         e = algebra.basis_element(i)
         if algebra.multiply(algebra.unit, e) != e or algebra.multiply(e, algebra.unit) != e:
             raise UnitFails(i)
-    for i in range(dim):
-        for j in range(dim):
-            left = algebra.sc[i][j]
-            for k in range(dim):
-                lhs = algebra.multiply(left, algebra.basis_element(k))
-                rhs = algebra.multiply(algebra.basis_element(i), algebra.sc[j][k])
-                if lhs != rhs:
-                    raise NotAssociative(i, j, k)
+    triple = _first_nonassociative_triple(algebra.sc_nonzero)
+    if triple is not None:
+        raise NotAssociative(*triple)
     return algebra
+
+
+def _first_nonassociative_triple(table: SparseTable) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
+
+    The constants are scaled to integers by the lcm L of their denominators.
+    Both sides of a triple are sums of products of two constants, so both
+    scale by L^2 and compare exactly as the rational sides do.
+    """
+    scale = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
+    ints = [
+        [[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
+        for row in table
+    ]
+    n = len(ints)
+    for i in range(n):
+        row_i = ints[i]
+        for j in range(n):
+            left = row_i[j]
+            row_j = ints[j]
+            for k in range(n):
+                lhs = [0] * n
+                for m, s in left:
+                    for t, c in ints[m][k]:
+                        lhs[t] += s * c
+                rhs = [0] * n
+                for m, s in row_j[k]:
+                    for t, c in row_i[m]:
+                        rhs[t] += s * c
+                if lhs != rhs:
+                    return i, j, k
+    return None
 
 
 def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> Subspace:

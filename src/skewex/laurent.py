@@ -17,13 +17,15 @@ from ._extension import (
     ExtensionResult,
     FreeModel,
     TermList,
+    _basis_orbits,
+    _check_annihilates,
     assemble,
+    extension_embedding_injective,  # re-exported: callers import it from here
     module_generation,
     poly_of_element,
 )
 from .algebra import Algebra
 from .errors import (
-    AnnihilatorFails,
     ConstantTermZero,
     DimensionMismatch,
     NotAutomorphism,
@@ -36,7 +38,6 @@ from .linalg import (
     Vec,
     inverse,
     is_zero_vec,
-    kernel,
     minimal_polynomial,
     rat,
     span,
@@ -190,14 +191,6 @@ def coefficient_sum_membership(
     return CoefficientSumReport(value, closed, member)
 
 
-def _check_annihilates(phi_matrix: Mat, p: Poly) -> None:
-    min_poly = minimal_polynomial(phi_matrix)
-    if not p.mod(min_poly).is_zero():
-        image = p.eval_matrix(phi_matrix)
-        witness = next(j for j in range(phi_matrix.cols) if not is_zero_vec(image.column(j)))
-        raise AnnihilatorFails(witness, image.column(witness))
-
-
 def laurent_quotient(
     algebra: Algebra,
     phi: AlgebraEndo,
@@ -222,26 +215,22 @@ def laurent_quotient(
         raise ConstantTermZero("relation polynomial needs a nonzero constant term")
     if not _skip_annihilator_check:
         _check_annihilates(phi.matrix, p)
-    twist = _TwistPowers(phi)
+    phi_powers = _basis_orbits(algebra, phi.matrix, p.degree)
 
     def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
-        coeff = algebra.multiply(
-            algebra.basis_element(a), twist.power(i).apply(algebra.basis_element(b))
-        )
-        return [(i + j, coeff)]
+        return [(i + j, algebra.multiply(algebra.basis_element(a), phi_powers[b][i]))]
 
     def generator_polys(model: FreeModel) -> list[TermList]:
         out = []
         for b in range(algebra.dim):
-            eb = algebra.basis_element(b)
-            base = [(i, tuple(c * x for x in twist.power(i).apply(eb)))
+            base = [(i, tuple(c * x for x in phi_powers[b][i]))
                     for i, c in enumerate(p.coeffs) if c]
             for k in range(model.d):
                 out.append([(i + k, coeff) for i, coeff in base])
         return out
 
     def xd_times_basis(b: int) -> TermList:
-        return [(p.degree, twist.power(p.degree).apply(algebra.basis_element(b)))]
+        return [(p.degree, phi_powers[b][p.degree])]
 
     ext, embed, u, model, defect = assemble(
         algebra, p, "automorphism", monomial_product, generator_polys, xd_times_basis,
@@ -279,8 +268,3 @@ def laurent_quotient(
         "automorphism", algebra, ext, embed, u, u_inv, p,
         free_module=(defect == 0), defect_dim=defect,
     )
-
-
-def extension_embedding_injective(result: ExtensionResult) -> bool:
-    """The base-to-extension map has zero kernel."""
-    return kernel(result.embed).dim == 0

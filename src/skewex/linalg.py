@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -219,7 +220,8 @@ class Subspace:
     """Subspace of Q^n with a reduced row-echelon basis.
 
     The basis is canonical, so two Subspaces are equal exactly when their
-    stored tuples are equal.
+    stored tuples are equal.  The pivot and nonzero-entry cache is built on
+    first use and stays out of equality, hashing and repr.
     """
 
     ambient_dim: int
@@ -229,33 +231,33 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+        """(pivot column, nonzero (column, entry) pairs) of each basis row."""
+        rows = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.basis)
+        return tuple((entries[0][0], entries) for entries in rows)
+
     def pivots(self) -> list[int]:
-        out = []
-        for row in self.basis:
-            out.append(next(j for j, x in enumerate(row) if x))
-        return out
+        return [p for p, _ in self._sparse_rows]
 
     def contains(self, v: Vec) -> bool:
         """Membership by residual elimination against the echelon basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        residual = list(v)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            f = residual[p]
-            if f:
-                residual = [x - f * y for x, y in zip(residual, row)]
-        return all(x == 0 for x in residual)
+        return all(x == 0 for x in self._residual(v))
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating against the basis."""
+        return tuple(self._residual(v))
+
+    def _residual(self, v: Vec) -> list[Fraction]:
         residual = list(v)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
+        for p, entries in self._sparse_rows:
             f = residual[p]
             if f:
-                residual = [x - f * y for x, y in zip(residual, row)]
-        return tuple(residual)
+                for j, y in entries:
+                    residual[j] -= f * y
+        return residual
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(v) for v in self.basis)

@@ -4,6 +4,12 @@ The ring multiplies by the single rewrite X a = a X + D(a), applied step by
 step until the product is in left-normal form.  The quotient construction
 adjoins an element u with p(u) = 0 whose commutator restricts to D on the
 embedded base algebra.
+
+The extension grid does not replay the rewriter: it uses the closed form
+a X^i * b X^j = sum_k C(i, k) a D^k(b) X^(i+j-k) (Ore 1933) over a table of
+D^k(e_b) computed once per construction, as laurent.py uses phi^i(e_b).  The
+step-by-step skew_mul stays as the oracle that commutator_power and the
+suites check the closed forms against.
 """
 
 from __future__ import annotations
@@ -16,18 +22,20 @@ from ._extension import (
     ExtensionResult,
     FreeModel,
     TermList,
+    _basis_orbits,
+    _check_annihilates,
     assemble,
+    extension_embedding_injective,  # re-exported: callers import it from here
     module_generation,
     poly_of_element,
 )
 from .algebra import Algebra, is_simple, SIMPLE
-from .errors import AnnihilatorFails, DimensionMismatch, NotMonic, SkewexError
+from .errors import DimensionMismatch, NotMonic, SkewexError
 from .linalg import (
     Mat,
     Poly,
     Vec,
     is_zero_vec,
-    kernel,
     minimal_polynomial,
     span,
     vec_add,
@@ -222,12 +230,39 @@ def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> Ideal
     return IdealConstantTerm(value, predicted, member)
 
 
-def _check_annihilates(d_matrix: Mat, p: Poly) -> None:
-    min_poly = minimal_polynomial(d_matrix)
-    if not p.mod(min_poly).is_zero():
-        image = p.eval_matrix(d_matrix)
-        witness = next(j for j in range(d_matrix.cols) if not is_zero_vec(image.column(j)))
-        raise AnnihilatorFails(witness, image.column(witness))
+def _leibniz_grid(algebra: Algebra, d: Derivation, p: Poly):
+    """The products ore_quotient's free model needs, by the Leibniz rule.
+
+    Returns (monomial_product, generator_polys, xd_times_basis) for assemble:
+    (e_a X^i)(e_b X^j), p(X) e_b X^k and X^deg(p) e_b in left-normal form.
+    """
+    # leibniz[b][i] is X^i e_b = sum_k C(i, k) D^k(e_b) X^(i-k) in left-normal
+    # form, for i <= deg p.
+    leibniz = [
+        [[(i - k, tuple(comb(i, k) * x for x in d_powers[k]))
+          for k in range(i + 1) if not is_zero_vec(d_powers[k])]
+         for i in range(p.degree + 1)]
+        for d_powers in _basis_orbits(algebra, d.matrix, p.degree)
+    ]
+
+    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
+        ea = algebra.basis_element(a)
+        return [(power + j, algebra.multiply(ea, coeff)) for power, coeff in leibniz[b][i]]
+
+    def generator_polys(model: FreeModel) -> list[TermList]:
+        out = []
+        for b in range(algebra.dim):
+            base = [(power, tuple(c * x for x in coeff))
+                    for i, c in enumerate(p.coeffs) if c
+                    for power, coeff in leibniz[b][i]]
+            for k in range(model.d):
+                out.append([(power + k, coeff) for power, coeff in base])
+        return out
+
+    def xd_times_basis(b: int) -> TermList:
+        return leibniz[b][p.degree]
+
+    return monomial_product, generator_polys, xd_times_basis
 
 
 def ore_quotient(
@@ -255,34 +290,8 @@ def ore_quotient(
     if not _skip_annihilator_check:
         _check_annihilates(d.matrix, p)
 
-    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
-        prod = skew_mul(
-            SkewPoly.monomial(algebra, algebra.basis_element(a), i),
-            SkewPoly.monomial(algebra, algebra.basis_element(b), j),
-            d,
-        )
-        return list(enumerate(prod.coeffs))
-
-    def generator_polys(model: FreeModel) -> list[TermList]:
-        out = []
-        px = SkewPoly.from_scalar_poly(algebra, p)
-        for b in range(algebra.dim):
-            base = skew_mul(px, SkewPoly.constant(algebra, algebra.basis_element(b)), d)
-            for k in range(model.d):
-                shifted = skew_mul(base, SkewPoly.x(algebra, k), d) if k else base
-                out.append(list(enumerate(shifted.coeffs)))
-        return out
-
-    def xd_times_basis(b: int) -> TermList:
-        prod = skew_mul(
-            SkewPoly.x(algebra, p.degree),
-            SkewPoly.constant(algebra, algebra.basis_element(b)),
-            d,
-        )
-        return list(enumerate(prod.coeffs))
-
     ext, embed, u, model, defect = assemble(
-        algebra, p, "derivation", monomial_product, generator_polys, xd_times_basis,
+        algebra, p, "derivation", *_leibniz_grid(algebra, d, p),
         force_free_model=_skip_annihilator_check,
     )
     if not is_zero_vec(poly_of_element(ext, p, u)):
@@ -302,11 +311,6 @@ def ore_quotient(
         "derivation", algebra, ext, embed, u, None, p,
         free_module=(defect == 0), defect_dim=defect,
     )
-
-
-def extension_embedding_injective(result: ExtensionResult) -> bool:
-    """The base-to-extension map has zero kernel."""
-    return kernel(result.embed).dim == 0
 
 
 @dataclass(frozen=True)

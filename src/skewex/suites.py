@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ._extension import poly_of_element
 from .algebra import Algebra, matrix_algebra, two_sided_ideal
 from .errors import SkewexError, UnknownSuite
 from .idempotents import (
@@ -33,8 +34,7 @@ from .laurent import (
     laurent_mul,
     laurent_quotient,
 )
-from .laurent import extension_embedding_injective as laurent_embedding_injective
-from .linalg import Mat, Poly, Subspace, Vec, column_space, is_zero_vec, kernel, rat
+from .linalg import Mat, Poly, Subspace, column_space, is_zero_vec, kernel, rat
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -217,7 +217,7 @@ def suite_thm19_derivation(ctx: SuiteContext) -> list[CheckRecord]:
             result = ore_quotient(ctx.algebra, d)
             ext = result.algebra
             ok = extension_embedding_injective(result)
-            ok = ok and is_zero_vec(_poly_at(ext, result.p, result.u))
+            ok = ok and is_zero_vec(poly_of_element(ext, result.p, result.u))
             for a in range(ctx.algebra.dim):
                 img = result.embed.column(a)
                 comm = tuple(
@@ -255,8 +255,8 @@ def suite_thm19_automorphism(ctx: SuiteContext) -> list[CheckRecord]:
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
             result = laurent_quotient(ctx.algebra, phi)
             ext = result.algebra
-            ok = laurent_embedding_injective(result)
-            ok = ok and is_zero_vec(_poly_at(ext, result.p, result.u))
+            ok = extension_embedding_injective(result)
+            ok = ok and is_zero_vec(poly_of_element(ext, result.p, result.u))
             ok = ok and ext.multiply(result.u, result.u_inverse) == ext.unit
             ok = ok and ext.multiply(result.u_inverse, result.u) == ext.unit
             for a in range(ctx.algebra.dim):
@@ -275,12 +275,6 @@ def suite_thm19_automorphism(ctx: SuiteContext) -> list[CheckRecord]:
 
         rec.run(f"inner_extension[{idx}]", check)
     return rec.records
-
-
-def _poly_at(ext: Algebra, p: Poly, u: Vec) -> Vec:
-    from ._extension import poly_of_element
-
-    return poly_of_element(ext, p, u)
 
 
 def suite_thm16_audit(ctx: SuiteContext) -> list[CheckRecord]:

@@ -20,7 +20,13 @@ from skewex.algebra import (
     two_sided_ideal,
     upper_triangular,
 )
-from skewex.errors import ImproperIdeal, NotAnIdeal, NotAssociative, UnitFails
+from skewex.errors import (
+    DimensionMismatch,
+    ImproperIdeal,
+    NotAnIdeal,
+    NotAssociative,
+    UnitFails,
+)
 from skewex.linalg import Mat, Poly, kernel, span
 from skewex.sampling import random_element
 
@@ -46,6 +52,13 @@ def test_make_algebra_not_associative():
     ]
     with pytest.raises(NotAssociative):
         make_algebra(3, sc, [1, 0, 0])
+
+
+def test_make_algebra_rejects_short_structure_constants():
+    # e1 e1 has one coordinate too few; the check must not read it as zero
+    sc = [[[1, 0], [0, 1]], [[0, 1], [0]]]
+    with pytest.raises(DimensionMismatch):
+        make_algebra(2, sc, [1, 0])
 
 
 def test_matrix_units_multiplication(m2):

@@ -7,7 +7,7 @@ from skewex._extension import poly_of_element
 from skewex.explorer import random_basis_change, random_recipe
 from skewex.laurent import laurent_quotient
 from skewex.linalg import is_zero_vec, kernel
-from skewex.maps import derivation_space
+from skewex.maps import derivation_space, inner_automorphism, inner_derivation
 from skewex.ore import ore_quotient
 from skewex.sampling import sample_automorphisms
 
@@ -58,3 +58,24 @@ def test_extensions_on_random_algebras():
     assert automorphism_runs >= 25
     # not every random base has derivations, but several must
     assert derivation_runs >= 10
+
+
+# The M_3 witnesses of the extend_m3 benchmark workload: u is trace-zero and
+# invertible, v invertible, and ad_u and conj_v both have a degree-7 minimal
+# polynomial.
+U0 = ((1, 1, -1), (0, 2, -5), (0, 0, -3))
+V0 = ((1, 1, -1), (0, 2, 1), (0, 0, 3))
+
+
+def test_m3_extensions(m3):
+    def flat(m):
+        return m3.element([m[i][j] for i in range(3) for j in range(3)])
+
+    for result in (
+        check_derivation_extension(m3, inner_derivation(m3, flat(U0))),
+        check_automorphism_extension(m3, inner_automorphism(m3, flat(V0))),
+    ):
+        assert result.p.degree == 7
+        assert result.algebra.dim == 27
+        assert result.defect_dim == 36
+        assert not result.free_module

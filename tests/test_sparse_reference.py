@@ -1,0 +1,244 @@
+"""Differential tests of the extension hot path against the dense Fraction code.
+
+The reference functions below are the dense loops the library used before it
+moved to closed forms and sparse tables: the Ore grid by step-by-step skew
+rewriting, the structure-constant product over every coordinate, the
+associativity check over every basis triple in Fractions, and Subspace
+membership by rescanning each echelon row.  The library must agree with them
+exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from skewex._extension import FreeModel, relation_submodule
+from skewex.algebra import Algebra, change_of_basis, make_algebra
+from skewex.errors import NotAssociative, UnitFails
+from skewex.linalg import ZERO, Mat, minimal_polynomial, span, vec_add
+from skewex.maps import Derivation, derivation_space
+from skewex.ore import SkewPoly, _leibniz_grid, skew_mul
+from skewex.sampling import random_element
+
+F = Fraction
+
+
+# -- reference code ----------------------------------------------------------
+
+def dense_multiply(sc, x, y):
+    out = [ZERO] * len(x)
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = sc[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, s in enumerate(row[j]):
+                if s:
+                    out[k] += c * s
+    return tuple(out)
+
+
+def dense_make_algebra(dim, sc, unit, labels=None):
+    """The triple loop in Fractions; the verdict as an exception or an algebra."""
+    algebra = Algebra(dim, sc, unit, labels)
+
+    def e(i):
+        return tuple(F(int(t == i)) for t in range(dim))
+
+    for i in range(dim):
+        if (dense_multiply(algebra.sc, algebra.unit, e(i)) != e(i)
+                or dense_multiply(algebra.sc, e(i), algebra.unit) != e(i)):
+            raise UnitFails(i)
+    for i in range(dim):
+        for j in range(dim):
+            left = algebra.sc[i][j]
+            for k in range(dim):
+                lhs = dense_multiply(algebra.sc, left, e(k))
+                rhs = dense_multiply(algebra.sc, e(i), algebra.sc[j][k])
+                if lhs != rhs:
+                    raise NotAssociative(i, j, k)
+    return algebra
+
+
+def rewriting_grid(algebra, d, p):
+    """The Ore grid of ore_quotient, every product by skew_mul."""
+
+    def monomial_product(a, i, b, j):
+        prod = skew_mul(
+            SkewPoly.monomial(algebra, algebra.basis_element(a), i),
+            SkewPoly.monomial(algebra, algebra.basis_element(b), j),
+            d,
+        )
+        return list(enumerate(prod.coeffs))
+
+    def generator_polys(model):
+        out = []
+        px = SkewPoly.from_scalar_poly(algebra, p)
+        for b in range(algebra.dim):
+            base = skew_mul(px, SkewPoly.constant(algebra, algebra.basis_element(b)), d)
+            for k in range(model.d):
+                shifted = skew_mul(base, SkewPoly.x(algebra, k), d) if k else base
+                out.append(list(enumerate(shifted.coeffs)))
+        return out
+
+    def xd_times_basis(b):
+        prod = skew_mul(
+            SkewPoly.x(algebra, p.degree),
+            SkewPoly.constant(algebra, algebra.basis_element(b)),
+            d,
+        )
+        return list(enumerate(prod.coeffs))
+
+    return monomial_product, generator_polys, xd_times_basis
+
+
+def echelon_residual(subspace, v):
+    residual = list(v)
+    for row in subspace.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        f = residual[p]
+        if f:
+            residual = [x - f * y for x, y in zip(residual, row)]
+    return tuple(residual)
+
+
+# -- helpers -----------------------------------------------------------------
+
+def left_normal(terms):
+    """A term list as {power: coefficient}, repeated powers summed, zeros dropped."""
+    out = {}
+    for power, coeff in terms:
+        out[power] = vec_add(out[power], coeff) if power in out else tuple(coeff)
+    return {power: c for power, c in out.items() if any(c)}
+
+
+def verdict(build, dim, sc, unit):
+    try:
+        build(dim, sc, unit)
+    except UnitFails as exc:
+        return ("unit", exc.index)
+    except NotAssociative as exc:
+        return ("associativity", exc.triple)
+    return ("ok", None)
+
+
+def derivations_to_check(algebra, rng):
+    """The derivation_space basis plus two seeded random combinations of it."""
+    basis = derivation_space(algebra)
+    out = list(basis)
+    for _ in range(2 if basis else 0):
+        matrix = Mat.zeros(algebra.dim, algebra.dim)
+        for d in rng.sample(basis, min(2, len(basis))):
+            matrix = matrix + d.matrix.scale(rng.choice((-2, -1, 1, 2)))
+        out.append(Derivation.certify(algebra, matrix))
+    return out
+
+
+# -- the Ore grid ------------------------------------------------------------
+
+def test_leibniz_grid_matches_rewriting(corpus):
+    rng = random.Random(3031)
+    checked = 0
+    for name, algebra in corpus.items():
+        for d in derivations_to_check(algebra, rng):
+            p = minimal_polynomial(d.matrix)
+            closed = _leibniz_grid(algebra, d, p)
+            oracle = rewriting_grid(algebra, d, p)
+            closed_model = FreeModel(algebra, p, closed[0])
+            oracle_model = FreeModel(algebra, p, oracle[0])
+            assert closed_model.sc == oracle_model.sc, name
+            closed_gens = closed[1](closed_model)
+            oracle_gens = oracle[1](oracle_model)
+            assert [left_normal(t) for t in closed_gens] == \
+                [left_normal(t) for t in oracle_gens], name
+            assert relation_submodule(closed_model, closed_gens) == \
+                relation_submodule(oracle_model, oracle_gens), name
+            for b in range(algebra.dim):
+                assert left_normal(closed[2](b)) == left_normal(oracle[2](b)), name
+            checked += 1
+    # dual 3, jet2 4, m2 5, m3 10, ut2 4; the semisimple commutative ones have none
+    assert checked == 26
+
+
+# -- sparse products ---------------------------------------------------------
+
+def test_sparse_multiply_matches_dense(corpus):
+    rng = random.Random(707)
+    for name, algebra in corpus.items():
+        for _ in range(20):
+            x, y = random_element(algebra, rng), random_element(algebra, rng)
+            if rng.random() < 0.5:
+                x = tuple(c if rng.random() < 0.5 else ZERO for c in x)
+            assert algebra.multiply(x, y) == dense_multiply(algebra.sc, x, y), name
+
+
+def test_free_model_multiply_matches_dense(m2, dual_numbers):
+    rng = random.Random(808)
+    for algebra in (m2, dual_numbers):
+        for d in derivation_space(algebra):
+            p = minimal_polynomial(d.matrix)
+            model = FreeModel(algebra, p, _leibniz_grid(algebra, d, p)[0])
+            for _ in range(10):
+                x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(model.dim))
+                y = tuple(F(rng.randint(-3, 3)) for _ in range(model.dim))
+                assert model.multiply(x, y) == dense_multiply(model.sc, x, y)
+
+
+# -- the associativity check -------------------------------------------------
+
+def rational_tables(corpus):
+    """The corpus tables plus two whose constants have nontrivial denominators."""
+    tables = {name: algebra for name, algebra in corpus.items()}
+    tables["m2_rational_basis"] = change_of_basis(
+        corpus["m2"], Mat.from_rows([[1, F(1, 2), 0, 0], [0, 1, 0, F(2, 3)],
+                                     [F(-3, 5), 0, 1, 0], [0, 0, F(1, 7), 1]]))
+    tables["jet2_rational_basis"] = change_of_basis(
+        corpus["jet2"], Mat.from_rows([[1, 0, 0], [F(1, 3), F(5, 7), 0], [0, F(-2, 9), 2]]))
+    return tables
+
+
+def test_integer_associativity_matches_dense_on_corpus(corpus):
+    for name, algebra in rational_tables(corpus).items():
+        assert verdict(make_algebra, algebra.dim, algebra.sc, algebra.unit) == ("ok", None), name
+        assert verdict(dense_make_algebra, algebra.dim, algebra.sc, algebra.unit) == \
+            ("ok", None), name
+
+
+@pytest.mark.parametrize("value", [F(1, 3), F(5, 7), F(-2), F(0)])
+def test_integer_associativity_matches_dense_on_perturbed_tables(corpus, value):
+    rng = random.Random(9090 + value.numerator * 31 + value.denominator)
+    verdicts = set()
+    for name, algebra in rational_tables(corpus).items():
+        n = algebra.dim
+        for _ in range(6):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            sc = [[list(algebra.sc[a][b]) for b in range(n)] for a in range(n)]
+            sc[i][j][k] = sc[i][j][k] + value if rng.random() < 0.5 else value
+            fast = verdict(make_algebra, n, sc, algebra.unit)
+            assert fast == verdict(dense_make_algebra, n, sc, algebra.unit), (name, i, j, k)
+            verdicts.add(fast[0])
+    # the perturbations reach both failure kinds
+    assert {"unit", "associativity"} <= verdicts
+
+
+# -- the Subspace cache ------------------------------------------------------
+
+def test_subspace_cache_stays_out_of_identity():
+    rng = random.Random(1212)
+    for _ in range(20):
+        vectors = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6))
+                   for _ in range(rng.randint(1, 5))]
+        used, fresh = span(vectors, 6), span(vectors, 6)
+        probes = vectors + [tuple(F(rng.randint(-2, 2)) for _ in range(6)) for _ in range(5)]
+        for v in probes:
+            assert used.reduce(v) == echelon_residual(used, v)
+            assert used.contains(v) == all(x == 0 for x in echelon_residual(used, v))
+        assert used.pivots() == [next(j for j, x in enumerate(r) if x) for r in used.basis]
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert {used: 1}[fresh] == 1
