@@ -94,7 +94,7 @@ def random_explorer(seed: int, trials: int, max_dim: int) -> Report:
         derivations = derivation_space(algebra)
         for idx, d in enumerate(derivations):
             _audit_map(rec, algebra, f"derivation[{idx}]", d.matrix, idems, d, "derivation")
-        autos = sample_automorphisms(algebra, rng, 4)
+        autos = sample_automorphisms(algebra, rng, 4, derivations=derivations)
         for idx, phi in enumerate(autos):
             delta = Mat.identity(algebra.dim) - phi.matrix
             _audit_map(rec, algebra, f"one_minus_automorphism[{idx}]", delta, idems,

@@ -108,10 +108,11 @@ class _TwistPowers:
     """Cached integer powers of the twisting automorphism."""
 
     def __init__(self, phi: AlgebraEndo):
-        if not phi.is_invertible():
+        backward = inverse(phi.matrix)
+        if backward is None:
             raise NotAutomorphism("the twist must be invertible")
         self.forward = phi.matrix
-        self.backward = inverse(phi.matrix)
+        self.backward = backward
         self.cache: dict[int, Mat] = {0: Mat.identity(phi.algebra.dim)}
 
     def power(self, k: int) -> Mat:

@@ -131,14 +131,15 @@ class Mat:
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        result = Mat.identity(self.rows)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Mat.identity(self.rows) if result is None else result
 
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
@@ -503,6 +504,15 @@ def _divisors(n: int) -> list[int]:
             out.append(n // d)
         d += 1
     return sorted(set(out))
+
+
+def is_nilpotent(m: Mat) -> bool:
+    """m^n = 0 for an n x n matrix m.
+
+    Exact by Cayley-Hamilton: the verdict is the same as asking whether the
+    minimal polynomial is a pure power of t.
+    """
+    return m.power(m.rows).is_zero()
 
 
 def minimal_polynomial(m: Mat) -> Poly:

@@ -31,6 +31,7 @@ from .linalg import (
     kernel,
     minimal_polynomial,
     rat,
+    rref,
     solve,
     vec_add,
     vec_sub,
@@ -251,18 +252,11 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
         if induced_matrix.apply(proj.apply(e)) != proj.apply(phi.matrix.apply(e)):
             raise SkewexError("induced map does not commute with the projection")
     induced = AlgebraEndo.certify(quot, induced_matrix)
-    rank = len(rref_rank(induced_matrix))
+    _, _, rank = rref(induced_matrix)
     injective = rank == quot.dim
     if not injective:
         raise SkewexError("induced map on the kernel-chain quotient must be injective")
     return InducedQuotient(quot, proj, induced, injective, rank == quot.dim, chain)
-
-
-def rref_rank(m: Mat) -> list[int]:
-    from .linalg import rref
-
-    _, pivots, _ = rref(m)
-    return pivots
 
 
 def kernel_chain_preimage(phi: AlgebraEndo, a: Vec) -> Vec:

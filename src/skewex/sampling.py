@@ -5,6 +5,10 @@ reproducible from the seed alone.  Endomorphisms are built structurally:
 polynomial substitution on one-generator blocks, slot maps on product
 algebras, inner conjugation, exponentials of nilpotent derivations, and
 compositions of these.
+
+Nilpotent derivations are drawn as integer combinations of a derivation
+basis.  Each coefficient tuple is evaluated once, nilpotency is tested by
+M^n = 0, and only the derivations that are kept are certified.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .algebra import Algebra, direct_product
 from .errors import NotInvertible, SkewexError
-from .linalg import Mat, Vec, ZERO, ONE, inverse, rat, zero_vec
+from .linalg import Mat, Vec, ZERO, ONE, inverse, is_nilpotent, rat, zero_vec
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -24,7 +28,6 @@ from .maps import (
     exp_derivation,
     inner_automorphism,
     is_endomorphism,
-    local_finiteness_report,
 )
 
 
@@ -53,31 +56,44 @@ def random_trace_zero_invertible(algebra: Algebra, rng: random.Random,
     raise SkewexError("no trace-zero invertible element found")
 
 
-def nilpotent_derivations(algebra: Algebra, rng: random.Random,
-                          count: int, tries: int = 200) -> list[Derivation]:
-    """Nilpotent members of the derivation space, by seeded combination."""
-    basis = derivation_space(algebra)
+def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
+                          tries: int = 200,
+                          derivations: Optional[Sequence[Derivation]] = None
+                          ) -> list[Derivation]:
+    """Nilpotent members of the derivation space, by seeded combination.
+
+    `derivations` is a basis of the derivation space; it is computed when
+    omitted.  The nonzero nilpotent basis elements come first, then integer
+    combinations with coefficients drawn from -2..2, one draw per basis
+    element on each of up to `tries` attempts.  A coefficient tuple drawn
+    before is skipped, since it gives the same matrix and the same verdict.
+    Nilpotency is tested by M^n = 0 with n = dim.  Only a combination that
+    is kept is certified; the rejected ones were combinations of a certified
+    basis and so certainly derivations.
+    """
+    basis = derivation_space(algebra) if derivations is None else derivations
     found: list[Derivation] = []
     seen = set()
     for d in basis:
-        if local_finiteness_report(d).is_ln and not d.matrix.is_zero():
-            if d.matrix.entries not in seen:
-                seen.add(d.matrix.entries)
-                found.append(d)
+        if not d.matrix.is_zero() and is_nilpotent(d.matrix) and d.matrix.entries not in seen:
+            seen.add(d.matrix.entries)
+            found.append(d)
+    drawn = set()
     attempts = 0
     while len(found) < count and attempts < tries and basis:
         attempts += 1
-        coeffs = [rat(rng.randint(-2, 2)) for _ in basis]
+        coeffs = tuple(rng.randint(-2, 2) for _ in basis)
+        if coeffs in drawn:
+            continue
+        drawn.add(coeffs)
         m = Mat.zeros(algebra.dim, algebra.dim)
         for c, d in zip(coeffs, basis):
             if c:
                 m = m + d.matrix.scale(c)
-        if m.is_zero():
+        if m.is_zero() or m.entries in seen or not is_nilpotent(m):
             continue
-        candidate = Derivation.certify(algebra, m)
-        if local_finiteness_report(candidate).is_ln and m.entries not in seen:
-            seen.add(m.entries)
-            found.append(candidate)
+        seen.add(m.entries)
+        found.append(Derivation.certify(algebra, m))
     return found[:count]
 
 
@@ -222,10 +238,16 @@ def _looks_monogenic(block: Algebra) -> bool:
     return True
 
 
-def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int) -> list[AlgebraEndo]:
+def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
+                         derivations: Optional[Sequence[Derivation]] = None
+                         ) -> list[AlgebraEndo]:
     """A deterministic pool: inner conjugations, exponentials of nilpotent
     derivations, basis permutations, substitution automorphisms, and pairwise
-    compositions."""
+    compositions.
+
+    `derivations`, a basis of the derivation space the caller already holds,
+    is passed on to `nilpotent_derivations`; it is computed when omitted.
+    """
     pool: list[AlgebraEndo] = []
     seen: set = set()
 
@@ -246,7 +268,7 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int) -> li
                 push(inner_automorphism(algebra, random_invertible_element(algebra, rng)))
             except NotInvertible:
                 continue
-    for d in nilpotent_derivations(algebra, rng, max(2, count // 2)):
+    for d in nilpotent_derivations(algebra, rng, max(2, count // 2), derivations=derivations):
         push(exp_derivation(d))
     attempts = 0
     while len(pool) < count and attempts < 80:

@@ -7,6 +7,7 @@ they only orchestrate module operations and collect witnesses.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -153,11 +154,25 @@ class _Recorder:
         self.records.append(CheckRecord(self.suite, check, status, witness, elapsed))
 
     def run(self, check: str, fn: Callable[[], tuple[str, dict]]) -> None:
+        """Record fn's verdict.  A SkewexError is a failed check.  Any other
+        exception is a fault of the program: it becomes a failed record with
+        the exception's type, message and raising line, and the run goes on
+        so the records gathered so far are kept."""
         started = time.perf_counter()
         try:
             status, witness = fn()
         except SkewexError as exc:
             status, witness = FAIL, {"error": str(exc)}
+        except Exception as exc:
+            tb = exc.__traceback__
+            while tb.tb_next is not None:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            status, witness = FAIL, {
+                "error": str(exc),
+                "exception": type(exc).__name__,
+                "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}",
+            }
         self.add(check, status, witness, started)
 
 

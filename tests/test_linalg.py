@@ -53,6 +53,15 @@ def test_rref_idempotent_on_random(rng):
         assert again == reduced
 
 
+def test_power_matches_repeated_product(rng):
+    for n in range(1, 5):
+        m = random_matrix(rng, n, n, bound=2)
+        expected = Mat.identity(n)
+        for k in range(10):
+            assert m.power(k) == expected
+            expected = expected * m
+
+
 def test_solve_identity():
     b = (F(3), F(-2))
     assert solve(Mat.identity(2), b) == b

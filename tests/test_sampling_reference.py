@@ -1,0 +1,187 @@
+"""Differential tests of the nilpotent-derivation sampler against its old form.
+
+The reference below is the sampler as it was before it learned to skip
+repeated coefficient tuples, to test nilpotency by M^n = 0 and to certify
+only the derivations it keeps.  The library must return the same matrices in
+the same order and leave the random generator in the same state.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from skewex.algebra import change_of_basis, poly_quotient
+from skewex.linalg import Mat, Poly, inverse, is_nilpotent, rat
+from skewex.maps import (
+    Derivation,
+    LinearEndo,
+    derivation_space,
+    is_derivation,
+    local_finiteness_report,
+)
+from skewex.sampling import nilpotent_derivations, sample_automorphisms
+
+F = Fraction
+
+
+# -- reference code ----------------------------------------------------------
+
+def reference_nilpotent_derivations(algebra, rng, count, tries=200):
+    """Certify and test every draw by its minimal polynomial."""
+    basis = derivation_space(algebra)
+    found = []
+    seen = set()
+    for d in basis:
+        if local_finiteness_report(d).is_ln and not d.matrix.is_zero():
+            if d.matrix.entries not in seen:
+                seen.add(d.matrix.entries)
+                found.append(d)
+    attempts = 0
+    while len(found) < count and attempts < tries and basis:
+        attempts += 1
+        coeffs = [rat(rng.randint(-2, 2)) for _ in basis]
+        m = Mat.zeros(algebra.dim, algebra.dim)
+        for c, d in zip(coeffs, basis):
+            if c:
+                m = m + d.matrix.scale(c)
+        if m.is_zero():
+            continue
+        candidate = Derivation.certify(algebra, m)
+        if local_finiteness_report(candidate).is_ln and m.entries not in seen:
+            seen.add(m.entries)
+            found.append(candidate)
+    return found[:count]
+
+
+# -- the algebras ------------------------------------------------------------
+
+def random_invertible(rng, n):
+    while True:
+        m = Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        if inverse(m) is not None:
+            return m
+
+
+def random_unimodular(rng, n):
+    """Unit lower times unit upper triangular: an integer basis change with an
+    integer inverse, so the structure constants stay small integers."""
+    lower = Mat.from_rows([[1 if c == r else rng.randint(-1, 1) if c < r else 0
+                            for c in range(n)] for r in range(n)])
+    upper = Mat.from_rows([[1 if c == r else rng.randint(-1, 1) if c > r else 0
+                            for c in range(n)] for r in range(n)])
+    return lower * upper
+
+
+@pytest.fixture
+def algebras(corpus):
+    """The corpus plus seeded basis changes of the small algebras."""
+    rng = random.Random(4242)
+    out = dict(corpus)
+    for name in ("dual", "jet2", "m2", "ut2", "c3"):
+        algebra = corpus[name]
+        out[f"{name}_basis_changed"] = change_of_basis(algebra, random_unimodular(rng, algebra.dim))
+    return out
+
+
+SEEDS = (0, 29)
+COUNTS = (2, 5)
+
+
+# -- the sampler -------------------------------------------------------------
+
+def test_nilpotent_derivations_match_reference(algebras):
+    kept = 0
+    for name, algebra in algebras.items():
+        basis = derivation_space(algebra)
+        for seed in SEEDS:
+            for count in COUNTS:
+                expected_rng = random.Random(seed)
+                expected = reference_nilpotent_derivations(algebra, expected_rng, count)
+                for given in (None, basis):
+                    rng = random.Random(seed)
+                    got = nilpotent_derivations(algebra, rng, count, derivations=given)
+                    assert [d.matrix for d in got] == [d.matrix for d in expected], \
+                        (name, seed, count)
+                    assert all(isinstance(d, Derivation) for d in got)
+                    assert rng.getstate() == expected_rng.getstate(), (name, seed, count)
+                kept += len(expected)
+    assert kept > 0
+
+
+def test_nilpotent_derivations_match_reference_with_few_tries(algebras):
+    """A small `tries` ends the draws early; the rng must stop at the same place."""
+    for name in ("m2", "ut2", "jet2_basis_changed"):
+        algebra = algebras[name]
+        for tries in (1, 3, 10):
+            expected_rng = random.Random(5)
+            expected = reference_nilpotent_derivations(algebra, expected_rng, 6, tries)
+            rng = random.Random(5)
+            got = nilpotent_derivations(algebra, rng, 6, tries)
+            assert [d.matrix for d in got] == [d.matrix for d in expected], (name, tries)
+            assert rng.getstate() == expected_rng.getstate(), (name, tries)
+
+
+def test_sample_automorphisms_with_given_basis(algebras):
+    for name, algebra in algebras.items():
+        if algebra.dim > 4:
+            continue
+        for seed in SEEDS:
+            rng_omitted, rng_given = random.Random(seed), random.Random(seed)
+            omitted = sample_automorphisms(algebra, rng_omitted, 4)
+            given = sample_automorphisms(algebra, rng_given, 4,
+                                         derivations=derivation_space(algebra))
+            assert [e.matrix for e in given] == [e.matrix for e in omitted], (name, seed)
+            assert rng_given.getstate() == rng_omitted.getstate(), (name, seed)
+
+
+def test_random_combination_of_derivation_basis_certifies(algebras):
+    """Derivations form a vector space, which is why the sampler certifies
+    no rejected combination: any integer combination of the basis passes."""
+    rng = random.Random(9090)
+    checked = 0
+    for name, algebra in algebras.items():
+        basis = derivation_space(algebra)
+        for _ in range(3 if basis else 0):
+            m = Mat.zeros(algebra.dim, algebra.dim)
+            for d in basis:
+                m = m + d.matrix.scale(rng.randint(-3, 3))
+            assert is_derivation(algebra, m) == (True, None), name
+            Derivation.certify(algebra, m)
+            checked += 1
+    assert checked >= 20
+
+
+# -- the nilpotency test -----------------------------------------------------
+
+def nilpotent_matrix(rng, n):
+    """A strictly upper triangular matrix in a random basis."""
+    upper = Mat.from_rows([[rng.randint(-2, 2) if c > r else 0 for c in range(n)]
+                           for r in range(n)])
+    t = random_invertible(rng, n)
+    return inverse(t) * upper * t
+
+
+def test_is_nilpotent_agrees_with_minimal_polynomial(corpus):
+    rng = random.Random(6161)
+    verdicts = []
+    for n in range(1, 7):
+        algebra = poly_quotient(Poly.of([0] * n + [1]))
+        candidates = [Mat.zeros(n, n), Mat.identity(n)]
+        for _ in range(12):
+            candidates.append(Mat.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                                             for _ in range(n)]))
+            sparse = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(n)]
+            candidates.append(Mat.from_rows(sparse))
+            candidates.append(nilpotent_matrix(rng, n))
+            # a nilpotent matrix, or one shifted by I/3 and so not nilpotent
+            shift = Mat.identity(n).scale(F(rng.choice((0, 1)), 3))
+            candidates.append(nilpotent_matrix(rng, n) + shift)
+        for m in candidates:
+            expected = local_finiteness_report(LinearEndo(algebra, m)).is_ln
+            assert is_nilpotent(m) == expected, m
+            verdicts.append(expected)
+    for algebra in corpus.values():
+        for d in derivation_space(algebra):
+            assert is_nilpotent(d.matrix) == local_finiteness_report(d).is_ln
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50

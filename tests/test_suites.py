@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from skewex.errors import UnknownSuite
+from skewex.errors import SkewexError, UnknownSuite
 from skewex.linalg import Mat
 from skewex.maps import AlgebraEndo, inner_derivation
 from skewex.suites import (
@@ -12,6 +12,7 @@ from skewex.suites import (
     CheckRecord,
     SuiteContext,
     SUITE_REGISTRY,
+    _Recorder,
     run_suite,
 )
 
@@ -61,6 +62,40 @@ def test_exit_codes():
     assert report.exit_code == 3
     report.records.append(CheckRecord("s", "c3", FAIL, {}, 0.0))
     assert report.exit_code == 1
+
+
+def test_recorder_keeps_running_after_a_stray_exception():
+    def divide():
+        return PASS, {"value": 1 / 0}
+
+    def library_error():
+        raise SkewexError("rejected input")
+
+    rec = _Recorder("robust")
+    rec.run("first", lambda: (PASS, {}))
+    rec.run("divide", divide)
+    rec.run("library_error", library_error)
+    rec.run("last", lambda: (PASS, {"after": True}))
+    assert [(r.check, r.status) for r in rec.records] == [
+        ("first", PASS), ("divide", FAIL), ("library_error", FAIL), ("last", PASS)]
+    witness = rec.records[1].witness
+    assert witness["exception"] == "ZeroDivisionError"
+    assert witness["error"] == "division by zero"
+    assert witness["raised_at"].startswith("test_suites.py:")
+    assert witness["raised_at"].endswith(" in divide")
+    assert rec.records[2].witness == {"error": "rejected input"}
+    assert rec.records[3].witness == {"after": True}
+    assert Report(rec.records).exit_code == 1
+
+
+def test_recorder_lets_interrupts_through():
+    def interrupted():
+        raise KeyboardInterrupt
+
+    rec = _Recorder("robust")
+    with pytest.raises(KeyboardInterrupt):
+        rec.run("interrupted", interrupted)
+    assert rec.records == []
 
 
 def test_prop22_finds_consistency_on_projection(q_times_q):
