@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import Algebra, _sparse_multiply, _sparse_table, make_algebra
+from .algebra import Algebra, _first_unabsorbed, _sparse_multiply, _sparse_table, make_algebra
 from .errors import (
     AnnihilatorFails,
     AssociativityFails,
@@ -202,16 +202,15 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
     """Collapse the free model along the relation submodule.
 
     Returns (algebra, projection).  The relation submodule is first certified
-    to absorb multiplication on both sides, so the quotient multiplication is
-    well defined regardless of the section used to compute it.
+    to absorb multiplication by every basis element on both sides (all of
+    them: the free model need not be associative), so the quotient
+    multiplication is well defined regardless of the section used to compute
+    it.  The section here keeps the non-pivot coordinates, so the quotient's
+    constants are the projected products of those free-model basis elements.
     """
-    for v in relations.basis:
-        for r in range(model.dim):
-            basis_vec = unit_vec(r, model.dim)
-            if not relations.contains(model.multiply(basis_vec, v)):
-                raise AssociativityFails("relation submodule is not left absorbing")
-            if not relations.contains(model.multiply(v, basis_vec)):
-                raise AssociativityFails("relation submodule is not right absorbing")
+    unabsorbed = _first_unabsorbed(model.sc_nonzero, relations)
+    if unabsorbed is not None:
+        raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
     pivots = set(relations.pivots())
     coords = [j for j in range(model.dim) if j not in pivots]
 
@@ -219,23 +218,12 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
         residual = relations.reduce(x)
         return tuple(residual[j] for j in coords)
 
-    def section(y: Vec) -> Vec:
-        x = [ZERO] * model.dim
-        for idx, j in enumerate(coords):
-            x[j] = y[idx]
-        return tuple(x)
-
-    q = len(coords)
-    sc = [
-        [project(model.multiply(section(unit_vec(i, q)), section(unit_vec(j, q))))
-         for j in range(q)]
-        for i in range(q)
-    ]
+    sc = [[project(model.sc[i][j]) for j in coords] for i in coords]
     all_labels = model.labels()
     labels = [all_labels[j] for j in coords]
-    unit_vecq = project(model.slice0(model.base.unit))
+    unit = project(model.slice0(model.base.unit))
     try:
-        quot = make_algebra(q, sc, unit_vecq, labels)
+        quot = make_algebra(len(coords), sc, unit, labels)
     except (NotAssociative, UnitFails) as exc:  # pragma: no cover - internal guard
         raise AssociativityFails(str(exc)) from exc
     proj = Mat.from_columns([project(unit_vec(c, model.dim)) for c in range(model.dim)])

@@ -31,6 +31,7 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    _integer_row,
     is_zero_vec,
     kernel,
     rat,
@@ -163,6 +164,15 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
     return algebra
 
 
+def _integer_table(table: SparseTable) -> list[list[list[tuple[int, int]]]]:
+    """The table's (k, L c) pairs, L the lcm of the denominators of its constants."""
+    scale = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
+    return [
+        [[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
+        for row in table
+    ]
+
+
 def _first_nonassociative_triple(table: SparseTable) -> Optional[tuple[int, int, int]]:
     """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
 
@@ -170,11 +180,7 @@ def _first_nonassociative_triple(table: SparseTable) -> Optional[tuple[int, int,
     Both sides of a triple are sums of products of two constants, so both
     scale by L^2 and compare exactly as the rational sides do.
     """
-    scale = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
-    ints = [
-        [[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
-        for row in table
-    ]
+    ints = _integer_table(table)
     n = len(ints)
     for i in range(n):
         row_i = ints[i]
@@ -192,6 +198,39 @@ def _first_nonassociative_triple(table: SparseTable) -> Optional[tuple[int, int,
                         rhs[t] += s * c
                 if lhs != rhs:
                     return i, j, k
+    return None
+
+
+def _first_unabsorbed(table: SparseTable, subspace: Subspace) -> Optional[tuple[int, int, str]]:
+    """First (index, r, side) at which the subspace fails to absorb a product,
+    or None when it is a two-sided ideal of the algebra the table describes.
+
+    For each basis row v of the subspace (index its position) and each basis
+    element e_r, in that order, "left" means e_r v and then "right" means
+    v e_r lies outside the subspace.  The products are formed from the
+    integer table and the row scaled to integers, so each is a positive
+    multiple of the rational product, and the subspace's integer residual
+    decides membership exactly.
+    """
+    ints = _integer_table(table)
+    n = len(ints)
+    residual = subspace._integer_residual
+    for index, v in enumerate(subspace.basis):
+        w = [(j, x) for j, x in enumerate(_integer_row(v)[1]) if x]
+        for r in range(n):
+            row_r = ints[r]
+            left = [0] * n
+            for j, x in w:
+                for k, c in row_r[j]:
+                    left[k] += x * c
+            if any(residual(left)):
+                return index, r, "left"
+            right = [0] * n
+            for i, x in w:
+                for k, c in ints[i][r]:
+                    right[k] += x * c
+            if any(residual(right)):
+                return index, r, "right"
     return None
 
 
@@ -238,14 +277,8 @@ def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
 
 
 def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:
-    for v in subspace.basis:
-        for b in range(algebra.dim):
-            eb = algebra.basis_element(b)
-            if not subspace.contains(algebra.multiply(eb, v)):
-                return False
-            if not subspace.contains(algebra.multiply(v, eb)):
-                return False
-    return True
+    """Whether the subspace absorbs every basis element on both sides."""
+    return _first_unabsorbed(algebra.sc_nonzero, subspace) is None
 
 
 def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:

@@ -24,6 +24,7 @@ from .algebra import (
 from .errors import CapExceeded, NotCommutative, NotIdempotent, PhibarNotSurjective, SkewexError
 from .linalg import (
     Mat,
+    Poly,
     Subspace,
     Vec,
     ZERO,
@@ -94,10 +95,7 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
     pieces = []
     remainder = block
     for lam in roots:
-        reduced, _ = min_poly.divmod(
-            # divide out (t - lam)
-            _linear_factor(lam)
-        )
+        reduced, _ = min_poly.divmod(Poly.of([-lam, ONE]))  # divide out (t - lam)
         scale = reduced.eval(lam)
         # q(t) = (m/(t-lam)) / m'(lam) selects the lam component
         projector = reduced.scale(ONE / scale)
@@ -114,12 +112,6 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
         if algebra.multiply(piece, piece) != piece:
             raise SkewexError("eigen-projection failed to produce an idempotent")
     return pieces
-
-
-def _linear_factor(lam: Fraction):
-    from .linalg import Poly
-
-    return Poly.of([-lam, ONE])
 
 
 def _eval_poly_in_corner(algebra: Algebra, p, x: Vec, corner_unit: Vec) -> Vec:

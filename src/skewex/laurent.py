@@ -36,7 +36,6 @@ from .linalg import (
     Mat,
     Poly,
     Vec,
-    inverse,
     is_zero_vec,
     minimal_polynomial,
     rat,
@@ -108,7 +107,7 @@ class _TwistPowers:
     """Cached integer powers of the twisting automorphism."""
 
     def __init__(self, phi: AlgebraEndo):
-        backward = inverse(phi.matrix)
+        backward = phi.inverse_matrix
         if backward is None:
             raise NotAutomorphism("the twist must be invertible")
         self.forward = phi.matrix

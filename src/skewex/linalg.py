@@ -1,10 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction`, so all results are exact:
-rank, kernel and minimal-polynomial computations never see rounding.  Vectors
-are plain tuples of Fractions; matrices and subspaces are small immutable
-wrappers.  Subspaces are kept in reduced row-echelon form, which makes
-equality a structural comparison.
+All results are exact: rank, kernel and minimal-polynomial computations
+never see rounding.  Vectors are plain tuples of `fractions.Fraction`;
+matrices and subspaces are small immutable wrappers.  Subspaces are kept in
+reduced row-echelon form, which makes equality a structural comparison.
+
+Fractions are the boundary, integers the inside.  Elimination scales each
+row to integers by the lcm of its denominators and runs Gauss-Jordan without
+fractions (Bareiss, Math. Comp. 1968), keeping each row divided by its
+content; only the finished pivot rows are divided by their pivots, which
+gives the same unique reduced echelon form as rational elimination.
+Subspace membership likewise works on one integer copy of the echelon basis.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -153,49 +160,85 @@ class Mat:
         return all(is_zero_vec(r) for r in self.entries)
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, L * row) for L the lcm of the row's denominators."""
+    scale = lcm(*(x.denominator for x in row))
+    return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by its content, the gcd of its entries; zero rows stay."""
+    content = gcd(*row)
+    return [x // content for x in row] if content > 1 else row
+
+
+def _integer_rref(ints: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivots.
+
+    Afterwards the first rank rows have their pivots in ascending columns and
+    zeros in every other pivot column, each row has content 1, and the rows
+    below are zero.  Dividing each row by its pivot gives the reduced echelon
+    form.
+    """
+    if not ints:
+        return []
+    nrows = len(ints)
+    for i in range(nrows):
+        ints[i] = _primitive(ints[i])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+    for c in range(len(ints[0])):
+        pivot_row = next((i for i in range(r, nrows) if ints[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        ints[r], ints[pivot_row] = ints[pivot_row], ints[r]
+        lead = ints[r]
+        a = lead[c]
+        for i in range(nrows):
+            row = ints[i]
+            f = row[c]
+            if f and i != r:
+                # row <- (a/g) row - (f/g) lead clears column c
+                g = gcd(a, f)
+                ag, fg = a // g, f // g
+                ints[i] = _primitive([ag * x - fg * y for x, y in zip(row, lead)])
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+    return pivots
+
+
+def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
+    """Reduced echelon rows, then zero rows, as many as given; and the pivots.
+
+    The rows are scaled to integers, reduced by _integer_rref, and only then
+    divided by their pivots: one Fraction per nonzero entry.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    ints = [_integer_row(row)[1] for row in rows]
+    pivots = _integer_rref(ints)
+    out = []
+    for row, c in zip(ints, pivots):
+        a = row[c]
+        out.append(tuple([Fraction(x, a) if x else ZERO for x in row]))
+    out.extend([(ZERO,) * ncols] * (len(rows) - len(pivots)))
+    return out, pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int], int]:
     """Unique reduced row-echelon form along with pivot columns and rank."""
-    rows = [list(r) for r in m.entries]
-    rows, pivots = _rref_rows(rows)
-    reduced = Mat(m.rows, m.cols, tuple(tuple(r) for r in rows))
-    return reduced, pivots, len(pivots)
+    rows, pivots = _rref_rows(m.entries)
+    return Mat(m.rows, m.cols, tuple(rows)), pivots, len(pivots)
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
     """One solution of m x = b, free variables set to zero; None if inconsistent."""
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length differs from row count")
-    rows = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
-    rows, pivots = _rref_rows(rows)
+    rows, pivots = _rref_rows([(*r, b[i]) for i, r in enumerate(m.entries)])
     # A pivot in the augmented column means the system is inconsistent.
     if m.cols in pivots:
         return None
@@ -209,11 +252,10 @@ def inverse(m: Mat) -> Optional[Mat]:
     if m.rows != m.cols:
         return None
     n = m.rows
-    rows = [list(r) + list(unit_vec(i, n)) for i, r in enumerate(m.entries)]
-    rows, pivots = _rref_rows(rows)
+    rows, pivots = _rref_rows([(*r, *unit_vec(i, n)) for i, r in enumerate(m.entries)])
     if pivots[:n] != list(range(n)):
         return None
-    return Mat(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+    return Mat(n, n, tuple(r[n:] for r in rows[:n]))
 
 
 @dataclass(frozen=True)
@@ -221,8 +263,9 @@ class Subspace:
     """Subspace of Q^n with a reduced row-echelon basis.
 
     The basis is canonical, so two Subspaces are equal exactly when their
-    stored tuples are equal.  The pivot and nonzero-entry cache is built on
-    first use and stays out of equality, hashing and repr.
+    stored tuples are equal.  The integer copy of the basis that membership
+    works on is built on first use and stays out of equality, hashing and
+    repr.
     """
 
     ambient_dim: int
@@ -233,29 +276,45 @@ class Subspace:
         return len(self.basis)
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
-        """(pivot column, nonzero (column, entry) pairs) of each basis row."""
-        rows = (tuple((j, x) for j, x in enumerate(row) if x) for row in self.basis)
-        return tuple((entries[0][0], entries) for entries in rows)
+    def _integer_rows(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+        """(L, rows): L the lcm of the basis denominators, and for each basis
+        row R its pivot p with the nonzero (column, L * R[column]) pairs after p."""
+        scale = lcm(*(x.denominator for row in self.basis for x in row))
+        rows = []
+        for row in self.basis:
+            entries = [(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
+            rows.append((entries[0][0], tuple(entries[1:])))
+        return scale, tuple(rows)
 
     def pivots(self) -> list[int]:
-        return [p for p, _ in self._sparse_rows]
+        return [p for p, _ in self._integer_rows[1]]
 
     def contains(self, v: Vec) -> bool:
-        """Membership by residual elimination against the echelon basis."""
+        """Membership by the integer residual against the echelon basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        return all(x == 0 for x in self._residual(v))
+        return not any(self._integer_residual(_integer_row(v)[1]))
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating against the basis."""
-        return tuple(self._residual(v))
+        scale, w = _integer_row(v)
+        residual = self._integer_residual(w)
+        scale *= self._integer_rows[0]
+        return tuple(Fraction(x, scale) if x else ZERO for x in residual)
 
-    def _residual(self, v: Vec) -> list[Fraction]:
-        residual = list(v)
-        for p, entries in self._sparse_rows:
-            f = residual[p]
+    def _integer_residual(self, w: list[int]) -> list[int]:
+        """L times the residual of the integer vector w, L as in _integer_rows.
+
+        Each reduced echelon row is 1 on its own pivot and 0 on the others, so
+        the residual is w minus w[p] times the row of each pivot p, with zeros
+        on the pivots, whatever the order of the rows.
+        """
+        scale, rows = self._integer_rows
+        residual = [scale * x for x in w]
+        for p, entries in rows:
+            f = w[p]
             if f:
+                residual[p] = 0
                 for j, y in entries:
                     residual[j] -= f * y
         return residual
@@ -273,10 +332,9 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         n = self.ambient_dim
-        block = [list(v) + list(v) for v in self.basis]
-        block += [list(v) + [ZERO] * n for v in other.basis]
+        block = [(*v, *v) for v in self.basis] + [(*v, *zero_vec(n)) for v in other.basis]
         rows, _ = _rref_rows(block)
-        inter = [tuple(r[n:]) for r in rows if all(x == 0 for x in r[:n]) and any(r[n:])]
+        inter = [r[n:] for r in rows if all(x == 0 for x in r[:n]) and any(r[n:])]
         return span(inter, n)
 
 
@@ -285,10 +343,8 @@ def span(vectors: Sequence[Vec], ambient_dim: int) -> Subspace:
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-    rows = [list(v) for v in vectors if not is_zero_vec(v)]
-    rows, pivots = _rref_rows(rows)
-    basis = tuple(tuple(r) for r in rows[: len(pivots)])
-    return Subspace(ambient_dim, basis)
+    rows, pivots = _rref_rows([v for v in vectors if not is_zero_vec(v)])
+    return Subspace(ambient_dim, tuple(rows[: len(pivots)]))
 
 
 def zero_subspace(n: int) -> Subspace:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Algebra, is_ideal, quotient
@@ -138,8 +139,25 @@ class AlgebraEndo(LinearEndo):
             raise NotEndomorphism(witness)
         return AlgebraEndo(algebra, m, require_unital)
 
+    @cached_property
+    def inverse_matrix(self) -> Optional[Mat]:
+        """Inverse of the matrix, or None; computed once, outside equality,
+        hashing and repr."""
+        return inverse(self.matrix)
+
     def is_invertible(self) -> bool:
-        return inverse(self.matrix) is not None
+        return self.inverse_matrix is not None
+
+    def compose(self, other: "AlgebraEndo") -> "AlgebraEndo":
+        """self after other, without a new certification.
+
+        Both are certified endomorphisms of the same algebra, so their
+        composite is multiplicative, and unital when both are.  Raises
+        SkewexError when the two act on different algebras.
+        """
+        if self.algebra is not other.algebra:
+            raise SkewexError("cannot compose endomorphisms of different algebras")
+        return AlgebraEndo(self.algebra, self.matrix * other.matrix, self.unital and other.unital)
 
 
 @dataclass(frozen=True)

@@ -252,7 +252,7 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
     seen: set = set()
 
     def push(endo: AlgebraEndo) -> None:
-        if endo.matrix.entries not in seen and inverse(endo.matrix) is not None:
+        if endo.matrix.entries not in seen and endo.is_invertible():
             seen.add(endo.matrix.entries)
             pool.append(endo)
 
@@ -277,5 +277,5 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
             break
         a = pool[rng.randrange(len(pool))]
         b = pool[rng.randrange(len(pool))]
-        push(AlgebraEndo.certify(algebra, a.matrix * b.matrix))
+        push(a.compose(b))
     return pool[:count] if len(pool) > count else pool

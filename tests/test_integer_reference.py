@@ -1,0 +1,393 @@
+"""Differential tests of the integer exact core against the Fraction code.
+
+The reference functions below are the rational Gauss-Jordan elimination, the
+Subspace residual and the absorption loops the library used before its exact
+core moved to integers.  rref, solve, inverse, kernel, span, intersect,
+contains, reduce, the absorption check of quotient_by_relations and is_ideal
+must agree with them exactly, on seeded random matrices and on the systems
+and extensions of the test corpus.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from skewex import _extension, maps
+from skewex._extension import quotient_by_relations
+from skewex.algebra import (
+    _first_unabsorbed,
+    ideal_closure,
+    is_ideal,
+    radical,
+    subalgebra_generated,
+    two_sided_ideal,
+)
+from skewex.errors import AssociativityFails
+from skewex.laurent import laurent_quotient
+from skewex.linalg import (
+    ONE,
+    ZERO,
+    Mat,
+    _integer_rref,
+    full_space,
+    inverse,
+    kernel,
+    rref,
+    solve,
+    span,
+    unit_vec,
+    zero_subspace,
+)
+from skewex.maps import derivation_space
+from skewex.ore import ore_quotient
+from skewex.sampling import random_element, sample_automorphisms
+
+F = Fraction
+
+
+# -- reference code ----------------------------------------------------------
+
+def ref_rref_rows(rows):
+    """In-place Gauss-Jordan in Fractions; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        lead = rows[r]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_rref(m):
+    rows, pivots = ref_rref_rows([list(r) for r in m.entries])
+    return Mat(m.rows, m.cols, tuple(tuple(r) for r in rows)), pivots, len(pivots)
+
+
+def ref_solve(m, b):
+    rows, pivots = ref_rref_rows([list(r) + [b[i]] for i, r in enumerate(m.entries)])
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][-1]
+    return tuple(x)
+
+
+def ref_inverse(m):
+    if m.rows != m.cols:
+        return None
+    n = m.rows
+    rows = [list(r) + list(unit_vec(i, n)) for i, r in enumerate(m.entries)]
+    rows, pivots = ref_rref_rows(rows)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Mat(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+
+
+def ref_span_basis(vectors, n):
+    rows, pivots = ref_rref_rows([list(v) for v in vectors if any(v)])
+    return tuple(tuple(r) for r in rows[: len(pivots)])
+
+
+def ref_kernel_basis(m):
+    reduced, pivots, _ = ref_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.entries[r][f]
+        basis.append(tuple(v))
+    return ref_span_basis(basis, m.cols)
+
+
+def ref_intersect_basis(a, b):
+    n = a.ambient_dim
+    block = [list(v) + list(v) for v in a.basis] + [list(v) + [ZERO] * n for v in b.basis]
+    rows, _ = ref_rref_rows(block)
+    inter = [tuple(r[n:]) for r in rows if all(x == 0 for x in r[:n]) and any(r[n:])]
+    return ref_span_basis(inter, n)
+
+
+def echelon_rows(subspace):
+    """(pivot, nonzero (column, entry) pairs) of each basis row."""
+    rows = ([(j, x) for j, x in enumerate(row) if x] for row in subspace.basis)
+    return [(entries[0][0], entries) for entries in rows]
+
+
+def ref_residual(subspace, v, rows=None):
+    """Subspace._residual: eliminate v against each echelon row in turn."""
+    residual = list(v)
+    for p, entries in rows or echelon_rows(subspace):
+        f = residual[p]
+        if f:
+            for j, y in entries:
+                residual[j] -= f * y
+    return residual
+
+
+def ref_contains(subspace, v, rows=None):
+    return all(x == 0 for x in ref_residual(subspace, v, rows))
+
+
+def ref_first_unabsorbed(multiply, subspace, dim):
+    """The absorption loop of quotient_by_relations and is_ideal: a product,
+    then a membership test, per (basis row, basis element) and side."""
+    rows = echelon_rows(subspace)
+    for index, v in enumerate(subspace.basis):
+        for r in range(dim):
+            basis_vec = unit_vec(r, dim)
+            if not ref_contains(subspace, multiply(basis_vec, v), rows):
+                return index, r, "left"
+            if not ref_contains(subspace, multiply(v, basis_vec), rows):
+                return index, r, "right"
+    return None
+
+
+# -- inputs ------------------------------------------------------------------
+
+def random_matrix(rng):
+    """A seeded matrix of 0-8 rows by 0-10 columns in one of several shapes."""
+    kind = rng.choice(("dense", "sparse", "deficient", "square", "height"))
+    rows = rng.randint(0, 8)
+    cols = rows if kind == "square" else rng.randint(0, 10)
+
+    def entry():
+        if kind == "height":
+            return F(rng.randint(-10 ** 18, 10 ** 18), rng.randint(1, 10 ** 12))
+        if rng.random() < (0.6 if kind == "sparse" else 0.15):
+            return ZERO
+        return F(rng.randint(-9, 9), rng.randint(1, 7))
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if kind in ("deficient", "square") and rows >= 2 and rng.random() < 0.7:
+        # later rows as rational combinations of the first few: rank deficient
+        keep = rng.randint(1, rows - 1)
+        for i in range(keep, rows):
+            coeffs = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(keep)]
+            grid[i] = [sum((c * grid[k][j] for k, c in enumerate(coeffs)), ZERO)
+                       for j in range(cols)]
+    if rows >= 2 and rng.random() < 0.3:
+        grid[rng.randrange(rows)] = [ZERO] * cols
+    if rows >= 2 and rng.random() < 0.3:
+        grid[rng.randrange(rows)] = list(grid[rng.randrange(rows)])
+    rng.shuffle(grid)
+    return Mat(rows, cols, tuple(tuple(r) for r in grid))
+
+
+def probes(rng, subspace, count=6):
+    """Members (combinations of the basis) and random vectors of the ambient space."""
+    n = subspace.ambient_dim
+    out = [tuple(F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n))
+           for _ in range(count)]
+    for _ in range(count):
+        v = [ZERO] * n
+        for row in subspace.basis:
+            c = F(rng.randint(-4, 4), rng.randint(1, 5))
+            v = [x + c * y for x, y in zip(v, row)]
+        out.append(tuple(v))
+    return out
+
+
+def check_matrix(m, rng):
+    """Every entry point of the kernel against the reference on one matrix."""
+    reduced, pivots, rank = rref(m)
+    assert (reduced, pivots, rank) == ref_rref(m)
+    b = tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m.rows))
+    assert solve(m, b) == ref_solve(m, b)
+    if m.cols:
+        column = m.column(rng.randrange(m.cols))
+        assert solve(m, column) == ref_solve(m, column)
+    assert inverse(m) == ref_inverse(m)
+    null = kernel(m)
+    assert null.basis == ref_kernel_basis(m)
+    rows = span(list(m.entries), m.cols)
+    assert rows.basis == ref_span_basis(m.entries, m.cols)
+    other = span(probes(rng, null, 2)[:2] + list(m.entries[:1]), m.cols)
+    for a, c in ((rows, null), (rows, other), (null, other), (other, rows)):
+        assert a.intersect(c).basis == ref_intersect_basis(a, c)
+    for subspace in (rows, null, other):
+        for v in probes(rng, subspace) + list(m.entries):
+            assert subspace.reduce(v) == tuple(ref_residual(subspace, v))
+            assert subspace.contains(v) == ref_contains(subspace, v)
+
+
+# -- the elimination kernel --------------------------------------------------
+
+def test_kernel_matches_fraction_elimination_on_random_matrices():
+    rng = random.Random(5150)
+    ranks = set()
+    for _ in range(250):
+        m = random_matrix(rng)
+        check_matrix(m, rng)
+        ranks.add((rref(m)[2], min(m.rows, m.cols)))
+    # full-rank and rank-deficient systems, and empty ones, were all reached
+    assert any(r == full for r, full in ranks)
+    assert any(r < full for r, full in ranks)
+    assert (0, 0) in ranks
+
+
+def test_kernel_matches_on_singular_and_special_matrices():
+    rng = random.Random(77)
+    half, third = F(1, 2), F(1, 3)
+    cases = [
+        Mat(0, 0, ()),
+        Mat(0, 4, ()),
+        Mat(3, 0, ((), (), ())),
+        Mat.zeros(3, 3),
+        Mat.identity(4),
+        Mat.from_rows([[1, 2], [2, 4]]),
+        Mat.from_rows([[half, third], [3, 2]]),
+        Mat.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+        Mat.from_rows([[1, 2, 3], [1, 2, 3], [0, 0, 0], [-1, -2, -3]]),
+        Mat.from_rows([[F(10 ** 30, 7), 1], [1, F(7, 10 ** 30)]]),
+        Mat.from_rows([[-6, 4, 2], [9, -6, -3]]),
+    ]
+    for m in cases:
+        check_matrix(m, rng)
+    assert inverse(Mat.from_rows([[1, 2], [2, 4]])) is None
+
+
+def test_integer_rows_stay_primitive():
+    """The integer core keeps each row divided by its content, and dividing
+    its rows by their pivots gives the reduced echelon form."""
+    rng = random.Random(99)
+    for _ in range(200):
+        m = random_matrix(rng)
+        scale = 1
+        for row in m.entries:
+            for x in row:
+                scale = scale * x.denominator // gcd(scale, x.denominator)
+        ints = [[int(x * scale) * factor for x in row]
+                for row, factor in zip(m.entries, (rng.choice((1, 6, -10)) for _ in m.entries))]
+        pivots = _integer_rref(ints)
+        reduced, ref_pivots, _ = ref_rref(m)
+        assert pivots == ref_pivots
+        for i, row in enumerate(ints):
+            if i < len(pivots):
+                assert gcd(*row) == 1
+                assert [F(x, row[pivots[i]]) for x in row] == list(reduced.entries[i])
+            else:
+                assert not any(row)
+
+
+def derivation_systems(corpus, monkeypatch):
+    """The product-rule system derivation_space solves, for every corpus algebra."""
+    systems = {}
+    real_kernel = maps.kernel
+
+    def spy(m):
+        systems[name] = m
+        return real_kernel(m)
+
+    monkeypatch.setattr(maps, "kernel", spy)
+    for name, algebra in corpus.items():
+        derivation_space(algebra)
+    monkeypatch.undo()
+    return systems
+
+
+def test_kernel_matches_on_corpus_derivation_systems(corpus, monkeypatch):
+    rng = random.Random(4242)
+    systems = derivation_systems(corpus, monkeypatch)
+    assert set(systems) == set(corpus)
+    for name, system in systems.items():
+        check_matrix(system, rng)
+
+
+# -- absorption --------------------------------------------------------------
+
+def corpus_extensions(corpus, monkeypatch):
+    """(name, model, relations) for every relation submodule that
+    quotient_by_relations sees while the corpus extensions are built."""
+    seen = []
+    real = _extension.quotient_by_relations
+
+    def spy(model, relations):
+        seen.append((current, model, relations))
+        return real(model, relations)
+
+    monkeypatch.setattr(_extension, "quotient_by_relations", spy)
+    for name, algebra in corpus.items():
+        current = f"{name}/derivation"
+        for d in derivation_space(algebra)[:2]:
+            ore_quotient(algebra, d)
+        current = f"{name}/automorphism"
+        # the pool starts with the identity, whose extension needs no quotient
+        for phi in sample_automorphisms(algebra, random.Random(len(name)), 2)[1:]:
+            laurent_quotient(algebra, phi)
+    monkeypatch.undo()
+    return seen
+
+
+def test_absorption_matches_reference_on_corpus_extensions(corpus, monkeypatch):
+    rng = random.Random(2718)
+    extensions = corpus_extensions(corpus, monkeypatch)
+    kinds = {name.split("/")[1] for name, _, _ in extensions}
+    assert kinds == {"derivation", "automorphism"}
+    raised = 0
+    assert max(model.dim for _, model, _ in extensions) == 63
+    for name, model, relations in extensions:
+        assert _first_unabsorbed(model.sc_nonzero, relations) is None, name
+        if model.dim <= 30:  # the Fraction loop passing the 63-dim M_3 model takes seconds
+            assert ref_first_unabsorbed(model.multiply, relations, model.dim) is None, name
+        stray = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(model.dim))
+        candidates = [span([stray], model.dim)]
+        drop = rng.randrange(relations.dim)
+        candidates.append(span([v for i, v in enumerate(relations.basis) if i != drop],
+                               model.dim))
+        for subspace in candidates:
+            expected = ref_first_unabsorbed(model.multiply, subspace, model.dim)
+            assert _first_unabsorbed(model.sc_nonzero, subspace) == expected, name
+            if expected is None:
+                continue
+            with pytest.raises(AssociativityFails) as caught:
+                quotient_by_relations(model, subspace)
+            assert str(caught.value) == str(AssociativityFails(
+                f"relation submodule is not {expected[2]} absorbing")), name
+            raised += 1
+    assert raised >= len(extensions)
+
+
+def test_is_ideal_matches_reference(corpus):
+    rng = random.Random(31337)
+    verdicts = set()
+    for name, algebra in corpus.items():
+        n = algebra.dim
+        x = random_element(algebra, rng)
+        candidates = [
+            zero_subspace(n),
+            full_space(n),
+            radical(algebra),
+            two_sided_ideal(algebra, [x]),
+            ideal_closure(algebra, [x], "left"),
+            ideal_closure(algebra, [x], "right"),
+            subalgebra_generated(algebra, [x]),
+            span([x], n),
+            span([x, random_element(algebra, rng)], n),
+        ]
+        for subspace in candidates:
+            expected = ref_first_unabsorbed(algebra.multiply, subspace, n) is None
+            assert is_ideal(algebra, subspace) == expected, name
+            verdicts.add(expected)
+    assert verdicts == {True, False}

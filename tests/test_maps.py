@@ -10,8 +10,9 @@ from skewex.errors import (
     NotInKernelChain,
     NotInvertible,
     NotLocallyNilpotent,
+    SkewexError,
 )
-from skewex.linalg import Mat, Poly, span, zero_subspace
+from skewex.linalg import Mat, Poly, inverse, span, zero_subspace
 from skewex.maps import (
     AlgebraEndo,
     Derivation,
@@ -283,3 +284,24 @@ def test_finiteness_certificates_for_map_and_difference(q_times_q, swap):
 @pytest.fixture
 def rng():
     return random.Random(4)
+
+
+def test_endo_inverse_is_cached_outside_identity(q_times_q, swap):
+    fresh = AlgebraEndo.certify(q_times_q, swap.matrix)
+    assert swap.inverse_matrix == inverse(swap.matrix) == swap.matrix
+    assert swap.inverse_matrix is swap.inverse_matrix
+    assert swap == fresh and hash(swap) == hash(fresh) and repr(swap) == repr(fresh)
+    assert projection_endo(q_times_q).inverse_matrix is None
+    assert not projection_endo(q_times_q).is_invertible()
+
+
+def test_compose_is_the_certified_product(m2, q_times_q, swap, rng):
+    a = inner_automorphism(m2, (F(1), F(2), F(0), F(1)))
+    b = inner_automorphism(m2, (F(2), F(0), F(1), F(-1)))
+    ab = a.compose(b)
+    assert ab.matrix == a.matrix * b.matrix
+    assert ab == AlgebraEndo.certify(m2, a.matrix * b.matrix)
+    assert swap.compose(projection_endo(q_times_q)).unital
+    assert not AlgebraEndo(q_times_q, swap.matrix, False).compose(swap).unital
+    with pytest.raises(SkewexError):
+        a.compose(swap)

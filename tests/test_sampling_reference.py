@@ -14,6 +14,7 @@ import pytest
 from skewex.algebra import change_of_basis, poly_quotient
 from skewex.linalg import Mat, Poly, inverse, is_nilpotent, rat
 from skewex.maps import (
+    AlgebraEndo,
     Derivation,
     LinearEndo,
     derivation_space,
@@ -133,6 +134,43 @@ def test_sample_automorphisms_with_given_basis(algebras):
                                          derivations=derivation_space(algebra))
             assert [e.matrix for e in given] == [e.matrix for e in omitted], (name, seed)
             assert rng_given.getstate() == rng_omitted.getstate(), (name, seed)
+
+
+def test_pooled_automorphisms_certify(corpus, monkeypatch):
+    """Compositions enter the pool through AlgebraEndo.compose, uncertified;
+    every pooled map must still pass the full certificate."""
+    composed = []
+    real_compose = AlgebraEndo.compose
+
+    def spy(self, other):
+        composed.append(self.algebra)
+        return real_compose(self, other)
+
+    monkeypatch.setattr(AlgebraEndo, "compose", spy)
+    for name, algebra in corpus.items():
+        for seed in (3, 17):
+            for endo in sample_automorphisms(algebra, random.Random(seed), 8):
+                assert AlgebraEndo.certify(algebra, endo.matrix) == endo, (name, seed)
+    # dual, qxq, c2 and c3 reach the composition step
+    assert len(set(map(id, composed))) == 4
+
+
+def test_composed_pool_matches_recertified_pool(corpus, monkeypatch):
+    """compose in place of re-certifying each composition leaves the pool,
+    its order and the generator state as they were."""
+    def recertify(self, other):
+        return AlgebraEndo.certify(self.algebra, self.matrix * other.matrix)
+
+    for name, algebra in corpus.items():
+        for seed in (3, 17):
+            rng_new = random.Random(seed)
+            pool = sample_automorphisms(algebra, rng_new, 8)
+            with monkeypatch.context() as patched:
+                patched.setattr(AlgebraEndo, "compose", recertify)
+                rng_old = random.Random(seed)
+                expected = sample_automorphisms(algebra, rng_old, 8)
+            assert pool == expected, (name, seed)
+            assert rng_new.getstate() == rng_old.getstate(), (name, seed)
 
 
 def test_random_combination_of_derivation_basis_certifies(algebras):
