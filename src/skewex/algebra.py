@@ -385,7 +385,13 @@ def subalgebra_as_algebra(algebra: Algebra, subspace: Subspace) -> tuple[Algebra
 
 SIMPLE = "simple"
 NOT_SIMPLE = "not_simple"
+
+# The check statuses of suite records and of ms_witness_check; is_simple
+# answers INCONCLUSIVE as well.
+PASS = "pass"
+FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+NOT_APPLICABLE = "not-applicable"
 
 
 def is_simple(algebra: Algebra) -> tuple[str, Optional[Subspace]]:

@@ -1,9 +1,8 @@
 """Command line entry point.
 
 Subcommands: validate, suite, explore, idempotents, extend.  Reports are
-JSON lines, one record per check; exit status is 0 with no failures, 1 on
-any failure, 2 on parse or usage errors, and 3 when the only non-pass
-records are inconclusive.
+JSON lines, one record per check; exit status is 1 on any failure, else 3
+on any inconclusive record, else 0, and 2 on parse or usage errors.
 """
 
 from __future__ import annotations

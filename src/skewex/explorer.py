@@ -21,7 +21,7 @@ from .suites import (
     INCONCLUSIVE,
     PASS,
     Report,
-    _audit_map,
+    _audit_derivations_and_automorphisms,
     _idempotent_context,
     _Recorder,
 )
@@ -92,13 +92,8 @@ def random_explorer(seed: int, trials: int, max_dim: int) -> Report:
         rec = _Recorder(f"explore[{trial}]")
         idems = _idempotent_context(algebra)
         derivations = derivation_space(algebra)
-        for idx, d in enumerate(derivations):
-            _audit_map(rec, algebra, f"derivation[{idx}]", d.matrix, idems, d, "derivation")
         autos = sample_automorphisms(algebra, rng, 4, derivations=derivations)
-        for idx, phi in enumerate(autos):
-            delta = Mat.identity(algebra.dim) - phi.matrix
-            _audit_map(rec, algebra, f"one_minus_automorphism[{idx}]", delta, idems,
-                       phi, "endomorphism")
+        _audit_derivations_and_automorphisms(rec, algebra, idems, derivations, autos)
         endos = autos
         if algebra is recipe.algebra:
             endos = endos + recipe_endomorphisms(recipe, rng, 2)

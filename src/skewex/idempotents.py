@@ -15,6 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
     Algebra,
     ideal_closure,
     quotient,
@@ -304,11 +307,6 @@ def power_span(algebra: Algebra, a: Vec) -> PowerSpan:
         prev = nxt
         stabilized = step + 1
     return PowerSpan(p_span, prev, stabilized)
-
-
-PASS = "pass"
-FAIL = "fail"
-NOT_APPLICABLE = "not_applicable"
 
 
 def ms_witness_check(

@@ -20,9 +20,6 @@ from ._extension import (
     _basis_orbits,
     _check_annihilates,
     assemble,
-    extension_embedding_injective,  # re-exported: callers import it from here
-    module_generation,
-    poly_of_element,
 )
 from .algebra import Algebra
 from .errors import (
@@ -191,30 +188,13 @@ def coefficient_sum_membership(
     return CoefficientSumReport(value, closed, member)
 
 
-def laurent_quotient(
-    algebra: Algebra,
-    phi: AlgebraEndo,
-    p: Optional[Poly] = None,
-    _skip_annihilator_check: bool = False,
-) -> ExtensionResult:
-    """Adjoin an invertible u with p(u) = 0 conjugating by phi on the base.
+def _orbit_grid(algebra: Algebra, phi: AlgebraEndo, p: Poly):
+    """The products laurent_quotient's free model needs, from phi^i(e_b).
 
-    p defaults to the minimal polynomial of phi; it must be monic with
-    nonzero constant term and p(phi) = 0.  Verified postconditions: the base
-    embeds unitally, u has a two-sided inverse, p(u) = 0,
-    u embed(a) u^(-1) = embed(phi(a)) on every basis vector, and powers
-    u^i with |i| < deg p generate the extension as a module on both sides.
+    Returns (monomial_product, generator_polys, xd_times_basis) for assemble:
+    (e_a X^i)(e_b X^j) = e_a phi^i(e_b) X^(i+j), p(X) e_b X^k and
+    X^deg(p) e_b in left-normal form.
     """
-    if not phi.is_invertible():
-        raise NotAutomorphism("the twist must be an automorphism")
-    if p is None:
-        p = minimal_polynomial(phi.matrix)
-    if not p.is_monic() or p.degree < 1:
-        raise NotMonic("relation polynomial must be monic of degree >= 1")
-    if p.coeff(0) == 0:
-        raise ConstantTermZero("relation polynomial needs a nonzero constant term")
-    if not _skip_annihilator_check:
-        _check_annihilates(phi.matrix, p)
     phi_powers = _basis_orbits(algebra, phi.matrix, p.degree)
 
     def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
@@ -232,39 +212,33 @@ def laurent_quotient(
     def xd_times_basis(b: int) -> TermList:
         return [(p.degree, phi_powers[b][p.degree])]
 
-    ext, embed, u, model, defect = assemble(
-        algebra, p, "automorphism", monomial_product, generator_polys, xd_times_basis,
+    return monomial_product, generator_polys, xd_times_basis
+
+
+def laurent_quotient(
+    algebra: Algebra,
+    phi: AlgebraEndo,
+    p: Optional[Poly] = None,
+    _skip_annihilator_check: bool = False,
+) -> ExtensionResult:
+    """Adjoin an invertible u with p(u) = 0 conjugating by phi on the base.
+
+    p defaults to the minimal polynomial of phi; it must be monic with
+    nonzero constant term and p(phi) = 0.  The result has passed
+    verify_extension, whose docstring lists the postconditions; in
+    particular u embed(a) u^(-1) = embed(phi(a)).
+    """
+    if not phi.is_invertible():
+        raise NotAutomorphism("the twist must be an automorphism")
+    if p is None:
+        p = minimal_polynomial(phi.matrix)
+    if not p.is_monic() or p.degree < 1:
+        raise NotMonic("relation polynomial must be monic of degree >= 1")
+    if p.coeff(0) == 0:
+        raise ConstantTermZero("relation polynomial needs a nonzero constant term")
+    if not _skip_annihilator_check:
+        _check_annihilates(phi.matrix, p)
+    return assemble(
+        algebra, p, "automorphism", phi.matrix, *_orbit_grid(algebra, phi, p),
         force_free_model=_skip_annihilator_check,
-    )
-    if not is_zero_vec(poly_of_element(ext, p, u)):
-        raise SkewexError("p(u) != 0 in the constructed extension")
-    # u^(-1) from the relation: multiply p(u) = 0 by u^(-d) and solve for it.
-    alpha0 = p.coeff(0)
-    acc = zero_vec(ext.dim)
-    power = ext.unit
-    for i in range(1, p.degree):
-        acc = vec_add(acc, tuple(p.coeff(i) * x for x in power))
-        power = ext.multiply(power, u)
-    acc = vec_add(acc, power)  # + u^(d-1)
-    u_inv = tuple(-x / alpha0 for x in acc)
-    if ext.multiply(u, u_inv) != ext.unit or ext.multiply(u_inv, u) != ext.unit:
-        raise SkewexError("witness inverse identity failed")
-    for a in range(algebra.dim):
-        img = embed.column(a)
-        conj = ext.multiply(ext.multiply(u, img), u_inv)
-        if conj != embed.apply(phi.matrix.apply(algebra.basis_element(a))):
-            raise SkewexError("adjoined witness does not realize the automorphism")
-    powers = [ext.unit]
-    for _ in range(p.degree - 1):
-        powers.append(ext.multiply(powers[-1], u))
-    inv_power = ext.unit
-    for _ in range(p.degree - 1):
-        inv_power = ext.multiply(inv_power, u_inv)
-        powers.append(inv_power)
-    left_ok, right_ok = module_generation(ext, embed, powers, algebra.dim)
-    if not (left_ok and right_ok):
-        raise SkewexError("extension is not generated by the witness powers")
-    return ExtensionResult(
-        "automorphism", algebra, ext, embed, u, u_inv, p,
-        free_module=(defect == 0), defect_dim=defect,
     )

@@ -25,9 +25,6 @@ from ._extension import (
     _basis_orbits,
     _check_annihilates,
     assemble,
-    extension_embedding_injective,  # re-exported: callers import it from here
-    module_generation,
-    poly_of_element,
 )
 from .algebra import Algebra, is_simple, SIMPLE
 from .errors import DimensionMismatch, NotMonic, SkewexError
@@ -274,10 +271,8 @@ def ore_quotient(
     """Adjoin u with p(u) = 0 whose commutator realizes d on the base.
 
     p defaults to the minimal polynomial of d and must be monic with
-    p(d) = 0.  The result's verified postconditions: the base embeds as a
-    unital subalgebra, p(u) = 0, [u, embed(a)] = embed(d(a)) for every basis
-    a, and the extension is generated as a left and a right module over the
-    embedded base by the powers u^i, i < deg p.
+    p(d) = 0.  The result has passed verify_extension, whose docstring lists
+    the postconditions; in particular [u, embed(a)] = embed(d(a)).
 
     The private flag skips the annihilator precondition; the construction
     then works on the raw rewrite grid, whose consistency certificate fails
@@ -289,27 +284,9 @@ def ore_quotient(
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if not _skip_annihilator_check:
         _check_annihilates(d.matrix, p)
-
-    ext, embed, u, model, defect = assemble(
-        algebra, p, "derivation", *_leibniz_grid(algebra, d, p),
+    return assemble(
+        algebra, p, "derivation", d.matrix, *_leibniz_grid(algebra, d, p),
         force_free_model=_skip_annihilator_check,
-    )
-    if not is_zero_vec(poly_of_element(ext, p, u)):
-        raise SkewexError("p(u) != 0 in the constructed extension")
-    for a in range(algebra.dim):
-        img = embed.column(a)
-        commutator = vec_sub(ext.multiply(u, img), ext.multiply(img, u))
-        if commutator != embed.apply(d.matrix.apply(algebra.basis_element(a))):
-            raise SkewexError("adjoined witness does not realize the derivation")
-    powers = [ext.unit]
-    for _ in range(p.degree - 1):
-        powers.append(ext.multiply(powers[-1], u))
-    left_ok, right_ok = module_generation(ext, embed, powers, algebra.dim)
-    if not (left_ok and right_ok):
-        raise SkewexError("extension is not generated by the witness powers")
-    return ExtensionResult(
-        "derivation", algebra, ext, embed, u, None, p,
-        free_module=(defect == 0), defect_dim=defect,
     )
 
 

@@ -33,9 +33,8 @@ from skewex.idempotents import (
     rank_one_idempotent_grid,
     trace_rank_idempotent,
 )
-from skewex.laurent import extension_embedding_injective as laurent_injective
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, column_space
+from skewex.linalg import Mat, Poly, column_space, kernel
 from skewex.maps import (
     AlgebraEndo,
     Derivation,
@@ -52,7 +51,6 @@ from skewex.maps import (
 from skewex.ore import (
     commutator_power,
     constant_term_identity,
-    extension_embedding_injective,
     ore_quotient,
     simple_image_check,
 )
@@ -186,7 +184,7 @@ def test_criterion_01_derivation_extensions():
     for label, algebra, d, p in pairs:
         result = ore_quotient(algebra, d, p)  # p=None: the minimal polynomial
         ext = result.algebra
-        if not extension_embedding_injective(result):
+        if kernel(result.embed).dim != 0:
             failures.append(f"{label}: embedding not injective")
         for i in range(algebra.dim):
             for j in range(algebra.dim):
@@ -262,7 +260,7 @@ def test_criterion_02_automorphism_extensions():
     for label, algebra, phi in cases:
         result = laurent_quotient(algebra, phi)
         ext = result.algebra
-        if not laurent_injective(result):
+        if kernel(result.embed).dim != 0:
             failures.append(f"{label}: embedding not injective")
         from skewex._extension import poly_of_element
         if any(poly_of_element(ext, result.p, result.u)):

@@ -1,0 +1,82 @@
+"""verify_extension accepts the constructions' own results and rejects each
+broken postcondition with its own message."""
+
+import pytest
+
+from skewex._extension import verify_extension
+from skewex.algebra import subalgebra_as_algebra, upper_triangular
+from skewex.errors import SkewexError
+from skewex.laurent import laurent_quotient
+from skewex.linalg import Mat, Poly, span, vec_add, zero_vec
+from skewex.ore import ore_quotient
+
+
+def fields(result, twist):
+    """The arguments verify_extension takes, read off a construction's result."""
+    return dict(mode=result.mode, base=result.base, ext=result.algebra, embed=result.embed,
+                u=result.u, p=result.p, twist=twist)
+
+
+@pytest.fixture
+def ore_fields(dual_numbers, euler):
+    return fields(ore_quotient(dual_numbers, euler), euler.matrix)
+
+
+@pytest.fixture
+def laurent_fields(q_times_q, swap):
+    return fields(laurent_quotient(q_times_q, swap), swap.matrix)
+
+
+def test_constructions_pass_and_return_the_inverse(dual_numbers, euler, q_times_q, swap):
+    ore = ore_quotient(dual_numbers, euler)
+    assert verify_extension(**fields(ore, euler.matrix)) is ore.u_inverse is None
+    laurent = laurent_quotient(q_times_q, swap)
+    assert verify_extension(**fields(laurent, swap.matrix)) == laurent.u_inverse
+    assert laurent.u_inverse is not None
+
+
+def test_embedding_checks(ore_fields):
+    embed = ore_fields["embed"]
+    zeroed = Mat.from_columns([zero_vec(embed.rows)] + embed.columns()[1:])
+    with pytest.raises(SkewexError, match="base does not embed"):
+        verify_extension(**{**ore_fields, "embed": zeroed})
+    with pytest.raises(SkewexError, match="does not send unit to unit"):
+        verify_extension(**{**ore_fields, "embed": embed.scale(2)})
+    # t -> t + u keeps the unit and the rank but (t + u)^2 != 0
+    unit_col, t_col = embed.columns()
+    moved = Mat.from_columns([unit_col, vec_add(t_col, ore_fields["u"])])
+    with pytest.raises(SkewexError, match="embedding is not multiplicative"):
+        verify_extension(**{**ore_fields, "embed": moved})
+
+
+def test_shifted_witness(ore_fields, laurent_fields):
+    def shifted(f):
+        return {**f, "u": vec_add(f["u"], f["ext"].unit)}
+
+    with pytest.raises(SkewexError, match=r"p\(u\) != 0"):
+        verify_extension(**shifted(ore_fields))
+    with pytest.raises(SkewexError, match="witness inverse identity failed"):
+        verify_extension(**shifted(laurent_fields))
+
+
+def test_generation_sides(ore_fields):
+    # p = X and u = 0: the powers of u add nothing to the embedded base
+    degree_one = {**ore_fields, "p": Poly.of([0, 1]), "u": zero_vec(ore_fields["ext"].dim)}
+    with pytest.raises(SkewexError, match="as a left module"):
+        verify_extension(**degree_one)
+    # upper-triangular 3x3 matrices over the span of E11, E12, E22 and E33,
+    # with u = E23 and p = X^2: E12 u = E13 and E22 u = E23 fill the left
+    # span, while the right span misses E13
+    t3 = upper_triangular(3)  # basis E11, E12, E13, E22, E23, E33
+    base, inclusion = subalgebra_as_algebra(
+        t3, span([t3.basis_element(k) for k in (0, 1, 3, 5)], t3.dim))
+    with pytest.raises(SkewexError, match="as a right module"):
+        verify_extension("derivation", base, t3, inclusion, t3.basis_element(4),
+                         Poly.of([0, 0, 1]), Mat.zeros(base.dim, base.dim))
+
+
+def test_scaled_twist(ore_fields, laurent_fields):
+    with pytest.raises(SkewexError, match="does not realize the derivation"):
+        verify_extension(**{**ore_fields, "twist": ore_fields["twist"].scale(2)})
+    with pytest.raises(SkewexError, match="does not realize the automorphism"):
+        verify_extension(**{**laurent_fields, "twist": laurent_fields["twist"].scale(2)})

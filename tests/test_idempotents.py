@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewex.algebra import direct_product, poly_quotient
+from skewex.algebra import FAIL, NOT_APPLICABLE, PASS, direct_product, poly_quotient
 from skewex.errors import CapExceeded, NotCommutative, NotIdempotent
 from skewex.idempotents import (
     IS_MS,
@@ -185,22 +185,22 @@ def test_power_span_unipotent(dual_numbers):
 
 def test_ms_witness_examples(q_times_q):
     v = span([(F(1), F(0))], 2)
-    assert ms_witness_check(q_times_q, v, (F(1), F(0)), (F(5), F(7)), (F(5), F(7))) == "pass"
+    assert ms_witness_check(q_times_q, v, (F(1), F(0)), (F(5), F(7)), (F(5), F(7))) == PASS
     # nilpotent tail passes vacuously
     from skewex.algebra import poly_quotient as pq
 
     dual = pq(Poly.of([0, 0, 1]))
     vd = span([dual.basis_element(1)], 2)
     assert ms_witness_check(dual, vd, dual.basis_element(1),
-                            (F(9), F(1)), (F(3), F(4))) == "pass"
+                            (F(9), F(1)), (F(3), F(4))) == PASS
     # unit line: hypothesis holds for a = 1 but b T escapes
     vu = span([q_times_q.unit], 2)
     assert ms_witness_check(q_times_q, vu, q_times_q.unit,
-                            (F(1), F(0)), q_times_q.unit, side="left") == "fail"
+                            (F(1), F(0)), q_times_q.unit, side="left") == FAIL
     # hypothesis failure: powers of the unit leave the first-factor line
     first_factor = span([(F(1), F(0))], 2)
     assert ms_witness_check(q_times_q, first_factor, q_times_q.unit,
-                            q_times_q.unit, q_times_q.unit) == "not_applicable"
+                            q_times_q.unit, q_times_q.unit) == NOT_APPLICABLE
 
 
 def test_image_audit_swap(q_times_q, swap):

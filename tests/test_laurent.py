@@ -10,11 +10,10 @@ from skewex.laurent import (
     coefficient_sum_membership,
     conjugate_by_x,
     eval_at_one,
-    extension_embedding_injective,
     laurent_mul,
     laurent_quotient,
 )
-from skewex.linalg import Mat, Poly
+from skewex.linalg import Mat, Poly, kernel
 from skewex.maps import AlgebraEndo, automorphism_order, exp_derivation, inner_automorphism, inner_derivation
 from skewex.sampling import random_element
 
@@ -126,7 +125,7 @@ def test_laurent_quotient_swap(q_times_q, swap):
     assert result.p == Poly.of([-1, 0, 1])
     assert ext.dim == 4
     assert result.free_module
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
     # X^2 = 1 forces the witness to be its own inverse
     assert result.u_inverse == result.u
     assert ext.multiply(result.u, result.u) == ext.unit
@@ -165,7 +164,7 @@ def test_laurent_quotient_group_automorphism(c3):
     result = laurent_quotient(c3, phi)
     assert result.free_module
     assert result.algebra.dim == 6
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
 
 
 def test_laurent_quotient_cyclic_shift_on_split_product(rng):
@@ -190,7 +189,7 @@ def test_laurent_quotient_infinite_order_conjugation(m2):
     ext = result.algebra
     assert result.p.degree == 3
     assert not result.free_module
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
     assert ext.multiply(result.u, result.u_inverse) == ext.unit
     assert ext.multiply(result.u_inverse, result.u) == ext.unit
     for idx in range(4):
@@ -202,7 +201,7 @@ def test_laurent_quotient_infinite_order_conjugation(m2):
 def test_laurent_quotient_unipotent(m2):
     phi = exp_derivation(inner_derivation(m2, m2.basis_element(1)))
     result = laurent_quotient(m2, phi)
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
     ext = result.algebra
     assert ext.multiply(result.u, result.u_inverse) == ext.unit
 

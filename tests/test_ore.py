@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 
 from skewex.errors import AnnihilatorFails, AssociativityFails, NotMonic
-from skewex.linalg import Mat, Poly
+from skewex.linalg import Mat, Poly, kernel
 from skewex.maps import Derivation, derivation_space, inner_derivation
 from skewex.ore import (
     SkewPoly,
     commutator_power,
     constant_term_identity,
     constant_terms,
-    extension_embedding_injective,
     ideal_constant_term,
     ore_quotient,
     simple_image_check,
@@ -147,7 +146,7 @@ def test_ore_quotient_euler_true_quotient(dual_numbers, euler):
     assert ext.dim == 3
     assert result.defect_dim == 1
     assert not result.free_module
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
     t_img = result.embed.column(1)
     u = result.u
     # commutator realizes the twist: [u, t] = t
@@ -188,7 +187,7 @@ def test_ore_quotient_m2_inner(m2):
     result = ore_quotient(m2, d)
     assert result.p == Poly.of([0, 0, 0, 1])  # nilpotent of order 3
     ext = result.algebra
-    assert extension_embedding_injective(result)
+    assert kernel(result.embed).dim == 0
     for a in range(4):
         img = result.embed.column(a)
         comm = tuple(x - y for x, y in zip(ext.multiply(result.u, img),
@@ -216,7 +215,7 @@ def test_ore_quotient_random_trace_zero(m2, rng):
         if d.matrix.is_zero():
             continue
         result = ore_quotient(m2, d)
-        assert extension_embedding_injective(result)
+        assert kernel(result.embed).dim == 0
         ext = result.algebra
         for a in range(4):
             img = result.embed.column(a)

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from skewex.algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
 from skewex.errors import SkewexError, UnknownSuite
+from skewex.explorer import random_explorer
 from skewex.linalg import Mat
 from skewex.maps import AlgebraEndo, inner_derivation
 from skewex.suites import (
-    FAIL,
-    PASS,
     Report,
     CheckRecord,
     SuiteContext,
@@ -55,13 +55,28 @@ def test_suite_runs_are_deterministic(q_times_q, swap):
     assert [strip(r) for r in first.records] == [strip(r) for r in second.records]
 
 
-def test_exit_codes():
+def test_exit_codes(corpus):
     report = Report([CheckRecord("s", "c", PASS, {}, 0.0)])
     assert report.exit_code == 0
-    report.records.append(CheckRecord("s", "c2", "inconclusive", {}, 0.0))
+    report.records.append(CheckRecord("s", "c1", NOT_APPLICABLE, {}, 0.0))
+    assert report.exit_code == 0
+    report.records.append(CheckRecord("s", "c2", INCONCLUSIVE, {}, 0.0))
     assert report.exit_code == 3
-    report.records.append(CheckRecord("s", "c3", FAIL, {}, 0.0))
+    # a status outside the vocabulary no longer hides an inconclusive one
+    report.records.append(CheckRecord("s", "c3", "not_applicable", {}, 0.0))
+    assert report.exit_code == 3
+    report.records.append(CheckRecord("s", "c4", FAIL, {}, 0.0))
     assert report.exit_code == 1
+
+    # every status the suites and the explorer emit is in the vocabulary;
+    # M_3 is left out because its suites alone run for most of a minute
+    statuses = set()
+    for name, algebra in corpus.items():
+        if name != "m3":
+            statuses |= {r.status for r in run_suite(ALL_SUITES, make_ctx(algebra, [])).records}
+    statuses |= {r.status for r in random_explorer(7, 5, 4).records}
+    assert statuses <= {PASS, FAIL, INCONCLUSIVE, NOT_APPLICABLE}
+    assert {PASS, INCONCLUSIVE, NOT_APPLICABLE} <= statuses
 
 
 def test_recorder_keeps_running_after_a_stray_exception():
