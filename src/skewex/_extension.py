@@ -1,18 +1,24 @@
 """Shared machinery for realizing twisted polynomial quotients as finite algebras.
 
-Both extension flavours (derivation twist and automorphism twist) proceed the
-same way: write products of the window monomials e_a * Xbar^i (0 <= i < d,
-d = deg p) in left-normal form, fold powers >= d back into the window using
-the scalar recursion Xbar^d = -sum alpha_i Xbar^i, and obtain a multiplication
-grid on the free module of rank d*n.
+Both extension flavours (derivation twist and automorphism twist) differ in
+one rule only, how X^i moves past a basis element e_b.  Each supplies it as a
+table xpow[b][i], the left-normal form of X^i e_b for i <= d = deg p:
+sum_k C(i, k) D^k(e_b) X^(i-k) for a derivation D (Ore 1933) and
+phi^i(e_b) X^i for an automorphism phi.  Everything else is derived here from
+that table: the products (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the terms
+(m, c) of xpow[b][i], folded into the window 0 <= i < d by the scalar
+recursion X^d = -sum alpha_i X^i, give a multiplication grid on the free
+module of rank d*n, and the table also gives the relation generators
+p(X) e_b X^k and X^d e_b for the confluence check.
 
 That grid is an associative algebra exactly when the relation polynomial
 generates a two-sided ideal; in general it is not, and the genuine quotient is
 the free module divided by the relation submodule N spanned by the reduced
-images of p(X) * e_b * X^k under left multiplication.  The quotient always
-carries a well-defined associative multiplication, which is re-verified on
-all basis triples, and verify_extension checks the extension's
-postconditions before anything is returned.
+images of p(X) * e_b * X^k under left multiplication.  The quotient is formed
+by the routine algebra.quotient uses, always carries a well-defined
+associative multiplication, which is re-verified on all basis triples, and
+verify_extension checks the extension's postconditions before anything is
+returned.
 """
 
 from __future__ import annotations
@@ -20,7 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algebra import Algebra, _first_unabsorbed, _sparse_multiply, _sparse_table, make_algebra
+from .algebra import (
+    Algebra,
+    _collapse,
+    _first_unabsorbed,
+    _sparse_multiply,
+    _sparse_table,
+    make_algebra,
+    poly_of_element,
+)
 from .errors import (
     AnnihilatorFails,
     AssociativityFails,
@@ -34,12 +48,11 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
-    ONE,
     is_zero_vec,
     kernel,
     minimal_polynomial,
+    power_reduction_table,
     span,
-    unit_vec,
     vec_add,
     vec_sub,
     zero_vec,
@@ -48,22 +61,8 @@ from .linalg import (
 # A term list is a left-normal form: pairs (power, coefficient in the base
 # algebra), powers arbitrary non-negative integers before reduction.
 TermList = list[tuple[int, Vec]]
-
-
-def power_reduction_table(p: Poly, max_power: int) -> list[Vec]:
-    """beta[m] with X^m = sum_q beta[m][q] X^q modulo the monic relation p."""
-    d = p.degree
-    table: list[Vec] = []
-    for m in range(d):
-        table.append(tuple(ONE if q == m else ZERO for q in range(d)))
-    for m in range(d, max_power + 1):
-        prev = table[m - 1]
-        shifted = [ZERO] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            shifted = [s - top * p.coeffs[q] for q, s in enumerate(shifted)]
-        table.append(tuple(shifted))
-    return table
+# xpow[b][i] is X^i e_b as a term list, for i <= deg p.
+XPowTable = list[list[TermList]]
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,29 @@ class FreeModel:
         return out
 
 
+def grid_product(base: Algebra, xpow: XPowTable) -> Callable[[int, int, int, int], TermList]:
+    """The FreeModel callback: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
+    terms (m, c) of xpow[b][i]."""
+
+    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
+        ea = base.basis_element(a)
+        return [(power + j, base.multiply(ea, coeff)) for power, coeff in xpow[b][i]]
+
+    return monomial_product
+
+
+def relation_generators(p: Poly, xpow: XPowTable) -> list[TermList]:
+    """p(X) e_b X^k in left-normal form, for every basis element b and k < deg p."""
+    out = []
+    for row in xpow:
+        terms = [(power, tuple(c * x for x in coeff))
+                 for i, c in enumerate(p.coeffs) if c
+                 for power, coeff in row[i]]
+        for k in range(p.degree):
+            out.append([(power + k, coeff) for power, coeff in terms])
+    return out
+
+
 def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Subspace:
     """Span of the reduced relation generators under base left multiplication."""
     vectors = []
@@ -179,19 +201,18 @@ def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Sub
     return span(vectors, model.dim)
 
 
-def confluence_check(
-    model: FreeModel, xd_times_basis: Callable[[int], TermList]
-) -> Optional[str]:
+def confluence_check(model: FreeModel, xpow: XPowTable) -> Optional[str]:
     """Compare both reduction orders of X^d * e_b; None when they agree.
 
     Route one folds X^d into the window first and multiplies inside the
-    model; route two rewrites X^d past e_b in the unreduced ring and folds
-    afterwards.  A mismatch certifies that the rewrite system is inconsistent.
+    model; route two rewrites X^d past e_b in the unreduced ring, which is
+    xpow[b][d], and folds afterwards.  A mismatch certifies that the rewrite
+    system is inconsistent.
     """
     xd_reduced = model.reduce_terms([(model.d, model.base.unit)])
     for b in range(model.n):
         route_one = model.multiply(xd_reduced, model.slice0(model.base.basis_element(b)))
-        route_two = model.reduce_terms(xd_times_basis(b))
+        route_two = model.reduce_terms(xpow[b][model.d])
         if route_one != route_two:
             return f"X^{model.d} * basis {b} reduces inconsistently"
     return None
@@ -204,33 +225,19 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
     to absorb multiplication by every basis element on both sides (all of
     them: the free model need not be associative), so the quotient
     multiplication is well defined regardless of the section used to compute
-    it.  The section here keeps the non-pivot coordinates, so the quotient's
-    constants are the projected products of those free-model basis elements.
+    it.
     """
     unabsorbed = _first_unabsorbed(model.sc_nonzero, relations)
     if unabsorbed is not None:
         raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
-    pivots = set(relations.pivots())
-    coords = [j for j in range(model.dim) if j not in pivots]
-
-    def project(x: Vec) -> Vec:
-        residual = relations.reduce(x)
-        return tuple(residual[j] for j in coords)
-
-    sc = [[project(model.sc[i][j]) for j in coords] for i in coords]
-    all_labels = model.labels()
-    labels = [all_labels[j] for j in coords]
-    unit = project(model.slice0(model.base.unit))
     try:
-        quot = make_algebra(len(coords), sc, unit, labels)
+        return _collapse(model.sc, model.slice0(model.base.unit), model.labels(), relations)
     except (NotAssociative, UnitFails) as exc:  # pragma: no cover - internal guard
         raise AssociativityFails(str(exc)) from exc
-    proj = Mat.from_columns([project(unit_vec(c, model.dim)) for c in range(model.dim)])
-    return quot, proj
 
 
 def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
-    """orbits[b][k] = twist^k(e_b) for k <= length, the table both grids read."""
+    """orbits[b][k] = twist^k(e_b) for k <= length, read by both xpow tables."""
     orbits = []
     for b in range(base.dim):
         orbit = [base.basis_element(b)]
@@ -248,40 +255,36 @@ def _check_annihilates(twist: Mat, p: Poly) -> None:
         raise AnnihilatorFails(witness, image.column(witness))
 
 
-def free_model_as_algebra(model: FreeModel) -> Algebra:
-    try:
-        return make_algebra(model.dim, model.sc, model.slice0(model.base.unit), model.labels())
-    except (NotAssociative, UnitFails) as exc:
-        raise AssociativityFails(str(exc)) from exc
-
-
 def assemble(
     base: Algebra,
     p: Poly,
     mode: str,
     twist: Mat,
-    monomial_product: Callable[[int, int, int, int], TermList],
-    generator_polys: Callable[[FreeModel], list[TermList]],
-    xd_times_basis: Callable[[int], TermList],
+    xpow: XPowTable,
     force_free_model: bool = False,
 ) -> ExtensionResult:
     """Common construction path: build the extension of base that makes twist
-    inner, pass it through verify_extension and return it.
+    inner from the twist's table xpow, pass it through verify_extension and
+    return it.
 
     With force_free_model the relation submodule is skipped, the raw rewrite
     grid is used directly, and any inconsistency surfaces as
     AssociativityFails.
     """
-    model = FreeModel(base, p, monomial_product)
-    relations = None if force_free_model else relation_submodule(model, generator_polys(model))
+    model = FreeModel(base, p, grid_product(base, xpow))
+    relations = None if force_free_model else relation_submodule(
+        model, relation_generators(p, xpow))
     defect = 0 if relations is None else relations.dim
     if defect == 0:
         # the consistency certificate under force_free_model; otherwise an
         # internal guard, since no relations means the rewrite system is consistent
-        mismatch = confluence_check(model, xd_times_basis)
+        mismatch = confluence_check(model, xpow)
         if mismatch is not None:
             raise AssociativityFails(mismatch)
-        algebra = free_model_as_algebra(model)
+        try:
+            algebra = make_algebra(model.dim, model.sc, model.slice0(base.unit), model.labels())
+        except (NotAssociative, UnitFails) as exc:
+            raise AssociativityFails(str(exc)) from exc
         proj = Mat.identity(model.dim)
     else:
         algebra, proj = quotient_by_relations(model, relations)
@@ -294,17 +297,6 @@ def assemble(
         mode, base, algebra, embed, u, u_inverse, p,
         free_module=(defect == 0), defect_dim=defect,
     )
-
-
-def poly_of_element(ext: Algebra, p: Poly, u: Vec) -> Vec:
-    """p(u) computed inside the extension."""
-    acc = zero_vec(ext.dim)
-    power = ext.unit
-    for c in p.coeffs:
-        if c:
-            acc = vec_add(acc, tuple(c * x for x in power))
-        power = ext.multiply(power, u)
-    return acc
 
 
 def verify_extension(

@@ -34,6 +34,7 @@ from .linalg import (
     _integer_row,
     is_zero_vec,
     kernel,
+    power_reduction_table,
     rat,
     span,
     unit_vec,
@@ -234,6 +235,17 @@ def _first_unabsorbed(table: SparseTable, subspace: Subspace) -> Optional[tuple[
     return None
 
 
+def poly_of_element(algebra: Algebra, p: Poly, x: Vec, unit: Optional[Vec] = None) -> Vec:
+    """p(x) computed in the algebra, or in its corner whose unit is the given one."""
+    acc = zero_vec(algebra.dim)
+    power = algebra.unit if unit is None else unit
+    for c in p.coeffs:
+        if c:
+            acc = vec_add(acc, vec_scale(c, power))
+        power = algebra.multiply(power, x)
+    return acc
+
+
 def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> Subspace:
     """Smallest subspace containing gens closed under the requested multiplications.
 
@@ -281,6 +293,36 @@ def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:
     return _first_unabsorbed(algebra.sc_nonzero, subspace) is None
 
 
+def _kept_coordinates(ideal: Subspace) -> list[int]:
+    """The non-pivot coordinates, which a quotient by the subspace keeps."""
+    pivots = set(ideal.pivots())
+    return [j for j in range(ideal.ambient_dim) if j not in pivots]
+
+
+def _collapse(sc, unit: Vec, labels: Sequence[str], ideal: Subspace) -> tuple[Algebra, Mat]:
+    """The quotient of the table sc by a subspace that absorbs every product,
+    with the projection matrix.
+
+    The section keeps the non-pivot coordinates, so the quotient's constants
+    are the projected products sc[i][j] of those basis elements; make_algebra
+    re-verifies them.
+    """
+    coords = _kept_coordinates(ideal)
+
+    def project(x: Vec) -> Vec:
+        residual = ideal.reduce(x)
+        return tuple(residual[j] for j in coords)
+
+    quot = make_algebra(
+        len(coords),
+        [[project(sc[i][j]) for j in coords] for i in coords],
+        project(unit),
+        [labels[j] for j in coords],
+    )
+    n = ideal.ambient_dim
+    return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
+
+
 def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
     """Quotient algebra on the non-pivot coordinates, with the projection matrix.
 
@@ -293,33 +335,13 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
         raise NotAnIdeal("subspace is not closed under two-sided multiplication")
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot divide by the whole algebra")
-    pivots = set(ideal.pivots())
-    coords = [j for j in range(algebra.dim) if j not in pivots]
-    q = len(coords)
-
-    def project(x: Vec) -> Vec:
-        residual = ideal.reduce(x)
-        return tuple(residual[j] for j in coords)
-
-    sc = [
-        [project(algebra.multiply(algebra.basis_element(coords[i]),
-                                  algebra.basis_element(coords[j])))
-         for j in range(q)]
-        for i in range(q)
-    ]
-    unit = project(algebra.unit)
-    labels = [algebra.labels[j] for j in coords]
-    quot = make_algebra(q, sc, unit, labels)
-    proj = Mat.from_columns([project(algebra.basis_element(c)) for c in range(algebra.dim)])
-    return quot, proj
+    return _collapse(algebra.sc, algebra.unit, algebra.labels, ideal)
 
 
 def quotient_section(algebra: Algebra, ideal: Subspace) -> Mat:
     """Coordinate section of the quotient projection: columns are the surviving
     basis vectors of the ambient algebra, so projection * section = identity."""
-    pivots = set(ideal.pivots())
-    coords = [j for j in range(algebra.dim) if j not in pivots]
-    return Mat.from_columns([algebra.basis_element(j) for j in coords])
+    return Mat.from_columns([algebra.basis_element(j) for j in _kept_coordinates(ideal)])
 
 
 def radical(algebra: Algebra) -> Subspace:
@@ -453,15 +475,7 @@ def poly_quotient(f: Poly) -> Algebra:
     if not f.is_monic() or f.degree < 1:
         raise ValueError("modulus must be monic of degree >= 1")
     d = f.degree
-    # t^m mod f for m up to 2d-2
-    reductions: list[Vec] = [unit_vec(m, d) for m in range(d)]
-    for m in range(d, 2 * d - 1):
-        prev = reductions[m - 1]
-        shifted = [ZERO] + list(prev[:-1])
-        top = prev[-1]
-        if top:
-            shifted = [s - top * f.coeffs[i] for i, s in enumerate(shifted)]
-        reductions.append(tuple(shifted))
+    reductions = power_reduction_table(f, 2 * d - 2)
     sc = [[reductions[i + j] for j in range(d)] for i in range(d)]
     unit = unit_vec(0, d)
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, d)]

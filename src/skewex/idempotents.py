@@ -20,6 +20,7 @@ from .algebra import (
     PASS,
     Algebra,
     ideal_closure,
+    poly_of_element,
     quotient,
     quotient_section,
     radical,
@@ -102,7 +103,7 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
         scale = reduced.eval(lam)
         # q(t) = (m/(t-lam)) / m'(lam) selects the lam component
         projector = reduced.scale(ONE / scale)
-        piece = _eval_poly_in_corner(algebra, projector, x, block)
+        piece = poly_of_element(algebra, projector, x, block)
         if is_zero_vec(piece):
             continue
         pieces.append(piece)
@@ -115,17 +116,6 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
         if algebra.multiply(piece, piece) != piece:
             raise SkewexError("eigen-projection failed to produce an idempotent")
     return pieces
-
-
-def _eval_poly_in_corner(algebra: Algebra, p, x: Vec, corner_unit: Vec) -> Vec:
-    """p(x) inside the corner algebra whose unit is corner_unit."""
-    acc = zero_vec(algebra.dim)
-    power = corner_unit
-    for c in p.coeffs:
-        if c:
-            acc = vec_add(acc, vec_scale(c, power))
-        power = algebra.multiply(power, x)
-    return acc
 
 
 def enumerate_idempotents(algebra: Algebra, cap: Optional[int] = None) -> IdempotentSet:

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from ._extension import (
     ExtensionResult,
-    FreeModel,
-    TermList,
+    XPowTable,
     _basis_orbits,
     _check_annihilates,
     assemble,
@@ -188,31 +187,11 @@ def coefficient_sum_membership(
     return CoefficientSumReport(value, closed, member)
 
 
-def _orbit_grid(algebra: Algebra, phi: AlgebraEndo, p: Poly):
-    """The products laurent_quotient's free model needs, from phi^i(e_b).
-
-    Returns (monomial_product, generator_polys, xd_times_basis) for assemble:
-    (e_a X^i)(e_b X^j) = e_a phi^i(e_b) X^(i+j), p(X) e_b X^k and
-    X^deg(p) e_b in left-normal form.
-    """
-    phi_powers = _basis_orbits(algebra, phi.matrix, p.degree)
-
-    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
-        return [(i + j, algebra.multiply(algebra.basis_element(a), phi_powers[b][i]))]
-
-    def generator_polys(model: FreeModel) -> list[TermList]:
-        out = []
-        for b in range(algebra.dim):
-            base = [(i, tuple(c * x for x in phi_powers[b][i]))
-                    for i, c in enumerate(p.coeffs) if c]
-            for k in range(model.d):
-                out.append([(i + k, coeff) for i, coeff in base])
-        return out
-
-    def xd_times_basis(b: int) -> TermList:
-        return [(p.degree, phi_powers[b][p.degree])]
-
-    return monomial_product, generator_polys, xd_times_basis
+def _orbit_table(algebra: Algebra, phi: AlgebraEndo, p: Poly) -> XPowTable:
+    """xpow[b][i] = X^i e_b = phi^i(e_b) X^i, i <= deg p, the table
+    laurent_quotient hands to assemble."""
+    return [[[(i, image)] for i, image in enumerate(orbit)]
+            for orbit in _basis_orbits(algebra, phi.matrix, p.degree)]
 
 
 def laurent_quotient(
@@ -239,6 +218,6 @@ def laurent_quotient(
     if not _skip_annihilator_check:
         _check_annihilates(phi.matrix, p)
     return assemble(
-        algebra, p, "automorphism", phi.matrix, *_orbit_grid(algebra, phi, p),
+        algebra, p, "automorphism", phi.matrix, _orbit_table(algebra, phi, p),
         force_free_model=_skip_annihilator_check,
     )

@@ -543,6 +543,20 @@ class Poly:
         return " + ".join(parts)
 
 
+def power_reduction_table(p: Poly, max_power: int) -> list[Vec]:
+    """beta[m] with X^m = sum_q beta[m][q] X^q modulo the monic p, m <= max_power."""
+    d = p.degree
+    table = [unit_vec(m, d) for m in range(d)]
+    for m in range(d, max_power + 1):
+        prev = table[m - 1]
+        shifted = [ZERO] + list(prev[:-1])
+        top = prev[-1]
+        if top:
+            shifted = [s - top * p.coeffs[q] for q, s in enumerate(shifted)]
+        table.append(tuple(shifted))
+    return table
+
+
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b

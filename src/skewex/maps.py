@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Algebra, is_ideal, quotient
+from .algebra import Algebra, is_ideal, quotient, quotient_section
 from .errors import (
     NotAutomorphism,
     NotDerivation,
@@ -52,13 +52,13 @@ class LinearEndo:
 
 def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple[int, int]]]:
     """Product rule D(ab) = D(a)b + aD(b) on all basis pairs; witness on failure."""
+    images = m.columns()
     for i in range(algebra.dim):
         ei = algebra.basis_element(i)
-        dei = m.apply(ei)
         for j in range(algebra.dim):
             ej = algebra.basis_element(j)
             lhs = m.apply(algebra.sc[i][j])
-            rhs = vec_add(algebra.multiply(dei, ej), algebra.multiply(ei, m.apply(ej)))
+            rhs = vec_add(algebra.multiply(images[i], ej), algebra.multiply(ei, images[j]))
             if lhs != rhs:
                 return False, (i, j)
     return True, None
@@ -70,12 +70,10 @@ def is_endomorphism(
     """Multiplicativity on all basis pairs, plus unit preservation when required."""
     if require_unital and m.apply(algebra.unit) != algebra.unit:
         return False, ("unit",)
+    images = m.columns()
     for i in range(algebra.dim):
-        fi = m.apply(algebra.basis_element(i))
         for j in range(algebra.dim):
-            lhs = m.apply(algebra.sc[i][j])
-            rhs = algebra.multiply(fi, m.apply(algebra.basis_element(j)))
-            if lhs != rhs:
+            if m.apply(algebra.sc[i][j]) != algebra.multiply(images[i], images[j]):
                 return False, (i, j)
     return True, None
 
@@ -259,12 +257,7 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
         induced = AlgebraEndo(algebra, phi.matrix, phi.unital)
         return InducedQuotient(algebra, ident, induced, True, phi.is_invertible(), chain)
     quot, proj = quotient(algebra, chain)
-    cols = []
-    pivots = set(chain.pivots())
-    coords = [j for j in range(algebra.dim) if j not in pivots]
-    for j in coords:
-        cols.append(proj.apply(phi.matrix.apply(algebra.basis_element(j))))
-    induced_matrix = Mat.from_columns(cols)
+    induced_matrix = proj * phi.matrix * quotient_section(algebra, chain)
     for c in range(algebra.dim):
         e = algebra.basis_element(c)
         if induced_matrix.apply(proj.apply(e)) != proj.apply(phi.matrix.apply(e)):

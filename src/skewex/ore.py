@@ -5,11 +5,11 @@ step until the product is in left-normal form.  The quotient construction
 adjoins an element u with p(u) = 0 whose commutator restricts to D on the
 embedded base algebra.
 
-The extension grid does not replay the rewriter: it uses the closed form
-a X^i * b X^j = sum_k C(i, k) a D^k(b) X^(i+j-k) (Ore 1933) over a table of
-D^k(e_b) computed once per construction, as laurent.py uses phi^i(e_b).  The
-step-by-step skew_mul stays as the oracle that commutator_power and the
-suites check the closed forms against.
+The extension does not replay the rewriter: it hands assemble the closed
+form X^i b = sum_k C(i, k) D^k(b) X^(i-k) (Ore 1933) as a table over the
+basis, from D^k(e_b) computed once per construction, as laurent.py hands it
+phi^i(e_b) X^i.  The step-by-step skew_mul stays as the oracle that
+commutator_power and the suites check the closed forms against.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import Optional
 
 from ._extension import (
     ExtensionResult,
-    FreeModel,
-    TermList,
+    XPowTable,
     _basis_orbits,
     _check_annihilates,
     assemble,
@@ -227,39 +226,15 @@ def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> Ideal
     return IdealConstantTerm(value, predicted, member)
 
 
-def _leibniz_grid(algebra: Algebra, d: Derivation, p: Poly):
-    """The products ore_quotient's free model needs, by the Leibniz rule.
-
-    Returns (monomial_product, generator_polys, xd_times_basis) for assemble:
-    (e_a X^i)(e_b X^j), p(X) e_b X^k and X^deg(p) e_b in left-normal form.
-    """
-    # leibniz[b][i] is X^i e_b = sum_k C(i, k) D^k(e_b) X^(i-k) in left-normal
-    # form, for i <= deg p.
-    leibniz = [
+def _leibniz_table(algebra: Algebra, d: Derivation, p: Poly) -> XPowTable:
+    """xpow[b][i] = X^i e_b = sum_k C(i, k) D^k(e_b) X^(i-k), i <= deg p, the
+    table ore_quotient hands to assemble."""
+    return [
         [[(i - k, tuple(comb(i, k) * x for x in d_powers[k]))
           for k in range(i + 1) if not is_zero_vec(d_powers[k])]
          for i in range(p.degree + 1)]
         for d_powers in _basis_orbits(algebra, d.matrix, p.degree)
     ]
-
-    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
-        ea = algebra.basis_element(a)
-        return [(power + j, algebra.multiply(ea, coeff)) for power, coeff in leibniz[b][i]]
-
-    def generator_polys(model: FreeModel) -> list[TermList]:
-        out = []
-        for b in range(algebra.dim):
-            base = [(power, tuple(c * x for x in coeff))
-                    for i, c in enumerate(p.coeffs) if c
-                    for power, coeff in leibniz[b][i]]
-            for k in range(model.d):
-                out.append([(power + k, coeff) for power, coeff in base])
-        return out
-
-    def xd_times_basis(b: int) -> TermList:
-        return leibniz[b][p.degree]
-
-    return monomial_product, generator_polys, xd_times_basis
 
 
 def ore_quotient(
@@ -285,7 +260,7 @@ def ore_quotient(
     if not _skip_annihilator_check:
         _check_annihilates(d.matrix, p)
     return assemble(
-        algebra, p, "derivation", d.matrix, *_leibniz_grid(algebra, d, p),
+        algebra, p, "derivation", d.matrix, _leibniz_table(algebra, d, p),
         force_free_model=_skip_annihilator_check,
     )
 

@@ -19,7 +19,7 @@ from itertools import permutations, product as iter_product
 from typing import Optional, Sequence
 
 from .algebra import Algebra, direct_product
-from .errors import NotInvertible, SkewexError
+from .errors import NotEndomorphism, NotInvertible, SkewexError
 from .linalg import Mat, Vec, ZERO, ONE, inverse, is_nilpotent, rat, zero_vec
 from .maps import (
     AlgebraEndo,
@@ -27,7 +27,6 @@ from .maps import (
     derivation_space,
     exp_derivation,
     inner_automorphism,
-    is_endomorphism,
 )
 
 
@@ -108,50 +107,45 @@ def permutation_automorphisms(algebra: Algebra, limit: int = 24) -> list[Algebra
     out = []
     for perm in permutations(range(n)):
         m = Mat.from_columns([algebra.basis_element(perm[j]) for j in range(n)])
-        ok, _ = is_endomorphism(algebra, m)
-        if ok:
+        try:
             out.append(AlgebraEndo.certify(algebra, m))
-            if len(out) >= limit:
-                break
+        except NotEndomorphism:
+            continue
+        if len(out) >= limit:
+            break
     return out
 
 
-def substitution_endos(algebra: Algebra, generator: int,
+def substitution_endos(algebra: Algebra,
                        coeff_choices: Sequence = (-1, 0, 1, 2)) -> list[AlgebraEndo]:
     """Unital endomorphisms of a one-generator algebra by substituting for the
     generator.
 
-    Assumes the basis is 1, t, ..., t^(dim-1) with t = basis_element(generator);
-    candidate images are swept over a small coefficient grid and certified.
+    Assumes the basis is 1, t, ..., t^(dim-1) with t = basis_element(1).  The
+    candidate images of t are swept over a small coefficient grid without
+    constant term, then the scalars 0 and 1 (projections onto scalars matter
+    for t^2 - t style blocks); each new candidate is certified.
     """
     n = algebra.dim
+    grid = [(ZERO,) + coeffs
+            for coeffs in iter_product([rat(c) for c in coeff_choices], repeat=n - 1)]
+    scalars = [(c0,) + zero_vec(n - 1) for c0 in (ZERO, ONE)]
     out = []
     seen = set()
-    for coeffs in iter_product([rat(c) for c in coeff_choices], repeat=n - 1):
-        g = (ZERO,) + coeffs  # no constant term keeps the sweep small
+    for g in grid + scalars:
         cols = [algebra.unit]
         power = algebra.unit
         for _ in range(1, n):
             power = algebra.multiply(power, g)
             cols.append(power)
         m = Mat.from_columns(cols)
-        ok, _ = is_endomorphism(algebra, m)
-        if ok and m.entries not in seen:
-            seen.add(m.entries)
+        if m.entries in seen:
+            continue
+        seen.add(m.entries)
+        try:
             out.append(AlgebraEndo.certify(algebra, m))
-    # constant-term images (projections onto scalars) matter for t^2 - t style blocks
-    for c0 in (ZERO, ONE):
-        g = (c0,) + zero_vec(n - 1)
-        cols = [algebra.unit]
-        power = algebra.unit
-        for _ in range(1, n):
-            power = algebra.multiply(power, g)
-            cols.append(power)
-        m = Mat.from_columns(cols)
-        ok, _ = is_endomorphism(algebra, m)
-        if ok and m.entries not in seen:
-            seen.add(m.entries)
-            out.append(AlgebraEndo.certify(algebra, m))
+        except NotEndomorphism:
+            pass
     return out
 
 
@@ -203,7 +197,7 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
     for block in recipe.blocks:
         endos = [Mat.identity(block.dim)]
         if block.dim >= 2 and _looks_monogenic(block):
-            endos = [e.matrix for e in substitution_endos(block, 1)]
+            endos = [e.matrix for e in substitution_endos(block)]
         per_block.append(endos)
     compatible_sources = [
         [i for i, other in enumerate(recipe.blocks) if other.sc == blk.sc]
@@ -260,7 +254,7 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
     for auto in permutation_automorphisms(algebra):
         push(auto)
     if _looks_monogenic(algebra) and algebra.dim >= 2:
-        for endo in substitution_endos(algebra, 1):
+        for endo in substitution_endos(algebra):
             push(endo)
     if not algebra.is_commutative():
         for _ in range(count):

@@ -17,10 +17,8 @@ from ._extension import ExtensionResult
 from .algebra import Algebra, make_algebra
 from .errors import ParseError, SkewexError, ValidationError
 from .idempotents import IdempotentSet
-from .laurent import LaurentSkewPoly
 from .linalg import Mat, Poly, Vec, zero_vec
 from .maps import AlgebraEndo, Derivation, EDerivation, LinearEndo
-from .ore import SkewPoly
 
 ROLES = ("derivation", "endomorphism", "ederivation")
 
@@ -176,14 +174,6 @@ def _read_json(path: str):
         raise ParseError(f"{path}: no such file") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
-
-
-def skew_poly_to_json(f: SkewPoly) -> list[list[str]]:
-    return [vector_to_json(c) for c in f.coeffs]
-
-
-def laurent_poly_to_json(f: LaurentSkewPoly) -> list[list]:
-    return [[exp, vector_to_json(c)] for exp, c in f.terms]
 
 
 def extension_to_json(result: ExtensionResult) -> dict:

@@ -192,23 +192,20 @@ def _idempotent_context(algebra: Algebra) -> IdempotentSet:
 def _audit_map(rec: _Recorder, algebra: Algebra, label: str, matrix: Mat,
                idems: IdempotentSet, endo_for_witness, role: str) -> None:
     def check() -> tuple[str, dict]:
-        witness: dict = {"map": label}
-        trace_ok = image_trace_certificate(algebra, matrix)
-        witness["trace_certificate"] = trace_ok
+        # A trace-zero image holds no nonzero idempotent, since an
+        # idempotent's regular trace is its rank: the certificate alone
+        # decides a clean audit, and a partial idempotent list never
+        # downgrades it.
+        if image_trace_certificate(algebra, matrix):
+            return PASS, {"map": label, "trace_certificate": True}
         findings = image_idempotent_audit(algebra, LinearEndo(algebra, matrix), idems)
-        size = _matrix_size(algebra)
-        grid_findings = []
-        if size is not None:
-            image = column_space(matrix)
-            grid_findings = [e for e in rank_one_idempotent_grid(size) if image.contains(e)]
-        if findings or grid_findings or not trace_ok:
-            witness["findings"] = [vector_to_json(e) for e in findings + grid_findings]
-            witness["algebra"] = algebra_to_json(algebra)
-            witness["offending_map"] = map_to_json(endo_for_witness, role)
-            return FAIL, witness
-        # the trace certificate alone is decisive, so a partial idempotent
-        # list never downgrades a clean audit
-        return PASS, witness
+        return FAIL, {
+            "map": label,
+            "trace_certificate": False,
+            "findings": [vector_to_json(e) for e in findings],
+            "algebra": algebra_to_json(algebra),
+            "offending_map": map_to_json(endo_for_witness, role),
+        }
 
     rec.run(f"image_audit[{label}]", check)
 

@@ -1,8 +1,12 @@
-"""Every name a skewex module imports is used in that module.
+"""Every name a skewex module imports is used in that module, and every
+top-level definition of the package is referenced somewhere.
 
-A deletion leaves imports behind that nothing flags at run time; this test
-reads each module's syntax tree instead.  The package's __init__.py exists
-to re-export names, so it is exempt.
+A deletion leaves imports behind that nothing flags at run time, and a
+function can outlive its last caller; these tests read the syntax trees
+instead.  The package's __init__.py exists to re-export names, so it is
+exempt from the import check.  A definition counts as referenced when its
+name is read, imported or taken as an attribute in src/, tests/ or
+perfbench/.
 """
 
 import ast
@@ -11,6 +15,8 @@ import pathlib
 import skewex
 
 PACKAGE = pathlib.Path(skewex.__file__).parent
+REPO = pathlib.Path(__file__).resolve().parent.parent
+REFERENCE_DIRS = ("src", "tests", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +45,48 @@ def test_every_imported_name_is_used():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def top_level_definitions(source: str) -> list[str]:
+    """Names of the module-level functions, classes and assignments."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_detector_flags_an_unreferenced_definition():
+    source = "LIMIT = 3\ndef used():\n    return LIMIT\ndef dead():\n    pass\nclass C:\n    pass\n"
+    assert top_level_definitions(source) == ["LIMIT", "used", "dead", "C"]
+    refs = referenced_names(source + "from m import C\nused()\n")
+    assert [n for n in top_level_definitions(source) if n not in refs] == ["dead"]
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for folder in REFERENCE_DIRS:
+        for path in sorted((REPO / folder).rglob("*.py")):
+            referenced |= referenced_names(path.read_text(encoding="utf-8"))
+    unreferenced = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = [name for name in top_level_definitions(path.read_text(encoding="utf-8"))
+                 if name not in referenced]
+        if names:
+            unreferenced[path.name] = names
+    assert unreferenced == {}

@@ -2,7 +2,8 @@
 
 The reference functions below are the dense loops the library used before it
 moved to closed forms and sparse tables: the Ore grid by step-by-step skew
-rewriting, the structure-constant product over every coordinate, the
+rewriting, the Laurent grid by laurent_mul, the structure-constant product
+over every coordinate, the
 associativity check over every basis triple in Fractions, and Subspace
 membership by rescanning each echelon row.  The library must agree with them
 exactly.
@@ -13,13 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from skewex._extension import FreeModel, relation_submodule
+from skewex._extension import FreeModel, grid_product, relation_generators, relation_submodule
 from skewex.algebra import Algebra, change_of_basis, make_algebra
 from skewex.errors import NotAssociative, UnitFails
+from skewex.laurent import LaurentSkewPoly, _orbit_table, laurent_mul
 from skewex.linalg import ZERO, Mat, minimal_polynomial, span, vec_add
 from skewex.maps import Derivation, derivation_space
-from skewex.ore import SkewPoly, _leibniz_grid, skew_mul
-from skewex.sampling import random_element
+from skewex.ore import SkewPoly, _leibniz_table, skew_mul
+from skewex.sampling import random_element, sample_automorphisms
 
 F = Fraction
 
@@ -96,6 +98,38 @@ def rewriting_grid(algebra, d, p):
     return monomial_product, generator_polys, xd_times_basis
 
 
+def laurent_grid(algebra, phi, p):
+    """The Laurent grid of laurent_quotient, every product by laurent_mul."""
+
+    def monomial_product(a, i, b, j):
+        prod = laurent_mul(
+            LaurentSkewPoly.monomial(algebra, algebra.basis_element(a), i),
+            LaurentSkewPoly.monomial(algebra, algebra.basis_element(b), j),
+            phi,
+        )
+        return list(prod.terms)
+
+    def generator_polys(model):
+        out = []
+        px = LaurentSkewPoly.from_scalar_terms(algebra, list(enumerate(p.coeffs)))
+        for b in range(algebra.dim):
+            base = laurent_mul(px, LaurentSkewPoly.constant(algebra, algebra.basis_element(b)), phi)
+            for k in range(model.d):
+                shifted = laurent_mul(base, LaurentSkewPoly.x(algebra, k), phi) if k else base
+                out.append(list(shifted.terms))
+        return out
+
+    def xd_times_basis(b):
+        prod = laurent_mul(
+            LaurentSkewPoly.x(algebra, p.degree),
+            LaurentSkewPoly.constant(algebra, algebra.basis_element(b)),
+            phi,
+        )
+        return list(prod.terms)
+
+    return monomial_product, generator_polys, xd_times_basis
+
+
 def echelon_residual(subspace, v):
     residual = list(v)
     for row in subspace.basis:
@@ -146,22 +180,58 @@ def test_leibniz_grid_matches_rewriting(corpus):
     for name, algebra in corpus.items():
         for d in derivations_to_check(algebra, rng):
             p = minimal_polynomial(d.matrix)
-            closed = _leibniz_grid(algebra, d, p)
+            xpow = _leibniz_table(algebra, d, p)
             oracle = rewriting_grid(algebra, d, p)
-            closed_model = FreeModel(algebra, p, closed[0])
+            closed_model = FreeModel(algebra, p, grid_product(algebra, xpow))
             oracle_model = FreeModel(algebra, p, oracle[0])
             assert closed_model.sc == oracle_model.sc, name
-            closed_gens = closed[1](closed_model)
+            closed_gens = relation_generators(p, xpow)
             oracle_gens = oracle[1](oracle_model)
             assert [left_normal(t) for t in closed_gens] == \
                 [left_normal(t) for t in oracle_gens], name
             assert relation_submodule(closed_model, closed_gens) == \
                 relation_submodule(oracle_model, oracle_gens), name
             for b in range(algebra.dim):
-                assert left_normal(closed[2](b)) == left_normal(oracle[2](b)), name
+                assert left_normal(xpow[b][p.degree]) == left_normal(oracle[2](b)), name
             checked += 1
     # dual 3, jet2 4, m2 5, m3 10, ut2 4; the semisimple commutative ones have none
     assert checked == 26
+
+
+# -- the Laurent grid --------------------------------------------------------
+
+def test_orbit_table_matches_laurent_mul(corpus):
+    rng = random.Random(4041)
+    checked = 0
+    for name, algebra in corpus.items():
+        # the pool starts with the identity; the two maps after it
+        for phi in sample_automorphisms(algebra, random.Random(len(name)), 3)[1:]:
+            p = minimal_polynomial(phi.matrix)
+            xpow = _orbit_table(algebra, phi, p)
+            oracle = laurent_grid(algebra, phi, p)
+            model = FreeModel(algebra, p, grid_product(algebra, xpow))
+            rows = [(a, i) for i in range(model.d) for a in range(model.n)]
+            if model.dim > 30:
+                # laurent_mul recomputes phi^i for every cell: too slow for all
+                # 63 x 63 cells of an M_3 grid, so a seeded sample of rows
+                rows = rng.sample(rows, 5)
+            for a, i in rows:
+                for j in range(model.d):
+                    for b in range(model.n):
+                        assert model.sc[model.index(a, i)][model.index(b, j)] == \
+                            model.reduce_terms(oracle[0](a, i, b, j)), name
+            closed_gens = relation_generators(p, xpow)
+            oracle_gens = oracle[1](model)
+            assert [left_normal(t) for t in closed_gens] == \
+                [left_normal(t) for t in oracle_gens], name
+            assert relation_submodule(model, closed_gens) == \
+                relation_submodule(model, oracle_gens), name
+            for b in range(algebra.dim):
+                assert left_normal(xpow[b][p.degree]) == left_normal(oracle[2](b)), name
+            checked += 1
+    # two each for dual, jet2, m2, m3 and ut2; one each for qxq, c2 and c3;
+    # the pool of split holds the identity alone
+    assert checked == 13
 
 
 # -- sparse products ---------------------------------------------------------
@@ -181,7 +251,7 @@ def test_free_model_multiply_matches_dense(m2, dual_numbers):
     for algebra in (m2, dual_numbers):
         for d in derivation_space(algebra):
             p = minimal_polynomial(d.matrix)
-            model = FreeModel(algebra, p, _leibniz_grid(algebra, d, p)[0])
+            model = FreeModel(algebra, p, grid_product(algebra, _leibniz_table(algebra, d, p)))
             for _ in range(10):
                 x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(model.dim))
                 y = tuple(F(rng.randint(-3, 3)) for _ in range(model.dim))
