@@ -30,8 +30,8 @@ from .algebra import (
     Algebra,
     _collapse,
     _first_unabsorbed,
-    _sparse_multiply,
-    _sparse_table,
+    _integer_table,
+    _multiply,
     make_algebra,
     poly_of_element,
 )
@@ -50,7 +50,6 @@ from .linalg import (
     ZERO,
     is_zero_vec,
     kernel,
-    minimal_polynomial,
     power_reduction_table,
     span,
     vec_add,
@@ -91,7 +90,8 @@ class ExtensionResult:
 
 
 class FreeModel:
-    """The rank-d free module over the base with the rewrite multiplication."""
+    """The rank-d free module over the base with the rewrite multiplication;
+    sc and integer_sc are its grid as in algebra.Algebra."""
 
     def __init__(
         self,
@@ -117,7 +117,7 @@ class FreeModel:
             for i in range(self.d)
             for a in range(self.n)
         ]
-        self.sc_nonzero = _sparse_table(self.sc)
+        self.integer_sc = _integer_table(self.sc)
 
     def index(self, a: int, i: int) -> int:
         return i * self.n + a
@@ -139,19 +139,8 @@ class FreeModel:
                             out[offset + a] += factor * c
         return tuple(out)
 
-    def coefficient(self, v: Vec, power: int) -> Vec:
-        return tuple(v[power * self.n + a] for a in range(self.n))
-
     def multiply(self, x: Vec, y: Vec) -> Vec:
-        return _sparse_multiply(self.sc_nonzero, x, y)
-
-    def left_multiply_base(self, a_index: int, v: Vec) -> Vec:
-        """Multiply each window coefficient on the left by the base basis element."""
-        out = []
-        for q in range(self.d):
-            coeff = self.coefficient(v, q)
-            out.extend(self.base.multiply(self.base.basis_element(a_index), coeff))
-        return tuple(out)
+        return _multiply(self.integer_sc, x, y)
 
     def labels(self) -> list[str]:
         out = []
@@ -189,15 +178,18 @@ def relation_generators(p: Poly, xpow: XPowTable) -> list[TermList]:
 
 
 def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Subspace:
-    """Span of the reduced relation generators under base left multiplication."""
+    """Span of the reduced relation generators under base left multiplication.
+
+    e_a w is the grid product of e_a X^0 and w, since X^0 e_b = e_b.
+    """
+    base = [model.slice0(model.base.basis_element(a)) for a in range(model.n)]
     vectors = []
     for terms in generator_polys:
         w = model.reduce_terms(terms)
         if is_zero_vec(w):
             continue
         vectors.append(w)
-        for a in range(model.n):
-            vectors.append(model.left_multiply_base(a, w))
+        vectors.extend(model.multiply(e, w) for e in base)
     return span(vectors, model.dim)
 
 
@@ -227,7 +219,7 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
     multiplication is well defined regardless of the section used to compute
     it.
     """
-    unabsorbed = _first_unabsorbed(model.sc_nonzero, relations)
+    unabsorbed = _first_unabsorbed(model.integer_sc, relations)
     if unabsorbed is not None:
         raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
     try:
@@ -249,8 +241,8 @@ def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
 
 def _check_annihilates(twist: Mat, p: Poly) -> None:
     """Raise AnnihilatorFails, with a witness column, unless p(twist) = 0."""
-    if not p.mod(minimal_polynomial(twist)).is_zero():
-        image = p.eval_matrix(twist)
+    image = p.eval_matrix(twist)
+    if not image.is_zero():
         witness = next(j for j in range(twist.cols) if not is_zero_vec(image.column(j)))
         raise AnnihilatorFails(witness, image.column(witness))
 

@@ -4,8 +4,9 @@ An Algebra is a dense tensor c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k
 plus a distinguished unit vector.  Construction always validates
 associativity on all basis triples and the two-sided unit law, so any
 Algebra in circulation is genuinely an associative unital algebra.  Beside
-the dense tensor every Algebra keeps a sparse table of its nonzero
-constants, which products and the associativity check walk.
+the dense tensor every Algebra keeps one table of its nonzero constants as
+integers over a common scale; products and the associativity and ideal checks
+all sum over it in one integer loop.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -32,10 +33,10 @@ from .linalg import (
     ZERO,
     ONE,
     _integer_row,
+    inverse,
     is_zero_vec,
     kernel,
     power_reduction_table,
-    rat,
     span,
     unit_vec,
     vec,
@@ -45,41 +46,63 @@ from .linalg import (
 )
 
 
-# sparse[i][j] lists the nonzero (k, c) of the dense sc[i][j], ascending in k.
-SparseTable = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
+# table[i][j] lists the nonzero (k, L c) of the dense sc[i][j], ascending in
+# k, for one integer scale L; an IntegerTable is (L, table), L the lcm of the
+# denominators of all the constants.
+Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+IntegerTable = tuple[int, Table]
 
 
-def _sparse_table(sc) -> SparseTable:
-    """The nonzero (k, c) pairs of every product in a dense table."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(product) if c) for product in row)
+def _integer_table(sc) -> IntegerTable:
+    """The structure constants of a dense table as integers over one common scale."""
+    scale = lcm(*{c.denominator for row in sc for product in row for c in product if c})
+    return scale, tuple(
+        tuple(tuple((k, c.numerator * (scale // c.denominator)) for k, c in enumerate(product) if c)
+              for product in row)
         for row in sc
     )
 
 
-def _sparse_multiply(table: SparseTable, x: Vec, y: Vec) -> Vec:
-    """x * y from a sparse table, walking only nonzero entries and constants."""
-    out = [ZERO] * len(x)
-    ys = [(j, yj) for j, yj in enumerate(y) if yj]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
+def _integer_product(
+    table: Table, xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]
+) -> list[int]:
+    """The sum of x y table[i][j] over the nonzero (i, x) of xs and (j, y) of ys.
+
+    This is the one loop that sums products of structure constants; its
+    factors and the constants are integers.
+    """
+    out = [0] * len(table)
+    for i, x in xs:
         row = table[i]
-        for j, yj in ys:
-            c = xi * yj
+        for j, y in ys:
+            c = x * y
             for k, s in row[j]:
                 out[k] += c * s
-    return tuple(out)
+    return out
+
+
+def _multiply(integer_sc: IntegerTable, x: Vec, y: Vec) -> Vec:
+    """x * y exactly: with x = X / Lx, y = Y / Ly and the constants C / L, the
+    product is the integer product of X, Y and C over L Lx Ly."""
+    scale, table = integer_sc
+    lx, xs = _integer_row(x)
+    ly, ys = _integer_row(y)
+    out = _integer_product(table, [(i, v) for i, v in enumerate(xs) if v],
+                           [(j, v) for j, v in enumerate(ys) if v])
+    denominator = scale * lx * ly
+    return tuple(Fraction(v, denominator) if v else ZERO for v in out)
 
 
 class Algebra:
     """Validated structure-constant algebra; immutable by convention.
 
-    sc[i][j] is the dense coordinate vector of e_i * e_j.  sc_nonzero[i][j]
-    holds the same product as its nonzero (k, c) pairs in ascending k, built
-    once here; multiply walks only those pairs and the nonzero entries of
-    both factors, so its cost follows the number of nonzero constants (n^3
-    of the n^6 for M_n) rather than dim^3.
+    sc[i][j] is the dense coordinate vector of e_i * e_j.  integer_sc is
+    (L, table), built once here: table[i][j] holds the same product as its
+    nonzero (k, L c) pairs in ascending k, L the lcm of the denominators of
+    all the constants.  multiply scales both factors to integers and walks
+    only those pairs and the nonzero entries of the factors, so its cost
+    follows the number of nonzero constants (n^3 of the n^6 for M_n) rather
+    than dim^3, and it makes one Fraction per nonzero entry of the product.
     """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
@@ -89,7 +112,7 @@ class Algebra:
         )
         if any(len(v) != dim for row in self.sc for v in row):
             raise DimensionMismatch("structure constants differ from dimension")
-        self.sc_nonzero = _sparse_table(self.sc)
+        self.integer_sc = _integer_table(self.sc)
         self.unit: Vec = vec(unit)
         self.labels: tuple[str, ...] = tuple(labels) if labels else tuple(
             f"e{i}" for i in range(dim)
@@ -106,20 +129,11 @@ class Algebra:
             raise DimensionMismatch(f"element length {len(v)} != dim {self.dim}")
         return v
 
-    def scalar(self, c) -> Vec:
-        return vec_scale(rat(c), self.unit)
-
     def multiply(self, x: Vec, y: Vec) -> Vec:
         """Bilinear product via the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("element length differs from algebra dimension")
-        return _sparse_multiply(self.sc_nonzero, x, y)
-
-    def power(self, x: Vec, m: int) -> Vec:
-        acc = self.unit
-        for _ in range(m):
-            acc = self.multiply(acc, x)
-        return acc
+        return _multiply(self.integer_sc, x, y)
 
     def left_regular(self, x: Vec) -> Mat:
         """Matrix of left multiplication by x (a faithful representation)."""
@@ -132,9 +146,6 @@ class Algebra:
 
     def trace_of(self, x: Vec) -> Fraction:
         return self.left_regular(x).trace()
-
-    def commutator(self, x: Vec, y: Vec) -> Vec:
-        return tuple(a - b for a, b in zip(self.multiply(x, y), self.multiply(y, x)))
 
     def is_commutative(self) -> bool:
         return all(
@@ -159,50 +170,31 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
         e = algebra.basis_element(i)
         if algebra.multiply(algebra.unit, e) != e or algebra.multiply(e, algebra.unit) != e:
             raise UnitFails(i)
-    triple = _first_nonassociative_triple(algebra.sc_nonzero)
+    triple = _first_nonassociative_triple(algebra.integer_sc)
     if triple is not None:
         raise NotAssociative(*triple)
     return algebra
 
 
-def _integer_table(table: SparseTable) -> list[list[list[tuple[int, int]]]]:
-    """The table's (k, L c) pairs, L the lcm of the denominators of its constants."""
-    scale = lcm(*(c.denominator for row in table for pairs in row for _, c in pairs))
-    return [
-        [[(k, c.numerator * (scale // c.denominator)) for k, c in pairs] for pairs in row]
-        for row in table
-    ]
-
-
-def _first_nonassociative_triple(table: SparseTable) -> Optional[tuple[int, int, int]]:
+def _first_nonassociative_triple(integer_sc: IntegerTable) -> Optional[tuple[int, int, int]]:
     """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
 
-    The constants are scaled to integers by the lcm L of their denominators.
-    Both sides of a triple are sums of products of two constants, so both
-    scale by L^2 and compare exactly as the rational sides do.
+    Both sides of a triple are sums of products of two integer constants, so
+    both scale by L^2 and compare exactly as the rational sides do.
     """
-    ints = _integer_table(table)
-    n = len(ints)
+    table = integer_sc[1]
+    n = len(table)
     for i in range(n):
-        row_i = ints[i]
         for j in range(n):
-            left = row_i[j]
-            row_j = ints[j]
             for k in range(n):
-                lhs = [0] * n
-                for m, s in left:
-                    for t, c in ints[m][k]:
-                        lhs[t] += s * c
-                rhs = [0] * n
-                for m, s in row_j[k]:
-                    for t, c in row_i[m]:
-                        rhs[t] += s * c
-                if lhs != rhs:
+                if (_integer_product(table, table[i][j], [(k, 1)])
+                        != _integer_product(table, [(i, 1)], table[j][k])):
                     return i, j, k
     return None
 
 
-def _first_unabsorbed(table: SparseTable, subspace: Subspace) -> Optional[tuple[int, int, str]]:
+def _first_unabsorbed(integer_sc: IntegerTable, subspace: Subspace
+                      ) -> Optional[tuple[int, int, str]]:
     """First (index, r, side) at which the subspace fails to absorb a product,
     or None when it is a two-sided ideal of the algebra the table describes.
 
@@ -213,24 +205,14 @@ def _first_unabsorbed(table: SparseTable, subspace: Subspace) -> Optional[tuple[
     multiple of the rational product, and the subspace's integer residual
     decides membership exactly.
     """
-    ints = _integer_table(table)
-    n = len(ints)
+    table = integer_sc[1]
     residual = subspace._integer_residual
     for index, v in enumerate(subspace.basis):
         w = [(j, x) for j, x in enumerate(_integer_row(v)[1]) if x]
-        for r in range(n):
-            row_r = ints[r]
-            left = [0] * n
-            for j, x in w:
-                for k, c in row_r[j]:
-                    left[k] += x * c
-            if any(residual(left)):
+        for r in range(len(table)):
+            if any(residual(_integer_product(table, [(r, 1)], w))):
                 return index, r, "left"
-            right = [0] * n
-            for i, x in w:
-                for k, c in ints[i][r]:
-                    right[k] += x * c
-            if any(residual(right)):
+            if any(residual(_integer_product(table, w, [(r, 1)]))):
                 return index, r, "right"
     return None
 
@@ -290,7 +272,7 @@ def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
 
 def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:
     """Whether the subspace absorbs every basis element on both sides."""
-    return _first_unabsorbed(algebra.sc_nonzero, subspace) is None
+    return _first_unabsorbed(algebra.integer_sc, subspace) is None
 
 
 def _kept_coordinates(ideal: Subspace) -> list[int]:
@@ -536,8 +518,6 @@ def upper_triangular(n: int) -> Algebra:
 
 def change_of_basis(algebra: Algebra, t: Mat) -> Algebra:
     """Same algebra expressed in the basis given by the columns of t."""
-    from .linalg import inverse
-
     t_inv = inverse(t)
     if t_inv is None:
         raise ValueError("change of basis matrix must be invertible")

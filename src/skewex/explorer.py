@@ -13,7 +13,7 @@ import random
 
 from .algebra import Algebra, change_of_basis, cyclic_group_algebra, matrix_algebra, poly_quotient
 from .idempotents import image_kernel_idempotent_report
-from .linalg import Mat, Poly, rat
+from .linalg import Mat, Poly, inverse, rat
 from .maps import derivation_space
 from .sampling import ProductRecipe, recipe_endomorphisms, sample_automorphisms
 from .suites import (
@@ -69,8 +69,6 @@ def random_recipe(rng: random.Random, max_dim: int) -> ProductRecipe:
 
 
 def random_basis_change(algebra: Algebra, rng: random.Random) -> Algebra:
-    from .linalg import inverse
-
     n = algebra.dim
     for _ in range(60):
         grid = [[rat(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]

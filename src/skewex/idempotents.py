@@ -44,7 +44,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .maps import AlgebraEndo, LinearEndo, induced_map, kernel_chain
+from .maps import AlgebraEndo, LinearEndo, induced_map
 
 DEFAULT_CAP = 2 ** 20
 CAP_ENV_VAR = "SKEWEX_IDEMPOTENT_CAP"
@@ -362,7 +362,7 @@ def image_kernel_idempotent_report(
         raise PhibarNotSurjective("induced map is not surjective")
     delta = Mat.identity(algebra.dim) - phi.matrix
     image = column_space(delta)
-    chain, _ = kernel_chain(phi)
+    chain = induced.chain
     entries = []
     consistent = True
     ideal_contained = True

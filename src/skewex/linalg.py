@@ -148,9 +148,6 @@ class Mat:
                 base = base * base
         return Mat.identity(self.rows) if result is None else result
 
-    def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
-
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
@@ -515,10 +512,7 @@ class Poly:
                 p = Poly.of(p.coeffs[1:])
         if p.degree < 1:
             return sorted(set(roots))
-        denom_lcm = 1
-        for c in p.coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in p.coeffs]
+        ints = _integer_row(p.coeffs)[1]
         lead, const = ints[-1], ints[0]
         for num in _divisors(abs(const)):
             for den in _divisors(abs(lead)):
@@ -555,12 +549,6 @@ def power_reduction_table(p: Poly, max_power: int) -> list[Vec]:
             shifted = [s - top * p.coeffs[q] for q, s in enumerate(shifted)]
         table.append(tuple(shifted))
     return table
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _divisors(n: int) -> list[int]:

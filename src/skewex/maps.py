@@ -146,6 +146,22 @@ class AlgebraEndo(LinearEndo):
     def is_invertible(self) -> bool:
         return self.inverse_matrix is not None
 
+    @cached_property
+    def _powers(self) -> dict[int, Mat]:
+        return {0: Mat.identity(self.algebra.dim)}
+
+    def power(self, k: int) -> Mat:
+        """The matrix of phi^k for any integer k; NotAutomorphism unless the
+        map is invertible.  Each power is computed once per map, outside
+        equality, hashing and repr."""
+        if self.inverse_matrix is None:
+            raise NotAutomorphism("the twist must be invertible")
+        powers = self._powers
+        if k not in powers:
+            powers[k] = (self.power(k - 1) * self.matrix if k > 0
+                         else self.power(k + 1) * self.inverse_matrix)
+        return powers[k]
+
     def compose(self, other: "AlgebraEndo") -> "AlgebraEndo":
         """self after other, without a new certification.
 

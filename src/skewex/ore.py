@@ -222,7 +222,7 @@ def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> Ideal
          for i in range(algebra.dim) for j in range(algebra.dim)],
         algebra.dim,
     )
-    member = image_span.contains(value) if image_span.dim else is_zero_vec(value)
+    member = image_span.contains(value)
     return IdealConstantTerm(value, predicted, member)
 
 

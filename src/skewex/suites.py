@@ -35,7 +35,7 @@ from .laurent import (
     laurent_mul,
     laurent_quotient,
 )
-from .linalg import Mat, Poly, Subspace, column_space, rat
+from .linalg import Mat, Poly, Subspace, column_space, minimal_polynomial, rat
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -108,12 +108,18 @@ class SuiteContext:
     trials: int = 100
     _derivations: Optional[list[Derivation]] = None
     _automorphisms: Optional[list[AlgebraEndo]] = None
+    _idempotents: Optional[IdempotentSet] = None
 
     def derivations(self) -> list[Derivation]:
         if self._derivations is None:
             given = [m for m in self.maps if isinstance(m, Derivation)]
             self._derivations = given or derivation_space(self.algebra)
         return self._derivations
+
+    def idempotents(self) -> IdempotentSet:
+        if self._idempotents is None:
+            self._idempotents = _idempotent_context(self.algebra)
+        return self._idempotents
 
     def endomorphisms(self) -> list[AlgebraEndo]:
         out = [m for m in self.maps if isinstance(m, AlgebraEndo)]
@@ -277,14 +283,14 @@ def suite_thm19_automorphism(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_thm16_audit(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("thm16_audit")
     _audit_derivations_and_automorphisms(
-        rec, ctx.algebra, _idempotent_context(ctx.algebra),
+        rec, ctx.algebra, ctx.idempotents(),
         ctx.derivations(), ctx.automorphisms())
     return rec.records
 
 
 def suite_prop22(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("prop22")
-    idems = _idempotent_context(ctx.algebra)
+    idems = ctx.idempotents()
     endos = ctx.endomorphisms() or ctx.automorphisms()
     for idx, phi in enumerate(endos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
@@ -308,7 +314,7 @@ def suite_prop22(ctx: SuiteContext) -> list[CheckRecord]:
 
 def suite_prop24(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("prop24")
-    idems = _idempotent_context(ctx.algebra)
+    idems = ctx.idempotents()
     endos = ctx.endomorphisms() or ctx.automorphisms()
     for idx, phi in enumerate(endos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
@@ -330,7 +336,7 @@ def suite_prop24(ctx: SuiteContext) -> list[CheckRecord]:
 
 def suite_cor25(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("cor25")
-    idems = _idempotent_context(ctx.algebra)
+    idems = ctx.idempotents()
     found = 0
     for idx, phi in enumerate(ctx.automorphisms()):
         order = automorphism_order(phi, ctx.order_bound)
@@ -466,8 +472,6 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
     rec.run("conjugation_coherence", conjugation_coherence)
 
     def embeddings() -> tuple[str, dict]:
-        from .linalg import minimal_polynomial
-
         def by_degree(maps):
             return sorted(maps, key=lambda m: minimal_polynomial(m.matrix).degree)
 
@@ -488,7 +492,7 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("ms_oracle")
     algebra = ctx.algebra
-    idems = _idempotent_context(algebra)
+    idems = ctx.idempotents()
     closures = {tuple(e): two_sided_ideal(algebra, [e]) for e in idems.items}
 
     def enumeration() -> tuple[str, dict]:

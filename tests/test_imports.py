@@ -1,5 +1,6 @@
 """Every name a skewex module imports is used in that module, and every
-top-level definition of the package is referenced somewhere.
+top-level definition of the package, and every method of its top-level
+classes apart from dunders, is referenced somewhere.
 
 A deletion leaves imports behind that nothing flags at run time, and a
 function can outlive its last caller; these tests read the syntax trees
@@ -59,6 +60,17 @@ def top_level_definitions(source: str) -> list[str]:
     return names
 
 
+def method_definitions(source: str) -> list[str]:
+    """Class.method for the methods of the module-level classes, dunders exempt."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
 def referenced_names(source: str) -> set[str]:
     names = set()
     for node in ast.walk(ast.parse(source)):
@@ -78,6 +90,14 @@ def test_detector_flags_an_unreferenced_definition():
     assert [n for n in top_level_definitions(source) if n not in refs] == ["dead"]
 
 
+def test_detector_flags_an_unreferenced_method():
+    source = ("class C:\n    def __init__(self):\n        self.used()\n"
+              "    def used(self):\n        pass\n    def dead(self):\n        pass\n")
+    assert method_definitions(source) == ["C.used", "C.dead"]
+    refs = referenced_names(source)
+    assert [n for n in method_definitions(source) if n.split(".")[1] not in refs] == ["C.dead"]
+
+
 def test_every_definition_is_referenced():
     referenced = set()
     for folder in REFERENCE_DIRS:
@@ -85,8 +105,10 @@ def test_every_definition_is_referenced():
             referenced |= referenced_names(path.read_text(encoding="utf-8"))
     unreferenced = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        names = [name for name in top_level_definitions(path.read_text(encoding="utf-8"))
-                 if name not in referenced]
+        source = path.read_text(encoding="utf-8")
+        names = [name for name in top_level_definitions(source) if name not in referenced]
+        names += [name for name in method_definitions(source)
+                  if name.split(".")[1] not in referenced]
         if names:
             unreferenced[path.name] = names
     assert unreferenced == {}

@@ -348,7 +348,7 @@ def test_absorption_matches_reference_on_corpus_extensions(corpus, monkeypatch):
     raised = 0
     assert max(model.dim for _, model, _ in extensions) == 63
     for name, model, relations in extensions:
-        assert _first_unabsorbed(model.sc_nonzero, relations) is None, name
+        assert _first_unabsorbed(model.integer_sc, relations) is None, name
         if model.dim <= 30:  # the Fraction loop passing the 63-dim M_3 model takes seconds
             assert ref_first_unabsorbed(model.multiply, relations, model.dim) is None, name
         stray = tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(model.dim))
@@ -358,7 +358,7 @@ def test_absorption_matches_reference_on_corpus_extensions(corpus, monkeypatch):
                                model.dim))
         for subspace in candidates:
             expected = ref_first_unabsorbed(model.multiply, subspace, model.dim)
-            assert _first_unabsorbed(model.sc_nonzero, subspace) == expected, name
+            assert _first_unabsorbed(model.integer_sc, subspace) == expected, name
             if expected is None:
                 continue
             with pytest.raises(AssociativityFails) as caught:

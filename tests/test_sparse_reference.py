@@ -201,7 +201,6 @@ def test_leibniz_grid_matches_rewriting(corpus):
 # -- the Laurent grid --------------------------------------------------------
 
 def test_orbit_table_matches_laurent_mul(corpus):
-    rng = random.Random(4041)
     checked = 0
     for name, algebra in corpus.items():
         # the pool starts with the identity; the two maps after it
@@ -210,12 +209,7 @@ def test_orbit_table_matches_laurent_mul(corpus):
             xpow = _orbit_table(algebra, phi, p)
             oracle = laurent_grid(algebra, phi, p)
             model = FreeModel(algebra, p, grid_product(algebra, xpow))
-            rows = [(a, i) for i in range(model.d) for a in range(model.n)]
-            if model.dim > 30:
-                # laurent_mul recomputes phi^i for every cell: too slow for all
-                # 63 x 63 cells of an M_3 grid, so a seeded sample of rows
-                rows = rng.sample(rows, 5)
-            for a, i in rows:
+            for a, i in [(a, i) for i in range(model.d) for a in range(model.n)]:
                 for j in range(model.d):
                     for b in range(model.n):
                         assert model.sc[model.index(a, i)][model.index(b, j)] == \
@@ -236,13 +230,30 @@ def test_orbit_table_matches_laurent_mul(corpus):
 
 # -- sparse products ---------------------------------------------------------
 
+def rational_element(dim, rng):
+    """Coordinates with denominators up to 4, about a third of them zero."""
+    return tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.7 else ZERO
+                 for _ in range(dim))
+
+
 def test_sparse_multiply_matches_dense(corpus):
     rng = random.Random(707)
+    tables = dict(corpus)
     for name, algebra in corpus.items():
+        # a unit upper-triangular basis change with fractional entries, so
+        # that the constants have a common denominator L > 1
+        n = algebra.dim
+        t = Mat.from_rows([[1 if i == j else F(1, i + j + 2) if j > i else 0 for j in range(n)]
+                           for i in range(n)])
+        tables[f"{name}_rational_basis"] = rational = change_of_basis(algebra, t)
+        assert rational.integer_sc[0] > 1, name
+    for name, algebra in tables.items():
         for _ in range(20):
             x, y = random_element(algebra, rng), random_element(algebra, rng)
             if rng.random() < 0.5:
                 x = tuple(c if rng.random() < 0.5 else ZERO for c in x)
+            assert algebra.multiply(x, y) == dense_multiply(algebra.sc, x, y), name
+            x, y = rational_element(algebra.dim, rng), rational_element(algebra.dim, rng)
             assert algebra.multiply(x, y) == dense_multiply(algebra.sc, x, y), name
 
 
@@ -254,7 +265,7 @@ def test_free_model_multiply_matches_dense(m2, dual_numbers):
             model = FreeModel(algebra, p, grid_product(algebra, _leibniz_table(algebra, d, p)))
             for _ in range(10):
                 x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(model.dim))
-                y = tuple(F(rng.randint(-3, 3)) for _ in range(model.dim))
+                y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(model.dim))
                 assert model.multiply(x, y) == dense_multiply(model.sc, x, y)
 
 
