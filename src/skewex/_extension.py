@@ -9,14 +9,13 @@ that table: the products (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the terms
 (m, c) of xpow[b][i], folded into the window 0 <= i < d by the scalar
 recursion X^d = -sum alpha_i X^i, give a multiplication grid on the free
 module of rank d*n, and the table also gives the relation generators
-p(X) e_b X^k and X^d e_b for the confluence check.
+p(X) e_b X^k.
 
-That grid is an associative algebra exactly when the relation polynomial
-generates a two-sided ideal; in general it is not, and the genuine quotient is
-the free module divided by the relation submodule N spanned by the reduced
-images of p(X) * e_b * X^k under left multiplication.  The quotient is formed
-by the routine algebra.quotient uses, always carries a well-defined
-associative multiplication, which is re-verified on all basis triples, and
+The extension is the free module divided by the relation submodule N spanned
+by the reduced generators under left multiplication.  N = 0 certifies that the
+grid is consistent: the two reduction orders of X^d e_b differ by the k = 0
+generator, and each k > 0 generator is that one times X^k.  The quotient,
+the whole grid when N = 0, is re-verified on all basis triples, and
 verify_extension checks the extension's postconditions before anything is
 returned.
 """
@@ -32,7 +31,6 @@ from .algebra import (
     _first_unabsorbed,
     _integer_table,
     _multiply,
-    make_algebra,
     poly_of_element,
 )
 from .errors import (
@@ -102,7 +100,6 @@ class FreeModel:
         """Fold monomial_product(a, i, b, j), the left-normal form of
         (e_a X^i)(e_b X^j), into the window for every pair of grid indices."""
         self.base = base
-        self.p = p
         self.d = p.degree
         self.n = base.dim
         self.dim = self.d * self.n
@@ -193,29 +190,13 @@ def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Sub
     return span(vectors, model.dim)
 
 
-def confluence_check(model: FreeModel, xpow: XPowTable) -> Optional[str]:
-    """Compare both reduction orders of X^d * e_b; None when they agree.
-
-    Route one folds X^d into the window first and multiplies inside the
-    model; route two rewrites X^d past e_b in the unreduced ring, which is
-    xpow[b][d], and folds afterwards.  A mismatch certifies that the rewrite
-    system is inconsistent.
-    """
-    xd_reduced = model.reduce_terms([(model.d, model.base.unit)])
-    for b in range(model.n):
-        route_one = model.multiply(xd_reduced, model.slice0(model.base.basis_element(b)))
-        route_two = model.reduce_terms(xpow[b][model.d])
-        if route_one != route_two:
-            return f"X^{model.d} * basis {b} reduces inconsistently"
-    return None
-
-
 def quotient_by_relations(model: FreeModel, relations: Subspace):
     """Collapse the free model along the relation submodule.
 
-    Returns (algebra, projection).  The relation submodule is first certified
-    to absorb multiplication by every basis element on both sides (all of
-    them: the free model need not be associative), so the quotient
+    Returns (algebra, projection); for a zero submodule these are the whole
+    model, validated, and the identity.  The relation submodule is first
+    certified to absorb multiplication by every basis element on both sides
+    (all of them: the free model need not be associative), so the quotient
     multiplication is well defined regardless of the section used to compute
     it.
     """
@@ -259,35 +240,22 @@ def assemble(
     inner from the twist's table xpow, pass it through verify_extension and
     return it.
 
-    With force_free_model the relation submodule is skipped, the raw rewrite
-    grid is used directly, and any inconsistency surfaces as
-    AssociativityFails.
+    With force_free_model the grid itself must be the extension, and a
+    nonzero relation submodule raises AssociativityFails.
     """
     model = FreeModel(base, p, grid_product(base, xpow))
-    relations = None if force_free_model else relation_submodule(
-        model, relation_generators(p, xpow))
-    defect = 0 if relations is None else relations.dim
-    if defect == 0:
-        # the consistency certificate under force_free_model; otherwise an
-        # internal guard, since no relations means the rewrite system is consistent
-        mismatch = confluence_check(model, xpow)
-        if mismatch is not None:
-            raise AssociativityFails(mismatch)
-        try:
-            algebra = make_algebra(model.dim, model.sc, model.slice0(base.unit), model.labels())
-        except (NotAssociative, UnitFails) as exc:
-            raise AssociativityFails(str(exc)) from exc
-        proj = Mat.identity(model.dim)
-    else:
-        algebra, proj = quotient_by_relations(model, relations)
-    embed = Mat.from_columns(
-        [proj.apply(model.slice0(base.basis_element(a))) for a in range(base.dim)]
-    )
+    relations = relation_submodule(model, relation_generators(p, xpow))
+    if force_free_model and relations.dim:
+        raise AssociativityFails(
+            f"relation submodule of dimension {relations.dim}: the rewrite system is inconsistent")
+    algebra, proj = quotient_by_relations(model, relations)
+    # slice0(e_a) is unit vector a, so the base embeds through the first columns
+    embed = Mat.from_columns([proj.column(a) for a in range(base.dim)])
     u = proj.apply(model.reduce_terms([(1, base.unit)]))
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
     return ExtensionResult(
         mode, base, algebra, embed, u, u_inverse, p,
-        free_module=(defect == 0), defect_dim=defect,
+        free_module=(relations.dim == 0), defect_dim=relations.dim,
     )
 
 

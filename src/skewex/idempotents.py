@@ -76,8 +76,7 @@ def _restriction_matrix(algebra: Algebra, x: Vec, corner: Subspace) -> Mat:
         image = algebra.multiply(x, b)
         if not corner.contains(image):
             raise SkewexError("multiplication does not preserve the corner")
-        residual = image
-        cols.append(tuple(residual[p] for p in pivots))
+        cols.append(tuple(image[p] for p in pivots))
     # RREF bases make coordinates plain reads at the pivot positions.
     return Mat.from_columns(cols)
 
@@ -135,21 +134,13 @@ def enumerate_idempotents(algebra: Algebra, cap: Optional[int] = None) -> Idempo
         semisimple, proj = quotient(algebra, rad)
         section = quotient_section(algebra, rad)
 
+    # One pass suffices: a direction that leaves a block whole acts on it as a
+    # scalar or without rational eigenvalues, and so on every later piece.
     blocks = [semisimple.unit]
     complete = True
-    changed = True
-    while changed:
-        changed = False
-        for direction in range(semisimple.dim):
-            new_blocks = []
-            for block in blocks:
-                pieces = _split_block(
-                    semisimple, block, semisimple.basis_element(direction)
-                )
-                if len(pieces) > 1:
-                    changed = True
-                new_blocks.extend(pieces)
-            blocks = new_blocks
+    for direction in range(semisimple.dim):
+        blocks = [piece for block in blocks
+                  for piece in _split_block(semisimple, block, semisimple.basis_element(direction))]
     for block in blocks:
         corner_dim = column_space(semisimple.left_regular(block)).dim
         if corner_dim > 1:

@@ -185,17 +185,18 @@ def laurent_quotient(
     p defaults to the minimal polynomial of phi; it must be monic with
     nonzero constant term and p(phi) = 0.  The result has passed
     verify_extension, whose docstring lists the postconditions; in
-    particular u embed(a) u^(-1) = embed(phi(a)).
+    particular u embed(a) u^(-1) = embed(phi(a)).  The private flag is as
+    in ore_quotient.
     """
     if not phi.is_invertible():
         raise NotAutomorphism("the twist must be an automorphism")
-    if p is None:
-        p = minimal_polynomial(phi.matrix)
+    given = p is not None
+    p = p if given else minimal_polynomial(phi.matrix)  # which checks p(phi) = 0
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if p.coeff(0) == 0:
         raise ConstantTermZero("relation polynomial needs a nonzero constant term")
-    if not _skip_annihilator_check:
+    if given and not _skip_annihilator_check:
         _check_annihilates(phi.matrix, p)
     return assemble(
         algebra, p, "automorphism", phi.matrix, _orbit_table(algebra, phi, p),

@@ -31,9 +31,11 @@ from .linalg import (
     inverse,
     kernel,
     minimal_polynomial,
+    power_reduction_table,
     rat,
     rref,
     solve,
+    unit_vec,
     vec_add,
     vec_sub,
 )
@@ -311,16 +313,14 @@ def kernel_chain_preimage(phi: AlgebraEndo, a: Vec) -> Vec:
 
 
 def automorphism_order(phi: AlgebraEndo, bound: int = 64) -> Optional[int]:
-    """Least m <= bound with phi^m = I, or None."""
+    """Least m <= bound with phi^m = I, or None; read off the powers X^m
+    modulo the minimal polynomial of phi, since phi^m = I iff X^m = 1 there."""
     if not phi.is_invertible():
         raise NotAutomorphism("order is only defined for automorphisms")
-    ident = Mat.identity(phi.algebra.dim)
-    power = phi.matrix
-    for m in range(1, bound + 1):
-        if power == ident:
-            return m
-        power = power * phi.matrix
-    return None
+    p = minimal_polynomial(phi.matrix)
+    one = unit_vec(0, p.degree)
+    residues = power_reduction_table(p, bound)
+    return next((m for m in range(1, bound + 1) if residues[m] == one), None)
 
 
 def exp_derivation(d: Derivation) -> AlgebraEndo:

@@ -249,15 +249,14 @@ def ore_quotient(
     p(d) = 0.  The result has passed verify_extension, whose docstring lists
     the postconditions; in particular [u, embed(a)] = embed(d(a)).
 
-    The private flag skips the annihilator precondition; the construction
-    then works on the raw rewrite grid, whose consistency certificate fails
-    whenever p(d) != 0.
+    The private flag skips the annihilator check and demands the raw rewrite
+    grid itself, raising AssociativityFails unless its relations vanish.
     """
-    if p is None:
-        p = minimal_polynomial(d.matrix)
+    given = p is not None
+    p = p if given else minimal_polynomial(d.matrix)  # which checks p(d) = 0
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("relation polynomial must be monic of degree >= 1")
-    if not _skip_annihilator_check:
+    if given and not _skip_annihilator_check:
         _check_annihilates(d.matrix, p)
     return assemble(
         algebra, p, "derivation", d.matrix, _leibniz_table(algebra, d, p),

@@ -104,8 +104,6 @@ class SuiteContext:
     maps: list[LinearEndo]
     rng: random.Random
     automorphism_samples: int = 10
-    order_bound: int = 64
-    trials: int = 100
     _derivations: Optional[list[Derivation]] = None
     _automorphisms: Optional[list[AlgebraEndo]] = None
     _idempotents: Optional[IdempotentSet] = None
@@ -339,7 +337,7 @@ def suite_cor25(ctx: SuiteContext) -> list[CheckRecord]:
     idems = ctx.idempotents()
     found = 0
     for idx, phi in enumerate(ctx.automorphisms()):
-        order = automorphism_order(phi, ctx.order_bound)
+        order = automorphism_order(phi)
         if order is None:
             continue
         found += 1
@@ -397,7 +395,7 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
     def constant_term_checks() -> tuple[str, dict]:
         checked = 0
         for d in derivations[:3]:
-            for _ in range(max(1, ctx.trials // 10)):
+            for _ in range(10):
                 q = Poly.of([rat(rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))])
                 if q.is_zero():
                     q = Poly.one()

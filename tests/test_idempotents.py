@@ -3,13 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from skewex.algebra import FAIL, NOT_APPLICABLE, PASS, direct_product, poly_quotient
+from skewex.algebra import (
+    FAIL,
+    NOT_APPLICABLE,
+    PASS,
+    direct_product,
+    poly_quotient,
+    quotient,
+    radical,
+)
 from skewex.errors import CapExceeded, NotCommutative, NotIdempotent
+from skewex.explorer import random_basis_change, random_recipe
 from skewex.idempotents import (
     IS_MS,
     INCONCLUSIVE_IDEMPOTENTS,
     NOT_MS,
     IdempotentSet,
+    _split_block,
     enumerate_idempotents,
     image_idempotent_audit,
     image_kernel_idempotent_report,
@@ -21,7 +31,7 @@ from skewex.idempotents import (
     rank_one_idempotent_grid,
     trace_rank_idempotent,
 )
-from skewex.linalg import Mat, Poly, span
+from skewex.linalg import Mat, Poly, column_space, span
 from skewex.maps import AlgebraEndo, EDerivation, LinearEndo, derivation_space
 from skewex.sampling import random_invertible_element, sample_automorphisms
 
@@ -76,6 +86,45 @@ def test_enumeration_lifts_through_radical(dual_numbers, split_pair):
     idems = enumerate_idempotents(mixed)
     lifted = [p for p in idems.provenance if p == "lifted"]
     assert lifted  # the radical is nonzero, so primitives arrive via lifting
+
+
+def fixpoint_blocks(semisimple):
+    """Eigen-splitting repeated over every direction until no block splits,
+    the oracle for the single pass in enumerate_idempotents."""
+    blocks = [semisimple.unit]
+    changed = True
+    while changed:
+        changed = False
+        for direction in range(semisimple.dim):
+            new_blocks = []
+            for block in blocks:
+                pieces = _split_block(semisimple, block, semisimple.basis_element(direction))
+                changed |= len(pieces) > 1
+                new_blocks.extend(pieces)
+            blocks = new_blocks
+    return blocks
+
+
+def test_single_splitting_pass_matches_fixpoint():
+    rng = random.Random(606)
+    block_counts = set()
+    for _ in range(40):
+        algebra = random_recipe(rng, max_dim=6).algebra
+        if rng.random() < 0.5:
+            algebra = random_basis_change(algebra, rng)
+        if not algebra.is_commutative():
+            continue
+        rad = radical(algebra)
+        semisimple, proj = quotient(algebra, rad) if rad.dim else (algebra, Mat.identity(algebra.dim))
+        blocks = fixpoint_blocks(semisimple)
+        idems = enumerate_idempotents(algebra)
+        # the primitives are the items of provenance "primitive" or "lifted", in block order
+        primitives = [e for e, how in zip(idems.items, idems.provenance) if how != "sum"]
+        assert [proj.apply(e) for e in primitives] == blocks
+        assert idems.complete == all(
+            column_space(semisimple.left_regular(b)).dim == 1 for b in blocks)
+        block_counts.add(len(blocks))
+    assert len(block_counts) >= 3
 
 
 def test_enumerate_rejects_noncommutative(m2):

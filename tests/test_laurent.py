@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from skewex.algebra import direct_product, poly_quotient
-from skewex.errors import AnnihilatorFails, AssociativityFails, ConstantTermZero, NotAutomorphism
+from skewex.errors import (
+    AnnihilatorFails,
+    AssociativityFails,
+    ConstantTermZero,
+    NotAutomorphism,
+    NotMonic,
+)
 from skewex.laurent import (
     LaurentSkewPoly,
     coefficient_sum_membership,
@@ -145,6 +151,12 @@ def test_laurent_quotient_identity(q_times_q):
 def test_laurent_quotient_rejects_zero_constant_term(q_times_q, swap):
     with pytest.raises(ConstantTermZero):
         laurent_quotient(q_times_q, swap, Poly.of([0, 0, 1]))
+
+
+def test_laurent_quotient_checks_monic_first(q_times_q, swap):
+    # 2 X^2 fails all three checks on a caller's p; NotMonic comes first
+    with pytest.raises(NotMonic):
+        laurent_quotient(q_times_q, swap, Poly.of([0, 0, 2]))
 
 
 def test_laurent_quotient_rejects_non_annihilating(q_times_q, swap):

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from skewex.algebra import subalgebra_generated
+from skewex.algebra import cyclic_group_algebra, subalgebra_generated
 from skewex.errors import (
+    NotAutomorphism,
     NotDerivation,
     NotEndomorphism,
     NotInKernelChain,
@@ -31,7 +33,7 @@ from skewex.maps import (
     kernel_chain_preimage,
     local_finiteness_report,
 )
-from skewex.sampling import nilpotent_derivations, random_element
+from skewex.sampling import nilpotent_derivations, random_element, sample_automorphisms
 
 F = Fraction
 
@@ -189,6 +191,46 @@ def test_automorphism_order(swap, m2):
     assert automorphism_order(ident) == 1
     scaling = inner_automorphism(m2, m2.element([1, 0, 0, 2]))
     assert automorphism_order(scaling, bound=12) is None
+
+
+def product_loop_order(phi, bound=64):
+    """The order by repeated matrix products, the oracle for automorphism_order."""
+    ident = Mat.identity(phi.algebra.dim)
+    power = phi.matrix
+    for m in range(1, bound + 1):
+        if power == ident:
+            return m
+        power = power * phi.matrix
+    return None
+
+
+def test_automorphism_order_matches_product_loop(corpus):
+    orders = set()
+    for name, algebra in corpus.items():
+        for phi in sample_automorphisms(algebra, random.Random(len(name)), 6):
+            order = automorphism_order(phi)
+            assert order == product_loop_order(phi), name
+            orders.add(order)
+    assert {None, 1, 2} <= orders
+    for m in range(2, 9):
+        group = cyclic_group_algebra(m)
+        for k in range(1, m):
+            if math.gcd(k, m) != 1:
+                continue
+            # the group automorphism g -> g^k permutes the basis
+            phi = AlgebraEndo.certify(group, Mat.from_columns(
+                [group.basis_element(i * k % m) for i in range(m)]))
+            order = product_loop_order(phi)
+            assert order == next(j for j in range(1, m) if pow(k, j, m) == 1)
+            assert automorphism_order(phi) == order
+            assert automorphism_order(phi, bound=order) == order
+            assert automorphism_order(phi, bound=order - 1) is None
+            assert product_loop_order(phi, bound=order - 1) is None
+
+
+def test_automorphism_order_rejects_singular(q_times_q):
+    with pytest.raises(NotAutomorphism):
+        automorphism_order(projection_endo(q_times_q))
 
 
 def test_exp_derivation(jet2):
