@@ -229,27 +229,26 @@ def poly_of_element(algebra: Algebra, p: Poly, x: Vec, unit: Optional[Vec] = Non
 
 
 def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> Subspace:
-    """Smallest subspace containing gens closed under the requested multiplications.
+    """The left, right or two-sided ideal generated by gens, in closed form.
 
-    side is "left", "right", or "two"; closure iterates basis products until
-    the span stabilizes.
+    side is "left", "right", or "two".  The left ideal is span{e_a g}, the
+    right one span{g e_b}, and the two-sided one span{e_a g e_b}, formed as
+    the right products of a basis of the left ideal.  No closure loop is
+    needed: every Algebra has passed make_algebra, so it is associative and
+    unital.  Associativity closes each span under its side's products, since
+    e_c (e_a g) = (e_c e_a) g, and the unit puts every g = 1 g = g 1 inside.
     """
     if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
-    current = span(list(gens), algebra.dim)
-    while True:
-        new_vectors = list(current.basis)
-        for v in current.basis:
-            for b in range(algebra.dim):
-                eb = algebra.basis_element(b)
-                if side in ("left", "two"):
-                    new_vectors.append(algebra.multiply(eb, v))
-                if side in ("right", "two"):
-                    new_vectors.append(algebra.multiply(v, eb))
-        grown = span(new_vectors, algebra.dim)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    basis = [algebra.basis_element(a) for a in range(algebra.dim)]
+
+    def products(vs: Sequence[Vec], left: bool) -> Subspace:
+        return span([algebra.multiply(e, v) if left else algebra.multiply(v, e)
+                     for v in vs for e in basis], algebra.dim)
+
+    if side == "two":
+        return products(products(gens, True).basis, False)
+    return products(gens, side == "left")
 
 
 def two_sided_ideal(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:

@@ -347,7 +347,7 @@ def image_kernel_idempotent_report(
 ) -> ImageKernelReport:
     """For each idempotent: membership in Im(I - phi) must match membership in
     the kernel chain of phi, and idempotents inside the image must drag their
-    whole ideal along."""
+    whole ideal along, which is ms_check's idempotent criterion."""
     induced = induced_map(phi)
     if not induced.surjective:
         raise PhibarNotSurjective("induced map is not surjective")
@@ -356,17 +356,13 @@ def image_kernel_idempotent_report(
     chain = induced.chain
     entries = []
     consistent = True
-    ideal_contained = True
     for e in idems.items:
         in_image = image.contains(e)
         in_chain = chain.contains(e)
         if in_image != in_chain:
             consistent = False
-        if in_image and not is_zero_vec(e):
-            ideal = ideal_closure(algebra, [e], "two")
-            if not ideal.is_subspace_of(image):
-                ideal_contained = False
         entries.append((e, in_image, in_chain))
+    ideal_contained = ms_check(algebra, image, idems).status != NOT_MS
     return ImageKernelReport(tuple(entries), consistent, ideal_contained)
 
 

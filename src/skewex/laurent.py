@@ -20,7 +20,7 @@ from ._extension import (
     _check_annihilates,
     assemble,
 )
-from .algebra import Algebra
+from .algebra import Algebra, ideal_closure
 from .errors import (
     ConstantTermZero,
     DimensionMismatch,
@@ -33,9 +33,7 @@ from .linalg import (
     Poly,
     Vec,
     is_zero_vec,
-    minimal_polynomial,
     rat,
-    span,
     vec_add,
     zero_vec,
 )
@@ -146,7 +144,8 @@ def coefficient_sum_membership(
     phi: AlgebraEndo,
 ) -> CoefficientSumReport:
     """For h = b X^j f(X) c X^k with scalar f: the coefficient sum h[1] equals
-    b * f(phi)(phi^j(c)) and lies in span{x * f(phi)(y)}."""
+    b * f(phi)(phi^j(c)) and lies in span{x * f(phi)(y)}, the left ideal
+    generated by the image of f(phi)."""
     algebra = phi.algebra
     f = LaurentSkewPoly.from_scalar_terms(algebra, scalar_terms)
     h = laurent_mul(LaurentSkewPoly.monomial(algebra, b, j), f, phi)
@@ -158,12 +157,7 @@ def coefficient_sum_membership(
     closed = algebra.multiply(b, f_of_phi.apply(phi.power(j).apply(c)))
     if value != closed:
         raise SkewexError("coefficient-sum closed form failed")
-    image_span = span(
-        [algebra.multiply(algebra.basis_element(r), f_of_phi.apply(algebra.basis_element(s)))
-         for r in range(algebra.dim) for s in range(algebra.dim)],
-        algebra.dim,
-    )
-    member = image_span.contains(value)
+    member = ideal_closure(algebra, f_of_phi.columns(), "left").contains(value)
     return CoefficientSumReport(value, closed, member)
 
 
@@ -191,7 +185,7 @@ def laurent_quotient(
     if not phi.is_invertible():
         raise NotAutomorphism("the twist must be an automorphism")
     given = p is not None
-    p = p if given else minimal_polynomial(phi.matrix)  # which checks p(phi) = 0
+    p = p if given else phi.minimal_polynomial  # which checks p(phi) = 0
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if p.coeff(0) == 0:

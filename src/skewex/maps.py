@@ -2,7 +2,10 @@
 
 Role wrappers (Derivation, AlgebraEndo, EDerivation) certify their defining
 identity on all basis pairs at construction time, so downstream code can rely
-on the algebraic meaning of the matrix it is handed.
+on the algebraic meaning of the matrix it is handed.  An E-derivation is
+certified by its definition, I - m being an endomorphism, and that one check
+also certifies the phi it carries.  Each map computes its minimal polynomial
+at most once.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ class LinearEndo:
     def __call__(self, v: Vec) -> Vec:
         return self.matrix.apply(v)
 
+    @cached_property
+    def minimal_polynomial(self) -> Poly:
+        """Minimal polynomial of the matrix; computed once, outside equality,
+        hashing and repr."""
+        return minimal_polynomial(self.matrix)
+
 
 def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple[int, int]]]:
     """Product rule D(ab) = D(a)b + aD(b) on all basis pairs; witness on failure."""
@@ -86,32 +95,9 @@ def is_automorphism(algebra: Algebra, m: Mat, require_unital: bool = True) -> bo
 
 
 def is_ederivation(algebra: Algebra, m: Mat, require_unital: bool = True) -> bool:
-    """d(ab) = d(a)b + a d(b) - d(a)d(b), cross-checked against I - d being
-    an endomorphism; the two criteria must agree."""
-    direct = True
-    for i in range(algebra.dim):
-        ei = algebra.basis_element(i)
-        di = m.apply(ei)
-        for j in range(algebra.dim):
-            ej = algebra.basis_element(j)
-            dj = m.apply(ej)
-            lhs = m.apply(algebra.sc[i][j])
-            rhs = vec_sub(
-                vec_add(algebra.multiply(di, ej), algebra.multiply(ei, dj)),
-                algebra.multiply(di, dj),
-            )
-            if lhs != rhs:
-                direct = False
-                break
-        if not direct:
-            break
-    phi = Mat.identity(algebra.dim) - m
-    via_endo, _ = is_endomorphism(algebra, phi, require_unital=False)
-    if direct != via_endo:
-        raise SkewexError("difference-map criteria disagree; internal inconsistency")
-    if require_unital and direct and phi.apply(algebra.unit) != algebra.unit:
-        return False
-    return direct
+    """Whether m = I - phi for an algebra endomorphism phi, which is what an
+    E-derivation is; phi must be unital when required."""
+    return is_endomorphism(algebra, Mat.identity(algebra.dim) - m, require_unital)[0]
 
 
 @dataclass(frozen=True)
@@ -184,11 +170,10 @@ class EDerivation(LinearEndo):
 
     @staticmethod
     def certify(algebra: Algebra, m: Mat, require_unital: bool = True) -> "EDerivation":
+        # is_ederivation has just certified I - m, so phi needs no second check.
         if not is_ederivation(algebra, m, require_unital):
             raise NotEndomorphism(("difference map",), reason="difference-map identity")
-        phi = AlgebraEndo.certify(
-            algebra, Mat.identity(algebra.dim) - m, require_unital
-        )
+        phi = AlgebraEndo(algebra, Mat.identity(algebra.dim) - m, require_unital)
         return EDerivation(algebra, m, phi)
 
 
@@ -228,7 +213,7 @@ def local_finiteness_report(endo: LinearEndo) -> FinitenessReport:
     """In finite dimension every map is locally finite; the minimal polynomial
     is the certificate.  The map is locally nilpotent exactly when the minimal
     polynomial is a pure power of t."""
-    p = minimal_polynomial(endo.matrix)
+    p = endo.minimal_polynomial
     pure_power = all(c == 0 for c in p.coeffs[:-1])
     return FinitenessReport(pure_power, p.degree if pure_power else None, p)
 
@@ -317,7 +302,7 @@ def automorphism_order(phi: AlgebraEndo, bound: int = 64) -> Optional[int]:
     modulo the minimal polynomial of phi, since phi^m = I iff X^m = 1 there."""
     if not phi.is_invertible():
         raise NotAutomorphism("order is only defined for automorphisms")
-    p = minimal_polynomial(phi.matrix)
+    p = phi.minimal_polynomial
     one = unit_vec(0, p.degree)
     residues = power_reduction_table(p, bound)
     return next((m for m in range(1, bound + 1) if residues[m] == one), None)

@@ -25,15 +25,13 @@ from ._extension import (
     _check_annihilates,
     assemble,
 )
-from .algebra import Algebra, is_simple, SIMPLE
+from .algebra import Algebra, ideal_closure, is_simple, SIMPLE
 from .errors import DimensionMismatch, NotMonic, SkewexError
 from .linalg import (
     Mat,
     Poly,
     Vec,
     is_zero_vec,
-    minimal_polynomial,
-    span,
     vec_add,
     vec_sub,
     zero_vec,
@@ -199,7 +197,8 @@ class IdealConstantTerm:
 
 def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> IdealConstantTerm:
     """Constant term of X^m q(X) b X^k: zero for k >= 1, q(D)(D^m(b)) for k = 0,
-    and always inside the span of x * q(D)(y)."""
+    and always inside span{x * q(D)(y)}, the left ideal generated by the image
+    of q(D)."""
     algebra = d.algebra
     h = skew_mul(SkewPoly.x(algebra, m), SkewPoly.from_scalar_poly(algebra, q), d) \
         if m > 0 else SkewPoly.from_scalar_poly(algebra, q)
@@ -207,22 +206,17 @@ def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> Ideal
     if k > 0:
         h = skew_mul(h, SkewPoly.x(algebra, k), d)
     value = h.coeff(0)
+    qd = q.eval_matrix(d.matrix)
     if k >= 1:
         predicted = zero_vec(algebra.dim)
     else:
         dm_b = b
         for _ in range(m):
             dm_b = d.matrix.apply(dm_b)
-        predicted = q.eval_matrix(d.matrix).apply(dm_b)
+        predicted = qd.apply(dm_b)
     if value != predicted:
         raise SkewexError("ideal constant-term closed form failed")
-    qd = q.eval_matrix(d.matrix)
-    image_span = span(
-        [algebra.multiply(algebra.basis_element(i), qd.apply(algebra.basis_element(j)))
-         for i in range(algebra.dim) for j in range(algebra.dim)],
-        algebra.dim,
-    )
-    member = image_span.contains(value)
+    member = ideal_closure(algebra, qd.columns(), "left").contains(value)
     return IdealConstantTerm(value, predicted, member)
 
 
@@ -253,7 +247,7 @@ def ore_quotient(
     grid itself, raising AssociativityFails unless its relations vanish.
     """
     given = p is not None
-    p = p if given else minimal_polynomial(d.matrix)  # which checks p(d) = 0
+    p = p if given else d.minimal_polynomial  # which checks p(d) = 0
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if given and not _skip_annihilator_check:
@@ -274,22 +268,14 @@ class ImageSpanReport:
 
 
 def simple_image_check(algebra: Algebra, d: Derivation) -> ImageSpanReport:
-    """Whether span{x * D(y)} and span{D(y) * x} are the whole algebra.
+    """Whether span{x * D(y)} and span{D(y) * x}, the left and right ideals
+    generated by the image of D, are the whole algebra.
 
     Both must hold when the algebra is simple and D is nonzero; the
     hypotheses are evaluated and reported alongside.
     """
-    images = [d.matrix.apply(algebra.basis_element(j)) for j in range(algebra.dim)]
-    left = span(
-        [algebra.multiply(algebra.basis_element(i), w)
-         for i in range(algebra.dim) for w in images],
-        algebra.dim,
-    )
-    right = span(
-        [algebra.multiply(w, algebra.basis_element(i))
-         for i in range(algebra.dim) for w in images],
-        algebra.dim,
-    )
+    left = ideal_closure(algebra, d.matrix.columns(), "left")
+    right = ideal_closure(algebra, d.matrix.columns(), "right")
     verdict, _ = is_simple(algebra)
     nonzero = not d.matrix.is_zero()
     return ImageSpanReport(

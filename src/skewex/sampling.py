@@ -174,9 +174,9 @@ class ProductRecipe:
 
 
 def slot_endomorphism(recipe: ProductRecipe, sources: Sequence[int],
-                      block_maps: Sequence[Mat]) -> AlgebraEndo:
-    """phi(x)_j = psi_j(x_{sources[j]}), valid when source blocks equal target
-    blocks structurally."""
+                      block_maps: Sequence[Mat]) -> Mat:
+    """The matrix of phi(x)_j = psi_j(x_{sources[j]}), valid when source blocks
+    equal target blocks structurally."""
     n = recipe.algebra.dim
     rows = [[ZERO] * n for _ in range(n)]
     for j, (src, psi) in enumerate(zip(sources, block_maps)):
@@ -187,12 +187,16 @@ def slot_endomorphism(recipe: ProductRecipe, sources: Sequence[int],
         for r in range(target.dim):
             for c in range(source.dim):
                 rows[recipe.offsets[j] + r][recipe.offsets[src] + c] = psi.entries[r][c]
-    return AlgebraEndo.certify(recipe.algebra, Mat.from_rows(rows))
+    return Mat.from_rows(rows)
 
 
 def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
                          require_singular: bool = False) -> list[AlgebraEndo]:
-    """Seeded slot-wise endomorphisms of a product, optionally only singular ones."""
+    """Seeded slot-wise endomorphisms of a product, optionally only singular ones.
+
+    A slot matrix drawn before is skipped before it is certified, so each
+    returned map is certified once.
+    """
     per_block: list[list[Mat]] = []
     for block in recipe.blocks:
         endos = [Mat.identity(block.dim)]
@@ -210,12 +214,13 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
         tries += 1
         sources = [rng.choice(opts) for opts in compatible_sources]
         block_maps = [rng.choice(per_block[src]) for src in sources]
-        endo = slot_endomorphism(recipe, sources, block_maps)
-        if require_singular and inverse(endo.matrix) is not None:
+        m = slot_endomorphism(recipe, sources, block_maps)
+        if m.entries in seen:
             continue
-        if endo.matrix.entries not in seen:
-            seen.add(endo.matrix.entries)
-            out.append(endo)
+        seen.add(m.entries)
+        if require_singular and inverse(m) is not None:
+            continue
+        out.append(AlgebraEndo.certify(recipe.algebra, m))
     return out
 
 

@@ -35,7 +35,7 @@ from .laurent import (
     laurent_mul,
     laurent_quotient,
 )
-from .linalg import Mat, Poly, Subspace, column_space, minimal_polynomial, rat
+from .linalg import Mat, Poly, Subspace, column_space, rat
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -471,7 +471,7 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
 
     def embeddings() -> tuple[str, dict]:
         def by_degree(maps):
-            return sorted(maps, key=lambda m: minimal_polynomial(m.matrix).degree)
+            return sorted(maps, key=lambda m: m.minimal_polynomial.degree)
 
         checked = 0
         # each construction verifies its extension, or raises SkewexError

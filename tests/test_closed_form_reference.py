@@ -1,0 +1,275 @@
+"""Differential tests of the closed-form ideals and the single-check
+E-derivation against the code they replaced.
+
+The reference functions below are the library's former fixpoint
+ideal_closure, the hand-written image spans of simple_image_check,
+ideal_constant_term and coefficient_sum_membership, the expanded
+E-derivation identity, and recipe_endomorphisms as it was when it certified
+every slot map it drew.  The closed forms must give the same subspaces, the
+same verdicts and the same sampled maps from the same random draws.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from skewex import sampling
+from skewex.algebra import ideal_closure, matrix_algebra, poly_quotient
+from skewex.errors import NotEndomorphism
+from skewex.explorer import random_recipe
+from skewex.idempotents import enumerate_idempotents
+from skewex.laurent import coefficient_sum_membership
+from skewex.linalg import Mat, Poly, inverse, span, vec_add, vec_sub
+from skewex.maps import AlgebraEndo, EDerivation, derivation_space, is_ederivation
+from skewex.ore import ideal_constant_term, simple_image_check
+from skewex.sampling import (
+    ProductRecipe,
+    _looks_monogenic,
+    random_element,
+    recipe_endomorphisms,
+    sample_automorphisms,
+    substitution_endos,
+)
+
+F = Fraction
+SIDES = ("left", "right", "two")
+
+
+# -- reference code ----------------------------------------------------------
+
+def ref_ideal_closure(algebra, gens, side="two"):
+    """Iterate basis products until the span stops growing."""
+    current = span(list(gens), algebra.dim)
+    while True:
+        new_vectors = list(current.basis)
+        for v in current.basis:
+            for b in range(algebra.dim):
+                eb = algebra.basis_element(b)
+                if side in ("left", "two"):
+                    new_vectors.append(algebra.multiply(eb, v))
+                if side in ("right", "two"):
+                    new_vectors.append(algebra.multiply(v, eb))
+        grown = span(new_vectors, algebra.dim)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+def ref_left_image_span(algebra, m):
+    """span{x * m(y)} over basis elements x and y."""
+    return span(
+        [algebra.multiply(algebra.basis_element(i), m.apply(algebra.basis_element(j)))
+         for i in range(algebra.dim) for j in range(algebra.dim)],
+        algebra.dim,
+    )
+
+
+def ref_right_image_span(algebra, m):
+    """span{m(y) * x} over basis elements x and y."""
+    images = [m.apply(algebra.basis_element(j)) for j in range(algebra.dim)]
+    return span(
+        [algebra.multiply(w, algebra.basis_element(i))
+         for i in range(algebra.dim) for w in images],
+        algebra.dim,
+    )
+
+
+def ref_is_ederivation(algebra, m, require_unital=True):
+    """d(ab) = d(a)b + a d(b) - d(a)d(b) on all basis pairs, and I - d unital
+    when required."""
+    for i in range(algebra.dim):
+        ei = algebra.basis_element(i)
+        di = m.apply(ei)
+        for j in range(algebra.dim):
+            ej = algebra.basis_element(j)
+            dj = m.apply(ej)
+            lhs = m.apply(algebra.sc[i][j])
+            rhs = vec_sub(
+                vec_add(algebra.multiply(di, ej), algebra.multiply(ei, dj)),
+                algebra.multiply(di, dj),
+            )
+            if lhs != rhs:
+                return False
+    phi = Mat.identity(algebra.dim) - m
+    return not require_unital or phi.apply(algebra.unit) == algebra.unit
+
+
+def ref_slot_endomorphism(recipe, sources, block_maps):
+    n = recipe.algebra.dim
+    rows = [[F(0)] * n for _ in range(n)]
+    for j, (src, psi) in enumerate(zip(sources, block_maps)):
+        target = recipe.blocks[j]
+        source = recipe.blocks[src]
+        assert target.sc == source.sc
+        for r in range(target.dim):
+            for c in range(source.dim):
+                rows[recipe.offsets[j] + r][recipe.offsets[src] + c] = psi.entries[r][c]
+    return AlgebraEndo.certify(recipe.algebra, Mat.from_rows(rows))
+
+
+def ref_recipe_endomorphisms(recipe, rng, count, require_singular=False):
+    per_block = []
+    for block in recipe.blocks:
+        endos = [Mat.identity(block.dim)]
+        if block.dim >= 2 and _looks_monogenic(block):
+            endos = [e.matrix for e in substitution_endos(block)]
+        per_block.append(endos)
+    compatible_sources = [
+        [i for i, other in enumerate(recipe.blocks) if other.sc == blk.sc]
+        for blk in recipe.blocks
+    ]
+    out = []
+    seen = set()
+    tries = 0
+    while len(out) < count and tries < 60 * count:
+        tries += 1
+        sources = [rng.choice(opts) for opts in compatible_sources]
+        block_maps = [rng.choice(per_block[src]) for src in sources]
+        endo = ref_slot_endomorphism(recipe, sources, block_maps)
+        if require_singular and inverse(endo.matrix) is not None:
+            continue
+        if endo.matrix.entries not in seen:
+            seen.add(endo.matrix.entries)
+            out.append(endo)
+    return out
+
+
+# -- ideals ------------------------------------------------------------------
+
+def idempotent_generators(algebra):
+    """Listed idempotents: all of them on a commutative algebra, else the unit
+    and the first basis element, which is E11 on the matrix corpus."""
+    if algebra.is_commutative():
+        return list(enumerate_idempotents(algebra).items)
+    e11 = algebra.basis_element(0)
+    assert algebra.multiply(e11, e11) == e11
+    return [algebra.unit, e11]
+
+
+def test_ideal_closure_matches_fixpoint(corpus):
+    rng = random.Random(2024)
+    compared = 0
+    for name, algebra in corpus.items():
+        zero = (F(0),) * algebra.dim
+        generator_sets = [[], [zero], [random_element(algebra, rng)],
+                          [random_element(algebra, rng), random_element(algebra, rng)]]
+        generator_sets += [[e] for e in idempotent_generators(algebra)]
+        for gens in generator_sets:
+            for side in SIDES:
+                assert ideal_closure(algebra, gens, side) == ref_ideal_closure(
+                    algebra, gens, side), (name, gens, side)
+                compared += 1
+    assert compared >= len(corpus) * 3 * 6
+
+
+def test_ideal_closure_rejects_unknown_side(m2):
+    with pytest.raises(ValueError):
+        ideal_closure(m2, [m2.unit], "both")
+
+
+def test_image_spans_match_hand_written_spans(corpus):
+    rng = random.Random(77)
+    for name, algebra in corpus.items():
+        maps = [d.matrix for d in derivation_space(algebra)]
+        maps += [Poly.of([rng.randint(-2, 2) for _ in range(3)]).eval_matrix(m) for m in maps[:2]]
+        maps += [phi.matrix - phi.power(-1) for phi in sample_automorphisms(algebra, rng, 3)]
+        maps.append(Mat.zeros(algebra.dim, algebra.dim))
+        for m in maps:
+            assert ideal_closure(algebra, m.columns(), "left") == ref_left_image_span(algebra, m), name
+            assert ideal_closure(algebra, m.columns(), "right") == ref_right_image_span(
+                algebra, m), name
+
+
+def test_routed_reports_match_hand_written_spans(corpus):
+    rng = random.Random(5)
+    for name, algebra in corpus.items():
+        for d in derivation_space(algebra)[:3]:
+            report = simple_image_check(algebra, d)
+            assert report.left_full == (ref_left_image_span(algebra, d.matrix).dim == algebra.dim)
+            assert report.right_full == (ref_right_image_span(algebra, d.matrix).dim == algebra.dim)
+            q = Poly.of([rng.randint(-2, 2) for _ in range(3)])
+            b = random_element(algebra, rng)
+            ict = ideal_constant_term(q, b, rng.randint(0, 2), rng.randint(0, 1), d)
+            qd = q.eval_matrix(d.matrix)
+            assert ict.member == ref_left_image_span(algebra, qd).contains(ict.value), name
+        for phi in sample_automorphisms(algebra, rng, 2):
+            terms = [(rng.randint(-2, 2), F(rng.randint(-2, 2))) for _ in range(2)]
+            b, c = random_element(algebra, rng), random_element(algebra, rng)
+            report = coefficient_sum_membership(terms, b, c, rng.randint(-1, 1),
+                                                rng.randint(-1, 1), phi)
+            f_of_phi = Mat.zeros(algebra.dim, algebra.dim)
+            for exp, coeff in terms:
+                f_of_phi = f_of_phi + phi.power(exp).scale(coeff)
+            assert report.member == ref_left_image_span(algebra, f_of_phi).contains(
+                report.value), name
+
+
+# -- E-derivations -----------------------------------------------------------
+
+def perturbed(m, rng):
+    rows = [list(row) for row in m.entries]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[r][c] += rng.choice((-1, 1, F(1, 2)))
+    return Mat.from_rows(rows)
+
+
+def test_is_ederivation_matches_expanded_identity(corpus):
+    rng = random.Random(99)
+    verdicts = set()
+    for name, algebra in corpus.items():
+        n = algebra.dim
+        candidates = [Mat.zeros(n, n), Mat.identity(n)]
+        for phi in sample_automorphisms(algebra, rng, 4):
+            candidates.append(Mat.identity(n) - phi.matrix)
+        candidates += [perturbed(m, rng) for m in list(candidates)]
+        for m in candidates:
+            for require_unital in (True, False):
+                expected = ref_is_ederivation(algebra, m, require_unital)
+                assert is_ederivation(algebra, m, require_unital) == expected, name
+                verdicts.add((require_unital, expected))
+                if expected:
+                    delta = EDerivation.certify(algebra, m, require_unital)
+                    assert delta.phi == AlgebraEndo.certify(
+                        algebra, Mat.identity(n) - m, require_unital)
+                else:
+                    with pytest.raises(NotEndomorphism) as caught:
+                        EDerivation.certify(algebra, m, require_unital)
+                    assert str(caught.value) == str(NotEndomorphism(
+                        ("difference map",), reason="difference-map identity"))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+# -- recipe endomorphisms ----------------------------------------------------
+
+def recipes():
+    rng = random.Random(8)
+    built = [random_recipe(rng, 4) for _ in range(12)]
+    dual, split = poly_quotient(Poly.of([0, 0, 1])), poly_quotient(Poly.of([0, -1, 1]))
+    built += [ProductRecipe.build([matrix_algebra(2), poly_quotient(Poly.of([0, 1]))]),
+              ProductRecipe.build([dual, split, dual]),
+              ProductRecipe.build([split, split])]
+    return built
+
+
+@pytest.mark.parametrize("require_singular", [False, True])
+def test_recipe_endomorphisms_match_reference(require_singular, monkeypatch):
+    real_certify = AlgebraEndo.certify
+    certified = []
+
+    def spy(algebra, m, require_unital=True):
+        certified.append((algebra, m.entries))
+        return real_certify(algebra, m, require_unital)
+
+    monkeypatch.setattr(sampling.AlgebraEndo, "certify", staticmethod(spy))
+    for index, recipe in enumerate(recipes()):
+        ref_rng, rng = random.Random(index), random.Random(index)
+        expected = ref_recipe_endomorphisms(recipe, ref_rng, 5, require_singular)
+        certified.clear()
+        got = recipe_endomorphisms(recipe, rng, 5, require_singular)
+        assert got == expected, index
+        assert rng.getstate() == ref_rng.getstate(), index
+        if len(recipe.blocks) > 1:
+            # a one-block recipe's algebra is its block, which substitution_endos also certifies
+            assert [m for a, m in certified if a is recipe.algebra] == [
+                endo.matrix.entries for endo in got], index

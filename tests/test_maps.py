@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewex import maps
 from skewex.algebra import cyclic_group_algebra, subalgebra_generated
 from skewex.errors import (
     NotAutomorphism,
@@ -14,7 +15,8 @@ from skewex.errors import (
     NotLocallyNilpotent,
     SkewexError,
 )
-from skewex.linalg import Mat, Poly, inverse, span, zero_subspace
+from skewex.laurent import laurent_quotient
+from skewex.linalg import Mat, Poly, inverse, minimal_polynomial, span, zero_subspace
 from skewex.maps import (
     AlgebraEndo,
     Derivation,
@@ -335,6 +337,23 @@ def test_endo_inverse_is_cached_outside_identity(q_times_q, swap):
     assert swap == fresh and hash(swap) == hash(fresh) and repr(swap) == repr(fresh)
     assert projection_endo(q_times_q).inverse_matrix is None
     assert not projection_endo(q_times_q).is_invertible()
+
+
+def test_minimal_polynomial_is_computed_once_per_map(q_times_q, swap, monkeypatch):
+    fresh = AlgebraEndo.certify(q_times_q, swap.matrix)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return minimal_polynomial(m)
+
+    monkeypatch.setattr(maps, "minimal_polynomial", counting)
+    assert swap.minimal_polynomial == Poly.of([-1, 0, 1])
+    assert automorphism_order(swap) == 2
+    assert local_finiteness_report(swap).min_poly is swap.minimal_polynomial
+    assert laurent_quotient(q_times_q, swap).p is swap.minimal_polynomial
+    assert calls == [swap.matrix]
+    assert swap == fresh and hash(swap) == hash(fresh) and repr(swap) == repr(fresh)
 
 
 def test_compose_is_the_certified_product(m2, q_times_q, swap, rng):
