@@ -5,34 +5,53 @@ one rule only, how X^i moves past a basis element e_b.  Each supplies it as a
 table xpow[b][i], the left-normal form of X^i e_b for i <= d = deg p:
 sum_k C(i, k) D^k(e_b) X^(i-k) for a derivation D (Ore 1933) and
 phi^i(e_b) X^i for an automorphism phi.  Everything else is derived here from
-that table: the products (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the terms
-(m, c) of xpow[b][i], folded into the window 0 <= i < d by the scalar
-recursion X^d = -sum alpha_i X^i, give a multiplication grid on the free
-module of rank d*n, and the table also gives the relation generators
-p(X) e_b X^k.
+that table.
 
-The extension is the free module divided by the relation submodule N spanned
-by the reduced generators under left multiplication.  N = 0 certifies that the
-grid is consistent: the two reduction orders of X^d e_b differ by the k = 0
-generator, and each k > 0 generator is that one times X^k.  The quotient,
-the whole grid when N = 0, is re-verified on all basis triples, and
-verify_extension checks the extension's postconditions before anything is
-returned.
+Let R be the skew polynomial ring A[X; D] or A[X; phi], n = dim A, and E the
+extension R/(p(X)), the quotient by the two-sided ideal.  Folding X^m by the
+scalar recursion X^d = -sum alpha_i X^i maps R onto the window W, the span
+of the e_a X^i with i < d, of dimension d*n: it is the quotient by the left
+ideal R p(X), since a q(X) p(X) lies in it.  So E = W/N, where N, the image
+of (p(X)), is spanned by the folded e_a p(X) e_b X^k with k < d (X^i p(X) =
+p(X) X^i, X^i e_b is a left-normal sum, and a power X^k with k >= d folds).
+
+The relations.  Left multiplication by e_a and right multiplication by X
+are well defined on W, because R p(X) is a left ideal and R p(X) X =
+R X p(X): e_a acts on each coefficient block, X shifts the blocks and folds
+X^d.  The two actions commute, so N is the closure of the n generators
+p(X) e_b (k = 0) under both, which relation_submodule computes: the left
+multiples once, then X until nothing new appears.
+
+The quotient.  Only the products of the coordinates that N keeps, its
+non-pivot ones, are formed: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
+terms (m, c) of xpow[b][i], folded and reduced against N.  When N is the
+image of (p(X)) these are the constants of E on that section.
+
+The certificate.  Nothing checks that N absorbs products; the returned
+algebra B, of dimension d*n - dim N, is E whatever N was computed to be:
+- every vector put into N is the fold of an element of (p(X)): the
+  generators are, and e_a, X and folding stay inside the ideal.  So N lies
+  in the image of (p(X)), and dim E <= d*n - dim N;
+- make_algebra proves B associative and unital, and verify_extension proves
+  that embed is an injective unital homomorphism, that p(u) = 0, that
+  u a - a u = D(a) (or u a = phi(a) u) and that the embedded A and the
+  powers of u span B.  By the universal property of the skew polynomial ring
+  (McConnell and Robson, Noncommutative Noetherian Rings, 1.2) a -> embed(a),
+  X -> u extends to a homomorphism R -> B; it kills p(X), so it factors
+  through E, and it is onto;
+- so d*n - dim N = dim B <= dim E <= d*n - dim N, the surjection E -> B is
+  an isomorphism, and N is the whole image of (p(X)).
+An N that misses a vector cannot come back as an algebra: it ends in
+AssociativityFails from make_algebra or in a SkewexError from
+verify_extension.  N = 0 means the window itself is the extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .algebra import (
-    Algebra,
-    _collapse,
-    _first_unabsorbed,
-    _integer_table,
-    _multiply,
-    poly_of_element,
-)
+from .algebra import Algebra, _collapse, _integer_product, poly_of_element
 from .errors import (
     AnnihilatorFails,
     AssociativityFails,
@@ -46,6 +65,7 @@ from .linalg import (
     Subspace,
     Vec,
     ZERO,
+    _integer_row,
     is_zero_vec,
     kernel,
     power_reduction_table,
@@ -67,13 +87,14 @@ class ExtensionResult:
     """Outcome of an extension construction.
 
     embed maps base coordinates into the extension; u is the adjoined
-    witness; u_inverse is present in the automorphism flavour.  free_module
-    records whether the rank-d free model was already consistent, and
-    defect_dim how much of it had to be collapsed, so that
-    algebra.dim + defect_dim == p.degree * base.dim.  In the derivation
-    flavour free_module holds exactly when the derivation is zero: in
-    characteristic zero the X^(d-1) coefficient of p(X) a - a p(X) is
-    d * D(a), so the relation submodule is nonzero whenever D is.
+    witness; u_inverse is present in the automorphism flavour.  defect_dim
+    is the dimension of the relation submodule N, so that
+    algebra.dim + defect_dim == p.degree * base.dim, and free_module records
+    N = 0, which makes the extension the whole window, free of rank
+    d = p.degree over the base.  In the derivation flavour free_module holds
+    exactly when the derivation is zero: in characteristic zero the X^(d-1)
+    coefficient of p(X) a - a p(X) is d * D(a), so the relation submodule is
+    nonzero whenever D is.
     """
 
     mode: str
@@ -87,125 +108,86 @@ class ExtensionResult:
     defect_dim: int
 
 
-class FreeModel:
-    """The rank-d free module over the base with the rewrite multiplication;
-    sc and integer_sc are its grid as in algebra.Algebra."""
-
-    def __init__(
-        self,
-        base: Algebra,
-        p: Poly,
-        monomial_product: Callable[[int, int, int, int], TermList],
-    ):
-        """Fold monomial_product(a, i, b, j), the left-normal form of
-        (e_a X^i)(e_b X^j), into the window for every pair of grid indices."""
-        self.base = base
-        self.d = p.degree
-        self.n = base.dim
-        self.dim = self.d * self.n
-        self.beta = power_reduction_table(p, 2 * self.d)
-        # grid index (a, i) -> i * n + a, power-major so the base sits at 0..n-1
-        self.sc = [
-            [
-                self.reduce_terms(monomial_product(a, i, b, j))
-                for j in range(self.d)
-                for b in range(self.n)
-            ]
-            for i in range(self.d)
-            for a in range(self.n)
-        ]
-        self.integer_sc = _integer_table(self.sc)
-
-    def index(self, a: int, i: int) -> int:
-        return i * self.n + a
-
-    def slice0(self, x: Vec) -> Vec:
-        return tuple(x) + zero_vec(self.dim - self.n)
-
-    def reduce_terms(self, terms: TermList) -> Vec:
-        """Fold a left-normal term list into window coordinates."""
-        out = [ZERO] * self.dim
-        for power, coeff in terms:
-            if is_zero_vec(coeff):
-                continue
-            for q, factor in enumerate(self.beta[power]):
-                if factor:
-                    offset = q * self.n
-                    for a, c in enumerate(coeff):
-                        if c:
-                            out[offset + a] += factor * c
-        return tuple(out)
-
-    def multiply(self, x: Vec, y: Vec) -> Vec:
-        return _multiply(self.integer_sc, x, y)
-
-    def labels(self) -> list[str]:
-        out = []
-        for i in range(self.d):
-            for lab in self.base.labels:
-                if i == 0:
-                    out.append(lab)
-                else:
-                    power = "X" if i == 1 else f"X^{i}"
-                    out.append(power if lab == "1" else f"{lab}*{power}")
-        return out
+def _fold(terms: TermList, beta: list[Vec], n: int) -> Vec:
+    """Fold a left-normal term list into window coordinates, X^m becoming
+    sum_q beta[m][q] X^q; window index (a, i) is i * n + a."""
+    out = [ZERO] * (len(beta[0]) * n)
+    for power, coeff in terms:
+        for q, factor in enumerate(beta[power]):
+            if factor:
+                offset = q * n
+                for a, c in enumerate(coeff):
+                    if c:
+                        out[offset + a] += factor * c
+    return tuple(out)
 
 
-def grid_product(base: Algebra, xpow: XPowTable) -> Callable[[int, int, int, int], TermList]:
-    """The FreeModel callback: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
-    terms (m, c) of xpow[b][i]."""
+def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
+    """N = span{e_a p(X) e_b X^k}, as the closure of the reduced k = 0
+    generators p(X) e_b under left multiplication by the base and right
+    multiplication by X.
 
-    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
-        ea = base.basis_element(a)
-        return [(power + j, base.multiply(ea, coeff)) for power, coeff in xpow[b][i]]
-
-    return monomial_product
-
-
-def relation_generators(p: Poly, xpow: XPowTable) -> list[TermList]:
-    """p(X) e_b X^k in left-normal form, for every basis element b and k < deg p."""
-    out = []
-    for row in xpow:
-        terms = [(power, tuple(c * x for x in coeff))
-                 for i, c in enumerate(p.coeffs) if c
-                 for power, coeff in row[i]]
-        for k in range(p.degree):
-            out.append([(power + k, coeff) for power, coeff in terms])
-    return out
-
-
-def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Subspace:
-    """Span of the reduced relation generators under base left multiplication.
-
-    e_a w is the grid product of e_a X^0 and w, since X^0 e_b = e_b.
+    e_a acts on each coefficient block, in one integer pass over the base's
+    table per generator.  Each round of the closure adds at least one
+    dimension, so there are at most dim N rounds.
     """
-    base = [model.slice0(model.base.basis_element(a)) for a in range(model.n)]
+    n, d = base.dim, p.degree
+    beta = power_reduction_table(p, d)
+    table = base.integer_sc[1]
     vectors = []
-    for terms in generator_polys:
-        w = model.reduce_terms(terms)
+    for row in xpow:
+        w = _fold([(power, tuple(c * x for x in coeff))
+                   for i, c in enumerate(p.coeffs) if c
+                   for power, coeff in row[i]], beta, n)
         if is_zero_vec(w):
             continue
-        vectors.append(w)
-        vectors.extend(model.multiply(e, w) for e in base)
-    return span(vectors, model.dim)
+        w = _integer_row(w)[1]
+        blocks = [[(j, x) for j, x in enumerate(w[q * n:(q + 1) * n]) if x] for q in range(d)]
+        vectors.extend(tuple(v for ys in blocks for v in _integer_product(table, [(a, 1)], ys))
+                       for a in range(n))
+    return _close_under_x(span(vectors, d * n), beta, n)
 
 
-def quotient_by_relations(model: FreeModel, relations: Subspace):
-    """Collapse the free model along the relation submodule.
+def _close_under_x(relations: Subspace, beta: list[Vec], n: int) -> Subspace:
+    """The smallest subspace containing relations and closed under right
+    multiplication by X; each round shifts only what the last one added."""
+    d = len(beta[0])
+    frontier = relations.basis
+    while frontier:
+        shifted = [_fold([(q + 1, v[q * n:(q + 1) * n]) for q in range(d)], beta, n)
+                   for v in frontier]
+        frontier = [v for v in shifted if not relations.contains(v)]
+        if frontier:
+            relations = span(list(relations.basis) + frontier, relations.ambient_dim)
+    return relations
 
-    Returns (algebra, projection); for a zero submodule these are the whole
-    model, validated, and the identity.  The relation submodule is first
-    certified to absorb multiplication by every basis element on both sides
-    (all of them: the free model need not be associative), so the quotient
-    multiplication is well defined regardless of the section used to compute
-    it.
+
+def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Subspace):
+    """The extension on the coordinates the relation submodule keeps, with
+    the projection from the window.
+
+    Only the kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over the
+    terms (m, c) of xpow[b][i], are formed, folded into the window and
+    projected.  A table that fails make_algebra raises AssociativityFails.
     """
-    unabsorbed = _first_unabsorbed(model.integer_sc, relations)
-    if unabsorbed is not None:
-        raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
+    n, d = base.dim, p.degree
+    beta = power_reduction_table(p, 2 * d)
+    left: dict[tuple[int, int, int], TermList] = {}
+
+    def cell(r: int, c: int) -> Vec:
+        (i, a), (j, b) = divmod(r, n), divmod(c, n)
+        if (a, b, i) not in left:
+            ea = base.basis_element(a)
+            left[a, b, i] = [(m, base.multiply(ea, coeff)) for m, coeff in xpow[b][i]]
+        return _fold([(m + j, coeff) for m, coeff in left[a, b, i]], beta, n)
+
+    labels = list(base.labels)
+    for i in range(1, d):
+        power = "X" if i == 1 else f"X^{i}"
+        labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
     try:
-        return _collapse(model.sc, model.slice0(model.base.unit), model.labels(), relations)
-    except (NotAssociative, UnitFails) as exc:  # pragma: no cover - internal guard
+        return _collapse(cell, tuple(base.unit) + zero_vec((d - 1) * n), labels, relations)
+    except (NotAssociative, UnitFails) as exc:
         raise AssociativityFails(str(exc)) from exc
 
 
@@ -243,15 +225,14 @@ def assemble(
     With force_free_model the grid itself must be the extension, and a
     nonzero relation submodule raises AssociativityFails.
     """
-    model = FreeModel(base, p, grid_product(base, xpow))
-    relations = relation_submodule(model, relation_generators(p, xpow))
+    relations = relation_submodule(base, p, xpow)
     if force_free_model and relations.dim:
         raise AssociativityFails(
             f"relation submodule of dimension {relations.dim}: the rewrite system is inconsistent")
-    algebra, proj = quotient_by_relations(model, relations)
-    # slice0(e_a) is unit vector a, so the base embeds through the first columns
+    algebra, proj = quotient_by_relations(base, p, xpow, relations)
+    # e_a X^0 is window index a, so the base embeds through the first columns
     embed = Mat.from_columns([proj.column(a) for a in range(base.dim)])
-    u = proj.apply(model.reduce_terms([(1, base.unit)]))
+    u = proj.apply(_fold([(1, base.unit)], power_reduction_table(p, 1), base.dim))
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
     return ExtensionResult(
         mode, base, algebra, embed, u, u_inverse, p,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -280,13 +280,17 @@ def _kept_coordinates(ideal: Subspace) -> list[int]:
     return [j for j in range(ideal.ambient_dim) if j not in pivots]
 
 
-def _collapse(sc, unit: Vec, labels: Sequence[str], ideal: Subspace) -> tuple[Algebra, Mat]:
-    """The quotient of the table sc by a subspace that absorbs every product,
-    with the projection matrix.
+def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
+              ideal: Subspace) -> tuple[Algebra, Mat]:
+    """The quotient of a product table by a subspace, with the projection
+    matrix.
 
-    The section keeps the non-pivot coordinates, so the quotient's constants
-    are the projected products sc[i][j] of those basis elements; make_algebra
-    re-verifies them.
+    cell(i, j) is the product of basis elements i and j in ambient
+    coordinates; it is asked only for the non-pivot coordinates the section
+    keeps, and the quotient's constants are those products projected.
+    make_algebra re-verifies them.  The result is the quotient when the
+    subspace absorbs every product: quotient checks that first, and an
+    extension is certified afterwards (see _extension).
     """
     coords = _kept_coordinates(ideal)
 
@@ -296,7 +300,7 @@ def _collapse(sc, unit: Vec, labels: Sequence[str], ideal: Subspace) -> tuple[Al
 
     quot = make_algebra(
         len(coords),
-        [[project(sc[i][j]) for j in coords] for i in coords],
+        [[project(cell(i, j)) for j in coords] for i in coords],
         project(unit),
         [labels[j] for j in coords],
     )
@@ -316,7 +320,7 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
         raise NotAnIdeal("subspace is not closed under two-sided multiplication")
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot divide by the whole algebra")
-    return _collapse(algebra.sc, algebra.unit, algebra.labels, ideal)
+    return _collapse(lambda i, j: algebra.sc[i][j], algebra.unit, algebra.labels, ideal)
 
 
 def quotient_section(algebra: Algebra, ideal: Subspace) -> Mat:

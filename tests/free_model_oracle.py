@@ -1,0 +1,180 @@
+"""The dense free model, kept as the oracle of the extension construction.
+
+An extension used to be built from the whole rank-d free module over the
+base: a Fraction grid of every product (e_a X^i)(e_b X^j) folded into the
+window, the relation submodule spanned by the reduced generators
+p(X) e_b X^k and their left multiples inside that grid, and a quotient that
+first checked the submodule to absorb multiplication by every basis element
+on both sides.  skewex._extension now closes the k = 0 generators under the
+two actions and builds only the kept cells; the tests compare it with this
+code.
+"""
+
+from typing import Callable
+
+from skewex._extension import ExtensionResult, TermList, XPowTable, verify_extension
+from skewex.algebra import (
+    Algebra,
+    _collapse,
+    _first_unabsorbed,
+    _integer_table,
+    _multiply,
+)
+from skewex.errors import AssociativityFails, NotAssociative, UnitFails
+from skewex.linalg import (
+    Mat,
+    Poly,
+    Subspace,
+    Vec,
+    ZERO,
+    is_zero_vec,
+    power_reduction_table,
+    span,
+)
+
+
+class FreeModel:
+    """The rank-d free module over the base with the rewrite multiplication;
+    sc and integer_sc are its grid as in algebra.Algebra."""
+
+    def __init__(
+        self,
+        base: Algebra,
+        p: Poly,
+        monomial_product: Callable[[int, int, int, int], TermList],
+    ):
+        """Fold monomial_product(a, i, b, j), the left-normal form of
+        (e_a X^i)(e_b X^j), into the window for every pair of grid indices."""
+        self.base = base
+        self.d = p.degree
+        self.n = base.dim
+        self.dim = self.d * self.n
+        self.beta = power_reduction_table(p, 2 * self.d)
+        # grid index (a, i) -> i * n + a, power-major so the base sits at 0..n-1
+        self.sc = [
+            [
+                self.reduce_terms(monomial_product(a, i, b, j))
+                for j in range(self.d)
+                for b in range(self.n)
+            ]
+            for i in range(self.d)
+            for a in range(self.n)
+        ]
+        self.integer_sc = _integer_table(self.sc)
+
+    def index(self, a: int, i: int) -> int:
+        return i * self.n + a
+
+    def slice0(self, x: Vec) -> Vec:
+        return tuple(x) + (ZERO,) * (self.dim - self.n)
+
+    def reduce_terms(self, terms: TermList) -> Vec:
+        """Fold a left-normal term list into window coordinates."""
+        out = [ZERO] * self.dim
+        for power, coeff in terms:
+            if is_zero_vec(coeff):
+                continue
+            for q, factor in enumerate(self.beta[power]):
+                if factor:
+                    offset = q * self.n
+                    for a, c in enumerate(coeff):
+                        if c:
+                            out[offset + a] += factor * c
+        return tuple(out)
+
+    def multiply(self, x: Vec, y: Vec) -> Vec:
+        return _multiply(self.integer_sc, x, y)
+
+    def labels(self) -> list[str]:
+        out = []
+        for i in range(self.d):
+            for lab in self.base.labels:
+                if i == 0:
+                    out.append(lab)
+                else:
+                    power = "X" if i == 1 else f"X^{i}"
+                    out.append(power if lab == "1" else f"{lab}*{power}")
+        return out
+
+
+def grid_product(base: Algebra, xpow: XPowTable) -> Callable[[int, int, int, int], TermList]:
+    """The FreeModel callback: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
+    terms (m, c) of xpow[b][i]."""
+
+    def monomial_product(a: int, i: int, b: int, j: int) -> TermList:
+        ea = base.basis_element(a)
+        return [(power + j, base.multiply(ea, coeff)) for power, coeff in xpow[b][i]]
+
+    return monomial_product
+
+
+def free_model(base: Algebra, p: Poly, xpow: XPowTable) -> FreeModel:
+    return FreeModel(base, p, grid_product(base, xpow))
+
+
+def relation_generators(p: Poly, xpow: XPowTable) -> list[TermList]:
+    """p(X) e_b X^k in left-normal form, for every basis element b and k < deg p."""
+    out = []
+    for row in xpow:
+        terms = [(power, tuple(c * x for x in coeff))
+                 for i, c in enumerate(p.coeffs) if c
+                 for power, coeff in row[i]]
+        for k in range(p.degree):
+            out.append([(power + k, coeff) for power, coeff in terms])
+    return out
+
+
+def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Subspace:
+    """Span of the reduced relation generators under base left multiplication.
+
+    e_a w is the grid product of e_a X^0 and w, since X^0 e_b = e_b.
+    """
+    base = [model.slice0(model.base.basis_element(a)) for a in range(model.n)]
+    vectors = []
+    for terms in generator_polys:
+        w = model.reduce_terms(terms)
+        if is_zero_vec(w):
+            continue
+        vectors.append(w)
+        vectors.extend(model.multiply(e, w) for e in base)
+    return span(vectors, model.dim)
+
+
+def quotient_by_relations(model: FreeModel, relations: Subspace):
+    """Collapse the free model along the relation submodule.
+
+    Returns (algebra, projection).  The relation submodule is first checked
+    to absorb multiplication by every basis element on both sides (all of
+    them: the free model need not be associative), so the quotient
+    multiplication is well defined regardless of the section used to compute
+    it.
+    """
+    unabsorbed = _first_unabsorbed(model.integer_sc, relations)
+    if unabsorbed is not None:
+        raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
+    try:
+        return _collapse(lambda i, j: model.sc[i][j], model.slice0(model.base.unit),
+                         model.labels(), relations)
+    except (NotAssociative, UnitFails) as exc:
+        raise AssociativityFails(str(exc)) from exc
+
+
+def oracle_relations(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
+    """The relation submodule of the dense grid."""
+    return relation_submodule(free_model(base, p, xpow), relation_generators(p, xpow))
+
+
+def oracle_extension(base: Algebra, p: Poly, mode: str, twist: Mat, xpow: XPowTable
+                     ) -> tuple[Subspace, ExtensionResult]:
+    """assemble as it was, with the grid, its relations and the absorbing
+    quotient; returns the relation submodule and the extension."""
+    model = free_model(base, p, xpow)
+    relations = relation_submodule(model, relation_generators(p, xpow))
+    algebra, proj = quotient_by_relations(model, relations)
+    embed = Mat.from_columns([proj.column(a) for a in range(base.dim)])
+    u = proj.apply(model.reduce_terms([(1, base.unit)]))
+    u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
+    return relations, ExtensionResult(
+        mode, base, algebra, embed, u, u_inverse, p,
+        free_module=(relations.dim == 0), defect_dim=relations.dim,
+    )

@@ -4,9 +4,10 @@ deliver its full postcondition bundle, whatever the base looks like."""
 import random
 
 from skewex._extension import poly_of_element
+from skewex.algebra import matrix_algebra
 from skewex.explorer import random_basis_change, random_recipe
 from skewex.laurent import laurent_quotient
-from skewex.linalg import is_zero_vec, kernel
+from skewex.linalg import Poly, is_zero_vec, kernel
 from skewex.maps import derivation_space, inner_automorphism, inner_derivation
 from skewex.ore import ore_quotient
 from skewex.sampling import sample_automorphisms
@@ -40,24 +41,32 @@ def check_automorphism_extension(algebra, phi):
     return result
 
 
-def test_extensions_on_random_algebras():
+def random_extension_inputs():
+    """(mode, algebra, twist) for the seeded fuzz: up to two derivation-basis
+    elements and two sampled automorphisms of each of 25 random algebras."""
     rng = random.Random(424242)
-    derivation_runs = 0
-    automorphism_runs = 0
     for _ in range(25):
         recipe = random_recipe(rng, max_dim=5)
         algebra = recipe.algebra
         if rng.random() < 0.5:
             algebra = random_basis_change(algebra, rng)
         for d in derivation_space(algebra)[:2]:
-            check_derivation_extension(algebra, d)
-            derivation_runs += 1
+            yield "derivation", algebra, d
         for phi in sample_automorphisms(algebra, rng, 2):
-            check_automorphism_extension(algebra, phi)
-            automorphism_runs += 1
-    assert automorphism_runs >= 25
+            yield "automorphism", algebra, phi
+
+
+def test_extensions_on_random_algebras():
+    runs = {"derivation": 0, "automorphism": 0}
+    for mode, algebra, twist in random_extension_inputs():
+        if mode == "derivation":
+            check_derivation_extension(algebra, twist)
+        else:
+            check_automorphism_extension(algebra, twist)
+        runs[mode] += 1
+    assert runs["automorphism"] >= 25
     # not every random base has derivations, but several must
-    assert derivation_runs >= 10
+    assert runs["derivation"] >= 10
 
 
 # The M_3 witnesses of the extend_m3 benchmark workload: u is trace-zero and
@@ -79,3 +88,13 @@ def test_m3_extensions(m3):
         assert result.algebra.dim == 27
         assert result.defect_dim == 36
         assert not result.free_module
+
+
+def test_m4_nilpotent_shift_extension():
+    m4 = matrix_algebra(4)
+    shift = m4.element([1 if j == i + 1 else 0 for i in range(4) for j in range(4)])
+    result = check_derivation_extension(m4, inner_derivation(m4, shift))
+    # ad of the 4x4 shift has nilpotency index 2 * 4 - 1
+    assert result.p == Poly.of([0] * 7 + [1])
+    assert result.algebra.dim == 64
+    assert result.defect_dim == 48

@@ -3,8 +3,8 @@
 The reference functions below are the rational Gauss-Jordan elimination, the
 Subspace residual and the absorption loops the library used before its exact
 core moved to integers.  rref, solve, inverse, kernel, span, intersect,
-contains, reduce, the absorption check of quotient_by_relations and is_ideal
-must agree with them exactly, on seeded random matrices and on the systems
+contains, reduce, is_ideal and the absorption check of the free-model
+oracle's quotient_by_relations must agree with them exactly, on seeded random matrices and on the systems
 and extensions of the test corpus.
 """
 
@@ -14,8 +14,8 @@ from math import gcd
 
 import pytest
 
+from free_model_oracle import free_model, quotient_by_relations
 from skewex import _extension, maps
-from skewex._extension import quotient_by_relations
 from skewex.algebra import (
     _first_unabsorbed,
     ideal_closure,
@@ -319,14 +319,15 @@ def test_kernel_matches_on_corpus_derivation_systems(corpus, monkeypatch):
 
 def corpus_extensions(corpus, monkeypatch):
     """(name, model, relations) for every nonzero relation submodule that
-    quotient_by_relations sees while the corpus extensions are built."""
+    quotient_by_relations sees while the corpus extensions are built, with
+    the oracle's dense free model of each."""
     seen = []
     real = _extension.quotient_by_relations
 
-    def spy(model, relations):
+    def spy(base, p, xpow, relations):
         if relations.dim:
-            seen.append((current, model, relations))
-        return real(model, relations)
+            seen.append((current, free_model(base, p, xpow), relations))
+        return real(base, p, xpow, relations)
 
     monkeypatch.setattr(_extension, "quotient_by_relations", spy)
     for name, algebra in corpus.items():

@@ -1,9 +1,9 @@
 """The relation submodule is the consistency certificate of the free model.
 
-An extension is built by dividing the rank-d free model by its relation
-submodule.  Its consistency used to be tested separately, by comparing both
-reduction orders of X^d e_b; confluence_check below is that test, kept as the
-oracle.  Route one minus route two is the reduced k = 0 relation generator,
+An extension is the rank-d free model, the window, divided by its relation
+submodule; the dense model is kept in free_model_oracle.  Its consistency
+used to be tested separately, by comparing both reduction orders of X^d e_b;
+confluence_check below is that test, kept as the oracle.  Route one minus route two is the reduced k = 0 relation generator,
 and every k > 0 generator is that one times X^k, so the oracle passes exactly
 when the submodule is zero.  On a zero submodule the quotient is the free
 model itself, with the identity projection, and the private force_free_model
@@ -14,9 +14,8 @@ import random
 
 import pytest
 
-from skewex._extension import (
-    FreeModel,
-    grid_product,
+from free_model_oracle import (
+    free_model,
     quotient_by_relations,
     relation_generators,
     relation_submodule,
@@ -86,7 +85,7 @@ def test_relation_submodule_is_the_consistency_certificate(corpus):
     for label, mode, algebra, twist, p in twist_cases(corpus):
         table = _leibniz_table if mode == "derivation" else _orbit_table
         xpow = table(algebra, twist, p)
-        model = FreeModel(algebra, p, grid_product(algebra, xpow))
+        model = free_model(algebra, p, xpow)
         relations = relation_submodule(model, relation_generators(p, xpow))
         mismatch = confluence_check(model, xpow)
         assert (mismatch is None) == (relations.dim == 0), label

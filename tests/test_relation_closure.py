@@ -1,0 +1,149 @@
+"""The relation closure and the kept-cell quotient against the dense free model.
+
+skewex._extension closes the n generators p(X) e_b under left multiplication
+by the base and right multiplication by X, and forms only the products of the
+coordinates the relation submodule keeps.  free_model_oracle keeps the dense
+grid, the span of every reduced p(X) e_b X^k with its left multiples, and the
+quotient that first checks absorption.  Both routes must give the same
+submodule and the same extension.  Then the closure is broken on purpose, in
+two ways, and the universal-property certificate must reject every result
+the breakage changes.
+"""
+
+import random
+
+import pytest
+
+from free_model_oracle import oracle_extension, oracle_relations
+from skewex import _extension
+from skewex.errors import AssociativityFails, SkewexError
+from skewex.laurent import _orbit_table
+from skewex.linalg import span
+from skewex.maps import inner_automorphism, inner_derivation
+from skewex.ore import _leibniz_table
+from test_extension_fuzz import U0, V0, random_extension_inputs
+from test_relation_certificate import build, twist_cases
+
+FIELDS = ("mode", "embed", "u", "u_inverse", "p", "free_module", "defect_dim")
+
+
+def xpow_of(mode, algebra, twist, p):
+    table = _leibniz_table if mode == "derivation" else _orbit_table
+    return table(algebra, twist, p)
+
+
+def m3_pair(m3):
+    """(label, mode, algebra, twist, p) for ad_U0 and conj_V0 on M_3."""
+    def flat(m):
+        return m3.element([m[i][j] for i in range(3) for j in range(3)])
+
+    for mode, twist in (("derivation", inner_derivation(m3, flat(U0))),
+                        ("automorphism", inner_automorphism(m3, flat(V0)))):
+        yield f"m3/{mode}", mode, m3, twist, twist.minimal_polynomial
+
+
+def annihilating_corpus_cases(corpus):
+    for case in twist_cases(corpus):
+        if case[4].eval_matrix(case[3].matrix).is_zero():
+            yield case
+
+
+def fuzz_cases():
+    for index, (mode, algebra, twist) in enumerate(random_extension_inputs()):
+        yield f"fuzz[{index}]/{mode}", mode, algebra, twist, twist.minimal_polynomial
+
+
+def assert_same_extension(result, expected, label):
+    for field in FIELDS:
+        assert getattr(result, field) == getattr(expected, field), (label, field)
+    assert result.base is expected.base, label
+    for attr in ("sc", "unit", "labels"):
+        assert getattr(result.algebra, attr) == getattr(expected.algebra, attr), (label, attr)
+
+
+def test_closure_and_kept_cells_match_the_free_model(corpus, m3):
+    counts = {}
+    for source, cases in (("corpus", annihilating_corpus_cases(corpus)),
+                          ("fuzz", fuzz_cases()), ("m3", m3_pair(m3))):
+        for label, mode, algebra, twist, p in cases:
+            xpow = xpow_of(mode, algebra, twist, p)
+            relations, expected = oracle_extension(algebra, p, mode, twist.matrix, xpow)
+            assert _extension.relation_submodule(algebra, p, xpow) == relations, label
+            assert_same_extension(build(mode, algebra, twist, p), expected, label)
+            counts[source] = counts.get(source, 0) + 1
+    assert counts == {"corpus": 127, "fuzz": 54, "m3": 2}
+
+
+def test_forced_free_model_raises_exactly_where_the_relations_are_nonzero(corpus, m3):
+    raised = passed = 0
+    for label, mode, algebra, twist, p in [*twist_cases(corpus), *fuzz_cases(), *m3_pair(m3)]:
+        relations = oracle_relations(algebra, p, xpow_of(mode, algebra, twist, p))
+        if relations.dim:
+            with pytest.raises(AssociativityFails) as caught:
+                build(mode, algebra, twist, p, _skip_annihilator_check=True)
+            assert str(caught.value) == str(AssociativityFails(
+                f"relation submodule of dimension {relations.dim}: "
+                "the rewrite system is inconsistent")), label
+            raised += 1
+        else:
+            forced = build(mode, algebra, twist, p, _skip_annihilator_check=True)
+            assert forced.free_module and forced.algebra.dim == p.degree * algebra.dim, label
+            passed += 1
+    assert raised >= 20 and passed >= 20, (raised, passed)
+
+
+# -- mutations: a relation submodule that misses vectors ---------------------
+
+def mutation_cases(corpus, m3):
+    """The corpus and M_3 pair cases with their true relation submodule and
+    extension."""
+    for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *m3_pair(m3)]:
+        yield label, mode, algebra, twist, p, build(mode, algebra, twist, p)
+
+
+def assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate):
+    """Build every mutation case with relation_submodule replaced by
+    mutate(real relation_submodule); a changed submodule must raise a
+    SkewexError, an unchanged one give the same extension.  Returns the
+    names of the errors raised."""
+    real = _extension.relation_submodule
+    errors = []
+    for label, mode, algebra, twist, p, expected in mutation_cases(corpus, m3):
+        with monkeypatch.context() as patch:
+            mutated = mutate(real, patch)
+            patch.setattr(_extension, "relation_submodule", mutated)
+            xpow = xpow_of(mode, algebra, twist, p)
+            if mutated(algebra, p, xpow).dim == expected.defect_dim:
+                assert_same_extension(build(mode, algebra, twist, p), expected, label)
+                continue
+            with pytest.raises(SkewexError) as caught:
+                build(mode, algebra, twist, p)
+            errors.append(type(caught.value).__name__)
+    return errors
+
+
+def test_certificate_rejects_the_closure_without_x(monkeypatch, corpus, m3):
+    def mutate(real, patch):
+        patch.setattr(_extension, "_close_under_x", lambda relations, beta, n: relations)
+        return real
+
+    errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
+    # the left multiples alone usually span N already, but not always
+    assert errors, "the mutation never shrank the relation submodule"
+
+
+def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
+    rng = random.Random(1103)
+
+    def mutate(real, patch):
+        def dropped(base, p, xpow):
+            relations = real(base, p, xpow)
+            if not relations.dim:
+                return relations
+            drop = rng.randrange(relations.dim)
+            return span([v for i, v in enumerate(relations.basis) if i != drop],
+                        relations.ambient_dim)
+        return dropped
+
+    errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
+    assert len(errors) >= 40, errors

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewex._extension import FreeModel, grid_product, relation_generators, relation_submodule
+from free_model_oracle import FreeModel, free_model, relation_generators, relation_submodule
 from skewex.algebra import Algebra, change_of_basis, make_algebra
 from skewex.errors import NotAssociative, UnitFails
 from skewex.laurent import LaurentSkewPoly, _orbit_table, laurent_mul
@@ -182,7 +182,7 @@ def test_leibniz_grid_matches_rewriting(corpus):
             p = minimal_polynomial(d.matrix)
             xpow = _leibniz_table(algebra, d, p)
             oracle = rewriting_grid(algebra, d, p)
-            closed_model = FreeModel(algebra, p, grid_product(algebra, xpow))
+            closed_model = free_model(algebra, p, xpow)
             oracle_model = FreeModel(algebra, p, oracle[0])
             assert closed_model.sc == oracle_model.sc, name
             closed_gens = relation_generators(p, xpow)
@@ -208,7 +208,7 @@ def test_orbit_table_matches_laurent_mul(corpus):
             p = minimal_polynomial(phi.matrix)
             xpow = _orbit_table(algebra, phi, p)
             oracle = laurent_grid(algebra, phi, p)
-            model = FreeModel(algebra, p, grid_product(algebra, xpow))
+            model = free_model(algebra, p, xpow)
             for a, i in [(a, i) for i in range(model.d) for a in range(model.n)]:
                 for j in range(model.d):
                     for b in range(model.n):
@@ -262,7 +262,7 @@ def test_free_model_multiply_matches_dense(m2, dual_numbers):
     for algebra in (m2, dual_numbers):
         for d in derivation_space(algebra):
             p = minimal_polynomial(d.matrix)
-            model = FreeModel(algebra, p, grid_product(algebra, _leibniz_table(algebra, d, p)))
+            model = free_model(algebra, p, _leibniz_table(algebra, d, p))
             for _ in range(10):
                 x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(model.dim))
                 y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(model.dim))
