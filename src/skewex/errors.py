@@ -72,10 +72,6 @@ class NotInKernelChain(SkewexError):
     """No power of the endomorphism kills the given element."""
 
 
-class PhibarNotSurjective(SkewexError):
-    """The induced map on the kernel-chain quotient is not surjective."""
-
-
 class NotMonic(SkewexError):
     """A polynomial required to be monic is not."""
 

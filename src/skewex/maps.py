@@ -32,6 +32,7 @@ from .linalg import (
     Vec,
     ZERO,
     inverse,
+    is_zero_vec,
     kernel,
     minimal_polynomial,
     power_reduction_table,
@@ -41,6 +42,7 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_sub,
+    zero_vec,
 )
 
 
@@ -241,24 +243,24 @@ class InducedQuotient:
     quotient: Algebra
     projection: Mat
     induced: AlgebraEndo
-    injective: bool
-    surjective: bool
     chain: Subspace
 
 
 def induced_map(phi: AlgebraEndo) -> InducedQuotient:
-    """Quotient by the kernel chain together with the map phi induces on it.
+    """Quotient by the kernel chain C together with the map phi induces on it.
 
     The induced map satisfies induced . projection = projection . phi on every
-    basis vector, is always injective here, and is surjective exactly when its
-    rank is full.
+    basis vector and is an automorphism (Fitting's lemma): kernel_chain stops
+    at Ker phi^v = Ker phi^(v+1) = C, so phi(x) in C gives phi^(v+1)(x) = 0
+    and x in C.  The induced map is injective, hence bijective in finite
+    dimension; its rank is checked as a consistency test.  When C = 0, phi
+    itself is injective.
     """
     algebra = phi.algebra
     chain, _ = kernel_chain(phi)
     if chain.dim == 0:
         ident = Mat.identity(algebra.dim)
-        induced = AlgebraEndo(algebra, phi.matrix, phi.unital)
-        return InducedQuotient(algebra, ident, induced, True, phi.is_invertible(), chain)
+        return InducedQuotient(algebra, ident, AlgebraEndo(algebra, phi.matrix, phi.unital), chain)
     quot, proj = quotient(algebra, chain)
     induced_matrix = proj * phi.matrix * quotient_section(algebra, chain)
     for c in range(algebra.dim):
@@ -266,33 +268,28 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
         if induced_matrix.apply(proj.apply(e)) != proj.apply(phi.matrix.apply(e)):
             raise SkewexError("induced map does not commute with the projection")
     induced = AlgebraEndo.certify(quot, induced_matrix)
-    _, _, rank = rref(induced_matrix)
-    injective = rank == quot.dim
-    if not injective:
+    if rref(induced_matrix)[2] != quot.dim:
         raise SkewexError("induced map on the kernel-chain quotient must be injective")
-    return InducedQuotient(quot, proj, induced, injective, rank == quot.dim, chain)
+    return InducedQuotient(quot, proj, induced, chain)
 
 
 def kernel_chain_preimage(phi: AlgebraEndo, a: Vec) -> Vec:
-    """b = a + phi(a) + ... + phi^(k-1)(a) with (I - phi)(b) = a, for a killed
-    by some power of phi."""
-    algebra = phi.algebra
-    k = None
-    power = a
-    for i in range(1, algebra.dim + 1):
-        power = phi.matrix.apply(power)
-        if all(x == 0 for x in power):
-            k = i
-            break
-    if k is None:
-        raise NotInKernelChain(f"no power up to {algebra.dim} kills the element")
-    b = a
+    """b = a + phi(a) + ... + phi^(n-1)(a), n = dim, with (I - phi)(b) = a.
+
+    The kernel chain is Ker phi^n, since Ker phi^k is stable by k = n; so a
+    lies in it exactly when phi^n(a) = 0, and NotInKernelChain is raised
+    otherwise.  Then (I - phi)(b) = a - phi^n(a) = a, the chain's inclusion
+    in Im(I - phi); the identity is checked as a consistency test.
+    """
+    n = phi.algebra.dim
+    b = zero_vec(n)
     term = a
-    for _ in range(k - 1):
-        term = phi.matrix.apply(term)
+    for _ in range(n):
         b = vec_add(b, term)
-    check = vec_sub(b, phi.matrix.apply(b))
-    if check != tuple(a):
+        term = phi.matrix.apply(term)
+    if not is_zero_vec(term):
+        raise NotInKernelChain(f"no power up to {n} kills the element")
+    if vec_sub(b, phi.matrix.apply(b)) != tuple(a):
         raise SkewexError("preimage identity failed; internal inconsistency")
     return b
 

@@ -492,8 +492,8 @@ def test_criterion_10_kernel_chain_preimages():
                     failures.append("preimage identity failed")
             from skewex.maps import induced_map
             induced = induced_map(phi)
-            if not induced.injective:
-                failures.append("induced map not injective")
+            if not induced.induced.is_invertible():
+                failures.append("induced map not bijective")
             if produced >= 50:
                 break
         if produced >= 50:

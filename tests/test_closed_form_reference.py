@@ -1,27 +1,42 @@
-"""Differential tests of the closed-form ideals and the single-check
-E-derivation against the code they replaced.
+"""Differential tests of the closed forms against the code they replaced.
 
 The reference functions below are the library's former fixpoint
 ideal_closure, the hand-written image spans of simple_image_check,
 ideal_constant_term and coefficient_sum_membership, the expanded
-E-derivation identity, and recipe_endomorphisms as it was when it certified
-every slot map it drew.  The closed forms must give the same subspaces, the
+E-derivation identity, recipe_endomorphisms as it was when it certified
+every slot map it drew, substitution_endos as it was when it certified every
+candidate, the window loop of power_span and the two loops of
+kernel_chain_preimage.  The closed forms must give the same subspaces, the
 same verdicts and the same sampled maps from the same random draws.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from skewex import sampling
-from skewex.algebra import ideal_closure, matrix_algebra, poly_quotient
-from skewex.errors import NotEndomorphism
-from skewex.explorer import random_recipe
-from skewex.idempotents import enumerate_idempotents
+from skewex.algebra import (
+    cyclic_group_algebra,
+    ideal_closure,
+    matrix_algebra,
+    poly_quotient,
+    radical,
+)
+from skewex.errors import NotEndomorphism, NotInKernelChain, SkewexError
+from skewex.explorer import BLOCK_POLYS, random_basis_change, random_recipe
+from skewex.idempotents import enumerate_idempotents, power_span
 from skewex.laurent import coefficient_sum_membership
-from skewex.linalg import Mat, Poly, inverse, span, vec_add, vec_sub
-from skewex.maps import AlgebraEndo, EDerivation, derivation_space, is_ederivation
+from skewex.linalg import Mat, Poly, inverse, rat, span, vec_add, vec_sub, zero_vec
+from skewex.maps import (
+    AlgebraEndo,
+    EDerivation,
+    derivation_space,
+    is_ederivation,
+    kernel_chain,
+    kernel_chain_preimage,
+)
 from skewex.ore import ideal_constant_term, simple_image_check
 from skewex.sampling import (
     ProductRecipe,
@@ -113,7 +128,7 @@ def ref_recipe_endomorphisms(recipe, rng, count, require_singular=False):
     for block in recipe.blocks:
         endos = [Mat.identity(block.dim)]
         if block.dim >= 2 and _looks_monogenic(block):
-            endos = [e.matrix for e in substitution_endos(block)]
+            endos = [e.matrix for e in ref_substitution_endos(block)[0]]
         per_block.append(endos)
     compatible_sources = [
         [i for i, other in enumerate(recipe.blocks) if other.sc == blk.sc]
@@ -133,6 +148,72 @@ def ref_recipe_endomorphisms(recipe, rng, count, require_singular=False):
             seen.add(endo.matrix.entries)
             out.append(endo)
     return out
+
+
+def ref_substitution_endos(algebra, coeff_choices=(-1, 0, 1, 2)):
+    """Certify every new candidate t -> g on all basis pairs; also return the
+    number of candidates rejected."""
+    n = algebra.dim
+    grid = [(F(0),) + coeffs
+            for coeffs in itertools.product([rat(c) for c in coeff_choices], repeat=n - 1)]
+    scalars = [(c0,) + zero_vec(n - 1) for c0 in (F(0), F(1))]
+    out = []
+    seen = set()
+    rejected = 0
+    for g in grid + scalars:
+        cols = [algebra.unit]
+        power = algebra.unit
+        for _ in range(1, n):
+            power = algebra.multiply(power, g)
+            cols.append(power)
+        m = Mat.from_columns(cols)
+        if m.entries in seen:
+            continue
+        seen.add(m.entries)
+        try:
+            out.append(AlgebraEndo.certify(algebra, m))
+        except NotEndomorphism:
+            rejected += 1
+    return out, rejected
+
+
+def ref_power_span(algebra, a):
+    """(powers, tail): slide the window a^N .. a^(N+n) until its span repeats."""
+    n = algebra.dim
+    powers = []
+    current = a
+    for _ in range(n + 1):
+        powers.append(current)
+        current = algebra.multiply(current, a)
+    window = powers
+    prev = span(window, n)
+    for _ in range(1, n + 2):
+        window = [algebra.multiply(w, a) for w in window]
+        nxt = span(window, n)
+        if nxt == prev:
+            break
+        prev = nxt
+    return span(powers, n), prev
+
+
+def ref_kernel_chain_preimage(phi, a):
+    """Find the least k <= n with phi^k(a) = 0, then sum a .. phi^(k-1)(a)."""
+    n = phi.algebra.dim
+    k = None
+    power = a
+    for i in range(1, n + 1):
+        power = phi.matrix.apply(power)
+        if all(x == 0 for x in power):
+            k = i
+            break
+    if k is None:
+        raise NotInKernelChain(f"no power up to {n} kills the element")
+    b = a
+    term = a
+    for _ in range(k - 1):
+        term = phi.matrix.apply(term)
+        b = vec_add(b, term)
+    return b
 
 
 # -- ideals ------------------------------------------------------------------
@@ -269,7 +350,102 @@ def test_recipe_endomorphisms_match_reference(require_singular, monkeypatch):
         got = recipe_endomorphisms(recipe, rng, 5, require_singular)
         assert got == expected, index
         assert rng.getstate() == ref_rng.getstate(), index
-        if len(recipe.blocks) > 1:
-            # a one-block recipe's algebra is its block, which substitution_endos also certifies
-            assert [m for a, m in certified if a is recipe.algebra] == [
-                endo.matrix.entries for endo in got], index
+        assert [m for a, m in certified if a is recipe.algebra] == [
+            endo.matrix.entries for endo in got], index
+
+
+# -- substitution endomorphisms ---------------------------------------------
+
+def monogenic_blocks(corpus):
+    """Every power-basis block the explorer draws, then the corpus's."""
+    blocks = {str(f): poly_quotient(f) for f in BLOCK_POLYS if f.degree >= 2}
+    blocks.update({f"C{m}": cyclic_group_algebra(m) for m in (2, 3, 4)})
+    blocks.update({name: a for name, a in corpus.items() if a.dim >= 2 and _looks_monogenic(a)})
+    return blocks
+
+
+def test_substitution_endos_match_certified_candidates(corpus, monkeypatch):
+    blocks = monogenic_blocks(corpus)
+    assert len(blocks) >= 10
+    expected = {name: ref_substitution_endos(block) for name, block in blocks.items()}
+    assert sum(rejected for _, rejected in expected.values()) > 0
+    monkeypatch.setattr(sampling.AlgebraEndo, "certify", None)  # the closed form needs none
+    for name, block in blocks.items():
+        got = substitution_endos(block)
+        assert got == expected[name][0], name
+
+
+def test_substitution_endos_need_a_power_basis(m2, rng):
+    with pytest.raises(SkewexError):
+        substitution_endos(m2)
+    with pytest.raises(SkewexError):
+        substitution_endos(poly_quotient(Poly.of([0, 1])))
+    changed = random_basis_change(poly_quotient(Poly.of([0, 0, 0, 1])), rng)
+    assert not _looks_monogenic(changed)
+    with pytest.raises(SkewexError):
+        substitution_endos(changed)
+
+
+# -- power tails --------------------------------------------------------------
+
+def power_span_elements(algebra, rng):
+    """Idempotents, nilpotents, units and random elements of an algebra.
+
+    The second basis element is t on a power basis; on Q[t]/(t^3) its window
+    W_2 = span{t^2} is not yet the tail, which is 0."""
+    elements = [algebra.unit, zero_vec(algebra.dim), algebra.basis_element(1 % algebra.dim)]
+    if algebra.is_commutative():
+        elements += enumerate_idempotents(algebra).items
+    elements += radical(algebra).basis
+    elements += [sampling.random_invertible_element(algebra, rng)]
+    elements += [random_element(algebra, rng) for _ in range(3)]
+    return elements
+
+
+def test_power_span_matches_window_loop(corpus):
+    rng = random.Random(31)
+    algebras = dict(corpus)
+    for name, block in monogenic_blocks(corpus).items():
+        algebras[f"{name} (basis change)"] = random_basis_change(block, rng)
+    compared = 0
+    for name, algebra in algebras.items():
+        for a in power_span_elements(algebra, rng):
+            got = power_span(algebra, a)
+            assert (got.powers, got.tail) == ref_power_span(algebra, a), (name, a)
+            compared += 1
+    assert compared >= 100
+
+
+# -- kernel-chain preimages -----------------------------------------------------
+
+def test_kernel_chain_preimage_matches_two_loops():
+    rng = random.Random(41)
+    compared = {True: 0, False: 0}
+    for recipe in recipes():
+        algebra = recipe.algebra
+        for phi in recipe_endomorphisms(recipe, rng, 6, require_singular=True):
+            chain, _ = kernel_chain(phi)
+            elements = list(chain.basis) + [random_element(algebra, rng) for _ in range(3)]
+            if chain.basis:
+                elements.append(vec_add(chain.basis[-1], algebra.unit))
+            for a in elements:
+                try:
+                    expected = ref_kernel_chain_preimage(phi, a)
+                except NotInKernelChain:
+                    with pytest.raises(NotInKernelChain):
+                        kernel_chain_preimage(phi, a)
+                    compared[False] += 1
+                    continue
+                assert kernel_chain_preimage(phi, a) == expected
+                compared[True] += 1
+    assert compared[True] >= 20 and compared[False] >= 20, compared
+
+
+def test_kernel_chain_preimage_needs_every_term(jet2):
+    # t -> t^2 kills t only at the second power, so the preimage of t is t + t^2
+    t, t2 = jet2.basis_element(1), jet2.basis_element(2)
+    square = AlgebraEndo.certify(jet2, Mat.from_columns([jet2.unit, t2, zero_vec(3)]))
+    assert kernel_chain_preimage(square, t) == vec_add(t, t2)
+    assert kernel_chain_preimage(square, t2) == t2
+    with pytest.raises(NotInKernelChain):
+        kernel_chain_preimage(square, jet2.unit)
