@@ -11,6 +11,11 @@ fractions (Bareiss, Math. Comp. 1968), keeping each row divided by its
 content; only the finished pivot rows are divided by their pivots, which
 gives the same unique reduced echelon form as rational elimination.
 Subspace membership likewise works on one integer copy of the echelon basis.
+Matrices have one integer kernel: each Mat keeps its integer form (L, A),
+L the lcm of its denominators and A = L M, and products, powers,
+matrix-vector products and polynomials in a matrix multiply integers and
+make one Fraction per nonzero entry of the result, over the product of the
+scales.  The nilpotency test makes no Fraction at all.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -67,11 +73,27 @@ def is_zero_vec(a: Vec) -> bool:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable rational matrix, row-major."""
+    """Immutable rational matrix, row-major.
+
+    Products, powers and matrix-vector products work on the integer form
+    (L, A), built on first use and kept out of equality, hashing and repr.
+    """
 
     rows: int
     cols: int
     entries: tuple[tuple[Fraction, ...], ...]
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, A): L the lcm of the denominators of all entries, A = L M."""
+        scale = lcm(*(x.denominator for row in self.entries for x in row))
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                            for row in self.entries)
+
+    @staticmethod
+    def _from_integers(ints: Sequence[Sequence[int]], cols: int, scale: int) -> "Mat":
+        """The matrix ints / scale."""
+        return Mat(len(ints), cols, tuple(_rational_row(row, scale) for row in ints))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Mat":
@@ -104,10 +126,12 @@ class Mat:
         return [self.column(j) for j in range(self.cols)]
 
     def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product."""
+        """Matrix-vector product: with v = w / Lv, it is A w over L Lv."""
         if len(v) != self.cols:
             raise DimensionMismatch(f"expected length {self.cols}, got {len(v)}")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols) if v[j]), ZERO) for r in self.entries)
+        scale, ints = self.integer_form
+        lv, w = _integer_row(v)
+        return _rational_row([sum(map(mul, row, w)) for row in ints], scale * lv)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -126,27 +150,33 @@ class Mat:
         return Mat(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Matrix product: A B over La Lb."""
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        bt = list(zip(*other.entries)) if other.entries else []
-        grid = tuple(
-            tuple(sum((a[k] * col[k] for k in range(self.cols) if a[k]), ZERO) for col in bt)
-            for a in self.entries
-        )
-        return Mat(self.rows, other.cols, grid)
+        la, a = self.integer_form
+        lb, b = other.integer_form
+        return Mat._from_integers(_integer_matmul(a, b, other.cols), other.cols, la * lb)
 
     def power(self, k: int) -> "Mat":
+        """M^k for k >= 0: A^k over L^k."""
+        scale, ints = self._integer_power(k)
+        return Mat._from_integers(ints, self.cols, scale)
+
+    def _integer_power(self, k: int) -> tuple[int, list[list[int]]]:
+        """(L^k, A^k), by repeated squaring on integers."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        result = None
-        base = self
+        n = self.rows
+        scale, base = self.integer_form
+        result = [[int(r == c) for c in range(n)] for r in range(n)] if k == 0 else None
+        scale **= k
         while k:
             if k & 1:
-                result = base if result is None else result * base
+                result = base if result is None else _integer_matmul(result, base, n)
             k >>= 1
             if k:
-                base = base * base
-        return Mat.identity(self.rows) if result is None else result
+                base = _integer_matmul(base, base, n)
+        return scale, result
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -161,6 +191,18 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(L, L * row) for L the lcm of the row's denominators."""
     scale = lcm(*(x.denominator for x in row))
     return scale, [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _rational_row(ints: Sequence[int], scale: int) -> Vec:
+    """The row ints / scale, with one Fraction per nonzero entry."""
+    return tuple([Fraction(x, scale) if x else ZERO for x in ints])
+
+
+def _integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                    cols: int) -> list[list[int]]:
+    """The product of integer matrices given by rows; b has cols columns."""
+    bt = list(zip(*b)) if b else [()] * cols
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -217,10 +259,7 @@ def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]
     ncols = len(rows[0])
     ints = [_integer_row(row)[1] for row in rows]
     pivots = _integer_rref(ints)
-    out = []
-    for row, c in zip(ints, pivots):
-        a = row[c]
-        out.append(tuple([Fraction(x, a) if x else ZERO for x in row]))
+    out = [_rational_row(row, row[c]) for row, c in zip(ints, pivots)]
     out.extend([(ZERO,) * ncols] * (len(rows) - len(pivots)))
     return out, pivots
 
@@ -296,8 +335,7 @@ class Subspace:
         """Residual of v after eliminating against the basis."""
         scale, w = _integer_row(v)
         residual = self._integer_residual(w)
-        scale *= self._integer_rows[0]
-        return tuple(Fraction(x, scale) if x else ZERO for x in residual)
+        return _rational_row(residual, scale * self._integer_rows[0])
 
     def _integer_residual(self, w: list[int]) -> list[int]:
         """L times the residual of the integer vector w, L as in _integer_rows.
@@ -354,16 +392,23 @@ def full_space(n: int) -> Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space {x : m x = 0} in canonical form."""
-    reduced, pivots, rank = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    return _integer_kernel([_integer_row(row)[1] for row in m.entries], m.cols)
+
+
+def _integer_kernel(ints: list[list[int]], ncols: int) -> Subspace:
+    """Null space of the integer rows, each of length ncols; reduces them in place."""
+    pivots = _integer_rref(ints)
     basis = []
-    for f in free:
-        v = [ZERO] * m.cols
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.entries[r][f]
+        for row, p in zip(ints, pivots):
+            if row[f]:
+                v[p] = Fraction(-row[f], row[p])
         basis.append(tuple(v))
-    return span(basis, m.cols)
+    return span(basis, ncols)
 
 
 def column_space(m: Mat) -> Subspace:
@@ -493,12 +538,27 @@ class Poly:
         return acc
 
     def eval_matrix(self, m: Mat) -> Mat:
-        """p(M) by Horner's rule."""
-        acc = Mat.zeros(m.rows, m.cols)
-        ident = Mat.identity(m.rows)
-        for c in reversed(self.coeffs):
-            acc = acc * m + ident.scale(c)
-        return acc
+        """p(M) by Horner's rule on integers.
+
+        With M = A / L and coefficients c_i = C_i / Lc, the Horner steps
+        S <- S A + C_i L^(d-i) I leave sum_i C_i A^i L^(d-i), which is p(M)
+        over Lc L^d, d the degree.
+        """
+        if self.is_zero():
+            return Mat.zeros(m.rows, m.cols)
+        if m.rows != m.cols:
+            raise DimensionMismatch("inner dimensions differ")
+        n = m.rows
+        scale, a = m.integer_form
+        lc, cs = _integer_row(self.coeffs)
+        acc = [[cs[-1] if r == c else 0 for c in range(n)] for r in range(n)]
+        power = 1
+        for c in reversed(cs[:-1]):
+            power *= scale
+            acc = _integer_matmul(acc, a, n)
+            for r in range(n):
+                acc[r][r] += c * power
+        return Mat._from_integers(acc, n, lc * power)
 
     def rational_roots(self) -> list[Fraction]:
         """All rational roots, via the rational-root bound on a cleared form."""
@@ -565,12 +625,12 @@ def _divisors(n: int) -> list[int]:
 
 
 def is_nilpotent(m: Mat) -> bool:
-    """m^n = 0 for an n x n matrix m.
+    """m^n = 0 for an n x n matrix m, decided as A^n = 0 on the integer form.
 
     Exact by Cayley-Hamilton: the verdict is the same as asking whether the
     minimal polynomial is a pure power of t.
     """
-    return m.power(m.rows).is_zero()
+    return not any(map(any, m._integer_power(m.rows)[1]))
 
 
 def minimal_polynomial(m: Mat) -> Poly:

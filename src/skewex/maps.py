@@ -6,6 +6,13 @@ on the algebraic meaning of the matrix it is handed.  An E-derivation is
 certified by its definition, I - m being an endomorphism, and that one check
 also certifies the phi it carries.  Each map computes its minimal polynomial
 at most once.
+
+The certificates run on integers: the matrix's integer form (L, A) from
+linalg and the algebra's integer structure constants, summed by the one
+integer product loop of algebra.  Each basis pair compares two integer
+vectors that are both sides of the identity over one common denominator, so
+the verdicts and witnesses are those of the rational identity.  The
+derivation space is solved from integer rows built from the same constants.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Algebra, is_ideal, quotient, quotient_section
+from .algebra import Algebra, _integer_product, is_ideal, quotient, quotient_section
 from .errors import (
+    DimensionMismatch,
     NotAutomorphism,
     NotDerivation,
     NotEndomorphism,
@@ -30,7 +38,7 @@ from .linalg import (
     Poly,
     Subspace,
     Vec,
-    ZERO,
+    _integer_kernel,
     inverse,
     is_zero_vec,
     kernel,
@@ -63,18 +71,64 @@ class LinearEndo:
         return minimal_polynomial(self.matrix)
 
 
+def _integer_columns(m: Mat, rows: int, cols: int) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(L, columns): the nonzero (r, A[r][c]) of each column c of the integer
+    form of m, which must be rows x cols."""
+    if (m.rows, m.cols) != (rows, cols):
+        raise DimensionMismatch(f"expected a {rows} x {cols} matrix, got {m.rows} x {m.cols}")
+    scale, ints = m.integer_form
+    return scale, [[(r, row[c]) for r, row in enumerate(ints) if row[c]] for c in range(m.cols)]
+
+
+def _integer_image(columns: list[list[tuple[int, int]]], xs, rows: int) -> list[int]:
+    """A x for the sparse columns of A and the nonzero (k, x) pairs of x."""
+    out = [0] * rows
+    for k, x in xs:
+        for r, a in columns[k]:
+            out[r] += a * x
+    return out
+
+
 def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Product rule D(ab) = D(a)b + aD(b) on all basis pairs; witness on failure."""
-    images = m.columns()
-    for i in range(algebra.dim):
-        ei = algebra.basis_element(i)
-        for j in range(algebra.dim):
-            ej = algebra.basis_element(j)
-            lhs = m.apply(algebra.sc[i][j])
-            rhs = vec_add(algebra.multiply(images[i], ej), algebra.multiply(ei, images[j]))
+    """Product rule D(ab) = D(a)b + aD(b) on all basis pairs; witness on failure.
+
+    With D = A / L and the constants C / Lc, both sides of the rule on
+    (e_i, e_j) are integer vectors over L Lc: A C_ij on the left, and
+    sum A_i e_j C + sum e_i A_j C on the right, A_i the i-th column of A.
+    """
+    _, columns = _integer_columns(m, algebra.dim, algebra.dim)
+    table = algebra.integer_sc[1]
+    for i, row in enumerate(table):
+        for j, product in enumerate(row):
+            lhs = _integer_image(columns, product, algebra.dim)
+            rhs = [x + y for x, y in zip(_integer_product(table, columns[i], [(j, 1)]),
+                                         _integer_product(table, [(i, 1)], columns[j]))]
             if lhs != rhs:
                 return False, (i, j)
     return True, None
+
+
+def _first_unmultiplicative_pair(source: Algebra, target: Algebra,
+                                 m: Mat) -> Optional[tuple[int, int]]:
+    """First basis pair (i, j) of source, in row-major order, with
+    m(e_i e_j) != m(e_i) m(e_j) in target; None when m is multiplicative.
+
+    With m = A / L and the constants Cs / Ls of source and Ct / Lt of target,
+    m(e_i e_j) is A Cs_ij over L Ls and m(e_i) m(e_j) is sum A_i A_j Ct over
+    L^2 Lt, A_i the i-th column of A; so the two agree exactly when
+    L Lt (A Cs_ij) = Ls (sum A_i A_j Ct).
+    """
+    scale, columns = _integer_columns(m, target.dim, source.dim)
+    source_scale, source_table = source.integer_sc
+    target_scale, target_table = target.integer_sc
+    left = scale * target_scale
+    for i, row in enumerate(source_table):
+        for j, product in enumerate(row):
+            lhs = _integer_image(columns, product, m.rows)
+            rhs = _integer_product(target_table, columns[i], columns[j])
+            if any(left * x != source_scale * y for x, y in zip(lhs, rhs)):
+                return i, j
+    return None
 
 
 def is_endomorphism(
@@ -83,12 +137,8 @@ def is_endomorphism(
     """Multiplicativity on all basis pairs, plus unit preservation when required."""
     if require_unital and m.apply(algebra.unit) != algebra.unit:
         return False, ("unit",)
-    images = m.columns()
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            if m.apply(algebra.sc[i][j]) != algebra.multiply(images[i], images[j]):
-                return False, (i, j)
-    return True, None
+    pair = _first_unmultiplicative_pair(algebra, algebra, m)
+    return pair is None, pair
 
 
 def is_automorphism(algebra: Algebra, m: Mat, require_unital: bool = True) -> bool:
@@ -263,10 +313,8 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
         return InducedQuotient(algebra, ident, AlgebraEndo(algebra, phi.matrix, phi.unital), chain)
     quot, proj = quotient(algebra, chain)
     induced_matrix = proj * phi.matrix * quotient_section(algebra, chain)
-    for c in range(algebra.dim):
-        e = algebra.basis_element(c)
-        if induced_matrix.apply(proj.apply(e)) != proj.apply(phi.matrix.apply(e)):
-            raise SkewexError("induced map does not commute with the projection")
+    if induced_matrix * proj != proj * phi.matrix:
+        raise SkewexError("induced map does not commute with the projection")
     induced = AlgebraEndo.certify(quot, induced_matrix)
     if rref(induced_matrix)[2] != quot.dim:
         raise SkewexError("induced map on the kernel-chain quotient must be injective")
@@ -336,30 +384,28 @@ def derivation_space(algebra: Algebra) -> list[Derivation]:
     """Basis of the space of derivations, by solving the product-rule system.
 
     Unknowns are the n^2 matrix entries; each basis pair contributes n scalar
-    equations.  Every returned map re-passes the certificate.
+    equations, as integer rows read off the integer structure constants (the
+    common scale of the constants does not change the kernel).  Every
+    returned map re-passes the certificate.
     """
     n = algebra.dim
+    table = algebra.integer_sc[1]
     rows = []
     for i in range(n):
         for j in range(n):
-            prod = algebra.sc[i][j]
-            for k in range(n):
-                # coefficient of m[r][c]: from D(e_i e_j) minus D(e_i)e_j + e_i D(e_j)
-                row = [ZERO] * (n * n)
-                for c in range(n):
-                    if prod[c]:
-                        row[k * n + c] += prod[c]
-                for r in range(n):
-                    # D(e_i) = column i of m; (D(e_i) e_j)_k = sum_r m[r][i] sc[r][j][k]
-                    coeff = algebra.sc[r][j][k]
-                    if coeff:
-                        row[r * n + i] -= coeff
-                    coeff = algebra.sc[i][r][k]
-                    if coeff:
-                        row[r * n + j] -= coeff
-                rows.append(row)
-    system = Mat.from_rows(rows)
-    null = kernel(system)
+            # row k: coefficients of m[r][c] in D(e_i e_j)_k - (D(e_i) e_j)_k - (e_i D(e_j))_k
+            block = [[0] * (n * n) for _ in range(n)]
+            for c, x in table[i][j]:
+                for k in range(n):
+                    block[k][k * n + c] += x
+            for r in range(n):
+                # D(e_i) = column i of m; (D(e_i) e_j)_k = sum_r m[r][i] sc[r][j][k]
+                for k, x in table[r][j]:
+                    block[k][r * n + i] -= x
+                for k, x in table[i][r]:
+                    block[k][r * n + j] -= x
+            rows.extend(block)
+    null = _integer_kernel(rows, n * n)
     result = []
     for v in null.basis:
         m = Mat.from_rows([[v[r * n + c] for c in range(n)] for r in range(n)])

@@ -19,7 +19,7 @@ from itertools import permutations, product as iter_product
 from typing import Optional, Sequence
 
 from .algebra import Algebra, direct_product
-from .errors import NotEndomorphism, NotInvertible, SkewexError
+from .errors import NotInvertible, SkewexError
 from .linalg import Mat, Vec, ZERO, ONE, inverse, is_nilpotent, rat, zero_vec
 from .maps import (
     AlgebraEndo,
@@ -99,18 +99,27 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
 def permutation_automorphisms(algebra: Algebra, limit: int = 24) -> list[AlgebraEndo]:
     """Basis permutations that happen to be algebra automorphisms.
 
-    Searched exhaustively for small dimensions only.
+    Searched exhaustively for small dimensions only.  The map e_k -> e_pi(k)
+    sends e_i e_j = sum_k c_ijk e_k to sum_k c_ijk e_pi(k), and the unit
+    sum_k u_k e_k to sum_k u_k e_pi(k).  So it is a unital endomorphism
+    exactly when u_pi(k) = u_k and c_pi(i)pi(j)pi(k) = c_ijk for all i, j,
+    k, a comparison of constants with no products; a permutation that
+    passes needs no further certificate.
     """
     n = algebra.dim
     if n > 6:
         return []
+    unit = algebra.unit
+    table = algebra.integer_sc[1]
     out = []
     for perm in permutations(range(n)):
-        m = Mat.from_columns([algebra.basis_element(perm[j]) for j in range(n)])
-        try:
-            out.append(AlgebraEndo.certify(algebra, m))
-        except NotEndomorphism:
+        if any(unit[p] != unit[k] for k, p in enumerate(perm)):
             continue
+        if any(tuple(sorted((perm[k], c) for k, c in product)) != table[perm[i]][perm[j]]
+               for i, row in enumerate(table) for j, product in enumerate(row)):
+            continue
+        m = Mat.from_columns([algebra.basis_element(perm[j]) for j in range(n)])
+        out.append(AlgebraEndo(algebra, m))
         if len(out) >= limit:
             break
     return out

@@ -1,0 +1,374 @@
+"""Differential tests of the integer matrix kernel against the Fraction code.
+
+The reference functions below are Mat's product, matrix-vector product and
+power, Poly.eval_matrix, the endomorphism and derivation certificates and
+the product-rule system of derivation_space as they were before they moved
+to the integer form (L, A) of a matrix.  The library must agree with them
+exactly, witnesses included, on seeded random matrices (with denominators,
+zero rows and columns, empty and non-square shapes), on the maps of the test
+corpus and on explorer maps after a basis change.  A last test makes sure
+that the certificates and the nilpotency test do no Fraction arithmetic.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from skewex.algebra import change_of_basis, cyclic_group_algebra, matrix_algebra
+from skewex.errors import DimensionMismatch
+from skewex.explorer import random_basis_change, random_recipe
+from skewex.laurent import laurent_quotient
+from skewex.linalg import ONE, ZERO, Mat, Poly, inverse, is_nilpotent, kernel
+from skewex.maps import (
+    _first_unmultiplicative_pair,
+    derivation_space,
+    inner_automorphism,
+    inner_derivation,
+    is_derivation,
+    is_endomorphism,
+)
+from skewex.ore import ore_quotient
+from skewex.sampling import sample_automorphisms
+
+F = Fraction
+
+
+# -- reference code ----------------------------------------------------------
+
+def ref_apply(m, v):
+    if len(v) != m.cols:
+        raise DimensionMismatch(f"expected length {m.cols}, got {len(v)}")
+    return tuple(sum((r[j] * v[j] for j in range(m.cols) if v[j]), ZERO) for r in m.entries)
+
+
+def ref_mul(a, b):
+    if a.cols != b.rows:
+        raise DimensionMismatch("inner dimensions differ")
+    bt = list(zip(*b.entries)) if b.entries else []
+    grid = tuple(
+        tuple(sum((r[k] * col[k] for k in range(a.cols) if r[k]), ZERO) for col in bt)
+        for r in a.entries
+    )
+    return Mat(a.rows, b.cols, grid)
+
+
+def ref_power(m, k):
+    if m.rows != m.cols:
+        raise DimensionMismatch("power of a non-square matrix")
+    result = None
+    base = m
+    while k:
+        if k & 1:
+            result = base if result is None else ref_mul(result, base)
+        k >>= 1
+        if k:
+            base = ref_mul(base, base)
+    return Mat.identity(m.rows) if result is None else result
+
+
+def ref_eval_matrix(p, m):
+    acc = Mat.zeros(m.rows, m.cols)
+    ident = Mat.identity(m.rows)
+    for c in reversed(p.coeffs):
+        acc = ref_mul(acc, m) + ident.scale(c)
+    return acc
+
+
+def ref_multiply(algebra, x, y):
+    """x y summed over the dense Fraction structure constants."""
+    out = [ZERO] * algebra.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k, c in enumerate(algebra.sc[i][j]):
+                    out[k] += a * b * c
+    return tuple(out)
+
+
+def ref_is_derivation(algebra, m):
+    images = m.columns()
+    for i in range(algebra.dim):
+        ei = algebra.basis_element(i)
+        for j in range(algebra.dim):
+            ej = algebra.basis_element(j)
+            lhs = ref_apply(m, algebra.sc[i][j])
+            rhs = tuple(x + y for x, y in zip(ref_multiply(algebra, images[i], ej),
+                                              ref_multiply(algebra, ei, images[j])))
+            if lhs != rhs:
+                return False, (i, j)
+    return True, None
+
+
+def ref_first_unmultiplicative_pair(source, target, m):
+    images = m.columns()
+    for i in range(source.dim):
+        for j in range(source.dim):
+            if ref_apply(m, source.sc[i][j]) != ref_multiply(target, images[i], images[j]):
+                return i, j
+    return None
+
+
+def ref_is_endomorphism(algebra, m, require_unital=True):
+    if require_unital and ref_apply(m, algebra.unit) != algebra.unit:
+        return False, ("unit",)
+    pair = ref_first_unmultiplicative_pair(algebra, algebra, m)
+    return pair is None, pair
+
+
+def ref_derivation_space(algebra):
+    """The kernel basis of the product-rule system assembled in Fractions."""
+    n = algebra.dim
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            prod = algebra.sc[i][j]
+            for k in range(n):
+                row = [ZERO] * (n * n)
+                for c in range(n):
+                    if prod[c]:
+                        row[k * n + c] += prod[c]
+                for r in range(n):
+                    coeff = algebra.sc[r][j][k]
+                    if coeff:
+                        row[r * n + i] -= coeff
+                    coeff = algebra.sc[i][r][k]
+                    if coeff:
+                        row[r * n + j] -= coeff
+                rows.append(row)
+    null = kernel(Mat.from_rows(rows))
+    return [Mat.from_rows([[v[r * n + c] for c in range(n)] for r in range(n)])
+            for v in null.basis]
+
+
+# -- inputs ------------------------------------------------------------------
+
+def fresh(m):
+    """The same matrix without its cached integer form."""
+    return Mat(m.rows, m.cols, m.entries)
+
+
+def random_matrix(rng, rows, cols):
+    def entry():
+        if rng.random() < 0.4:
+            return ZERO
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows and rng.random() < 0.3:
+        grid[rng.randrange(rows)] = [ZERO] * cols
+    if cols and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = ZERO
+    return Mat(rows, cols, tuple(map(tuple, grid)))
+
+
+def random_poly(rng):
+    if rng.random() < 0.1:
+        return Poly.zero()
+    return Poly.of([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))])
+
+
+def scale_of(m):
+    return m.integer_form[0]
+
+
+def perturbed(rng, m):
+    """m with one entry moved by a small rational."""
+    rows = [list(r) for r in m.entries]
+    r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+    rows[r][c] += F(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+    return Mat.from_rows(rows)
+
+
+def explorer_algebras(seeds=range(24)):
+    """Seeded explorer products of dimension <= 4, each after a basis change."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        algebra = random_basis_change(random_recipe(rng, 4).algebra, rng)
+        out.append((f"explore{seed}", algebra, rng))
+    return out
+
+
+def corpus_and_explorer(corpus):
+    out = [(name, algebra, random.Random(len(name))) for name, algebra in corpus.items()
+           if algebra.dim <= 4]
+    return out + explorer_algebras()
+
+
+# -- matrices ----------------------------------------------------------------
+
+def test_products_powers_and_polynomials_match_fraction_code():
+    rng = random.Random(2024)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (4, 4), (5, 5), (6, 1)]
+    scaled = 0
+    for _ in range(40):
+        for rows, cols in shapes:
+            a = random_matrix(rng, rows, cols)
+            v = tuple(random_matrix(rng, 1, cols).entries[0]) if cols else ()
+            assert a.apply(v) == ref_apply(a, v)
+            for inner in (0, 1, 3):
+                b = random_matrix(rng, cols, inner)
+                if rows and cols == 0 and inner:
+                    # the Fraction product left rows of length 0 here
+                    assert a * b == Mat.zeros(rows, inner)
+                else:
+                    assert a * b == ref_mul(a, b), (rows, cols, inner)
+            with pytest.raises(DimensionMismatch):
+                _ = a * random_matrix(rng, cols + 1, 2)
+            p = random_poly(rng)
+            if rows == cols:
+                for k in range(6):
+                    assert fresh(a).power(k) == ref_power(a, k), (rows, k)
+                assert p.eval_matrix(a) == ref_eval_matrix(p, a), (rows, p)
+                assert is_nilpotent(a) == ref_power(a, rows).is_zero()
+                scaled += scale_of(a) > 1
+            else:
+                with pytest.raises(DimensionMismatch):
+                    a.power(2)
+                if p.is_zero():
+                    assert p.eval_matrix(a) == ref_eval_matrix(p, a)
+                else:
+                    with pytest.raises(DimensionMismatch):
+                        p.eval_matrix(a)
+                    with pytest.raises(DimensionMismatch):
+                        ref_eval_matrix(p, a)
+    assert scaled > 50
+
+
+def test_nilpotency_matches_fraction_powers():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        upper = Mat.from_rows([[F(rng.randint(-3, 3), rng.randint(1, 3)) if c > r else 0
+                                for c in range(n)] for r in range(n)])
+        t = random_matrix(rng, n, n)
+        if inverse(t) is None:
+            continue
+        for m in (inverse(t) * upper * t, upper + Mat.identity(n).scale(F(1, 5)),
+                  random_matrix(rng, n, n)):
+            verdict = is_nilpotent(fresh(m))
+            assert verdict == ref_power(m, n).is_zero()
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+# -- certificates --------------------------------------------------------------
+
+def check_certificates(algebra, m, witnesses):
+    for unital in (True, False):
+        got = is_endomorphism(algebra, fresh(m), unital)
+        assert got == ref_is_endomorphism(algebra, m, unital)
+        witnesses.add(("endo", got[1] if got[1] is None or got[1] == ("unit",) else "pair"))
+    got = is_derivation(algebra, fresh(m))
+    assert got == ref_is_derivation(algebra, m)
+    witnesses.add(("derivation", got[1] is None))
+    return got
+
+
+def certificate_inputs(algebra, rng):
+    """Certified maps of the algebra, their perturbations and random matrices."""
+    maps = [d.matrix for d in derivation_space(algebra)]
+    maps += [phi.matrix for phi in sample_automorphisms(algebra, rng, 4)]
+    maps += [perturbed(rng, m) for m in list(maps)]
+    maps += [random_matrix(rng, algebra.dim, algebra.dim) for _ in range(2)]
+    return maps
+
+
+def test_certificates_match_fraction_code(corpus):
+    witnesses = set()
+    pairs = set()
+    scaled_endomorphisms = 0
+    for name, algebra, rng in corpus_and_explorer(corpus):
+        for m in certificate_inputs(algebra, rng):
+            check_certificates(algebra, m, witnesses)
+            ok, pair = is_endomorphism(algebra, m, False)
+            pairs.add(pair)
+            scaled_endomorphisms += ok and scale_of(m) > 1
+    assert witnesses == {("endo", None), ("endo", ("unit",)), ("endo", "pair"),
+                         ("derivation", True), ("derivation", False)}
+    # witnesses away from the first row and column were reached
+    assert any(p is not None and min(p) > 0 for p in pairs)
+    # the factor L of the endomorphism comparison matters on these maps
+    assert scaled_endomorphisms >= 10
+
+
+def test_certificates_on_m3_maps(corpus):
+    m3 = corpus["m3"]
+    rng = random.Random(3)
+    u = tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(9))
+    witnesses = set()
+    for m in (inner_derivation(m3, u).matrix, inner_automorphism(m3, m3.unit).matrix):
+        check_certificates(m3, m, witnesses)
+        check_certificates(m3, perturbed(rng, m), witnesses)
+    assert ("derivation", False) in witnesses
+
+
+def test_homomorphisms_between_algebras_match_fraction_code(corpus):
+    """The multiplicativity pass of the extension verifier: embeddings into
+    extensions, and the maps between an algebra and its basis change, whose
+    structure constants have other scales."""
+    rng = random.Random(77)
+    cases = []
+    for name in ("dual", "jet2", "ut2", "m2"):
+        algebra = corpus[name]
+        d = derivation_space(algebra)[-1]
+        result = ore_quotient(algebra, d)
+        cases.append((algebra, result.algebra, result.embed))
+        phi = sample_automorphisms(algebra, random.Random(5), 2)[-1]
+        result = laurent_quotient(algebra, phi)
+        cases.append((algebra, result.algebra, result.embed))
+        t = Mat.from_rows([[F(rng.randint(-2, 2), rng.randint(1, 3)) if r != c else ONE
+                            for c in range(algebra.dim)] for r in range(algebra.dim)])
+        if inverse(t) is not None:
+            changed = change_of_basis(algebra, t)
+            cases += [(changed, algebra, t), (algebra, changed, inverse(t))]
+    found = set()
+    for source, target, m in cases:
+        for n in (m, perturbed(rng, m)):
+            got = _first_unmultiplicative_pair(source, target, fresh(n))
+            assert got == ref_first_unmultiplicative_pair(source, target, n)
+            found.add(got is None)
+    assert found == {True, False}
+    assert any(s.integer_sc[0] != t.integer_sc[0] for s, t, _ in cases)
+
+
+def test_derivation_space_matches_fraction_system(corpus):
+    algebras = list(corpus.items()) + [(name, a) for name, a, _ in explorer_algebras()]
+    algebras.append(("c4", cyclic_group_algebra(4)))
+    for name, algebra in algebras:
+        assert [d.matrix for d in derivation_space(algebra)] == ref_derivation_space(algebra), name
+
+
+# -- no Fraction arithmetic -----------------------------------------------------
+
+def test_certificates_and_nilpotency_do_no_fraction_arithmetic(monkeypatch):
+    m2 = matrix_algebra(2)
+    u = (F(1, 2), F(-2, 3), F(5, 7), F(3, 4))
+    d = inner_derivation(m2, u).matrix
+    phi = inner_automorphism(m2, (F(2), F(1, 3), ZERO, F(-1, 5))).matrix
+    nilpotent = Mat.from_rows([[F(1, 2), F(-1, 4)], [1, F(-1, 2)]])
+    counts = {"mul": 0, "add": 0}
+
+    def counting(name, method):
+        def wrapper(a, b):
+            counts[name] += 1
+            return method(a, b)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__mul__", counting("mul", Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__add__", counting("add", Fraction.__add__))
+    assert Fraction(1, 2) * Fraction(1, 3) + Fraction(1) == Fraction(7, 6)
+    assert counts == {"mul": 1, "add": 1}
+    counts.update(mul=0, add=0)
+
+    assert is_nilpotent(fresh(nilpotent))
+    assert not is_nilpotent(fresh(phi))
+    assert is_derivation(m2, fresh(d)) == (True, None)
+    assert is_derivation(m2, fresh(phi))[0] is False
+    assert is_endomorphism(m2, fresh(phi)) == (True, None)
+    assert is_endomorphism(m2, fresh(d), False)[0] is False
+    assert counts == {"mul": 0, "add": 0}

@@ -3,15 +3,25 @@
 The reference below is the sampler as it was before it learned to skip
 repeated coefficient tuples, to test nilpotency by M^n = 0 and to certify
 only the derivations it keeps.  The library must return the same matrices in
-the same order and leave the random generator in the same state.
+the same order and leave the random generator in the same state.  The
+permutation search is compared with certifying every basis permutation.
 """
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from skewex.algebra import change_of_basis, poly_quotient
+from skewex.algebra import (
+    change_of_basis,
+    cyclic_group_algebra,
+    direct_product,
+    matrix_algebra,
+    poly_quotient,
+)
+from skewex.errors import NotEndomorphism
+from skewex.explorer import BLOCK_POLYS
 from skewex.linalg import Mat, Poly, inverse, is_nilpotent, rat
 from skewex.maps import (
     AlgebraEndo,
@@ -21,7 +31,11 @@ from skewex.maps import (
     is_derivation,
     local_finiteness_report,
 )
-from skewex.sampling import nilpotent_derivations, sample_automorphisms
+from skewex.sampling import (
+    nilpotent_derivations,
+    permutation_automorphisms,
+    sample_automorphisms,
+)
 
 F = Fraction
 
@@ -53,6 +67,23 @@ def reference_nilpotent_derivations(algebra, rng, count, tries=200):
             seen.add(m.entries)
             found.append(candidate)
     return found[:count]
+
+
+def reference_permutation_automorphisms(algebra, limit=24):
+    """Certify every basis permutation on all basis pairs."""
+    n = algebra.dim
+    if n > 6:
+        return []
+    out = []
+    for perm in permutations(range(n)):
+        m = Mat.from_columns([algebra.basis_element(perm[j]) for j in range(n)])
+        try:
+            out.append(AlgebraEndo.certify(algebra, m))
+        except NotEndomorphism:
+            continue
+        if len(out) >= limit:
+            break
+    return out
 
 
 # -- the algebras ------------------------------------------------------------
@@ -223,3 +254,28 @@ def test_is_nilpotent_agrees_with_minimal_polynomial(corpus):
         for d in derivation_space(algebra):
             assert is_nilpotent(d.matrix) == local_finiteness_report(d).is_ln
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+# -- the permutation search ----------------------------------------------------
+
+def test_permutation_automorphisms_match_certified_permutations(algebras):
+    """Every corpus algebra, every explorer block, products of two blocks,
+    and seeded basis changes of the blocks."""
+    rng = random.Random(8080)
+    blocks = [poly_quotient(f) for f in BLOCK_POLYS]
+    blocks += [matrix_algebra(2)] + [cyclic_group_algebra(m) for m in (2, 3, 4)]
+    cases = dict(algebras)
+    for k, block in enumerate(blocks):
+        cases[f"block{k}"] = block
+        cases[f"block{k}_basis_changed"] = change_of_basis(block, random_invertible(rng, block.dim))
+        for other in blocks[k:]:
+            if block.dim + other.dim <= 6:
+                cases[f"block{k}x{other.labels}"] = direct_product(block, other)
+    found = 0
+    for name, algebra in cases.items():
+        expected = reference_permutation_automorphisms(algebra)
+        got = permutation_automorphisms(algebra)
+        assert got == expected, name
+        found += len(got) > 1
+    # algebras with automorphisms besides the identity were reached
+    assert found >= 30
