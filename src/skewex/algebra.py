@@ -14,6 +14,7 @@ Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Callable, Optional, Sequence
 
@@ -103,6 +104,8 @@ class Algebra:
     only those pairs and the nonzero entries of the factors, so its cost
     follows the number of nonzero constants (n^3 of the n^6 for M_n) rather
     than dim^3, and it makes one Fraction per nonzero entry of the product.
+    The regular trace is linear, so trace_vector, the traces of the basis
+    elements, is built once on first use and trace_of is a dot product with it.
     """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
@@ -144,8 +147,17 @@ class Algebra:
         cols = [self.multiply(self.basis_element(j), x) for j in range(self.dim)]
         return Mat.from_columns(cols)
 
+    @cached_property
+    def trace_vector(self) -> Vec:
+        """t_i = sum_j c[i][j][j], the regular trace of e_i."""
+        return tuple(sum((self.sc[i][j][j] for j in range(self.dim)), ZERO)
+                     for i in range(self.dim))
+
     def trace_of(self, x: Vec) -> Fraction:
-        return self.left_regular(x).trace()
+        """Trace of left multiplication by x, read off the trace vector: sum x_i t_i."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("element length differs from algebra dimension")
+        return sum((a * t for a, t in zip(x, self.trace_vector) if a), ZERO)
 
     def is_commutative(self) -> bool:
         return all(
@@ -332,17 +344,11 @@ def quotient_section(algebra: Algebra, ideal: Subspace) -> Mat:
 def radical(algebra: Algebra) -> Subspace:
     """Kernel of the trace form (x, y) -> trace(mu(x y)); the maximal nilpotent ideal.
 
-    Verified nilpotent as an ideal before returning.
+    The Gram entry of (e_i, e_j) is trace_of(sc[i][j]), a dot product with the
+    trace vector.  Verified nilpotent as an ideal before returning.
     """
-    traces = [algebra.trace_of(algebra.basis_element(k)) for k in range(algebra.dim)]
-    gram = Mat.from_rows([
-        [
-            sum((algebra.sc[i][j][k] * traces[k] for k in range(algebra.dim)
-                 if algebra.sc[i][j][k]), ZERO)
-            for i in range(algebra.dim)
-        ]
-        for j in range(algebra.dim)
-    ])
+    gram = Mat.from_rows([[algebra.trace_of(algebra.sc[i][j]) for i in range(algebra.dim)]
+                          for j in range(algebra.dim)])
     rad = kernel(gram)
     current = rad
     for _ in range(algebra.dim + 1):

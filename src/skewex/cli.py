@@ -15,7 +15,7 @@ import sys
 from .errors import ParseError, SkewexError, UnknownSuite, ValidationError
 from .idempotents import enumerate_idempotents
 from .laurent import laurent_quotient
-from .linalg import Poly, rat
+from .linalg import Poly
 from .maps import AlgebraEndo
 from .ore import ore_quotient
 from .serialize import (
@@ -23,6 +23,7 @@ from .serialize import (
     idempotent_set_to_json,
     load_algebra,
     parse_definitions,
+    parse_fraction,
 )
 from .suites import Report, SuiteContext, run_suite
 from .explorer import random_explorer
@@ -105,6 +106,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.trials < 0 or args.max_dim < 1:
+        raise ValidationError("explore needs --trials >= 0 and --max-dim >= 1")
     report = random_explorer(args.seed, args.trials, args.max_dim)
     emit_report(report, args.json_out)
     return report.exit_code
@@ -129,7 +132,7 @@ def cmd_extend(args) -> int:
     the_map = maps[0]
     p = None
     if args.poly:
-        p = Poly.of([rat(c.strip()) for c in args.poly.split(",")])
+        p = Poly.of([parse_fraction(c.strip(), "--poly") for c in args.poly.split(",")])
     if args.mode == "derivation":
         result = ore_quotient(algebra, the_map, p)
     else:

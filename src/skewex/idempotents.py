@@ -2,9 +2,13 @@
 
 Enumeration is exact on commutative algebras: split the semisimple quotient
 along rational eigenvalues of basis directions, lift primitives through the
-radical by the cubic Newton step, and close under orthogonal sums.  When an
-irreducible factor of degree >= 2 survives, the (still valid) partial set is
-returned flagged inconclusive rather than silently treated as complete.
+radical by the cubic Newton step, and close under orthogonal sums.  A block e
+splits along a direction d by the minimal polynomial of x = e d in the corner
+e A, the Krylov relation of its power chain e, x, x^2, ...; and since an
+idempotent's trace is its rank, trace(e) = dim e A tells a primitive block.
+When an irreducible factor of degree >= 2 survives, the (still valid)
+partial set is returned flagged inconclusive rather than silently treated as
+complete.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .linalg import (
     ONE,
     column_space,
     is_zero_vec,
-    minimal_polynomial,
+    krylov_relation,
     rat,
     rref,
     span,
@@ -68,30 +72,19 @@ class IdempotentSet:
         return [e for e in self.items if not is_zero_vec(e)]
 
 
-def _restriction_matrix(algebra: Algebra, x: Vec, corner: Subspace) -> Mat:
-    """Matrix of multiplication by x restricted to an invariant subspace."""
-    pivots = corner.pivots()
-    cols = []
-    for b in corner.basis:
-        image = algebra.multiply(x, b)
-        if not corner.contains(image):
-            raise SkewexError("multiplication does not preserve the corner")
-        cols.append(tuple(image[p] for p in pivots))
-    # RREF bases make coordinates plain reads at the pivot positions.
-    return Mat.from_columns(cols)
-
-
 def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
     """Split an idempotent block along the rational eigenvalues of a direction.
 
+    The corner e A (e the block) is a unital algebra with unit e, and x = e d
+    lies in it.  Its regular representation is faithful, so the minimal
+    polynomial of multiplication by x on e A is the least monic p with
+    p(x) = 0 there, which is the Krylov relation of the chain e, x, x^2, ...
+    A 1-dimensional corner gives a degree-1 relation and so no split.
+
     Returns the finer orthogonal idempotents (possibly just [block]).
     """
-    corner = column_space(algebra.left_regular(block))
-    if corner.dim <= 1:
-        return [block]
     x = algebra.multiply(block, direction)
-    restricted = _restriction_matrix(algebra, x, corner)
-    min_poly = minimal_polynomial(restricted).squarefree_part()
+    min_poly = krylov_relation(lambda v: algebra.multiply(v, x), block).squarefree_part()
     roots = min_poly.rational_roots()
     if not roots or min_poly.degree == 1:
         return [block]
@@ -137,19 +130,13 @@ def enumerate_idempotents(algebra: Algebra, cap: Optional[int] = None) -> Idempo
     # One pass suffices: a direction that leaves a block whole acts on it as a
     # scalar or without rational eigenvalues, and so on every later piece.
     blocks = [semisimple.unit]
-    complete = True
     for direction in range(semisimple.dim):
         blocks = [piece for block in blocks
                   for piece in _split_block(semisimple, block, semisimple.basis_element(direction))]
-    for block in blocks:
-        corner_dim = column_space(semisimple.left_regular(block)).dim
-        if corner_dim > 1:
-            complete = False
+    # trace(e) = dim eA: a block with a corner of dimension > 1 was left unsplit
+    complete = all(semisimple.trace_of(block) <= 1 for block in blocks)
 
-    primitives = []
-    for block in blocks:
-        lifted = _newton_lift(algebra, proj, section, block)
-        primitives.append(lifted)
+    primitives = [_newton_lift(algebra, proj, section, block) for block in blocks]
     for i, e in enumerate(primitives):
         for f in primitives[i + 1:]:
             if not is_zero_vec(algebra.multiply(e, f)):
@@ -317,10 +304,7 @@ def image_trace_certificate(algebra: Algebra, m: Mat) -> bool:
     cannot contain a nonzero idempotent; this certifies emptiness without any
     enumeration.
     """
-    for j in range(m.cols):
-        if algebra.trace_of(m.column(j)) != 0:
-            return False
-    return True
+    return all(algebra.trace_of(column) == 0 for column in m.columns())
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -633,30 +633,32 @@ def is_nilpotent(m: Mat) -> bool:
     return not any(map(any, m._integer_power(m.rows)[1]))
 
 
-def minimal_polynomial(m: Mat) -> Poly:
-    """Monic minimal polynomial, as the lcm of Krylov relations per basis vector.
+def krylov_relation(step: Callable[[Vec], Vec], v: Vec) -> Poly:
+    """The monic relation of least degree among v, step(v), step(step(v)), ...
 
-    For each basis vector e_i the iterates e_i, m e_i, m^2 e_i, ... are fed
-    into an echelon basis until the first linear dependence, whose
-    coefficients give the local relation polynomial.  The lcm over all i is
-    returned, after re-checking that it annihilates m.
+    The iterates are collected until the first one that is a combination of
+    those before it; its coefficients, negated, and a leading one give the
+    relation.  For v = 0 the relation is 1.
     """
+    if is_zero_vec(v):
+        return Poly.one()
+    chain = [v]
+    current = step(v)
+    while (dep := solve(Mat.from_columns(chain), current)) is None:
+        chain.append(current)
+        current = step(current)
+    return Poly.of([-c for c in dep] + [ONE])
+
+
+def minimal_polynomial(m: Mat) -> Poly:
+    """Monic minimal polynomial, as the lcm of the Krylov relations of the
+    basis vectors, re-checked to annihilate m."""
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     n = m.rows
     result = Poly.one()
     for i in range(n):
-        v = unit_vec(i, n)
-        krylov: list[Vec] = []
-        current = v
-        while True:
-            dep = solve(Mat.from_columns(krylov), current) if krylov else None
-            if krylov and dep is not None:
-                local = Poly.of([-c for c in dep] + [ONE])
-                break
-            krylov.append(current)
-            current = m.apply(current)
-        result = result.lcm(local)
+        result = result.lcm(krylov_relation(m.apply, unit_vec(i, n)))
     if not result.eval_matrix(m).is_zero():
         raise AssertionError("minimal polynomial candidate does not annihilate the matrix")
     return result

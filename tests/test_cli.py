@@ -132,6 +132,31 @@ def test_extend_rejects_bad_poly(files):
     assert "annihilate" in result.stderr
 
 
+@pytest.mark.parametrize("poly", ["0,x,1", "1/0"])
+def test_extend_rejects_unparsable_poly(files, poly):
+    result = run_cli("extend", "--mode", "derivation",
+                     "--algebra", str(files["dual"]), "--map", str(files["euler"]),
+                     "--poly", poly)
+    assert result.returncode == 2
+    assert "error: bad rational" in result.stderr and "--poly" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("bound", [("--max-dim", "0"), ("--trials", "-3")])
+def test_explore_rejects_out_of_range_bounds(bound):
+    result = run_cli("explore", "--seed", "1", "--trials", "2", "--max-dim", "2", *bound)
+    assert result.returncode == 2
+    assert "error: explore needs --trials >= 0 and --max-dim >= 1" in result.stderr
+    assert result.stdout == ""
+
+
+def test_explore_accepts_the_least_bounds():
+    result = run_cli("explore", "--seed", "1", "--trials", "1", "--max-dim", "1")
+    assert result.returncode in (0, 3), result.stderr
+    assert result.stdout
+    assert run_cli("explore", "--trials", "0", "--max-dim", "1").returncode == 0
+
+
 def test_explore_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
     r1 = run_cli("explore", "--seed", "7", "--trials", "6", "--max-dim", "4",

@@ -5,9 +5,12 @@ ideal_closure, the hand-written image spans of simple_image_check,
 ideal_constant_term and coefficient_sum_membership, the expanded
 E-derivation identity, recipe_endomorphisms as it was when it certified
 every slot map it drew, substitution_endos as it was when it certified every
-candidate, the window loop of power_span and the two loops of
-kernel_chain_preimage.  The closed forms must give the same subspaces, the
-same verdicts and the same sampled maps from the same random draws.
+candidate, the window loop of power_span, the two loops of
+kernel_chain_preimage, the corner minimal polynomial of _split_block (a
+restricted matrix on the column space of left_regular(block)), and the trace
+and radical read off left_regular.  The closed forms must give the same
+subspaces, the same verdicts, the same polynomials and the same sampled maps
+from the same random draws.
 """
 
 import itertools
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from skewex import sampling
+from skewex import idempotents, sampling
 from skewex.algebra import (
     cyclic_group_algebra,
     ideal_closure,
@@ -24,20 +27,36 @@ from skewex.algebra import (
     poly_quotient,
     radical,
 )
-from skewex.errors import NotEndomorphism, NotInKernelChain, SkewexError
+from skewex.errors import DimensionMismatch, NotEndomorphism, NotInKernelChain, SkewexError
 from skewex.explorer import BLOCK_POLYS, random_basis_change, random_recipe
 from skewex.idempotents import enumerate_idempotents, power_span
-from skewex.laurent import coefficient_sum_membership
-from skewex.linalg import Mat, Poly, inverse, rat, span, vec_add, vec_sub, zero_vec
+from skewex.laurent import coefficient_sum_membership, laurent_quotient
+from skewex.linalg import (
+    ZERO,
+    Mat,
+    Poly,
+    column_space,
+    inverse,
+    kernel,
+    krylov_relation,
+    minimal_polynomial,
+    rat,
+    span,
+    unit_vec,
+    vec_add,
+    vec_sub,
+    zero_vec,
+)
 from skewex.maps import (
     AlgebraEndo,
+    Derivation,
     EDerivation,
     derivation_space,
     is_ederivation,
     kernel_chain,
     kernel_chain_preimage,
 )
-from skewex.ore import ideal_constant_term, simple_image_check
+from skewex.ore import ideal_constant_term, ore_quotient, simple_image_check
 from skewex.sampling import (
     ProductRecipe,
     _looks_monogenic,
@@ -214,6 +233,33 @@ def ref_kernel_chain_preimage(phi, a):
         term = phi.matrix.apply(term)
         b = vec_add(b, term)
     return b
+
+
+def ref_restriction_matrix(algebra, x, corner):
+    """Matrix of multiplication by x restricted to an invariant subspace."""
+    pivots = corner.pivots()
+    cols = []
+    for b in corner.basis:
+        image = algebra.multiply(x, b)
+        assert corner.contains(image), "multiplication does not preserve the corner"
+        # RREF bases make coordinates plain reads at the pivot positions.
+        cols.append(tuple(image[p] for p in pivots))
+    return Mat.from_columns(cols)
+
+
+def ref_corner_minimal_polynomial(algebra, block, direction):
+    """Minimal polynomial of multiplication by x = block * direction on the
+    corner, the column space of left_regular(block)."""
+    corner = column_space(algebra.left_regular(block))
+    x = algebra.multiply(block, direction)
+    return minimal_polynomial(ref_restriction_matrix(algebra, x, corner))
+
+
+def ref_radical(algebra):
+    """Kernel of the Gram matrix trace(left_regular(e_i e_j))."""
+    n = algebra.dim
+    return kernel(Mat.from_rows([[algebra.left_regular(algebra.sc[i][j]).trace()
+                                  for i in range(n)] for j in range(n)]))
 
 
 # -- ideals ------------------------------------------------------------------
@@ -449,3 +495,100 @@ def test_kernel_chain_preimage_needs_every_term(jet2):
     assert kernel_chain_preimage(square, t2) == t2
     with pytest.raises(NotInKernelChain):
         kernel_chain_preimage(square, jet2.unit)
+
+
+# -- corner relations and traces ------------------------------------------------
+
+def test_krylov_relation_is_local_to_its_vector():
+    # e0 -> 2 e0; e2 -> e1 -> 0: the basis vectors have relations t - 2, t, t^2
+    m = Mat.from_rows([[2, 0, 0], [0, 0, 1], [0, 0, 0]])
+    e0, e1, e2 = (unit_vec(i, 3) for i in range(3))
+    assert krylov_relation(m.apply, e0) == Poly.of([-2, 1])
+    assert krylov_relation(m.apply, e1) == Poly.of([0, 1])
+    assert krylov_relation(m.apply, e2) == Poly.of([0, 0, 1])
+    assert krylov_relation(m.apply, vec_add(e0, e2)) == Poly.of([0, 0, -2, 1])
+    assert krylov_relation(m.apply, zero_vec(3)) == Poly.one()
+    assert minimal_polynomial(m) == Poly.of([0, 0, -2, 1])  # the lcm, t^2 (t - 2)
+
+
+def commutative_draws(count):
+    """Commutative algebras drawn as test_single_splitting_pass_matches_fixpoint
+    draws them."""
+    rng = random.Random(606)
+    out = []
+    while len(out) < count:
+        algebra = random_recipe(rng, max_dim=6).algebra
+        if rng.random() < 0.5:
+            algebra = random_basis_change(algebra, rng)
+        if algebra.is_commutative():
+            out.append(algebra)
+    return out
+
+
+def split_block_relations(monkeypatch, algebras):
+    """[algebra, block, direction, relation] for every _split_block call made
+    while enumerating the idempotents of the algebras, with the Krylov
+    relation that call computed."""
+    calls = []
+    real_split, real_krylov = idempotents._split_block, idempotents.krylov_relation
+
+    def split(algebra, block, direction):
+        calls.append([algebra, block, direction, None])
+        return real_split(algebra, block, direction)
+
+    def krylov(step, v):
+        calls[-1][3] = real_krylov(step, v)
+        return calls[-1][3]
+
+    monkeypatch.setattr(idempotents, "_split_block", split)
+    monkeypatch.setattr(idempotents, "krylov_relation", krylov)
+    for algebra in algebras:
+        enumerate_idempotents(algebra)
+    return calls
+
+
+def test_corner_relation_matches_restricted_minimal_polynomial(corpus, monkeypatch):
+    algebras = [a for a in corpus.values() if a.is_commutative()] + commutative_draws(300)
+    calls = split_block_relations(monkeypatch, algebras)
+    degrees = set()
+    for algebra, block, direction, relation in calls:
+        assert relation == ref_corner_minimal_polynomial(algebra, block, direction), (
+            algebra, block, direction)
+        degrees.add(relation.degree)
+    assert len(calls) >= 1000 and degrees >= {1, 2, 3}, (len(calls), degrees)
+
+
+@pytest.fixture
+def trace_corpus(corpus, dual_numbers, euler, q_times_q, swap):
+    """The corpus plus one Ore and one Laurent quotient."""
+    algebras = dict(corpus)
+    algebras["ore(dual, euler)"] = ore_quotient(dual_numbers, euler).algebra
+    algebras["laurent(qxq, swap)"] = laurent_quotient(q_times_q, swap).algebra
+    return algebras
+
+
+def test_trace_of_matches_left_regular_trace(trace_corpus):
+    rng = random.Random(17)
+    for name, algebra in trace_corpus.items():
+        elements = [algebra.basis_element(i) for i in range(algebra.dim)]
+        elements += [algebra.unit] + [random_element(algebra, rng) for _ in range(5)]
+        for x in elements:
+            got = algebra.trace_of(x)
+            assert type(got) is Fraction
+            assert got == algebra.left_regular(x).trace(), (name, x)
+    m2 = trace_corpus["m2"]
+    assert m2.trace_vector == (2, 0, 0, 2)
+    with pytest.raises(DimensionMismatch):
+        m2.trace_of((F(1),))
+
+
+def test_radical_matches_gram_of_left_regular_traces(trace_corpus):
+    algebras = list(trace_corpus.values()) + commutative_draws(20)
+    rng = random.Random(3)
+    algebras += [random_basis_change(a, rng) for a in trace_corpus.values()]
+    dims = set()
+    for algebra in algebras:
+        rad = radical(algebra)
+        assert rad == ref_radical(algebra), algebra
+        dims.add(rad.dim)
+    assert len(dims) >= 3
