@@ -24,21 +24,29 @@ multiples once, then X until nothing new appears.
 
 The quotient.  Only the products of the coordinates that N keeps, its
 non-pivot ones, are formed: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
-terms (m, c) of xpow[b][i], folded and reduced against N.  When N is the
-image of (p(X)) these are the constants of E on that section.
+terms (m, c) of xpow[b][i], folded and reduced against N, in integers.  When
+N is the image of (p(X)) these are the constants of E on that section.
 
 The certificate.  Nothing checks that N absorbs products; the returned
 algebra B, of dimension d*n - dim N, is E whatever N was computed to be:
 - every vector put into N is the fold of an element of (p(X)): the
   generators are, and e_a, X and folding stay inside the ideal.  So N lies
   in the image of (p(X)), and dim E <= d*n - dim N;
-- make_algebra proves B associative and unital, and verify_extension proves
-  that embed is an injective unital homomorphism, that p(u) = 0, that
-  u a - a u = D(a) (or u a = phi(a) u) and that the embedded A and the
-  powers of u span B.  By the universal property of the skew polynomial ring
-  (McConnell and Robson, Noncommutative Noetherian Rings, 1.2) a -> embed(a),
-  X -> u extends to a homomorphism R -> B; it kills p(X), so it factors
-  through E, and it is onto;
+- B is unital and associative.  quotient_by_relations checks the unit law
+  and the associators (x, g, z) = (x g) z - x (g z) at basis elements x, z
+  for every generator g among the embedded basis of A and u.  In any
+  algebra the middle nucleus {y : (x, y, z) = 0 for all x, z} is a
+  subalgebra, by the Teichmueller identity
+  a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd),
+  and it holds the unit; verify_extension shows that products of the
+  generators span B, so the nucleus is all of B.  That is (n + 1) (dim B)^2
+  associators instead of the (dim B)^3 basis triples of make_algebra;
+- verify_extension proves that embed is an injective unital homomorphism,
+  that p(u) = 0, that u a - a u = D(a) (or u a = phi(a) u) and that the
+  embedded A and the powers of u span B.  By the universal property of the
+  skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
+  Rings, 1.2) a -> embed(a), X -> u extends to a homomorphism R -> B; it
+  kills p(X), so it factors through E, and it is onto;
 - verify_extension checks no postcondition the others imply.  The inverse
   u^(-1) is read off p(u) = 0, since u u^(-1) = u^(-1) u = 1 - p(u)/p(0)
   in the associative B.  The realized twist moves u^j past A both ways
@@ -47,23 +55,26 @@ algebra B, of dimension d*n - dim N, is E whatever N was computed to be:
 - so d*n - dim N = dim B <= dim E <= d*n - dim N, the surjection E -> B is
   an isomorphism, and N is the whole image of (p(X)).
 An N that misses a vector cannot come back as an algebra: it ends in
-AssociativityFails from make_algebra or in a SkewexError from
+AssociativityFails from the quotient's checks or in a SkewexError from
 verify_extension.  N = 0 means the window itself is the extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional
 
-from .algebra import Algebra, _collapse, _integer_product, poly_of_element
-from .errors import (
-    AnnihilatorFails,
-    AssociativityFails,
-    NotAssociative,
-    SkewexError,
-    UnitFails,
+from .algebra import (
+    Algebra,
+    _check_unit_law,
+    _first_nonassociative_at,
+    _integer_product,
+    _kept_coordinates,
+    _nonzero,
+    poly_of_element,
 )
+from .errors import AnnihilatorFails, AssociativityFails, SkewexError, UnitFails
 from .linalg import (
     Mat,
     Poly,
@@ -71,6 +82,7 @@ from .linalg import (
     Vec,
     ZERO,
     _integer_row,
+    _rational_row,
     is_zero_vec,
     kernel,
     power_reduction_table,
@@ -148,7 +160,7 @@ def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
         if is_zero_vec(w):
             continue
         w = _integer_row(w)[1]
-        blocks = [[(j, x) for j, x in enumerate(w[q * n:(q + 1) * n]) if x] for q in range(d)]
+        blocks = [_nonzero(w[q * n:(q + 1) * n]) for q in range(d)]
         vectors.extend(tuple(v for ys in blocks for v in _integer_product(table, [(a, 1)], ys))
                        for a in range(n))
     return _close_under_x(span(vectors, d * n), beta, n)
@@ -168,33 +180,78 @@ def _close_under_x(relations: Subspace, beta: list[Vec], n: int) -> Subspace:
     return relations
 
 
-def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Subspace):
+def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Subspace
+                          ) -> tuple[Algebra, Mat, Vec]:
     """The extension on the coordinates the relation submodule keeps, with
-    the projection from the window.
+    the embedding of the base and the image u of X.
 
     Only the kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over the
     terms (m, c) of xpow[b][i], are formed, folded into the window and
-    projected.  A table that fails make_algebra raises AssociativityFails.
+    projected, all in integers: the folding table beta scales by L_beta, the
+    coefficients c by L_xpow, the base's constants by its L_table and the
+    residual against the relations by their L_N, so each kept entry is one
+    Fraction over L_table L_xpow L_beta L_N.  The table is checked for the
+    unit law and for associativity at the associators (e_i, g, e_k), g among
+    the embedded basis of the base and u; a failure raises
+    AssociativityFails.  That suffices once verify_extension has shown that
+    these generators span the result (see the certificate above).
     """
     n, d = base.dim, p.degree
-    beta = power_reduction_table(p, 2 * d)
-    left: dict[tuple[int, int, int], TermList] = {}
+    scale_table, table = base.integer_sc
+    scale_beta, flat = _integer_row([x for row in power_reduction_table(p, 2 * d) for x in row])
+    beta = [_nonzero(flat[m:m + d]) for m in range(0, len(flat), d)]
+    scale_xpow = lcm(*(x.denominator for row in xpow for terms in row
+                       for _, coeff in terms for x in coeff))
+    int_xpow = [[[(m, _nonzero([x.numerator * (scale_xpow // x.denominator) for x in coeff]))
+                  for m, coeff in terms] for terms in row] for row in xpow]
+    kept = _kept_coordinates(relations)
+    scale_n = relations._integer_rows[0]
 
-    def cell(r: int, c: int) -> Vec:
-        (i, a), (j, b) = divmod(r, n), divmod(c, n)
-        if (a, b, i) not in left:
-            ea = base.basis_element(a)
-            left[a, b, i] = [(m, base.multiply(ea, coeff)) for m, coeff in xpow[b][i]]
-        return _fold([(m + j, coeff) for m, coeff in left[a, b, i]], beta, n)
+    def project(terms: list[tuple[int, list[tuple[int, int]]]], scale: int) -> Vec:
+        """The kept coordinates of sum c X^m over the (m, c) of terms, folded
+        and reduced against the relations; each c is sparse, integers over scale."""
+        out = [0] * (d * n)
+        for power, coeff in terms:
+            for q, f in beta[power]:
+                offset = q * n
+                for a, c in coeff:
+                    out[offset + a] += f * c
+        residual = relations._integer_residual(out)
+        return _rational_row([residual[j] for j in kept], scale * scale_beta * scale_n)
 
+    sc = []
+    for r in kept:
+        i, a = divmod(r, n)
+        left: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+        cells = []
+        for c in kept:
+            j, b = divmod(c, n)
+            if b not in left:
+                left[b] = [(m, _nonzero(_integer_product(table, [(a, 1)], coeff)))
+                           for m, coeff in int_xpow[b][i]]
+            cells.append(project([(m + j, v) for m, v in left[b]], scale_table * scale_xpow))
+        sc.append(cells)
+
+    scale_unit, unit = _integer_row(base.unit)
+    unit_terms = _nonzero(unit)
+    embed = Mat.from_columns([project([(0, [(a, 1)])], 1) for a in range(n)])
+    u = project([(1, unit_terms)], scale_unit)
     labels = list(base.labels)
     for i in range(1, d):
         power = "X" if i == 1 else f"X^{i}"
         labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
+    algebra = Algebra(len(kept), sc, project([(0, unit_terms)], scale_unit),
+                      [labels[j] for j in kept])
     try:
-        return _collapse(cell, tuple(base.unit) + zero_vec((d - 1) * n), labels, relations)
-    except (NotAssociative, UnitFails) as exc:
+        _check_unit_law(algebra)
+    except UnitFails as exc:
         raise AssociativityFails(str(exc)) from exc
+    witness = _first_nonassociative_at(algebra.integer_sc, embed.columns() + [u])
+    if witness is not None:
+        i, g, k = witness
+        middle = f"embed(e{g})" if g < n else "u"
+        raise AssociativityFails(f"associativity fails on (e{i}, {middle}, e{k})")
+    return algebra, embed, u
 
 
 def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
@@ -235,10 +292,7 @@ def assemble(
     if force_free_model and relations.dim:
         raise AssociativityFails(
             f"relation submodule of dimension {relations.dim}: the rewrite system is inconsistent")
-    algebra, proj = quotient_by_relations(base, p, xpow, relations)
-    # e_a X^0 is window index a, so the base embeds through the first columns
-    embed = Mat.from_columns([proj.column(a) for a in range(base.dim)])
-    u = proj.apply(_fold([(1, base.unit)], power_reduction_table(p, 1), base.dim))
+    algebra, embed, u = quotient_by_relations(base, p, xpow, relations)
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
     return ExtensionResult(
         mode, base, algebra, embed, u, u_inverse, p,
@@ -262,8 +316,11 @@ def verify_extension(
 
     Two more postconditions follow from these and are not checked again:
     - u^(-1) = -(sum_{i >= 1} alpha_i u^(i-1)) / p(0), for p = sum alpha_i X^i,
-      is a two-sided inverse: ext is associative (make_algebra), so
-      u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1;
+      is a two-sided inverse: ext is associative, so
+      u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1.  An ext from
+      quotient_by_relations has passed the unit law and the associators at
+      embed(A) and u, and the span check here completes that to all of ext
+      (see the module docstring);
     - ext is generated as a right module too: with A the embedded base,
       sum_{j <= i} A u^j = sum_{j <= i} u^j A for every i.  For a derivation,
       u^j a = sum_k C(j, k) D^k(a) u^(j-k) and

@@ -1,9 +1,11 @@
 """Finite-dimensional unital associative algebras over Q by structure constants.
 
 An Algebra is a dense tensor c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k
-plus a distinguished unit vector.  Construction always validates
-associativity on all basis triples and the two-sided unit law, so any
-Algebra in circulation is genuinely an associative unital algebra.  Beside
+plus a distinguished unit vector.  make_algebra validates the two-sided unit
+law and associativity on all basis triples.  The one other constructor, the
+extension quotient in _extension, checks the unit law and the associators at
+a generating set, which its verifier shows to generate; so any Algebra in
+circulation is genuinely an associative unital algebra.  Beside
 the dense tensor every Algebra keeps one table of its nonzero constants as
 integers over a common scale; products and the associativity and ideal checks
 all sum over it in one integer loop.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -64,6 +66,11 @@ def _integer_table(sc) -> IntegerTable:
     )
 
 
+def _nonzero(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The (index, entry) pairs of the nonzero entries of an integer row."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
 def _integer_product(
     table: Table, xs: Sequence[tuple[int, int]], ys: Sequence[tuple[int, int]]
 ) -> list[int]:
@@ -88,8 +95,7 @@ def _multiply(integer_sc: IntegerTable, x: Vec, y: Vec) -> Vec:
     scale, table = integer_sc
     lx, xs = _integer_row(x)
     ly, ys = _integer_row(y)
-    out = _integer_product(table, [(i, v) for i, v in enumerate(xs) if v],
-                           [(j, v) for j, v in enumerate(ys) if v])
+    out = _integer_product(table, _nonzero(xs), _nonzero(ys))
     denominator = scale * lx * ly
     return tuple(Fraction(v, denominator) if v else ZERO for v in out)
 
@@ -178,14 +184,19 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
     failing triple is reported.
     """
     algebra = Algebra(dim, sc, unit, labels)
-    for i in range(dim):
-        e = algebra.basis_element(i)
-        if algebra.multiply(algebra.unit, e) != e or algebra.multiply(e, algebra.unit) != e:
-            raise UnitFails(i)
+    _check_unit_law(algebra)
     triple = _first_nonassociative_triple(algebra.integer_sc)
     if triple is not None:
         raise NotAssociative(*triple)
     return algebra
+
+
+def _check_unit_law(algebra: Algebra) -> None:
+    """Raise UnitFails at the first basis element the unit fails on either side."""
+    for i in range(algebra.dim):
+        e = algebra.basis_element(i)
+        if algebra.multiply(algebra.unit, e) != e or algebra.multiply(e, algebra.unit) != e:
+            raise UnitFails(i)
 
 
 def _first_nonassociative_triple(integer_sc: IntegerTable) -> Optional[tuple[int, int, int]]:
@@ -205,6 +216,33 @@ def _first_nonassociative_triple(integer_sc: IntegerTable) -> Optional[tuple[int
     return None
 
 
+def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
+                             ) -> Optional[tuple[int, int, int]]:
+    """First (i, g, k) with (e_i y) e_k != e_i (y e_k) for y = generators[g],
+    in (g, i, k) order, or None.
+
+    A unital table that passes is associative once products of the generators
+    span it: the middle nucleus {y : (x, y, z) = 0 for all x, z} contains the
+    unit and is closed under products, by the Teichmueller identity
+    a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), so it holds
+    everything the generators generate.  That is (#generators) dim^2 triples
+    instead of dim^3.  Both sides scale by L^2 Ly, y = Y / Ly, and compare
+    exactly as the rational sides do.
+    """
+    table = integer_sc[1]
+    n = len(table)
+    for g, y in enumerate(generators):
+        ys = _nonzero(_integer_row(y)[1])
+        lefts = [_nonzero(_integer_product(table, [(i, 1)], ys)) for i in range(n)]
+        rights = [_nonzero(_integer_product(table, ys, [(k, 1)])) for k in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if (_integer_product(table, lefts[i], [(k, 1)])
+                        != _integer_product(table, [(i, 1)], rights[k])):
+                    return i, g, k
+    return None
+
+
 def _first_unabsorbed(integer_sc: IntegerTable, subspace: Subspace
                       ) -> Optional[tuple[int, int, str]]:
     """First (index, r, side) at which the subspace fails to absorb a product,
@@ -220,7 +258,7 @@ def _first_unabsorbed(integer_sc: IntegerTable, subspace: Subspace
     table = integer_sc[1]
     residual = subspace._integer_residual
     for index, v in enumerate(subspace.basis):
-        w = [(j, x) for j, x in enumerate(_integer_row(v)[1]) if x]
+        w = _nonzero(_integer_row(v)[1])
         for r in range(len(table)):
             if any(residual(_integer_product(table, [(r, 1)], w))):
                 return index, r, "left"
@@ -292,34 +330,6 @@ def _kept_coordinates(ideal: Subspace) -> list[int]:
     return [j for j in range(ideal.ambient_dim) if j not in pivots]
 
 
-def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
-              ideal: Subspace) -> tuple[Algebra, Mat]:
-    """The quotient of a product table by a subspace, with the projection
-    matrix.
-
-    cell(i, j) is the product of basis elements i and j in ambient
-    coordinates; it is asked only for the non-pivot coordinates the section
-    keeps, and the quotient's constants are those products projected.
-    make_algebra re-verifies them.  The result is the quotient when the
-    subspace absorbs every product: quotient checks that first, and an
-    extension is certified afterwards (see _extension).
-    """
-    coords = _kept_coordinates(ideal)
-
-    def project(x: Vec) -> Vec:
-        residual = ideal.reduce(x)
-        return tuple(residual[j] for j in coords)
-
-    quot = make_algebra(
-        len(coords),
-        [[project(cell(i, j)) for j in coords] for i in coords],
-        project(unit),
-        [labels[j] for j in coords],
-    )
-    n = ideal.ambient_dim
-    return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
-
-
 def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
     """Quotient algebra on the non-pivot coordinates, with the projection matrix.
 
@@ -332,7 +342,20 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
         raise NotAnIdeal("subspace is not closed under two-sided multiplication")
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot divide by the whole algebra")
-    return _collapse(lambda i, j: algebra.sc[i][j], algebra.unit, algebra.labels, ideal)
+    coords = _kept_coordinates(ideal)
+
+    def project(x: Vec) -> Vec:
+        residual = ideal.reduce(x)
+        return tuple(residual[j] for j in coords)
+
+    quot = make_algebra(
+        len(coords),
+        [[project(algebra.sc[i][j]) for j in coords] for i in coords],
+        project(algebra.unit),
+        [algebra.labels[j] for j in coords],
+    )
+    n = algebra.dim
+    return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
 
 
 def quotient_section(algebra: Algebra, ideal: Subspace) -> Mat:

@@ -77,12 +77,16 @@ class NotMonic(SkewexError):
 
 
 class AnnihilatorFails(SkewexError):
-    """p does not annihilate the twisting map; carries a witness vector."""
+    """p does not annihilate the twisting map; carries a witness vector.
+
+    image is the column of p(map) at basis_index, as given; the message
+    writes its entries as rationals, e.g. (2, -1/3, 0).
+    """
 
     def __init__(self, basis_index, image):
         super().__init__(
             f"polynomial does not annihilate the map: basis vector {basis_index} "
-            f"maps to {image}"
+            f"maps to ({', '.join(str(x) for x in image)})"
         )
         self.basis_index = basis_index
         self.image = image
@@ -96,7 +100,10 @@ class AssociativityFails(SkewexError):
     """The extension's consistency certificate failed.
 
     Raised when the rewrite-generated multiplication table is inconsistent,
-    which happens exactly when the construction's precondition was bypassed.
+    which happens exactly when the construction's precondition was bypassed:
+    the quotient table breaks the unit law, or an associator (e_i, g, e_k) is
+    nonzero at a generator g, an embedded base element or u; or the forced
+    free model meets a nonzero relation submodule.  detail names the witness.
     """
 
     def __init__(self, detail):

@@ -10,15 +10,16 @@ two actions and builds only the kept cells; the tests compare it with this
 code.
 """
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from skewex._extension import ExtensionResult, TermList, XPowTable, verify_extension
 from skewex.algebra import (
     Algebra,
-    _collapse,
     _first_unabsorbed,
     _integer_table,
+    _kept_coordinates,
     _multiply,
+    make_algebra,
 )
 from skewex.errors import AssociativityFails, NotAssociative, UnitFails
 from skewex.linalg import (
@@ -30,6 +31,7 @@ from skewex.linalg import (
     is_zero_vec,
     power_reduction_table,
     span,
+    unit_vec,
 )
 
 
@@ -138,6 +140,33 @@ def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Sub
         vectors.append(w)
         vectors.extend(model.multiply(e, w) for e in base)
     return span(vectors, model.dim)
+
+
+def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
+              ideal: Subspace) -> tuple[Algebra, Mat]:
+    """The quotient of a product table by a subspace, with the projection
+    matrix.
+
+    cell(i, j) is the product of basis elements i and j in ambient
+    coordinates; it is asked only for the non-pivot coordinates the section
+    keeps, and the quotient's constants are those products projected.
+    make_algebra re-verifies them.  The result is the quotient when the
+    subspace absorbs every product, which quotient_by_relations checks first.
+    """
+    coords = _kept_coordinates(ideal)
+
+    def project(x: Vec) -> Vec:
+        residual = ideal.reduce(x)
+        return tuple(residual[j] for j in coords)
+
+    quot = make_algebra(
+        len(coords),
+        [[project(cell(i, j)) for j in coords] for i in coords],
+        project(unit),
+        [labels[j] for j in coords],
+    )
+    n = ideal.ambient_dim
+    return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
 
 
 def quotient_by_relations(model: FreeModel, relations: Subspace):

@@ -7,6 +7,7 @@ import pytest
 
 from skewex.algebra import poly_quotient
 from skewex.linalg import Poly
+from skewex.maps import inner_derivation
 from skewex.serialize import algebra_to_json, map_to_json
 
 
@@ -130,6 +131,20 @@ def test_extend_rejects_bad_poly(files):
                      "--poly", "0,1")
     assert result.returncode == 1
     assert "annihilate" in result.stderr
+
+
+def test_extend_annihilator_witness_reads_as_rationals(tmp_path, m2):
+    # ad_u for u = [[1, 2], [0, 3]] has minimal polynomial t^3 - 4t, and
+    # X^2 + 2 sends E11 to 2 E11 + 4 E12
+    paths = {"m2": tmp_path / "m2.json", "ad": tmp_path / "ad.json"}
+    paths["m2"].write_text(json.dumps(algebra_to_json(m2)))
+    ad = inner_derivation(m2, m2.element([1, 2, 0, 3]))
+    paths["ad"].write_text(json.dumps(map_to_json(ad, "derivation")))
+    result = run_cli("extend", "--mode", "derivation",
+                     "--algebra", str(paths["m2"]), "--map", str(paths["ad"]), "--poly", "2,0,1")
+    assert result.returncode == 1
+    assert result.stderr == ("error: polynomial does not annihilate the map: "
+                             "basis vector 0 maps to (2, 4, 0, 0)\n")
 
 
 @pytest.mark.parametrize("poly", ["0,x,1", "1/0"])

@@ -1,14 +1,15 @@
 """verify_extension accepts the constructions' own results and rejects each
-broken postcondition with its own message."""
+broken postcondition with its own message; so does the quotient's unit law
+and generator associativity check, which verify_extension completes."""
 
 import pytest
 
-from skewex._extension import verify_extension
+from skewex._extension import quotient_by_relations, relation_submodule, verify_extension
 from skewex.algebra import subalgebra_as_algebra, upper_triangular
-from skewex.errors import SkewexError
+from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, span, vec_add, zero_vec
-from skewex.ore import ore_quotient
+from skewex.linalg import Mat, Poly, span, vec_add, vec_scale, zero_vec
+from skewex.ore import _leibniz_table, ore_quotient
 
 
 def fields(result, twist):
@@ -83,3 +84,20 @@ def test_scaled_twist(ore_fields, laurent_fields):
         verify_extension(**{**ore_fields, "twist": ore_fields["twist"].scale(2)})
     with pytest.raises(SkewexError, match="does not realize the automorphism"):
         verify_extension(**{**laurent_fields, "twist": laurent_fields["twist"].scale(2)})
+
+
+def test_quotient_certificate_messages(dual_numbers, euler):
+    p = euler.minimal_polynomial  # X^2 - X
+    xpow = _leibniz_table(dual_numbers, euler, p)
+    relations = relation_submodule(dual_numbers, p, xpow)
+    assert relations.dim == 1
+    # without its relation the window is not associative, and only the
+    # associator at u shows it: the embedded base alone passes, and p(u) = 0,
+    # the twist and the span all hold in the window
+    with pytest.raises(AssociativityFails,
+                       match=r"associativity fails on \(e2, u, e1\)$"):
+        quotient_by_relations(dual_numbers, p, xpow, span([], relations.ambient_dim))
+    # X^0 e_b = 2 e_b makes 1 (e_b X^j) = 2 e_b X^j, and the unit law is checked first
+    doubled = [[[(m, vec_scale(2, c)) for m, c in row[0]]] + row[1:] for row in xpow]
+    with pytest.raises(AssociativityFails, match="unit fails against basis element 0$"):
+        quotient_by_relations(dual_numbers, p, doubled, relations)

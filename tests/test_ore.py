@@ -170,6 +170,9 @@ def test_ore_quotient_rejects_non_annihilating(dual_numbers, euler):
     with pytest.raises(AnnihilatorFails) as info:
         ore_quotient(dual_numbers, euler, Poly.of([0, 1]))
     assert info.value.basis_index == 1
+    # the witness keeps its Fractions; only the message writes them as rationals
+    assert info.value.image == (F(0), F(1)) and all(type(x) is F for x in info.value.image)
+    assert str(info.value).endswith("basis vector 1 maps to (0, 1)")
 
 
 def test_ore_quotient_forced_fails_consistency(dual_numbers, euler):

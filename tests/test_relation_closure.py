@@ -130,6 +130,7 @@ def test_certificate_rejects_the_closure_without_x(monkeypatch, corpus, m3):
     errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
     # the left multiples alone usually span N already, but not always
     assert errors, "the mutation never shrank the relation submodule"
+    assert set(errors) == {"AssociativityFails"}, errors
 
 
 def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
@@ -147,3 +148,4 @@ def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
 
     errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
     assert len(errors) >= 40, errors
+    assert set(errors) == {"AssociativityFails"}, errors
