@@ -80,13 +80,13 @@ from .linalg import (
     Poly,
     Subspace,
     Vec,
-    ZERO,
     _integer_row,
+    _integer_rref,
+    _integer_span,
     _rational_row,
     is_zero_vec,
     kernel,
     power_reduction_table,
-    span,
     vec_add,
     vec_sub,
     zero_vec,
@@ -126,18 +126,39 @@ class ExtensionResult:
     defect_dim: int
 
 
-def _fold(terms: TermList, beta: list[Vec], n: int) -> Vec:
-    """Fold a left-normal term list into window coordinates, X^m becoming
-    sum_q beta[m][q] X^q; window index (a, i) is i * n + a."""
-    out = [ZERO] * (len(beta[0]) * n)
+# An integer folding table: beta[m] lists the nonzero (q, L_beta c_q) of
+# X^m = sum_q c_q X^q modulo p, for one integer scale L_beta.
+IntegerBeta = list[list[tuple[int, int]]]
+# A sparse left-normal form: pairs (power, nonzero (index, integer) pairs).
+IntegerTerms = list[tuple[int, list[tuple[int, int]]]]
+
+
+def _integer_beta(p: Poly, max_power: int) -> tuple[int, IntegerBeta]:
+    """(L_beta, beta): the folding of X^m, m <= max_power, in integers over L_beta."""
+    d = p.degree
+    scale, flat = _integer_row([x for row in power_reduction_table(p, max_power) for x in row])
+    return scale, [_nonzero(flat[m:m + d]) for m in range(0, len(flat), d)]
+
+
+def _integer_xpow(xpow: XPowTable) -> tuple[int, list[list[IntegerTerms]]]:
+    """(L_xpow, table): xpow with every coefficient sparse in integers over
+    L_xpow, the lcm of all their denominators."""
+    scale = lcm(*(x.denominator for row in xpow for terms in row
+                  for _, coeff in terms for x in coeff))
+    return scale, [[[(m, _nonzero([x.numerator * (scale // x.denominator) for x in coeff]))
+                     for m, coeff in terms] for terms in row] for row in xpow]
+
+
+def _integer_fold(terms: IntegerTerms, beta: IntegerBeta, n: int, size: int) -> list[int]:
+    """sum c X^m over the (m, c) of terms, folded into window coordinates
+    (index (a, i) is i * n + a) by beta: L_beta times the rational fold."""
+    out = [0] * size
     for power, coeff in terms:
-        for q, factor in enumerate(beta[power]):
-            if factor:
-                offset = q * n
-                for a, c in enumerate(coeff):
-                    if c:
-                        out[offset + a] += factor * c
-    return tuple(out)
+        for q, f in beta[power]:
+            offset = q * n
+            for a, c in coeff:
+                out[offset + a] += f * c
+    return out
 
 
 def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
@@ -145,38 +166,46 @@ def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
     generators p(X) e_b under left multiplication by the base and right
     multiplication by X.
 
-    e_a acts on each coefficient block, in one integer pass over the base's
-    table per generator.  Each round of the closure adds at least one
-    dimension, so there are at most dim N rounds.
+    All vectors are integer rows until N's basis: the generators are folded
+    with p's coefficients over Lp, xpow's over L_xpow and beta over L_beta,
+    a positive multiple of the rational fold, and e_a acts on each
+    coefficient block in one integer pass over the base's table per
+    generator.  Each round of the closure adds at least one dimension, so
+    there are at most dim N rounds.
     """
     n, d = base.dim, p.degree
-    beta = power_reduction_table(p, d)
+    _, beta = _integer_beta(p, d)
+    _, int_xpow = _integer_xpow(xpow)
+    _, cp = _integer_row(p.coeffs)
     table = base.integer_sc[1]
     vectors = []
-    for row in xpow:
-        w = _fold([(power, tuple(c * x for x in coeff))
-                   for i, c in enumerate(p.coeffs) if c
-                   for power, coeff in row[i]], beta, n)
-        if is_zero_vec(w):
+    for row in int_xpow:
+        w = _integer_fold([(power, [(a, c * x) for a, x in coeff])
+                           for i, c in enumerate(cp) if c
+                           for power, coeff in row[i]], beta, n, d * n)
+        if not any(w):
             continue
-        w = _integer_row(w)[1]
         blocks = [_nonzero(w[q * n:(q + 1) * n]) for q in range(d)]
-        vectors.extend(tuple(v for ys in blocks for v in _integer_product(table, [(a, 1)], ys))
+        vectors.extend([v for ys in blocks for v in _integer_product(table, [(a, 1)], ys)]
                        for a in range(n))
-    return _close_under_x(span(vectors, d * n), beta, n)
+    return _close_under_x(_integer_span(vectors, d * n), beta, n)
 
 
-def _close_under_x(relations: Subspace, beta: list[Vec], n: int) -> Subspace:
+def _close_under_x(relations: Subspace, beta: IntegerBeta, n: int) -> Subspace:
     """The smallest subspace containing relations and closed under right
-    multiplication by X; each round shifts only what the last one added."""
-    d = len(beta[0])
-    frontier = relations.basis
+    multiplication by X; each round shifts only what the last one added.
+
+    The shifts are folded in integers and tested against the relations'
+    integer residual; beta folds X^m for m <= d, the number of blocks."""
+    size, d = relations.ambient_dim, len(beta) - 1
+    frontier = [_integer_row(v)[1] for v in relations.basis]
     while frontier:
-        shifted = [_fold([(q + 1, v[q * n:(q + 1) * n]) for q in range(d)], beta, n)
-                   for v in frontier]
-        frontier = [v for v in shifted if not relations.contains(v)]
+        shifted = [_integer_fold([(q + 1, _nonzero(v[q * n:(q + 1) * n])) for q in range(d)],
+                                 beta, n, size) for v in frontier]
+        frontier = [v for v in shifted if any(relations._integer_residual(v))]
         if frontier:
-            relations = span(list(relations.basis) + frontier, relations.ambient_dim)
+            basis = [_integer_row(v)[1] for v in relations.basis]
+            relations = _integer_span(basis + frontier, size)
     return relations
 
 
@@ -198,31 +227,21 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     """
     n, d = base.dim, p.degree
     scale_table, table = base.integer_sc
-    scale_beta, flat = _integer_row([x for row in power_reduction_table(p, 2 * d) for x in row])
-    beta = [_nonzero(flat[m:m + d]) for m in range(0, len(flat), d)]
-    scale_xpow = lcm(*(x.denominator for row in xpow for terms in row
-                       for _, coeff in terms for x in coeff))
-    int_xpow = [[[(m, _nonzero([x.numerator * (scale_xpow // x.denominator) for x in coeff]))
-                  for m, coeff in terms] for terms in row] for row in xpow]
+    scale_beta, beta = _integer_beta(p, 2 * d)
+    scale_xpow, int_xpow = _integer_xpow(xpow)
     kept = _kept_coordinates(relations)
     scale_n = relations._integer_rows[0]
 
-    def project(terms: list[tuple[int, list[tuple[int, int]]]], scale: int) -> Vec:
+    def project(terms: IntegerTerms, scale: int) -> Vec:
         """The kept coordinates of sum c X^m over the (m, c) of terms, folded
         and reduced against the relations; each c is sparse, integers over scale."""
-        out = [0] * (d * n)
-        for power, coeff in terms:
-            for q, f in beta[power]:
-                offset = q * n
-                for a, c in coeff:
-                    out[offset + a] += f * c
-        residual = relations._integer_residual(out)
+        residual = relations._integer_residual(_integer_fold(terms, beta, n, d * n))
         return _rational_row([residual[j] for j in kept], scale * scale_beta * scale_n)
 
     sc = []
     for r in kept:
         i, a = divmod(r, n)
-        left: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+        left: dict[int, IntegerTerms] = {}
         cells = []
         for c in kept:
             j, b = divmod(c, n)
@@ -347,7 +366,11 @@ def verify_extension(
         for c, power in zip(p.coeffs[1:], powers):
             acc = vec_add(acc, tuple(c * x for x in power))
         u_inverse = tuple(-x / p.coeff(0) for x in acc)
-    if span([ext.multiply(img, w) for w in powers for img in images], ext.dim).dim != ext.dim:
+    table = ext.integer_sc[1]
+    lefts = [_nonzero(_integer_row(img)[1]) for img in images]
+    rights = [_nonzero(_integer_row(w)[1]) for w in powers]
+    products = [_integer_product(table, x, y) for y in rights for x in lefts]
+    if len(_integer_rref(products)) != ext.dim:
         raise SkewexError("extension is not generated by the witness powers as a left module")
     for a, img in enumerate(images):
         if mode == "derivation":

@@ -36,6 +36,8 @@ from .linalg import (
     ZERO,
     ONE,
     _integer_row,
+    _integer_rref,
+    _integer_span,
     inverse,
     is_zero_vec,
     kernel,
@@ -146,12 +148,22 @@ class Algebra:
 
     def left_regular(self, x: Vec) -> Mat:
         """Matrix of left multiplication by x (a faithful representation)."""
-        cols = [self.multiply(x, self.basis_element(j)) for j in range(self.dim)]
-        return Mat.from_columns(cols)
+        return self._regular(x, True)
 
     def right_regular(self, x: Vec) -> Mat:
-        cols = [self.multiply(self.basis_element(j), x) for j in range(self.dim)]
-        return Mat.from_columns(cols)
+        return self._regular(x, False)
+
+    def _regular(self, x: Vec, left: bool) -> Mat:
+        """The matrix of x e_j (left) or e_j x in column j: with x = X / Lx,
+        the integer products of X and the table over L Lx, L the table's scale."""
+        if len(x) != self.dim:
+            raise DimensionMismatch("element length differs from algebra dimension")
+        scale, table = self.integer_sc
+        lx, w = _integer_row(x)
+        xs = _nonzero(w)
+        cols = [_integer_product(table, xs, [(j, 1)]) if left else
+                _integer_product(table, [(j, 1)], xs) for j in range(self.dim)]
+        return Mat._from_integers(list(zip(*cols)), self.dim, scale * lx)
 
     @cached_property
     def trace_vector(self) -> Vec:
@@ -192,10 +204,21 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
 
 
 def _check_unit_law(algebra: Algebra) -> None:
-    """Raise UnitFails at the first basis element the unit fails on either side."""
-    for i in range(algebra.dim):
-        e = algebra.basis_element(i)
-        if algebra.multiply(algebra.unit, e) != e or algebra.multiply(e, algebra.unit) != e:
+    """Raise UnitFails at the first basis element the unit fails on either side.
+
+    With the unit U / Lu and the constants over L, u e_i = e_i exactly when
+    the integer product of U and e_i is L Lu e_i, and likewise on the right.
+    """
+    n = algebra.dim
+    if len(algebra.unit) != n:
+        raise DimensionMismatch("element length differs from algebra dimension")
+    scale, table = algebra.integer_sc
+    lu, u = _integer_row(algebra.unit)
+    us = _nonzero(u)
+    for i in range(n):
+        e = [0] * n
+        e[i] = scale * lu
+        if _integer_product(table, us, [(i, 1)]) != e or _integer_product(table, [(i, 1)], us) != e:
             raise UnitFails(i)
 
 
@@ -287,18 +310,31 @@ def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> S
     needed: every Algebra has passed make_algebra, so it is associative and
     unital.  Associativity closes each span under its side's products, since
     e_c (e_a g) = (e_c e_a) g, and the unit puts every g = 1 g = g 1 inside.
+
+    Everything is integer rows until the final basis: each g is scaled to
+    integers and its products are summed over the integer table, positive
+    multiples of the rational products that span the same space.  For "two"
+    the left products are reduced once by _integer_rref, and the reduced
+    rows, nonzero multiples of the left ideal's basis, are multiplied on the
+    right.
     """
     if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
-    basis = [algebra.basis_element(a) for a in range(algebra.dim)]
+    n = algebra.dim
+    if any(len(g) != n for g in gens):
+        raise DimensionMismatch("element length differs from algebra dimension")
+    table = algebra.integer_sc[1]
 
-    def products(vs: Sequence[Vec], left: bool) -> Subspace:
-        return span([algebra.multiply(e, v) if left else algebra.multiply(v, e)
-                     for v in vs for e in basis], algebra.dim)
+    def products(rows: Sequence[list[tuple[int, int]]], left: bool) -> list[list[int]]:
+        return [_integer_product(table, [(a, 1)], g) if left else
+                _integer_product(table, g, [(a, 1)]) for g in rows for a in range(n)]
 
+    rows = [_nonzero(_integer_row(g)[1]) for g in gens]
     if side == "two":
-        return products(products(gens, True).basis, False)
-    return products(gens, side == "left")
+        lefts = [row for row in products(rows, True) if any(row)]
+        rank = len(_integer_rref(lefts))
+        return _integer_span(products([_nonzero(row) for row in lefts[:rank]], False), n)
+    return _integer_span(products(rows, side == "left"), n)
 
 
 def two_sided_ideal(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:

@@ -23,13 +23,15 @@ from .algebra import (
     NOT_APPLICABLE,
     PASS,
     Algebra,
+    _integer_product,
+    _nonzero,
     ideal_closure,
     poly_of_element,
     quotient,
     quotient_section,
     radical,
 )
-from .errors import CapExceeded, NotCommutative, NotIdempotent, SkewexError
+from .errors import CapExceeded, DimensionMismatch, NotCommutative, NotIdempotent, SkewexError
 from .linalg import (
     Mat,
     Poly,
@@ -37,12 +39,15 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    _integer_row,
+    _integer_rref,
+    _integer_span,
+    _primitive,
     column_space,
     is_zero_vec,
     krylov_relation,
     rat,
     rref,
-    span,
     vec_add,
     vec_scale,
     vec_sub,
@@ -256,13 +261,28 @@ def power_span(algebra: Algebra, a: Vec) -> PowerSpan:
     W_N = span{a^N, ..., a^(N+n)} is span{a^m : m >= N}; W_1 spans all
     positive powers.  W_(N+1) = a W_N, so W_N decreases strictly until it
     stays fixed, and it is fixed from N = n + 1 on.  The tail W_(n+1) decides
-    every "for all large m" question about powers of a exactly.
+    every "for all large m" question about powers of a exactly.  The chain
+    is kept as integer rows, positive multiples of the powers (see
+    _power_chain), and both windows are spans of integer rows.
     """
     n = algebra.dim
-    chain = [a]
-    for _ in range(2 * n):
-        chain.append(algebra.multiply(chain[-1], a))
-    return PowerSpan(span(chain[:n + 1], n), span(chain[n:], n))
+    chain = _power_chain(algebra, a)
+    return PowerSpan(_integer_span(chain[:n + 1], n), _integer_span(chain[n:], n))
+
+
+def _power_chain(algebra: Algebra, a: Vec) -> list[list[int]]:
+    """Integer rows for a, a^2, ..., a^(2n+1), n = dim: with a = A / La, row k
+    is A^k over the table's constants, a positive multiple of a^k, divided by
+    its content."""
+    if len(a) != algebra.dim:
+        raise DimensionMismatch("element length differs from algebra dimension")
+    table = algebra.integer_sc[1]
+    first = _primitive(_integer_row(a)[1])
+    xs = _nonzero(first)
+    chain = [first]
+    for _ in range(2 * algebra.dim):
+        chain.append(_primitive(_integer_product(table, _nonzero(chain[-1]), xs)))
+    return chain
 
 
 def ms_witness_check(
@@ -272,21 +292,34 @@ def ms_witness_check(
 
     Not applicable unless every positive power of a lies in v; otherwise the
     side-appropriate eventual products must land in v, decided via the stable
-    tail span rather than any finite sampling.
+    tail span rather than any finite sampling.  The powers are the integer
+    rows of _power_chain, the tail the rows _integer_rref reduces them to,
+    and the products b t, t c or b t c are formed on the integer table; each
+    is a nonzero multiple of the rational one, so v's integer residual
+    decides its membership exactly.
     """
-    ps = power_span(algebra, a)
-    if not ps.powers.is_subspace_of(v):
-        return NOT_APPLICABLE
-    tail = ps.tail.basis
-    if side == "left":
-        products = [algebra.multiply(b, t) for t in tail]
-    elif side == "right":
-        products = [algebra.multiply(t, c) for t in tail]
-    elif side == "two":
-        products = [algebra.multiply(algebra.multiply(b, t), c) for t in tail]
-    else:
+    if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
-    return PASS if all(v.contains(x) for x in products) else FAIL
+    n = algebra.dim
+    if v.ambient_dim != n or len(b) != n or len(c) != n:
+        raise DimensionMismatch("element length differs from algebra dimension")
+    chain = _power_chain(algebra, a)
+    if any(any(v._integer_residual(power)) for power in chain[:n + 1]):
+        return NOT_APPLICABLE
+    rows = [power for power in chain[n:] if any(power)]
+    rank = len(_integer_rref(rows))
+    tail = [_nonzero(t) for t in rows[:rank]]
+    table = algebra.integer_sc[1]
+    bs = _nonzero(_integer_row(b)[1])
+    cs = _nonzero(_integer_row(c)[1])
+    if side == "left":
+        products = [_integer_product(table, bs, t) for t in tail]
+    elif side == "right":
+        products = [_integer_product(table, t, cs) for t in tail]
+    else:
+        products = [_integer_product(table, _nonzero(_integer_product(table, bs, t)), cs)
+                    for t in tail]
+    return FAIL if any(any(v._integer_residual(x)) for x in products) else PASS
 
 
 def image_idempotent_audit(

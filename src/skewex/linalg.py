@@ -9,8 +9,13 @@ Fractions are the boundary, integers the inside.  Elimination scales each
 row to integers by the lcm of its denominators and runs Gauss-Jordan without
 fractions (Bareiss, Math. Comp. 1968), keeping each row divided by its
 content; only the finished pivot rows are divided by their pivots, which
-gives the same unique reduced echelon form as rational elimination.
-Subspace membership likewise works on one integer copy of the echelon basis.
+gives the same unique reduced echelon form as rational elimination.  Spans
+take integer rows: the reduced echelon form does not change when a row is
+scaled by a nonzero factor, so callers that build vectors only to span them
+or test them for membership keep any nonzero multiples as integer rows and
+pass them to _integer_span, which makes one Fraction per nonzero entry of
+the basis.  Subspace membership likewise works on one integer copy of the
+echelon basis.
 Matrices have one integer kernel: each Mat keeps its integer form (L, A),
 L the lcm of its denominators and A = L M, and products, powers,
 matrix-vector products and polynomials in a matrix multiply integers and
@@ -86,9 +91,8 @@ class Mat:
     @cached_property
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(L, A): L the lcm of the denominators of all entries, A = L M."""
-        scale = lcm(*(x.denominator for row in self.entries for x in row))
-        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
-                            for row in self.entries)
+        scale, ints = _common_integer_rows(self.entries)
+        return scale, tuple(map(tuple, ints))
 
     @staticmethod
     def _from_integers(ints: Sequence[Sequence[int]], cols: int, scale: int) -> "Mat":
@@ -159,24 +163,10 @@ class Mat:
 
     def power(self, k: int) -> "Mat":
         """M^k for k >= 0: A^k over L^k."""
-        scale, ints = self._integer_power(k)
-        return Mat._from_integers(ints, self.cols, scale)
-
-    def _integer_power(self, k: int) -> tuple[int, list[list[int]]]:
-        """(L^k, A^k), by repeated squaring on integers."""
         if self.rows != self.cols:
             raise DimensionMismatch("power of a non-square matrix")
-        n = self.rows
-        scale, base = self.integer_form
-        result = [[int(r == c) for c in range(n)] for r in range(n)] if k == 0 else None
-        scale **= k
-        while k:
-            if k & 1:
-                result = base if result is None else _integer_matmul(result, base, n)
-            k >>= 1
-            if k:
-                base = _integer_matmul(base, base, n)
-        return scale, result
+        scale, ints = self.integer_form
+        return Mat._from_integers(_integer_matrix_power(ints, self.rows, k), self.cols, scale ** k)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -193,6 +183,12 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
+def _common_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(L, L * rows) for L the lcm of the denominators of all the rows."""
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
 def _rational_row(ints: Sequence[int], scale: int) -> Vec:
     """The row ints / scale, with one Fraction per nonzero entry."""
     return tuple([Fraction(x, scale) if x else ZERO for x in ints])
@@ -203,6 +199,23 @@ def _integer_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
     """The product of integer matrices given by rows; b has cols columns."""
     bt = list(zip(*b)) if b else [()] * cols
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _integer_matrix_power(base: Sequence[Sequence[int]], n: int, k: int) -> list[list[int]]:
+    """The k-th power of an n x n integer matrix, by repeated squaring."""
+    result = [[int(r == c) for c in range(n)] for r in range(n)] if k == 0 else None
+    while k:
+        if k & 1:
+            result = base if result is None else _integer_matmul(result, base, n)
+        k >>= 1
+        if k:
+            base = _integer_matmul(base, base, n)
+    return result
+
+
+def _integer_is_nilpotent(ints: Sequence[Sequence[int]], n: int) -> bool:
+    """A^n = 0 for the n x n integer matrix A."""
+    return not any(map(any, _integer_matrix_power(ints, n, n)))
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -378,8 +391,20 @@ def span(vectors: Sequence[Vec], ambient_dim: int) -> Subspace:
     for v in vectors:
         if len(v) != ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-    rows, pivots = _rref_rows([v for v in vectors if not is_zero_vec(v)])
-    return Subspace(ambient_dim, tuple(rows[: len(pivots)]))
+    return _integer_span([_integer_row(v)[1] for v in vectors], ambient_dim)
+
+
+def _integer_span(ints: Sequence[list[int]], ambient_dim: int) -> Subspace:
+    """The subspace spanned by integer rows of length ambient_dim.
+
+    The rows are reduced by _integer_rref and only then divided by their
+    pivots, one Fraction per nonzero entry of the basis.  Scaling a row by a
+    nonzero factor leaves the reduced echelon form alone, so any nonzero
+    multiples of the vectors give the same Subspace.
+    """
+    rows = [row for row in ints if any(row)]
+    pivots = _integer_rref(rows)
+    return Subspace(ambient_dim, tuple(_rational_row(row, row[c]) for row, c in zip(rows, pivots)))
 
 
 def zero_subspace(n: int) -> Subspace:
@@ -630,7 +655,9 @@ def is_nilpotent(m: Mat) -> bool:
     Exact by Cayley-Hamilton: the verdict is the same as asking whether the
     minimal polynomial is a pure power of t.
     """
-    return not any(map(any, m._integer_power(m.rows)[1]))
+    if m.rows != m.cols:
+        raise DimensionMismatch("power of a non-square matrix")
+    return _integer_is_nilpotent(m.integer_form[1], m.rows)
 
 
 def krylov_relation(step: Callable[[Vec], Vec], v: Vec) -> Poly:

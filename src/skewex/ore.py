@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Optional
 
 from ._extension import (
@@ -25,12 +26,13 @@ from ._extension import (
     _check_annihilates,
     assemble,
 )
-from .algebra import Algebra, ideal_closure, is_simple, SIMPLE
+from .algebra import Algebra, _integer_product, _nonzero, ideal_closure, is_simple, SIMPLE
 from .errors import DimensionMismatch, NotMonic, SkewexError
 from .linalg import (
-    Mat,
     Poly,
     Vec,
+    _common_integer_rows,
+    _rational_row,
     is_zero_vec,
     vec_add,
     vec_sub,
@@ -97,35 +99,43 @@ class SkewPoly:
         return not self.coeffs
 
 
-def _x_step(algebra: Algebra, d_matrix: Mat, coeffs: list[Vec]) -> list[Vec]:
-    """One application of the rewrite: X * (sum c_p X^p)."""
-    out = [zero_vec(algebra.dim) for _ in range(len(coeffs) + 1)]
-    for p, c in enumerate(coeffs):
-        if is_zero_vec(c):
-            continue
-        out[p + 1] = vec_add(out[p + 1], c)
-        out[p] = vec_add(out[p], d_matrix.apply(c))
-    while out and is_zero_vec(out[-1]):
-        out.pop()
-    return out
-
-
 def skew_mul(f: SkewPoly, g: SkewPoly, d: Derivation) -> SkewPoly:
-    """Product in left-normal form via repeated single-step rewriting."""
+    """Product in left-normal form, by stepping X through g once per degree
+    of f with the rewrite X (c X^p) = c X^(p+1) + D(c) X^p.
+
+    The steps run on integer rows.  With D = M / L_D and g's coefficients
+    over their common scale Lg, X^i g has integer coefficient rows over the
+    running scale Lg L_D^i: a step multiplies the shifted rows by L_D and
+    adds M times the rows.  The products a_i (X^i g), with f's coefficients
+    over their common scale Lf and the constants over the table's L, are
+    summed over the one scale L Lf Lg L_D^m, m = deg f, so term i carries
+    the factor L_D^(m - i); one Fraction per nonzero entry of the result.
+    """
     if f.algebra is not g.algebra and f.algebra.sc != g.algebra.sc:
         raise DimensionMismatch("operands live over different algebras")
     algebra = f.algebra
-    acc = [zero_vec(algebra.dim) for _ in range(max(0, f.degree + g.degree + 1))]
-    current = list(g.coeffs)
-    for i in range(f.degree + 1):
-        a_i = f.coeff(i)
-        if not is_zero_vec(a_i):
+    n, m = algebra.dim, f.degree
+    scale, table = algebra.integer_sc
+    scale_d, dm = d.matrix.integer_form
+    scale_f, fs = _common_integer_rows(f.coeffs)
+    scale_g, current = _common_integer_rows(g.coeffs)
+    acc = [[0] * n for _ in range(max(0, m + g.degree + 1))]
+    for i, a in enumerate(fs):
+        xs = _nonzero(a)
+        if xs:
+            lift = scale_d ** (m - i)
             for p, c in enumerate(current):
-                if is_zero_vec(c):
-                    continue
-                acc[p] = vec_add(acc[p], algebra.multiply(a_i, c))
-        current = _x_step(algebra, d.matrix, current)
-    return SkewPoly.of(algebra, acc)
+                ys = _nonzero(c)
+                if ys:
+                    acc[p] = [x + lift * y for x, y in
+                              zip(acc[p], _integer_product(table, xs, ys))]
+        if i < m:
+            zero = [0] * n
+            moved = [[sum(map(mul, row, c)) for row in dm] for c in current] + [zero]
+            current = [[scale_d * x + y for x, y in zip(shifted, applied)]
+                       for shifted, applied in zip([zero] + current, moved)]
+    denominator = scale * scale_f * scale_g * scale_d ** max(0, m)
+    return SkewPoly.of(algebra, [_rational_row(row, denominator) for row in acc])
 
 
 def commutator_power(n: int, a: Vec, d: Derivation) -> tuple[SkewPoly, SkewPoly]:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
+from math import lcm
 from typing import Optional, Sequence
 
 from .algebra import Algebra, direct_product
 from .errors import NotInvertible, SkewexError
-from .linalg import Mat, Vec, ZERO, ONE, inverse, is_nilpotent, rat, zero_vec
+from .linalg import Mat, Vec, ZERO, ONE, _integer_is_nilpotent, inverse, is_nilpotent, rat, zero_vec
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -66,9 +67,12 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
     combinations with coefficients drawn from -2..2, one draw per basis
     element on each of up to `tries` attempts.  A coefficient tuple drawn
     before is skipped, since it gives the same matrix and the same verdict.
-    Nilpotency is tested by M^n = 0 with n = dim.  Only a combination that
-    is kept is certified; the rejected ones were combinations of a certified
-    basis and so certainly derivations.
+    A combination is summed on the basis matrices' integer forms, each
+    brought to the common scale L, the lcm of theirs; the zero test and the
+    nilpotency test, M^n = 0 with n = dim, run on that integer sum, and only
+    a combination that passes both becomes a rational matrix.  Only a
+    combination that is kept is certified; the rejected ones were
+    combinations of a certified basis and so certainly derivations.
     """
     basis = derivation_space(algebra) if derivations is None else derivations
     found: list[Derivation] = []
@@ -77,6 +81,10 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
         if not d.matrix.is_zero() and is_nilpotent(d.matrix) and d.matrix.entries not in seen:
             seen.add(d.matrix.entries)
             found.append(d)
+    n = algebra.dim
+    scale = lcm(*(d.matrix.integer_form[0] for d in basis))
+    flat = [[x * (scale // s) for row in ints for x in row]
+            for s, ints in (d.matrix.integer_form for d in basis)]
     drawn = set()
     attempts = 0
     while len(found) < count and attempts < tries and basis:
@@ -85,11 +93,13 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
         if coeffs in drawn:
             continue
         drawn.add(coeffs)
-        m = Mat.zeros(algebra.dim, algebra.dim)
-        for c, d in zip(coeffs, basis):
-            if c:
-                m = m + d.matrix.scale(c)
-        if m.is_zero() or m.entries in seen or not is_nilpotent(m):
+        terms = [(c, b) for c, b in zip(coeffs, flat) if c]
+        total = [sum(c * b[k] for c, b in terms) for k in range(n * n)]
+        ints = [total[r * n:(r + 1) * n] for r in range(n)]
+        if not any(total) or not _integer_is_nilpotent(ints, n):
+            continue
+        m = Mat._from_integers(ints, n, scale)
+        if m.entries in seen:
             continue
         seen.add(m.entries)
         found.append(Derivation.certify(algebra, m))

@@ -249,6 +249,15 @@ def test_ms_witness_examples(q_times_q):
                             q_times_q.unit, q_times_q.unit) == NOT_APPLICABLE
 
 
+def test_ms_witness_rejects_an_unknown_side_before_the_powers(split_pair):
+    # the powers of the unit leave the zero subspace, those of 0 stay inside;
+    # an unknown side is an error either way
+    zero = span([], 2)
+    for a in (split_pair.unit, (F(0), F(0))):
+        with pytest.raises(ValueError, match="unknown side 'bogus'"):
+            ms_witness_check(split_pair, zero, a, split_pair.unit, split_pair.unit, "bogus")
+
+
 def test_image_audit_swap(q_times_q, swap):
     idems = enumerate_idempotents(q_times_q)
     delta = EDerivation.certify(q_times_q, Mat.identity(2) - swap.matrix)
