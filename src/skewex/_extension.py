@@ -33,18 +33,24 @@ algebra B, of dimension d*n - dim N, is E whatever N was computed to be:
   generators are, and e_a, X and folding stay inside the ideal.  So N lies
   in the image of (p(X)), and dim E <= d*n - dim N;
 - B is unital and associative.  quotient_by_relations checks the unit law
-  and the associators (x, g, z) = (x g) z - x (g z) at basis elements x, z
-  for every generator g among the embedded basis of A and u.  In any
-  algebra the middle nucleus {y : (x, y, z) = 0 for all x, z} is a
-  subalgebra, by the Teichmueller identity
+  and the associators (x, y, z) = (x y) z - x (y z) at basis elements x, z
+  for y in Y, the embedded generators G of the base (Algebra.generators)
+  and u.  In any algebra the middle nucleus {y : (x, y, z) = 0 for all x, z}
+  is a subalgebra, by the Teichmueller identity
   a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd),
-  and it holds the unit; verify_extension shows that products of the
-  generators span B, so the nucleus is all of B.  That is (n + 1) (dim B)^2
-  associators instead of the (dim B)^3 basis triples of make_algebra;
-- verify_extension proves that embed is an injective unital homomorphism,
-  that p(u) = 0, that u a - a u = D(a) (or u a = phi(a) u) and that the
-  embedded A and the powers of u span B.  By the universal property of the
-  skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
+  and it holds the unit.  The quotient first sees that the left-normed
+  words in Y applied to the unit span B, so the nucleus is all of B; that
+  uses neither associativity nor a multiplicative embed.  It is
+  (|G| + 1) (dim B)^2 associators instead of the (dim B)^3 basis triples of
+  make_algebra.  Were the words to fall short, the embedded basis and u
+  are checked instead and verify_extension's span check finishes the proof;
+- verify_extension then proves that embed is an injective unital
+  homomorphism, from the pairs (e_g, e_j) with g in G, that p(u) = 0, that
+  u a - a u = D(a) (or u a = phi(a) u) for a in G, and that the embedded A
+  and the powers of u span B.  The generators suffice because B is now
+  associative: where embed is multiplicative, and where two derivations or
+  two homomorphisms agree, is a subalgebra.  By the universal property of
+  the skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
   Rings, 1.2) a -> embed(a), X -> u extends to a homomorphism R -> B; it
   kills p(X), so it factors through E, and it is onto;
 - verify_extension checks no postcondition the others imply.  The inverse
@@ -67,6 +73,7 @@ from typing import Optional
 
 from .algebra import (
     Algebra,
+    _LeftWords,
     _check_unit_law,
     _first_nonassociative_at,
     _integer_product,
@@ -218,12 +225,20 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     terms (m, c) of xpow[b][i], are formed, folded into the window and
     projected, all in integers: the folding table beta scales by L_beta, the
     coefficients c by L_xpow, the base's constants by its L_table and the
-    residual against the relations by their L_N, so each kept entry is one
-    Fraction over L_table L_xpow L_beta L_N.  The table is checked for the
-    unit law and for associativity at the associators (e_i, g, e_k), g among
-    the embedded basis of the base and u; a failure raises
-    AssociativityFails.  That suffices once verify_extension has shown that
-    these generators span the result (see the certificate above).
+    residual against the relations by their L_N, so every kept entry is an
+    integer over L_table L_xpow L_beta L_N, and the algebra is built from
+    that integer table.
+
+    The table is checked for the unit law and then for associativity at the
+    associators (e_i, y, e_k) for y in Y = embed(G) and u, G the base's
+    generators; a failure raises AssociativityFails.  Y is checked only once
+    the left-normed words in Y applied to the unit are seen to span the
+    table: the middle nucleus {y : (x, y, z) = 0 for all x, z} is a
+    subalgebra holding the unit in any algebra (see the certificate above),
+    so it then holds everything and the table is associative, with no
+    assumption on the table or on embed.  Should the words fall short, the
+    embedded basis of the base and u are checked instead, and
+    verify_extension's span check completes the argument.
     """
     n, d = base.dim, p.degree
     scale_table, table = base.integer_sc
@@ -232,45 +247,64 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     kept = _kept_coordinates(relations)
     scale_n = relations._integer_rows[0]
 
-    def project(terms: IntegerTerms, scale: int) -> Vec:
+    def project(terms: IntegerTerms) -> list[int]:
         """The kept coordinates of sum c X^m over the (m, c) of terms, folded
-        and reduced against the relations; each c is sparse, integers over scale."""
+        and reduced against the relations, times L_beta L_N."""
         residual = relations._integer_residual(_integer_fold(terms, beta, n, d * n))
-        return _rational_row([residual[j] for j in kept], scale * scale_beta * scale_n)
+        return [residual[j] for j in kept]
 
-    sc = []
+    cells = []
     for r in kept:
         i, a = divmod(r, n)
         left: dict[int, IntegerTerms] = {}
-        cells = []
+        row = []
         for c in kept:
             j, b = divmod(c, n)
             if b not in left:
                 left[b] = [(m, _nonzero(_integer_product(table, [(a, 1)], coeff)))
                            for m, coeff in int_xpow[b][i]]
-            cells.append(project([(m + j, v) for m, v in left[b]], scale_table * scale_xpow))
-        sc.append(cells)
+            row.append(project([(m + j, v) for m, v in left[b]]))
+        cells.append(row)
 
+    scale = scale_beta * scale_n
     scale_unit, unit = _integer_row(base.unit)
     unit_terms = _nonzero(unit)
-    embed = Mat.from_columns([project([(0, [(a, 1)])], 1) for a in range(n)])
-    u = project([(1, unit_terms)], scale_unit)
+    embed = Mat.from_columns([_rational_row(project([(0, [(a, 1)])]), scale) for a in range(n)])
+    u = _rational_row(project([(1, unit_terms)]), scale * scale_unit)
     labels = list(base.labels)
     for i in range(1, d):
         power = "X" if i == 1 else f"X^{i}"
         labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
-    algebra = Algebra(len(kept), sc, project([(0, unit_terms)], scale_unit),
-                      [labels[j] for j in kept])
+    ext_unit = project([(0, unit_terms)])
+    algebra = Algebra._from_integer_table(
+        scale * scale_table * scale_xpow, cells, _rational_row(ext_unit, scale * scale_unit),
+        [labels[j] for j in kept])
     try:
         _check_unit_law(algebra)
     except UnitFails as exc:
         raise AssociativityFails(str(exc)) from exc
-    witness = _first_nonassociative_at(algebra.integer_sc, embed.columns() + [u])
+    names, generators = _associator_generators(algebra, base, embed, u, ext_unit)
+    witness = _first_nonassociative_at(algebra.integer_sc, generators)
     if witness is not None:
         i, g, k = witness
-        middle = f"embed(e{g})" if g < n else "u"
-        raise AssociativityFails(f"associativity fails on (e{i}, {middle}, e{k})")
+        raise AssociativityFails(f"associativity fails on (e{i}, {names[g]}, e{k})")
     return algebra, embed, u
+
+
+def _associator_generators(ext: Algebra, base: Algebra, embed: Mat, u: Vec,
+                           unit: list[int]) -> tuple[list[str], list[Vec]]:
+    """Names and elements of the middle elements the quotient's associators
+    take: Y = embed(G) and u when the left-normed words in Y applied to the
+    unit (a multiple of the integer row unit) span ext, else the embedded
+    basis of the base and u."""
+    chosen = list(base.generators)
+    words = _LeftWords(ext.integer_sc[1], unit)
+    for y in [embed.column(g) for g in chosen] + [u]:
+        words.add(_nonzero(_integer_row(y)[1]))
+    if words.rank < ext.dim:
+        chosen = list(range(base.dim))
+    return ([f"embed(e{g})" for g in chosen] + ["u"],
+            [embed.column(g) for g in chosen] + [u])
 
 
 def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
@@ -325,21 +359,29 @@ def verify_extension(
     """Check the postconditions of an extension; return u^(-1), or None in the
     derivation mode.
 
-    Raises SkewexError at the first postcondition that fails:
-    - embed is injective, unital and multiplicative;
+    ext must be associative: quotient_by_relations certifies that, or, when
+    its words fall short, its associators at the whole embedded basis and u
+    do together with the span check below.  twist must be a certified
+    derivation (derivation mode) or automorphism of base.
+    G is base.generators, whose left-normed words span base.  Raises
+    SkewexError at the first postcondition that fails:
+    - embed is injective and unital, and multiplicative on the pairs
+      (e_g, e_j), g in G.  That makes it multiplicative: as ext and base are
+      associative, {x : embed(x y) = embed(x) embed(y) for all y} is closed
+      under products, and it holds 1 because embed is unital;
     - p(u) = 0;
     - ext is generated as a left module over the embedded base by the powers
       u^i, i < deg p;
     - u embed(a) - embed(a) u (derivation mode) or u embed(a) u^(-1)
-      (automorphism mode) is embed(twist(a)) for every basis element a.
+      (automorphism mode) is embed(twist(a)) for a in G.  Both sides are
+      derivations along embed, or unital homomorphisms, of base into ext, and
+      where two of them agree is a subalgebra holding 1, so they agree on
+      all of base.
 
     Two more postconditions follow from these and are not checked again:
     - u^(-1) = -(sum_{i >= 1} alpha_i u^(i-1)) / p(0), for p = sum alpha_i X^i,
       is a two-sided inverse: ext is associative, so
-      u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1.  An ext from
-      quotient_by_relations has passed the unit law and the associators at
-      embed(A) and u, and the span check here completes that to all of ext
-      (see the module docstring);
+      u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1;
     - ext is generated as a right module too: with A the embedded base,
       sum_{j <= i} A u^j = sum_{j <= i} u^j A for every i.  For a derivation,
       u^j a = sum_k C(j, k) D^k(a) u^(j-k) and
@@ -348,11 +390,12 @@ def verify_extension(
       injective, so u embed(a) u^(-1) = embed(phi(a)) makes phi injective.
     Each check can fail on its own in this order.
     """
+    generators = base.generators
     if kernel(embed).dim != 0:
         raise SkewexError("base does not embed; construction precondition violated")
     if embed.apply(base.unit) != ext.unit:
         raise SkewexError("embedding does not send unit to unit")
-    if _first_unmultiplicative_pair(base, ext, embed) is not None:
+    if _first_unmultiplicative_pair(base, ext, embed, generators) is not None:
         raise SkewexError("embedding is not multiplicative")
     images = embed.columns()
     if not is_zero_vec(poly_of_element(ext, p, u)):
@@ -372,7 +415,8 @@ def verify_extension(
     products = [_integer_product(table, x, y) for y in rights for x in lefts]
     if len(_integer_rref(products)) != ext.dim:
         raise SkewexError("extension is not generated by the witness powers as a left module")
-    for a, img in enumerate(images):
+    for a in generators:
+        img = images[a]
         if mode == "derivation":
             got = vec_sub(ext.multiply(u, img), ext.multiply(img, u))
         else:

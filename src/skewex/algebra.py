@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,9 +35,11 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    _IntegerEchelon,
     _integer_row,
     _integer_rref,
     _integer_span,
+    _rational_row,
     inverse,
     is_zero_vec,
     kernel,
@@ -102,6 +104,51 @@ def _multiply(integer_sc: IntegerTable, x: Vec, y: Vec) -> Vec:
     return tuple(Fraction(v, denominator) if v else ZERO for v in out)
 
 
+class _LeftWords:
+    """The span of the left-normed words y_1 (y_2 (... (y_k 1))) in some
+    generators y of a table, grown one generator at a time.
+
+    It is the smallest subspace that holds the unit and is closed under left
+    multiplication by every generator; in an associative algebra that is the
+    subalgebra the generators generate.  Each word that joins the echelon
+    form is kept as its integer product and each generator is applied to it
+    once, so g generators cost about g times the rank in products.  Nothing
+    here uses associativity, and the closure stops once it is the whole space.
+    """
+
+    def __init__(self, table: Table, unit: list[int]):
+        self.table = table
+        self.echelon = _IntegerEchelon()
+        self.words: list[list[tuple[int, int]]] = []
+        # each generator with the number of words it has been applied to
+        self.generators: list[list] = []
+        self._offer(unit)
+
+    @property
+    def rank(self) -> int:
+        return len(self.words)
+
+    def contains(self, w: list[int]) -> bool:
+        return not any(self.echelon.reduce(w))
+
+    def _offer(self, w: list[int]) -> None:
+        if self.echelon.add(w):
+            self.words.append(_nonzero(w))
+
+    def add(self, y: Sequence[tuple[int, int]]) -> None:
+        """Close the span under left multiplication by y, given by its nonzero
+        (index, integer) pairs, and by the generators added before."""
+        self.generators.append([y, 0])
+        full = len(self.table)
+        while self.rank < full and any(done < self.rank for _, done in self.generators):
+            for entry in self.generators:
+                g, done = entry
+                while done < self.rank < full:
+                    self._offer(_integer_product(self.table, g, self.words[done]))
+                    done += 1
+                entry[1] = done
+
+
 class Algebra:
     """Validated structure-constant algebra; immutable by convention.
 
@@ -130,6 +177,48 @@ class Algebra:
         )
         if len(self.labels) != dim:
             raise DimensionMismatch("label count differs from dimension")
+
+    @classmethod
+    def _from_integer_table(cls, scale: int, cells: Sequence[Sequence[Sequence[int]]],
+                            unit: Vec, labels: Sequence[str]) -> "Algebra":
+        """The algebra with constants cells[i][j][k] / scale, built from the
+        integers without re-reading them as Fractions.
+
+        Dividing by c = gcd(scale, all cells) gives the integer table that
+        __init__ would build, since scale / c is the lcm of the denominators
+        of the constants; the dense sc is formed once, from the cells.
+        """
+        table = tuple(tuple(tuple(_nonzero(cell)) for cell in row) for row in cells)
+        common = gcd(scale, *(x for row in table for cell in row for _, x in cell))
+        if common > 1:
+            table = tuple(tuple(tuple((k, x // common) for k, x in cell) for cell in row)
+                          for row in table)
+        algebra = cls.__new__(cls)
+        algebra.dim = len(cells)
+        algebra.integer_sc = scale // common, table
+        algebra.sc = tuple(tuple(_rational_row(cell, scale) for cell in row) for row in cells)
+        algebra.unit = unit
+        algebra.labels = tuple(labels)
+        return algebra
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices G whose left-normed words span the algebra, chosen greedily.
+
+        A basis index joins G when its element lies outside the span of the
+        left-normed words in G applied to the unit.  The algebra is
+        associative, so that span is the subalgebra G generates: a property
+        whose holders form a subalgebra holds everywhere once it holds on G.
+        """
+        words = _LeftWords(self.integer_sc[1], _integer_row(self.unit)[1])
+        found = []
+        for i in range(self.dim):
+            if words.rank == self.dim:
+                break
+            if not words.contains([int(j == i) for j in range(self.dim)]):
+                words.add([(i, 1)])
+                found.append(i)
+        return tuple(found)
 
     def basis_element(self, i: int) -> Vec:
         return unit_vec(i, self.dim)
@@ -342,17 +431,15 @@ def two_sided_ideal(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
 
 
 def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
-    """Smallest unital multiplicatively closed subspace containing gens."""
-    current = span([algebra.unit] + list(gens), algebra.dim)
-    while True:
-        new_vectors = list(current.basis)
-        for v in current.basis:
-            for w in current.basis:
-                new_vectors.append(algebra.multiply(v, w))
-        grown = span(new_vectors, algebra.dim)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    """Smallest unital multiplicatively closed subspace containing gens: the
+    span of the left-normed words in gens applied to the unit, as the
+    algebra is associative."""
+    if any(len(g) != algebra.dim for g in gens):
+        raise DimensionMismatch("element length differs from algebra dimension")
+    words = _LeftWords(algebra.integer_sc[1], _integer_row(algebra.unit)[1])
+    for g in gens:
+        words.add(_nonzero(_integer_row(g)[1]))
+    return _integer_span([row for _, row in words.echelon.rows], algebra.dim)
 
 
 def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:

@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from functools import cache
 
 from .errors import ParseError, SkewexError, UnknownSuite, ValidationError
 from .idempotents import enumerate_idempotents
@@ -31,7 +32,11 @@ from .explorer import random_explorer
 USAGE_ERROR = 2
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once.  Parsing does not change it: each
+    call fills a new namespace, and an append action copies its default list
+    before it appends."""
     parser = argparse.ArgumentParser(
         prog="skewex",
         description="exact checks for rational algebras, their twisted extensions, "

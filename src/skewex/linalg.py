@@ -261,6 +261,43 @@ def _integer_rref(ints: list[list[int]]) -> list[int]:
     return pivots
 
 
+class _IntegerEchelon:
+    """Integer rows in echelon form, grown one vector at a time.
+
+    Each row is zero on the pivots of the rows kept before it, so reducing a
+    vector against the rows in the order they were kept clears every pivot,
+    and the vector lies in their span exactly when its residual is zero.
+    Each step is the fraction-free row operation of _integer_rref, and the
+    residual is kept divided by its content.
+    """
+
+    def __init__(self) -> None:
+        self.rows: list[tuple[int, list[int]]] = []
+
+    def reduce(self, w: list[int]) -> list[int]:
+        """A nonzero multiple of w minus a combination of the rows, zero on every pivot."""
+        for p, row in self.rows:
+            f = w[p]
+            if f:
+                a = row[p]
+                g = gcd(a, f)
+                ag, fg = a // g, f // g
+                w = _primitive([ag * x - fg * y for x, y in zip(w, row)])
+        return w
+
+    def keep(self, residual: list[int]) -> None:
+        """Add a nonzero residual of reduce as a row; its first nonzero entry is its pivot."""
+        self.rows.append((next(j for j, x in enumerate(residual) if x), residual))
+
+    def add(self, w: list[int]) -> bool:
+        """Keep w's residual when it is nonzero; whether it was."""
+        residual = self.reduce(w)
+        if not any(residual):
+            return False
+        self.keep(residual)
+        return True
+
+
 def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
     """Reduced echelon rows, then zero rows, as many as given; and the pivots.
 
@@ -663,18 +700,31 @@ def is_nilpotent(m: Mat) -> bool:
 def krylov_relation(step: Callable[[Vec], Vec], v: Vec) -> Poly:
     """The monic relation of least degree among v, step(v), step(step(v)), ...
 
-    The iterates are collected until the first one that is a combination of
-    those before it; its coefficients, negated, and a leading one give the
-    relation.  For v = 0 the relation is 1.
+    One integer echelon form of the chain is kept, each row tagged with the
+    combination of iterates it is: the k-th iterate w = v_k / L enters as
+    (w | L e_k), so every row is a multiple of (sum a_j v_j | a).  Each new
+    iterate is reduced once; the first whose residual is zero on the vector
+    part gives sum a_j v_j = 0 with a_k != 0, the relation with coefficients
+    a_j / a_k.  That relation is unique, so it is the one a solve of the whole
+    chain would give.  For v = 0 the relation is 1.
     """
     if is_zero_vec(v):
         return Poly.one()
-    chain = [v]
-    current = step(v)
-    while (dep := solve(Mat.from_columns(chain), current)) is None:
-        chain.append(current)
+    n = len(v)
+    echelon = _IntegerEchelon()
+    current = v
+    # n + 1 iterates in Q^n are dependent, so the loop returns by k = n
+    for k in range(n + 1):
+        scale, w = _integer_row(current)
+        tag = [0] * (n + 1)
+        tag[k] = scale
+        residual = echelon.reduce(w + tag)
+        if not any(residual[:n]):
+            lead = residual[n + k]
+            return Poly.of([Fraction(a, lead) for a in residual[n:n + k + 1]])
+        echelon.keep(residual)
         current = step(current)
-    return Poly.of([-c for c in dep] + [ONE])
+    raise AssertionError("more than n independent vectors in Q^n")
 
 
 def minimal_polynomial(m: Mat) -> Poly:

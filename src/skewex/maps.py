@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .algebra import Algebra, _integer_product, is_ideal, quotient, quotient_section
 from .errors import (
@@ -39,15 +39,14 @@ from .linalg import (
     Subspace,
     Vec,
     _integer_kernel,
+    _integer_row,
     inverse,
     is_zero_vec,
     kernel,
     minimal_polynomial,
-    power_reduction_table,
     rat,
     rref,
     solve,
-    unit_vec,
     vec_add,
     vec_sub,
     zero_vec,
@@ -108,10 +107,12 @@ def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple[int, i
     return True, None
 
 
-def _first_unmultiplicative_pair(source: Algebra, target: Algebra,
-                                 m: Mat) -> Optional[tuple[int, int]]:
+def _first_unmultiplicative_pair(source: Algebra, target: Algebra, m: Mat,
+                                 rows: Optional[Sequence[int]] = None
+                                 ) -> Optional[tuple[int, int]]:
     """First basis pair (i, j) of source, in row-major order, with
     m(e_i e_j) != m(e_i) m(e_j) in target; None when m is multiplicative.
+    With rows given, only the pairs with i among them are checked.
 
     With m = A / L and the constants Cs / Ls of source and Ct / Lt of target,
     m(e_i e_j) is A Cs_ij over L Ls and m(e_i) m(e_j) is sum A_i A_j Ct over
@@ -122,8 +123,8 @@ def _first_unmultiplicative_pair(source: Algebra, target: Algebra,
     source_scale, source_table = source.integer_sc
     target_scale, target_table = target.integer_sc
     left = scale * target_scale
-    for i, row in enumerate(source_table):
-        for j, product in enumerate(row):
+    for i in range(source.dim) if rows is None else rows:
+        for j, product in enumerate(source_table[i]):
             lhs = _integer_image(columns, product, m.rows)
             rhs = _integer_product(target_table, columns[i], columns[j])
             if any(left * x != source_scale * y for x, y in zip(lhs, rhs)):
@@ -344,13 +345,30 @@ def kernel_chain_preimage(phi: AlgebraEndo, a: Vec) -> Vec:
 
 def automorphism_order(phi: AlgebraEndo, bound: int = 64) -> Optional[int]:
     """Least m <= bound with phi^m = I, or None; read off the powers X^m
-    modulo the minimal polynomial of phi, since phi^m = I iff X^m = 1 there."""
+    modulo the minimal polynomial of phi, since phi^m = I iff X^m = 1 there.
+
+    The residues are walked in integers and the walk stops at the first 1:
+    with p = X^d + sum_{q<d} (P_q / L) X^q and a residue R / S, X R / S is
+    (L shift(R) - t P) / (L S), t the top entry of R, kept divided by its
+    content.
+    """
     if not phi.is_invertible():
         raise NotAutomorphism("order is only defined for automorphisms")
     p = phi.minimal_polynomial
-    one = unit_vec(0, p.degree)
-    residues = power_reduction_table(p, bound)
-    return next((m for m in range(1, bound + 1) if residues[m] == one), None)
+    d = p.degree
+    if d == 0:  # the zero algebra, on which phi is the identity
+        return 1 if bound >= 1 else None
+    scale_p, cp = _integer_row(p.coeffs[:-1])
+    scale, residue = 1, [1] + [0] * (d - 1)
+    for m in range(1, bound + 1):
+        top = residue[-1]
+        residue = [scale_p * x - top * c for x, c in zip([0] + residue[:-1], cp)]
+        scale *= scale_p
+        content = math.gcd(scale, *residue)
+        scale, residue = scale // content, [x // content for x in residue]
+        if residue[0] == scale and not any(residue[1:]):
+            return m
+    return None
 
 
 def exp_derivation(d: Derivation) -> AlgebraEndo:
@@ -383,15 +401,21 @@ def exp_derivation(d: Derivation) -> AlgebraEndo:
 def derivation_space(algebra: Algebra) -> list[Derivation]:
     """Basis of the space of derivations, by solving the product-rule system.
 
-    Unknowns are the n^2 matrix entries; each basis pair contributes n scalar
-    equations, as integer rows read off the integer structure constants (the
-    common scale of the constants does not change the kernel).  Every
-    returned map re-passes the certificate.
+    Unknowns are the n^2 matrix entries.  The rule is imposed on the pairs
+    (e_g, e_j) for g among the algebra's generators G, n scalar equations
+    each, and D(1) = 0 adds n more: |G| n^2 + n rows instead of n^3.  That
+    suffices, since {x : D(x y) = D(x) y + x D(y) for all y} is closed under
+    products in an associative algebra and holds 1 exactly when D(1) = 0, so
+    it holds the subalgebra G generates, all of it.  The rows are integers
+    read off the integer structure constants and the unit (common scales do
+    not change the kernel).  Every returned map re-passes the certificate.
     """
     n = algebra.dim
     table = algebra.integer_sc[1]
-    rows = []
-    for i in range(n):
+    _, unit = _integer_row(algebra.unit)
+    # row k of D(1) = 0: coefficients of m[k][c] in sum_c m[k][c] unit[c]
+    rows = [[0] * (k * n) + unit + [0] * ((n - 1 - k) * n) for k in range(n)]
+    for i in algebra.generators:
         for j in range(n):
             # row k: coefficients of m[r][c] in D(e_i e_j)_k - (D(e_i) e_j)_k - (e_i D(e_j))_k
             block = [[0] * (n * n) for _ in range(n)]

@@ -221,3 +221,23 @@ def test_replay_reproduces_suite_records(files, tmp_path):
 def test_usage_error():
     result = run_cli("suite")
     assert result.returncode == 2
+
+
+def test_consecutive_calls_do_not_share_the_map_list(monkeypatch):
+    """The parser is built once; each call still gets its own --map list."""
+    from skewex import cli
+    from skewex.errors import ParseError
+
+    seen = []
+
+    def record(algebra, maps):
+        seen.append(maps)
+        raise ParseError("recorded")
+
+    monkeypatch.setattr(cli, "parse_definitions", record)
+    for maps in (["a.json:derivation"], ["b.json", "c.json"], []):
+        argv = ["suite", "--algebra", "x.json", "--suites", "ms_oracle"]
+        argv += [arg for m in maps for arg in ("--map", m)]
+        assert cli.main(argv) == 2
+    assert seen == [["a.json:derivation"], ["b.json", "c.json"], []]
+    assert cli.build_parser() is cli.build_parser()

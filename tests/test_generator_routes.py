@@ -1,0 +1,364 @@
+"""Each check that runs on a generating set, against its loop over the basis.
+
+Algebra.generators is a greedy list G of basis indices whose left-normed
+words span the algebra.  The extension quotient checks associators at
+embed(G) and u once their words span its table; verify_extension checks that
+embed is multiplicative on the pairs (e_g, e_j) and that u realizes the twist
+on G; derivation_space solves the product rule on those pairs plus D(1) = 0.
+Each is compared with the full basis loop it replaces on the test corpus,
+M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases show what each
+part of the argument is for: the unit checks, the D(1) = 0 rows, a G that
+spans, and u among the quotient's generators.
+"""
+
+import random
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from skewex import _extension
+from skewex.algebra import (
+    _check_unit_law,
+    _first_nonassociative_at,
+    make_algebra,
+    matrix_algebra,
+    poly_quotient,
+    subalgebra_generated,
+)
+from skewex.errors import AssociativityFails, NotAssociative, SkewexError, UnitFails
+from skewex.explorer import random_basis_change, random_recipe
+from skewex.laurent import laurent_quotient
+from skewex.linalg import (
+    Mat,
+    Poly,
+    _integer_kernel,
+    _integer_row,
+    span,
+    vec_add,
+    vec_sub,
+    zero_vec,
+)
+from skewex.maps import (
+    _first_unmultiplicative_pair,
+    derivation_space,
+    is_derivation,
+)
+from skewex.ore import ore_quotient
+from skewex.sampling import sample_automorphisms
+from test_nucleus_certificate import extensions, perturbed
+from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
+
+F = Fraction
+
+
+@cache
+def explorer_algebras(count=300):
+    """Seeded explorer products of dimension <= 4, half after a basis change."""
+    out = []
+    for seed in range(count):
+        rng = random.Random(10_000 + seed)
+        algebra = random_recipe(rng, 4).algebra
+        if seed % 2:
+            algebra = random_basis_change(algebra, rng)
+        out.append((f"explore{seed}", algebra))
+    return tuple(out)
+
+
+def all_algebras(corpus):
+    return [*corpus.items(), ("m4", matrix_algebra(4)), *explorer_algebras()]
+
+
+def all_extensions(corpus, m3):
+    """The extensions of test_nucleus_certificate, then an Ore extension by
+    the last derivation-basis element and a Laurent extension by a sampled
+    automorphism of each explorer algebra, where they exist."""
+    yield from extensions(corpus, m3)
+    for name, algebra in explorer_algebras():
+        derivations = derivation_space(algebra)
+        if derivations:
+            yield "explorer", f"{name}/derivation", ore_quotient(algebra, derivations[-1])
+        for phi in sample_automorphisms(algebra, random.Random(name), 1):
+            yield "explorer", f"{name}/automorphism", laurent_quotient(algebra, phi)
+
+
+def ref_subalgebra_generated(algebra, gens):
+    """The closure of the unit and gens under all products, by rounds of
+    products of the whole basis until the span stops growing."""
+    current = span([algebra.unit] + list(gens), algebra.dim)
+    while True:
+        grown = span(list(current.basis) + [algebra.multiply(v, w) for v in current.basis
+                                            for w in current.basis], algebra.dim)
+        if grown.dim == current.dim:
+            return grown
+        current = grown
+
+
+def full_derivation_system(algebra):
+    """The kernel of the product rule on all n^2 basis pairs, n^3 rows."""
+    n = algebra.dim
+    table = algebra.integer_sc[1]
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            block = [[0] * (n * n) for _ in range(n)]
+            for c, x in table[i][j]:
+                for k in range(n):
+                    block[k][k * n + c] += x
+            for r in range(n):
+                for k, x in table[r][j]:
+                    block[k][r * n + i] -= x
+                for k, x in table[i][r]:
+                    block[k][r * n + j] -= x
+            rows.extend(block)
+    return [Mat.from_rows([[v[r * n + c] for c in range(n)] for r in range(n)])
+            for v in _integer_kernel(rows, n * n).basis]
+
+
+def unital_perturbation(algebra, rng):
+    """A nonzero rank-one matrix v w^T with w . unit = 0, so adding it to a
+    map keeps the image of the unit."""
+    n = algebra.dim
+    while True:
+        w = [F(rng.randint(-2, 2)) for _ in range(n)]
+        pivot = next(k for k, x in enumerate(algebra.unit) if x)
+        w[pivot] -= sum(a * b for a, b in zip(w, algebra.unit)) / algebra.unit[pivot]
+        v = [F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(n)]
+        m = Mat.from_rows([[a * b for b in w] for a in v])
+        if not m.is_zero():
+            return m
+
+
+# -- the generating set --------------------------------------------------------
+
+def test_generators_span_and_are_chosen_greedily(corpus):
+    sizes = {}
+    for name, algebra in all_algebras(corpus):
+        gens = algebra.generators
+        basis = [algebra.basis_element(g) for g in gens]
+        assert ref_subalgebra_generated(algebra, basis).dim == algebra.dim, name
+        if algebra.dim <= 9:
+            # each index is kept exactly when the ones kept before it do not reach it
+            for i in range(algebra.dim):
+                before = ref_subalgebra_generated(
+                    algebra, [algebra.basis_element(g) for g in gens if g < i])
+                assert (i in gens) == (not before.contains(algebra.basis_element(i))), (name, i)
+        sizes[name] = len(gens)
+    assert sizes["m3"] == 5 and sizes["m4"] == 7 and sizes["jet2"] == 1
+    assert max(sizes.values()) < 9
+
+
+def test_subalgebra_generated_matches_the_product_rounds(corpus):
+    rng = random.Random(31)
+    for name, algebra in all_algebras(corpus):
+        if algebra.dim > 9:
+            continue
+        for count in (0, 1, 2):
+            gens = [tuple(F(rng.randint(-2, 2), rng.choice([1, 3])) for _ in range(algebra.dim))
+                    for _ in range(count)]
+            assert subalgebra_generated(algebra, gens) == ref_subalgebra_generated(
+                algebra, gens), name
+
+
+# -- derivation_space ----------------------------------------------------------
+
+def test_derivation_space_matches_the_full_system(corpus):
+    dims = []
+    for name, algebra in all_algebras(corpus):
+        got = [d.matrix for d in derivation_space(algebra)]
+        assert got == full_derivation_system(algebra), name
+        dims.append(len(got))
+    assert max(dims) == 15 and dims.count(0) >= 10
+
+
+def test_the_unit_rows_are_needed(q_times_q):
+    # Q x Q has G = [0]: the product rule holds on (e_0, e_0) and (e_0, e_1)
+    # for D(e_0) = 0, D(e_1) = e_1, which moves the unit and is no derivation
+    assert q_times_q.generators == (0,)
+    moved = Mat.from_rows([[0, 0], [0, 1]])
+    for j in range(2):
+        lhs = moved.apply(q_times_q.sc[0][j])
+        rhs = vec_add(q_times_q.multiply(moved.column(0), q_times_q.basis_element(j)),
+                      q_times_q.multiply(q_times_q.basis_element(0), moved.column(j)))
+        assert lhs == rhs, j
+    assert not is_derivation(q_times_q, moved)[0]
+    assert derivation_space(q_times_q) == []
+    rational = poly_quotient(Poly.of([0, 1]))
+    assert rational.generators == () and derivation_space(rational) == []
+
+
+# -- multiplicativity and the twist ------------------------------------------
+
+def test_multiplicativity_on_generators_matches_all_pairs(corpus):
+    rng = random.Random(47)
+    verdicts = {}
+    for name, algebra in all_algebras(corpus):
+        maps = [phi.matrix for phi in sample_automorphisms(algebra, rng, 2)]
+        maps += [m + unital_perturbation(algebra, rng) for m in list(maps)]
+        for m in maps:
+            assert m.apply(algebra.unit) == algebra.unit, name
+            full = _first_unmultiplicative_pair(algebra, algebra, m)
+            routed = _first_unmultiplicative_pair(algebra, algebra, m, algebra.generators)
+            assert (full is None) == (routed is None), name
+            verdicts[full is None] = verdicts.get(full is None, 0) + 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
+
+
+def test_multiplicativity_needs_the_unit_check(dual_numbers):
+    # 1 -> 1 + t, t -> 2 t is injective and multiplicative on (t, 1) and
+    # (t, t), the pairs of G = [t], but not on (1, 1): only the unit check
+    # tells it from a homomorphism, and verify_extension stops there
+    assert dual_numbers.generators == (1,)
+    phi = Mat.from_columns([(F(1), F(1)), (F(0), F(2))])
+    assert _first_unmultiplicative_pair(dual_numbers, dual_numbers, phi, (1,)) is None
+    assert _first_unmultiplicative_pair(dual_numbers, dual_numbers, phi) == (0, 0)
+    with pytest.raises(SkewexError, match="does not send unit to unit"):
+        _extension.verify_extension("derivation", dual_numbers, dual_numbers, phi,
+                                    zero_vec(2), Poly.of([0, 1]), Mat.zeros(2, 2))
+
+
+def twist_on(mode, result, twist, indices):
+    """Whether u realizes twist at the basis elements of the given indices."""
+    ext, embed, u = result.algebra, result.embed, result.u
+    for a in indices:
+        img = embed.column(a)
+        if mode == "derivation":
+            got = vec_sub(ext.multiply(u, img), ext.multiply(img, u))
+        else:
+            got = ext.multiply(ext.multiply(u, img), result.u_inverse)
+        if got != embed.apply(twist.column(a)):
+            return False
+    return True
+
+
+def test_twist_on_generators_matches_the_basis_loop(corpus, m3):
+    rng = random.Random(59)
+    verdicts = {}
+    for source, label, result in all_extensions(corpus, m3):
+        base, mode = result.base, result.mode
+        embed, ext = result.embed, result.algebra
+        assert _first_unmultiplicative_pair(base, ext, embed, base.generators) is None, label
+        assert _first_unmultiplicative_pair(base, ext, embed) is None, label
+        if mode == "derivation":
+            candidates = [d.matrix for d in derivation_space(base)]
+            candidates += [m.scale(2) for m in candidates] + [Mat.zeros(base.dim, base.dim)]
+        else:
+            candidates = [phi.matrix for phi in sample_automorphisms(base, rng, 3)]
+            candidates.append(Mat.identity(base.dim))
+        for twist in candidates[:6]:
+            full = twist_on(mode, result, twist, range(base.dim))
+            assert twist_on(mode, result, twist, base.generators) == full, label
+            verdicts[full] = verdicts.get(full, 0) + 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 300, verdicts
+
+
+# -- the quotient's associators ------------------------------------------------
+
+def test_quotient_checks_associators_at_embedded_generators_and_u(monkeypatch, corpus, m3):
+    seen = []
+
+    def spy(integer_sc, generators):
+        seen.append(list(generators))
+        return _first_nonassociative_at(integer_sc, generators)
+
+    monkeypatch.setattr(_extension, "_first_nonassociative_at", spy)
+    for source, label, result in all_extensions(corpus, m3):
+        expected = [result.embed.column(g) for g in result.base.generators] + [result.u]
+        assert seen.pop() == expected, label
+        assert not seen
+    # words that fall short of the table fall back to the whole embedded basis
+    result = next(r for _, _, r in extensions(corpus, m3) if r.p.degree > 1)
+    ext, base = result.algebra, result.base
+    names, generators = _extension._associator_generators(
+        ext, base, result.embed, zero_vec(ext.dim), _integer_row(ext.unit)[1])
+    assert names == [f"embed(e{a})" for a in range(base.dim)] + ["u"]
+    assert generators == result.embed.columns() + [zero_vec(ext.dim)]
+
+
+def routed_verdict(broken, result):
+    """The quotient's verdict on a table: the unit law, then the associators
+    at the generators _associator_generators picks; None when both pass."""
+    try:
+        _check_unit_law(broken)
+    except UnitFails:
+        return "unit"
+    names, generators = _extension._associator_generators(
+        broken, result.base, result.embed, result.u, _integer_row(broken.unit)[1])
+    if len(generators) != len(result.base.generators) + 1:
+        return "fallback"
+    if _first_nonassociative_at(broken.integer_sc, generators) is not None:
+        return "generators"
+    return None
+
+
+def test_routed_associators_match_the_full_check_on_perturbed_tables(corpus, m3):
+    rng = random.Random(4099)
+    verdicts = {}
+    for source, label, result in all_extensions(corpus, m3):
+        for _ in range(3 if result.algebra.dim <= 16 else 1):
+            broken = perturbed(result.algebra, rng)
+            try:
+                make_algebra(broken.dim, broken.sc, broken.unit)
+                full = None
+            except (NotAssociative, UnitFails) as exc:
+                full = type(exc).__name__
+            routed = routed_verdict(broken, result)
+            if routed is None:
+                # a routed pass is a proof of associativity
+                assert full is None, label
+            verdicts[full, routed] = verdicts.get((full, routed), 0) + 1
+    # a fallback leaves the proof to verify_extension's span check; it is
+    # taken only where a perturbation made embed(G) and u stop generating
+    assert set(verdicts) <= {("UnitFails", "unit"), ("NotAssociative", "generators"),
+                             ("NotAssociative", "fallback"), (None, "fallback"),
+                             (None, None)}, verdicts
+    assert verdicts[("NotAssociative", "generators")] >= 200, verdicts
+
+
+def test_the_associator_check_comes_before_verify_extension(monkeypatch, corpus, m3):
+    """Every table from a relation submodule missing one vector fails the
+    quotient's associators.  verify_extension's checks on generators assume
+    an associative table: run first on these tables, they would accept some
+    and reject others with messages of their own."""
+    said = {}
+    for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *fuzz_cases(),
+                                           *m3_pair(m3)]:
+        xpow = xpow_of(mode, algebra, twist, p)
+        relations = _extension.relation_submodule(algebra, p, xpow)
+        if not relations.dim:
+            continue
+        smaller = span(relations.basis[1:], relations.ambient_dim)
+        with pytest.raises(AssociativityFails):
+            _extension.quotient_by_relations(algebra, p, xpow, smaller)
+        with monkeypatch.context() as patch:
+            patch.setattr(_extension, "_first_nonassociative_at", lambda *args: None)
+            try:
+                ext, embed, u = _extension.quotient_by_relations(algebra, p, xpow, smaller)
+                _extension.verify_extension(mode, algebra, ext, embed, u, p, twist.matrix)
+                outcome = "accepted"
+            except AssociativityFails:
+                outcome = "unit"
+            except SkewexError as exc:
+                outcome = str(exc)
+        said[outcome] = said.get(outcome, 0) + 1
+    assert said.get("accepted", 0) >= 10, said
+    assert said.get("embedding is not multiplicative", 0) >= 5, said
+
+
+def test_generators_are_found_without_fraction_arithmetic(monkeypatch):
+    counts = {}
+
+    def counting(name, method):
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args)
+        return wrapper
+
+    algebras = [matrix_algebra(3), poly_quotient(Poly.of([F(1, 2), F(-3, 4), 1]))]
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                     "__truediv__", "__rtruediv__"):
+            patch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+        found = [algebra.generators for algebra in algebras]
+    assert counts == {}
+    assert found == [(0, 1, 2, 3, 6), (1,)]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from skewex import maps
-from skewex.algebra import cyclic_group_algebra, subalgebra_generated
+from skewex.algebra import cyclic_group_algebra, make_algebra, subalgebra_generated
 from skewex.errors import (
     NotAutomorphism,
     NotDerivation,
@@ -228,6 +228,14 @@ def test_automorphism_order_matches_product_loop(corpus):
             assert automorphism_order(phi, bound=order) == order
             assert automorphism_order(phi, bound=order - 1) is None
             assert product_loop_order(phi, bound=order - 1) is None
+
+
+def test_automorphism_order_of_the_zero_algebra():
+    # on Q^0 the minimal polynomial is 1, and phi is already the identity
+    zero = make_algebra(0, [], ())
+    phi = AlgebraEndo.certify(zero, Mat(0, 0, ()))
+    assert automorphism_order(phi) == product_loop_order(phi) == 1
+    assert automorphism_order(phi, bound=0) is None
 
 
 def test_automorphism_order_rejects_singular(q_times_q):
