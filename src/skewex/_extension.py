@@ -68,8 +68,8 @@ verify_extension.  N = 0 means the window itself is the extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
-from typing import Optional
+from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
@@ -79,8 +79,8 @@ from .algebra import (
     _integer_product,
     _kept_coordinates,
     _nonzero,
-    poly_of_element,
 )
+from .algebra import poly_of_element as _poly_of_element
 from .errors import AnnihilatorFails, AssociativityFails, SkewexError, UnitFails
 from .linalg import (
     Mat,
@@ -94,11 +94,12 @@ from .linalg import (
     is_zero_vec,
     kernel,
     power_reduction_table,
-    vec_add,
     vec_sub,
-    zero_vec,
 )
 from .maps import _first_unmultiplicative_pair
+
+# Callers of the constructions re-check p(u) = 0 with p(x) from here.
+poly_of_element = _poly_of_element
 
 # A term list is a left-normal form: pairs (power, coefficient in the base
 # algebra), powers arbitrary non-negative integers before reduction.
@@ -378,6 +379,9 @@ def verify_extension(
       where two of them agree is a subalgebra holding 1, so they agree on
       all of base.
 
+    The powers u^0 .. u^(deg p) are formed once, as integer rows over one
+    common scale, and serve p(u) = 0, the left-module span and u^(-1).
+
     Two more postconditions follow from these and are not checked again:
     - u^(-1) = -(sum_{i >= 1} alpha_i u^(i-1)) / p(0), for p = sum alpha_i X^i,
       is a two-sided inverse: ext is associative, so
@@ -398,20 +402,17 @@ def verify_extension(
     if _first_unmultiplicative_pair(base, ext, embed, generators) is not None:
         raise SkewexError("embedding is not multiplicative")
     images = embed.columns()
-    if not is_zero_vec(poly_of_element(ext, p, u)):
+    scale, powers = _integer_powers(ext, u, p.degree)
+    coeffs = _integer_row(p.coeffs)[1]  # a positive multiple of p's
+    if any(_integer_combination(coeffs, powers)):
         raise SkewexError("p(u) != 0 in the constructed extension")
-    powers = [ext.unit]
-    for _ in range(p.degree - 1):
-        powers.append(ext.multiply(powers[-1], u))
     u_inverse = None
     if mode == "automorphism":
-        acc = zero_vec(ext.dim)
-        for c, power in zip(p.coeffs[1:], powers):
-            acc = vec_add(acc, tuple(c * x for x in power))
-        u_inverse = tuple(-x / p.coeff(0) for x in acc)
+        acc = _integer_combination(coeffs[1:], powers)
+        u_inverse = _rational_row([-x for x in acc], coeffs[0] * scale)
     table = ext.integer_sc[1]
     lefts = [_nonzero(_integer_row(img)[1]) for img in images]
-    rights = [_nonzero(_integer_row(w)[1]) for w in powers]
+    rights = [_nonzero(row) for row in powers[:p.degree]]
     products = [_integer_product(table, x, y) for y in rights for x in lefts]
     if len(_integer_rref(products)) != ext.dim:
         raise SkewexError("extension is not generated by the witness powers as a left module")
@@ -424,3 +425,32 @@ def verify_extension(
         if got != embed.apply(twist.column(a)):
             raise SkewexError(f"adjoined witness does not realize the {mode}")
     return u_inverse
+
+
+def _integer_powers(ext: Algebra, u: Vec, degree: int) -> tuple[int, list[list[int]]]:
+    """(S, rows) with u^i = rows[i] / S for i = 0 .. degree.
+
+    With u = U / L_u and the table's scale L, u^(i+1) is the integer product
+    of u^i = w_i / s_i and U over s_i L L_u; each (s_i, w_i) is divided by
+    its gcd, and S is the lcm of the s_i.
+    """
+    scale, row = _integer_row(ext.unit)
+    step_scale, u_row = _integer_row(u)
+    step_scale *= ext.integer_sc[0]
+    us = _nonzero(u_row)
+    table = ext.integer_sc[1]
+    chain = [(scale, row)]
+    for _ in range(degree):
+        row = _integer_product(table, _nonzero(row), us)
+        scale *= step_scale
+        common = gcd(scale, *row)
+        scale, row = scale // common, [x // common for x in row]
+        chain.append((scale, row))
+    common = lcm(*(s for s, _ in chain))
+    return common, [[x * (common // s) for x in row] for s, row in chain]
+
+
+def _integer_combination(coeffs: Sequence[int], rows: Sequence[list[int]]) -> list[int]:
+    """sum_i coeffs[i] rows[i], over the first len(coeffs) rows."""
+    terms = [(c, row) for c, row in zip(coeffs, rows) if c]
+    return [sum(c * row[k] for c, row in terms) for k in range(len(rows[0]))]

@@ -44,7 +44,6 @@ from .linalg import (
     is_zero_vec,
     kernel,
     power_reduction_table,
-    span,
     unit_vec,
     vec,
     vec_add,
@@ -491,21 +490,32 @@ def radical(algebra: Algebra) -> Subspace:
     """Kernel of the trace form (x, y) -> trace(mu(x y)); the maximal nilpotent ideal.
 
     The Gram entry of (e_i, e_j) is trace_of(sc[i][j]), a dot product with the
-    trace vector.  Verified nilpotent as an ideal before returning.
+    trace vector.  Verified nilpotent as an ideal before returning: the powers
+    R, R^2 = R R, R^3 = R^2 R, ... of the kernel R must reach 0.  The trace
+    form is associative, (x y, z) = (x, y z), so R is a two-sided ideal and
+    the powers are nested, R^(k+1) inside R^k; one that keeps the rank of the
+    one before it equals it, and the powers never reach 0.  Each power is
+    kept as integer rows: its products with R's basis are summed over the
+    integer table, positive multiples of the rational products, and
+    _integer_rref reduces them to a basis.
     """
-    gram = Mat.from_rows([[algebra.trace_of(algebra.sc[i][j]) for i in range(algebra.dim)]
-                          for j in range(algebra.dim)])
+    n = algebra.dim
+    gram = Mat.from_rows([[algebra.trace_of(algebra.sc[i][j]) for i in range(n)]
+                          for j in range(n)])
     rad = kernel(gram)
-    current = rad
-    for _ in range(algebra.dim + 1):
-        if current.dim == 0:
+    table = algebra.integer_sc[1]
+    rad_rows = [_nonzero(_integer_row(v)[1]) for v in rad.basis]
+    current = rad_rows
+    for _ in range(n + 1):
+        if not current:
             break
-        products = [algebra.multiply(x, y) for x in current.basis for y in rad.basis]
-        nxt = span(products, algebra.dim)
-        if nxt == current:
+        products = [row for row in (_integer_product(table, x, y)
+                                    for x in current for y in rad_rows) if any(row)]
+        rank = len(_integer_rref(products))
+        if rank == len(current):
             raise SkewexError("radical candidate is not nilpotent")
-        current = nxt
-    if current.dim != 0:
+        current = [_nonzero(row) for row in products[:rank]]
+    if current:
         raise SkewexError("radical candidate is not nilpotent")
     return rad
 

@@ -5,17 +5,27 @@ algebras, matrix algebras, products, randomized basis changes), computes full
 derivation bases and sampled automorphisms, and runs the image audits plus
 the image/kernel biconditional on each.  Any failing record carries the
 serialized algebra and map so the run can be replayed exactly.
+
+The candidate blocks form one fixed catalogue, built and validated on first
+use and shared by every draw after it: the eleven blocks in draw order, each
+with its slot maps (substitution endomorphisms on a power basis, else the
+identity).  A recipe is a product of catalogue blocks carrying their slot
+maps, so no trial rebuilds a block or re-derives its maps; only the product,
+the basis change and what the audits build are new per trial.  Nothing is
+built at import.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
+from typing import NamedTuple
 
 from .algebra import Algebra, change_of_basis, cyclic_group_algebra, matrix_algebra, poly_quotient
 from .idempotents import image_kernel_idempotent_report
 from .linalg import Mat, Poly, inverse, rat
 from .maps import derivation_space
-from .sampling import ProductRecipe, recipe_endomorphisms, sample_automorphisms
+from .sampling import ProductRecipe, block_slot_maps, recipe_endomorphisms, sample_automorphisms
 from .suites import (
     FAIL,
     INCONCLUSIVE,
@@ -38,34 +48,44 @@ BLOCK_POLYS = [
 ]
 
 
+class CatalogueBlock(NamedTuple):
+    """A candidate block with the slot maps its slots may carry."""
+
+    algebra: Algebra
+    slot_maps: tuple[Mat, ...]
+
+
+@cache
+def _block_catalogue() -> tuple[CatalogueBlock, ...]:
+    """The candidate blocks in draw order: the BLOCK_POLYS quotients, M_2,
+    then the group algebras of C_2, C_3 and C_4.  Built on first use, each
+    block once by its validating constructor."""
+    blocks = [poly_quotient(f) for f in BLOCK_POLYS]
+    blocks += [matrix_algebra(2)] + [cyclic_group_algebra(m) for m in (2, 3, 4)]
+    return tuple(CatalogueBlock(b, block_slot_maps(b)) for b in blocks)
+
+
 def random_recipe(rng: random.Random, max_dim: int) -> ProductRecipe:
-    blocks: list[Algebra] = []
+    catalogue = _block_catalogue()
+    chosen: list[CatalogueBlock] = []
     total = 0
     while True:
-        options: list[Algebra] = []
-        for f in BLOCK_POLYS:
-            if total + f.degree <= max_dim:
-                options.append(poly_quotient(f))
-        if total + 4 <= max_dim:
-            options.append(matrix_algebra(2))
-        for m in (2, 3, 4):
-            if total + m <= max_dim:
-                options.append(cyclic_group_algebra(m))
+        options = [b for b in catalogue if total + b.algebra.dim <= max_dim]
         if not options:
             break
         block = options[rng.randrange(len(options))]
         # repeating a block enables cross-slot endomorphisms
-        if blocks and rng.random() < 0.35:
-            repeat = blocks[rng.randrange(len(blocks))]
-            if total + repeat.dim <= max_dim:
+        if chosen and rng.random() < 0.35:
+            repeat = chosen[rng.randrange(len(chosen))]
+            if total + repeat.algebra.dim <= max_dim:
                 block = repeat
-        blocks.append(block)
-        total += block.dim
-        if total >= max_dim or (len(blocks) >= 2 and rng.random() < 0.5):
+        chosen.append(block)
+        total += block.algebra.dim
+        if total >= max_dim or (len(chosen) >= 2 and rng.random() < 0.5):
             break
-    if not blocks:
-        blocks = [poly_quotient(Poly.of([0, 1]))]
-    return ProductRecipe.build(blocks)
+    if not chosen:
+        chosen = [catalogue[0]]
+    return ProductRecipe.build([b.algebra for b in chosen], [b.slot_maps for b in chosen])
 
 
 def random_basis_change(algebra: Algebra, rng: random.Random) -> Algebra:

@@ -6,9 +6,12 @@ radical by the cubic Newton step, and close under orthogonal sums.  A block e
 splits along a direction d by the minimal polynomial of x = e d in the corner
 e A, the Krylov relation of its power chain e, x, x^2, ...; and since an
 idempotent's trace is its rank, trace(e) = dim e A tells a primitive block.
-When an irreducible factor of degree >= 2 survives, the (still valid)
-partial set is returned flagged inconclusive rather than silently treated as
-complete.
+The quotient by the radical is reduced (the radical is the trace-form
+kernel, verified nilpotent, so it holds every nilpotent), and in a reduced
+commutative algebra that minimal polynomial is square-free: it is split as
+it stands, with no square-free part taken.  When an irreducible factor of
+degree >= 2 survives, the (still valid) partial set is returned flagged
+inconclusive rather than silently treated as complete.
 """
 
 from __future__ import annotations
@@ -86,10 +89,19 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
     p(x) = 0 there, which is the Krylov relation of the chain e, x, x^2, ...
     A 1-dimensional corner gives a degree-1 relation and so no split.
 
+    The algebra must be reduced, as enumerate_idempotents' quotient by the
+    radical is; then the minimal polynomial m of x is square-free.  If
+    m = f^2 g with f of positive degree, then (f g)(x)^2 = m(x) g(x) = 0, so
+    (f g)(x) = 0 as the corner has no nonzero nilpotent, although f g has
+    lower degree than m.  So m'(lam) != 0 at every root lam, and
+    (m / (t - lam)) / m'(lam) is the projector onto the lam component.  A
+    root with m'(lam) = 0 is a repeated one and means the algebra was not
+    reduced: SkewexError.
+
     Returns the finer orthogonal idempotents (possibly just [block]).
     """
     x = algebra.multiply(block, direction)
-    min_poly = krylov_relation(lambda v: algebra.multiply(v, x), block).squarefree_part()
+    min_poly = krylov_relation(lambda v: algebra.multiply(v, x), block)
     roots = min_poly.rational_roots()
     if not roots or min_poly.degree == 1:
         return [block]
@@ -97,7 +109,9 @@ def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
     remainder = block
     for lam in roots:
         reduced, _ = min_poly.divmod(Poly.of([-lam, ONE]))  # divide out (t - lam)
-        scale = reduced.eval(lam)
+        scale = reduced.eval(lam)  # m'(lam)
+        if scale == 0:
+            raise SkewexError("repeated eigenvalue: the corner is not reduced")
         # q(t) = (m/(t-lam)) / m'(lam) selects the lam component
         projector = reduced.scale(ONE / scale)
         piece = poly_of_element(algebra, projector, x, block)

@@ -623,7 +623,13 @@ class Poly:
         return Mat._from_integers(acc, n, lc * power)
 
     def rational_roots(self) -> list[Fraction]:
-        """All rational roots, via the rational-root bound on a cleared form."""
+        """All rational roots, via the rational-root bound on a cleared form.
+
+        With integer coefficients c_0 .. c_d, c_0 != 0, a root in lowest
+        terms is +-num/den with num | c_0 and den | c_d; it is one exactly
+        when sum c_i num^i den^(d-i) = 0, tested in integers.  A pair with a
+        common factor repeats the candidate of its reduced pair and is skipped.
+        """
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
         p = self
@@ -633,15 +639,22 @@ class Poly:
             while p.coeff(0) == 0 and p.degree >= 1:
                 p = Poly.of(p.coeffs[1:])
         if p.degree < 1:
-            return sorted(set(roots))
+            return roots
         ints = _integer_row(p.coeffs)[1]
         lead, const = ints[-1], ints[0]
         for num in _divisors(abs(const)):
             for den in _divisors(abs(lead)):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if p.eval(cand) == 0:
-                        roots.append(cand)
-        return sorted(set(roots))
+                if gcd(num, den) > 1:
+                    continue
+                for signed in (num, -num):
+                    # homogeneous Horner: c_d num^d + c_(d-1) num^(d-1) den + ...
+                    acc, den_power = 0, 1
+                    for c in reversed(ints):
+                        acc = acc * signed + c * den_power
+                        den_power *= den
+                    if acc == 0:
+                        roots.append(Fraction(signed, den))
+        return sorted(roots)
 
     def __str__(self) -> str:
         if self.is_zero():

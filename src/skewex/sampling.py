@@ -178,14 +178,19 @@ def substitution_endos(algebra: Algebra,
 @dataclass
 class ProductRecipe:
     """A direct product together with its block structure, so slot-wise
-    endomorphisms can be assembled."""
+    endomorphisms can be assembled.  slot_maps[i] lists the maps the slots
+    of block i may carry, block_slot_maps(blocks[i])."""
 
     algebra: Algebra
     blocks: list[Algebra]
     offsets: list[int]
+    slot_maps: list[tuple[Mat, ...]]
 
     @staticmethod
-    def build(blocks: Sequence[Algebra]) -> "ProductRecipe":
+    def build(blocks: Sequence[Algebra],
+              slot_maps: Optional[Sequence[tuple[Mat, ...]]] = None) -> "ProductRecipe":
+        """The product of the blocks in order.  slot_maps, when given, must be
+        block_slot_maps of each block; it is computed when omitted."""
         if not blocks:
             raise ValueError("at least one block required")
         algebra = blocks[0]
@@ -196,7 +201,17 @@ class ProductRecipe:
         for b in blocks:
             offsets.append(at)
             at += b.dim
-        return ProductRecipe(algebra, list(blocks), offsets)
+        if slot_maps is None:
+            slot_maps = [block_slot_maps(b) for b in blocks]
+        return ProductRecipe(algebra, list(blocks), offsets, list(slot_maps))
+
+
+def block_slot_maps(block: Algebra) -> tuple[Mat, ...]:
+    """The maps a slot of this block may carry: its substitution
+    endomorphisms when it has a power basis, the identity otherwise."""
+    if block.dim >= 2 and _looks_monogenic(block):
+        return tuple(e.matrix for e in substitution_endos(block))
+    return (Mat.identity(block.dim),)
 
 
 def slot_endomorphism(recipe: ProductRecipe, sources: Sequence[int],
@@ -220,15 +235,10 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
                          require_singular: bool = False) -> list[AlgebraEndo]:
     """Seeded slot-wise endomorphisms of a product, optionally only singular ones.
 
-    A slot matrix drawn before is skipped before it is certified, so each
+    Each slot carries one of the recipe's slot maps of its source block.  A
+    slot matrix drawn before is skipped before it is certified, so each
     returned map is certified once.
     """
-    per_block: list[list[Mat]] = []
-    for block in recipe.blocks:
-        endos = [Mat.identity(block.dim)]
-        if block.dim >= 2 and _looks_monogenic(block):
-            endos = [e.matrix for e in substitution_endos(block)]
-        per_block.append(endos)
     compatible_sources = [
         [i for i, other in enumerate(recipe.blocks) if other.sc == blk.sc]
         for blk in recipe.blocks
@@ -239,7 +249,7 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
     while len(out) < count and tries < 60 * count:
         tries += 1
         sources = [rng.choice(opts) for opts in compatible_sources]
-        block_maps = [rng.choice(per_block[src]) for src in sources]
+        block_maps = [rng.choice(recipe.slot_maps[src]) for src in sources]
         m = slot_endomorphism(recipe, sources, block_maps)
         if m.entries in seen:
             continue

@@ -11,6 +11,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 from .algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
@@ -172,11 +173,19 @@ class _Recorder:
         self.add(check, status, witness, started)
 
 
+@cache
+def _matrix_sc(n: int):
+    """The structure constants of M_n in its matrix-unit basis, built once per n."""
+    return matrix_algebra(n).sc
+
+
 def _matrix_size(algebra: Algebra) -> Optional[int]:
+    """n when the algebra is M_n in its matrix-unit basis, else None; another
+    basis of M_n is not recognised."""
     root = round(algebra.dim ** 0.5)
     if root < 2 or root * root != algebra.dim:
         return None
-    return root if algebra.sc == matrix_algebra(root).sc else None
+    return root if algebra.sc == _matrix_sc(root) else None
 
 
 def _idempotent_context(algebra: Algebra) -> IdempotentSet:

@@ -558,6 +558,21 @@ def test_corner_relation_matches_restricted_minimal_polynomial(corpus, monkeypat
     assert len(calls) >= 1000 and degrees >= {1, 2, 3}, (len(calls), degrees)
 
 
+def test_corner_relations_are_square_free(corpus, monkeypatch):
+    # the blocks split live in the quotient by the radical, which is reduced
+    algebras = [a for a in corpus.values() if a.is_commutative()] + commutative_draws(300)
+    calls = split_block_relations(monkeypatch, algebras)
+    assert len(calls) >= 1000
+    for algebra, block, direction, relation in calls:
+        assert relation.squarefree_part() == relation, (algebra, block, direction)
+
+
+def test_split_block_rejects_an_unreduced_corner(dual_numbers):
+    # in Q[t]/(t^2) the relation of t is t^2, whose root 0 is repeated
+    with pytest.raises(SkewexError, match="not reduced"):
+        idempotents._split_block(dual_numbers, dual_numbers.unit, dual_numbers.basis_element(1))
+
+
 @pytest.fixture
 def trace_corpus(corpus, dual_numbers, euler, q_times_q, swap):
     """The corpus plus one Ore and one Laurent quotient."""

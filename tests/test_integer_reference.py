@@ -10,12 +10,13 @@ and extensions of the test corpus.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from free_model_oracle import free_model, quotient_by_relations
 from skewex import _extension, maps
+from skewex._extension import poly_of_element
 from skewex.algebra import (
     _first_unabsorbed,
     ideal_closure,
@@ -24,12 +25,14 @@ from skewex.algebra import (
     subalgebra_generated,
     two_sided_ideal,
 )
-from skewex.errors import AssociativityFails
+from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import laurent_quotient
 from skewex.linalg import (
     ONE,
     ZERO,
     Mat,
+    Poly,
+    _divisors,
     _integer_rref,
     full_space,
     inverse,
@@ -39,6 +42,7 @@ from skewex.linalg import (
     span,
     unit_vec,
     zero_subspace,
+    zero_vec,
 )
 from skewex.maps import derivation_space
 from skewex.ore import ore_quotient
@@ -393,3 +397,106 @@ def test_is_ideal_matches_reference(corpus):
             assert is_ideal(algebra, subspace) == expected, name
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+# -- rational roots ------------------------------------------------------------
+
+def ref_rational_roots(p):
+    """Poly.rational_roots as it was, every candidate tested by Fraction Horner."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has every root")
+    roots = []
+    if p.coeff(0) == 0:
+        roots.append(ZERO)
+        while p.coeff(0) == 0 and p.degree >= 1:
+            p = Poly.of(p.coeffs[1:])
+    if p.degree < 1:
+        return sorted(set(roots))
+    ints = [c.numerator * (lcm(*(x.denominator for x in p.coeffs)) // c.denominator)
+            for c in p.coeffs]
+    lead, const = ints[-1], ints[0]
+    for num in _divisors(abs(const)):
+        for den in _divisors(abs(lead)):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if p.eval(cand) == 0:
+                    roots.append(cand)
+    return sorted(set(roots))
+
+
+def test_rational_roots_match_fraction_horner():
+    rng = random.Random(1618)
+    polys = [Poly.of([5]), Poly.of([0, 3]), Poly.of([0, 0, 1]), Poly.of([1, 0, 1]),
+             Poly.of([-4, 0, 9]), Poly.of([F(1, 2), F(-3, 4), F(1, 6)])]
+    for _ in range(400):
+        p = Poly.of([rng.choice([1, 2, 3, 4, 6, -1, -2, F(2, 3), F(-5, 4)])])
+        for _ in range(rng.randint(0, 4)):  # rational linear factors, repeats likely
+            p = p * Poly.of([rng.randint(-4, 4), rng.choice([1, 1, 2, 3, -2, 6])])
+        for _ in range(rng.randint(0, 1)):  # a factor with no rational root
+            p = p * Poly.of([rng.randint(1, 3), 0, rng.randint(1, 3)])
+        if rng.random() < 0.3:
+            p = p + Poly.of([rng.randint(-3, 3)])
+        if not p.is_zero():
+            polys.append(p)
+    kinds = set()
+    for p in polys:
+        got = p.rational_roots()
+        assert got == ref_rational_roots(p), p
+        assert all(type(r) is Fraction for r in got)
+        kinds.add((p.coeff(0) == 0, not p.is_monic(),
+                   any(p.divmod(Poly.of([-r, 1]) * Poly.of([-r, 1]))[1].is_zero() for r in got)))
+    # zero constant terms, non-monic leading coefficients and repeated roots
+    assert all(any(kind[i] for kind in kinds) for i in range(3))
+    assert any(p.rational_roots() and not p.is_monic() and p.coeff(0) != 0 for p in polys)
+    with pytest.raises(ValueError):
+        Poly.zero().rational_roots()
+
+
+# -- the power chain of verify_extension -----------------------------------------
+
+def ref_verify_powers(ext, u, p):
+    """p(u) and, when p(0) != 0, u^(-1) = -(sum_(i >= 1) p_i u^(i-1)) / p(0), by
+    the Fraction power chain verify_extension once built."""
+    p_of_u = poly_of_element(ext, p, u)
+    if p.coeff(0) == 0:
+        return p_of_u, None
+    powers = [ext.unit]
+    for _ in range(p.degree - 1):
+        powers.append(ext.multiply(powers[-1], u))
+    acc = zero_vec(ext.dim)
+    for c, power in zip(p.coeffs[1:], powers):
+        acc = tuple(a + c * x for a, x in zip(acc, power))
+    return p_of_u, tuple(-x / p.coeff(0) for x in acc)
+
+
+def test_verify_extension_powers_match_fraction_chain(corpus, monkeypatch):
+    calls = []
+    real = _extension.verify_extension
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_extension, "verify_extension", spy)
+    for name, algebra in corpus.items():
+        for d in derivation_space(algebra)[:2]:
+            ore_quotient(algebra, d)
+        for phi in sample_automorphisms(algebra, random.Random(len(name)), 3):
+            laurent_quotient(algebra, phi)
+    monkeypatch.undo()
+    assert {args[0] for args in calls} == {"derivation", "automorphism"}
+    rejected = 0
+    for mode, base, ext, embed, u, p, twist in calls:
+        p_of_u, inverse_ref = ref_verify_powers(ext, u, p)
+        assert not any(p_of_u)
+        got = real(mode, base, ext, embed, u, p, twist)
+        if mode == "automorphism":
+            assert got == inverse_ref and all(type(x) is Fraction for x in got)
+            assert ext.multiply(u, got) == ext.unit
+        else:
+            assert got is None
+        shifted = tuple(x + y for x, y in zip(u, ext.unit))
+        if any(ref_verify_powers(ext, shifted, p)[0]):
+            with pytest.raises(SkewexError, match=r"p\(u\) != 0"):
+                real(mode, base, ext, embed, shifted, p, twist)
+            rejected += 1
+    assert len(calls) >= 30 and rejected == len(calls), (len(calls), rejected)
