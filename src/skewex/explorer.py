@@ -110,14 +110,18 @@ def random_explorer(seed: int, trials: int, max_dim: int) -> Report:
         rec = _Recorder(f"explore[{trial}]")
         idems = _idempotent_context(algebra)
         derivations = derivation_space(algebra)
-        autos = sample_automorphisms(algebra, rng, 4, derivations=derivations)
+        # a lone catalogue block carries its substitution maps as slot maps
+        slot_maps = recipe.slot_maps[0] if algebra is recipe.blocks[0] else None
+        autos = sample_automorphisms(algebra, rng, 4, derivations=derivations,
+                                     slot_maps=slot_maps)
         _audit_derivations_and_automorphisms(rec, algebra, idems, derivations, autos)
         endos = autos
         if algebra is recipe.algebra:
             endos = endos + recipe_endomorphisms(recipe, rng, 2)
+        ideals = {}
         for idx, phi in enumerate(endos):
             def check(phi=phi, idx=idx):
-                result = image_kernel_idempotent_report(algebra, phi, idems)
+                result = image_kernel_idempotent_report(algebra, phi, idems, ideals)
                 witness = {"map_index": idx, "complete": idems.complete}
                 if not (result.consistent and result.ideal_contained):
                     witness["algebra"] = algebra_to_json(algebra)

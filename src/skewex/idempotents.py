@@ -242,16 +242,31 @@ class MsVerdict:
     checked: tuple[tuple[Vec, bool], ...]
 
 
+def principal_ideal(algebra: Algebra, e: Vec, ideals: dict[Vec, Subspace]) -> Subspace:
+    """The two-sided ideal generated by e, read from `ideals`, a dict from
+    elements to the ideals they generate, or built and added to it."""
+    ideal = ideals.get(e)
+    if ideal is None:
+        ideal = ideals[e] = ideal_closure(algebra, [e])
+    return ideal
+
+
 def ms_check(
-    algebra: Algebra, v: Subspace, idems: IdempotentSet, side: str = "two"
+    algebra: Algebra, v: Subspace, idems: IdempotentSet, side: str = "two",
+    ideals: Optional[dict[Vec, Subspace]] = None,
 ) -> MsVerdict:
     """Idempotent criterion: every listed idempotent inside v must generate an
-    ideal inside v.  The verdict is only definitive when the set is complete."""
+    ideal inside v.  The verdict is only definitive when the set is complete.
+    `ideals` is principal_ideal's dict of two-sided ideals, shared by the
+    callers that audit one algebra; it needs side "two"."""
+    if ideals is not None and side != "two":
+        raise ValueError("a dict of two-sided ideals needs side 'two'")
     checked = []
     for e in idems.items:
         if not v.contains(e):
             continue
-        ideal = ideal_closure(algebra, [e], side)
+        ideal = (ideal_closure(algebra, [e], side) if ideals is None
+                 else principal_ideal(algebra, e, ideals))
         inside = ideal.is_subspace_of(v)
         checked.append((e, inside))
         if not inside:
@@ -362,13 +377,14 @@ class ImageKernelReport:
 
 
 def image_kernel_idempotent_report(
-    algebra: Algebra, phi: AlgebraEndo, idems: IdempotentSet
+    algebra: Algebra, phi: AlgebraEndo, idems: IdempotentSet,
+    ideals: Optional[dict[Vec, Subspace]] = None,
 ) -> ImageKernelReport:
     """For each idempotent: membership in Im(I - phi) must match membership in
     the kernel chain of phi, and idempotents inside the image must drag their
     whole ideal along, which is ms_check's idempotent criterion.  The chain
     comes from induced_map, which also certifies that phi induces an
-    automorphism of the quotient by it."""
+    automorphism of the quotient by it.  `ideals` is passed on to ms_check."""
     induced = induced_map(phi)
     delta = Mat.identity(algebra.dim) - phi.matrix
     image = column_space(delta)
@@ -381,7 +397,7 @@ def image_kernel_idempotent_report(
         if in_image != in_chain:
             consistent = False
         entries.append((e, in_image, in_chain))
-    ideal_contained = ms_check(algebra, image, idems).status != NOT_MS
+    ideal_contained = ms_check(algebra, image, idems, ideals=ideals).status != NOT_MS
     return ImageKernelReport(tuple(entries), consistent, ideal_contained)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from ._extension import (
@@ -135,6 +136,28 @@ class CoefficientSumReport:
     member: bool
 
 
+def _scalar_poly_at(phi: AlgebraEndo, scalar_terms: Sequence[tuple[int, Fraction]]) -> Mat:
+    """f(phi) = sum_i c_i phi^(e_i) for the scalar terms (e_i, c_i), as one
+    integer sum.  With c_i = P_i / Q_i and phi^(e_i) = A_i / L_i, each term
+    is P_i A_i over Q_i L_i; brought to S, the lcm of the Q_i L_i, the sum
+    is sum_i P_i (S / (Q_i L_i)) A_i over S."""
+    n = phi.algebra.dim
+    terms = []
+    for exp, coeff in scalar_terms:
+        c = rat(coeff)
+        scale, ints = phi.power(exp).integer_form
+        terms.append((c.numerator, c.denominator * scale, ints))
+    common = lcm(*(scale for _, scale, _ in terms))
+    total = [[0] * n for _ in range(n)]
+    for num, scale, ints in terms:
+        factor = num * (common // scale)
+        if factor:
+            for out, row in zip(total, ints):
+                for k, x in enumerate(row):
+                    out[k] += factor * x
+    return Mat._from_integers(total, n, common)
+
+
 def coefficient_sum_membership(
     scalar_terms: Sequence[tuple[int, Fraction]],
     b: Vec,
@@ -151,9 +174,7 @@ def coefficient_sum_membership(
     h = laurent_mul(LaurentSkewPoly.monomial(algebra, b, j), f, phi)
     h = laurent_mul(h, LaurentSkewPoly.monomial(algebra, c, k), phi)
     value = eval_at_one(h)
-    f_of_phi = Mat.zeros(algebra.dim, algebra.dim)
-    for exp, coeff in scalar_terms:
-        f_of_phi = f_of_phi + phi.power(exp).scale(rat(coeff))
+    f_of_phi = _scalar_poly_at(phi, scalar_terms)
     closed = algebra.multiply(b, f_of_phi.apply(phi.power(j).apply(c)))
     if value != closed:
         raise SkewexError("coefficient-sum closed form failed")

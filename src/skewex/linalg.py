@@ -741,14 +741,26 @@ def krylov_relation(step: Callable[[Vec], Vec], v: Vec) -> Poly:
 
 
 def minimal_polynomial(m: Mat) -> Poly:
-    """Monic minimal polynomial, as the lcm of the Krylov relations of the
-    basis vectors, re-checked to annihilate m."""
+    """Monic minimal polynomial: the lcm of the Krylov relations mu_i of the
+    basis vectors e_i, built as a product with no gcd taken.
+
+    Keep f, the lcm of mu_1 .. mu_(i-1), and V = f(M).  The annihilator g
+    of f(M) e_i, the Krylov relation of the column V e_i, is
+    mu_i / gcd(mu_i, f), so f g = lcm(f, mu_i), and V becomes g(M) V; when
+    V e_i = 0, f is already a multiple of mu_i.  Each step zeroes its column
+    of V and keeps the earlier ones zero, so the final check that f
+    annihilates M reads V.
+    """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    n = m.rows
     result = Poly.one()
-    for i in range(n):
-        result = result.lcm(krylov_relation(m.apply, unit_vec(i, n)))
-    if not result.eval_matrix(m).is_zero():
+    value = Mat.identity(m.rows)
+    for i in range(m.rows):
+        column = value.column(i)
+        if not is_zero_vec(column):
+            relation = krylov_relation(m.apply, column)
+            result = result * relation
+            value = relation.eval_matrix(m) * value
+    if not value.is_zero():
         raise AssertionError("minimal polynomial candidate does not annihilate the matrix")
     return result

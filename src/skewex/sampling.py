@@ -274,7 +274,8 @@ def _looks_monogenic(block: Algebra) -> bool:
 
 
 def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
-                         derivations: Optional[Sequence[Derivation]] = None
+                         derivations: Optional[Sequence[Derivation]] = None,
+                         slot_maps: Optional[Sequence[Mat]] = None,
                          ) -> list[AlgebraEndo]:
     """A deterministic pool: inner conjugations, exponentials of nilpotent
     derivations, basis permutations, substitution automorphisms, and pairwise
@@ -282,6 +283,13 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
 
     `derivations`, a basis of the derivation space the caller already holds,
     is passed on to `nilpotent_derivations`; it is computed when omitted.
+    `slot_maps`, block_slot_maps(algebra) when the caller holds it, gives
+    the substitution endomorphisms; it is computed when omitted.  (On an
+    algebra without a power basis it is the identity, already in the pool.)
+
+    A composition draws two pool indices; a pair drawn before is not
+    composed again, as the pool only grows and its product was offered to
+    the pool already.  The draws themselves are unchanged.
     """
     pool: list[AlgebraEndo] = []
     seen: set = set()
@@ -294,9 +302,8 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
     push(AlgebraEndo(algebra, Mat.identity(algebra.dim)))
     for auto in permutation_automorphisms(algebra):
         push(auto)
-    if _looks_monogenic(algebra) and algebra.dim >= 2:
-        for endo in substitution_endos(algebra):
-            push(endo)
+    for m in block_slot_maps(algebra) if slot_maps is None else slot_maps:
+        push(AlgebraEndo(algebra, m))
     if not algebra.is_commutative():
         for _ in range(count):
             try:
@@ -305,12 +312,14 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
                 continue
     for d in nilpotent_derivations(algebra, rng, max(2, count // 2), derivations=derivations):
         push(exp_derivation(d))
+    composed = set()
     attempts = 0
     while len(pool) < count and attempts < 80:
         attempts += 1
         if len(pool) < 2:
             break
-        a = pool[rng.randrange(len(pool))]
-        b = pool[rng.randrange(len(pool))]
-        push(a.compose(b))
+        pair = (rng.randrange(len(pool)), rng.randrange(len(pool)))
+        if pair not in composed:
+            composed.add(pair)
+            push(pool[pair[0]].compose(pool[pair[1]]))
     return pool[:count] if len(pool) > count else pool

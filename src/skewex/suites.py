@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Optional
 
+from ._extension import ExtensionResult
 from .algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
-from .algebra import Algebra, matrix_algebra, two_sided_ideal
+from .algebra import Algebra, matrix_algebra
 from .errors import SkewexError, UnknownSuite
 from .idempotents import (
     IdempotentSet,
@@ -25,6 +26,7 @@ from .idempotents import (
     image_trace_certificate,
     ms_check,
     ms_witness_check,
+    principal_ideal,
     rank_one_idempotent_grid,
     trace_rank_idempotent,
     NOT_MS,
@@ -36,7 +38,7 @@ from .laurent import (
     laurent_mul,
     laurent_quotient,
 )
-from .linalg import Mat, Poly, Subspace, column_space, rat
+from .linalg import Mat, Poly, Subspace, Vec, column_space, rat
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -101,6 +103,11 @@ class Report:
 
 @dataclass
 class SuiteContext:
+    """The algebra, its maps and the seeded RNG the suites share, with every
+    object they derive from them built once: the derivation basis, the
+    automorphism sample, the idempotent list, each idempotent's two-sided
+    ideal and each map's extension.  Nothing is cached outside a context."""
+
     algebra: Algebra
     maps: list[LinearEndo]
     rng: random.Random
@@ -108,6 +115,11 @@ class SuiteContext:
     _derivations: Optional[list[Derivation]] = None
     _automorphisms: Optional[list[AlgebraEndo]] = None
     _idempotents: Optional[IdempotentSet] = None
+    # two-sided ideal of each listed idempotent, filled by ms_check and
+    # image_kernel_idempotent_report as they go
+    ideals: dict[Vec, Subspace] = field(default_factory=dict)
+    # id(map) -> (map, extension); holding the map keeps its id unique
+    _extensions: dict[int, tuple[LinearEndo, ExtensionResult]] = field(default_factory=dict)
 
     def derivations(self) -> list[Derivation]:
         if self._derivations is None:
@@ -119,6 +131,16 @@ class SuiteContext:
         if self._idempotents is None:
             self._idempotents = _idempotent_context(self.algebra)
         return self._idempotents
+
+    def extension(self, twist: LinearEndo) -> ExtensionResult:
+        """ore_quotient of a derivation or laurent_quotient of an
+        automorphism, built once per map object.  Only a success is kept, so
+        a SkewexError is raised again on every call."""
+        entry = self._extensions.get(id(twist))
+        if entry is None:
+            build = ore_quotient if isinstance(twist, Derivation) else laurent_quotient
+            entry = self._extensions[id(twist)] = (twist, build(self.algebra, twist))
+        return entry[1]
 
     def endomorphisms(self) -> list[AlgebraEndo]:
         out = [m for m in self.maps if isinstance(m, AlgebraEndo)]
@@ -244,7 +266,7 @@ def suite_thm19_derivation(ctx: SuiteContext) -> list[CheckRecord]:
         return rec.records
     for idx, d in enumerate(ctx.derivations()):
         def check(d=d, idx=idx) -> tuple[str, dict]:
-            result = ore_quotient(ctx.algebra, d)
+            result = ctx.extension(d)
             ext = result.algebra
             trace_zero = all(
                 ext.trace_of(result.embed.apply(d.matrix.apply(ctx.algebra.basis_element(a)))) == 0
@@ -273,7 +295,7 @@ def suite_thm19_automorphism(ctx: SuiteContext) -> list[CheckRecord]:
         return rec.records
     for idx, phi in enumerate(autos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            result = laurent_quotient(ctx.algebra, phi)
+            result = ctx.extension(phi)
             witness = {
                 "map_index": idx,
                 "relation_degree": result.p.degree,
@@ -301,7 +323,7 @@ def suite_prop22(ctx: SuiteContext) -> list[CheckRecord]:
     endos = ctx.endomorphisms() or ctx.automorphisms()
     for idx, phi in enumerate(endos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            report = image_kernel_idempotent_report(ctx.algebra, phi, idems)
+            report = image_kernel_idempotent_report(ctx.algebra, phi, idems, ctx.ideals)
             witness = {
                 "map_index": idx,
                 "idempotents_checked": len(report.entries),
@@ -326,7 +348,7 @@ def suite_prop24(ctx: SuiteContext) -> list[CheckRecord]:
     for idx, phi in enumerate(endos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
             delta = Mat.identity(ctx.algebra.dim) - phi.matrix
-            verdict = ms_check(ctx.algebra, column_space(delta), idems)
+            verdict = ms_check(ctx.algebra, column_space(delta), idems, ideals=ctx.ideals)
             witness = {"map_index": idx, "verdict": verdict.status}
             if verdict.status == NOT_MS:
                 witness["witness_idempotent"] = vector_to_json(verdict.witness)
@@ -485,10 +507,10 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
         checked = 0
         # each construction verifies its extension, or raises SkewexError
         for d in by_degree(derivations)[:2]:
-            ore_quotient(algebra, d)
+            ctx.extension(d)
             checked += 1
         for phi in by_degree(ctx.automorphisms())[:2]:
-            laurent_quotient(algebra, phi)
+            ctx.extension(phi)
             checked += 1
         return PASS, {"instances": checked}
 
@@ -500,7 +522,7 @@ def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("ms_oracle")
     algebra = ctx.algebra
     idems = ctx.idempotents()
-    closures = {tuple(e): two_sided_ideal(algebra, [e]) for e in idems.items}
+    closures = {e: principal_ideal(algebra, e, ctx.ideals) for e in idems.items}
 
     def enumeration() -> tuple[str, dict]:
         witness = {
@@ -530,7 +552,7 @@ def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
             full = v.dim == algebra.dim
             for f in idems.items:
                 if full or v.contains(f):
-                    closure_f = closures[tuple(f)]
+                    closure_f = closures[f]
                     if not full and not closure_f.is_subspace_of(v):
                         return FAIL, {"idempotent": vector_to_json(f)}
             checked += 1
@@ -541,7 +563,7 @@ def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
     def witness_probes() -> tuple[str, dict]:
         checked = 0
         for e in idems.items:
-            ideal = closures[tuple(e)]
+            ideal = closures[e]
             for _ in range(3):
                 a = e
                 b = random_element(algebra, ctx.rng)

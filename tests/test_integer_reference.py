@@ -5,7 +5,8 @@ Subspace residual and the absorption loops the library used before its exact
 core moved to integers.  rref, solve, inverse, kernel, span, intersect,
 contains, reduce, is_ideal and the absorption check of the free-model
 oracle's quotient_by_relations must agree with them exactly, on seeded random matrices and on the systems
-and extensions of the test corpus.
+and extensions of the test corpus.  f(phi) for a scalar Laurent polynomial f
+must equal its Fraction sum of scaled powers.
 """
 
 import random
@@ -26,7 +27,7 @@ from skewex.algebra import (
     two_sided_ideal,
 )
 from skewex.errors import AssociativityFails, SkewexError
-from skewex.laurent import laurent_quotient
+from skewex.laurent import _scalar_poly_at, laurent_quotient
 from skewex.linalg import (
     ONE,
     ZERO,
@@ -500,3 +501,36 @@ def test_verify_extension_powers_match_fraction_chain(corpus, monkeypatch):
                 real(mode, base, ext, embed, shifted, p, twist)
             rejected += 1
     assert len(calls) >= 30 and rejected == len(calls), (len(calls), rejected)
+
+
+def ref_scalar_poly_at(phi, scalar_terms):
+    n = phi.algebra.dim
+    total = Mat.zeros(n, n)
+    for exp, coeff in scalar_terms:
+        total = total + phi.power(exp).scale(Fraction(coeff))
+    return total
+
+
+def test_scalar_poly_at_matches_fraction_sum(corpus):
+    """Negative exponents, zero, integer and fractional coefficients, repeated
+    exponents, terms that cancel, and no terms at all."""
+    rng = random.Random(5151)
+    coefficients = (0, 1, -2, F(1, 2), F(-3, 4), F(5, 3))
+    checked = zero_results = 0
+    for name, algebra in corpus.items():
+        if algebra.dim > 4:
+            continue
+        for phi in sample_automorphisms(algebra, random.Random(len(name)), 4):
+            cases = [[], [(0, F(0))], [(-1, F(1, 2)), (1, F(1, 2))],
+                     [(2, F(1, 3)), (2, F(-1, 3))], [(-3, 1), (0, -1), (3, F(7, 2))]]
+            for _ in range(6):
+                cases.append([(rng.randint(-3, 3), rng.choice(coefficients))
+                              for _ in range(rng.randint(1, 4))])
+            for terms in cases:
+                expected = ref_scalar_poly_at(phi, terms)
+                got = _scalar_poly_at(phi, terms)
+                assert got == expected, (name, terms)
+                assert got.integer_form == expected.integer_form, (name, terms)
+                checked += 1
+                zero_results += expected.is_zero()
+    assert checked >= 200 and zero_results >= 40

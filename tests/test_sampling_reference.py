@@ -1,10 +1,13 @@
-"""Differential tests of the nilpotent-derivation sampler against its old form.
+"""Differential tests of the samplers against their old forms.
 
-The reference below is the sampler as it was before it learned to skip
-repeated coefficient tuples, to test nilpotency by M^n = 0 and to certify
-only the derivations it keeps.  The library must return the same matrices in
-the same order and leave the random generator in the same state.  The
-permutation search is compared with certifying every basis permutation.
+The first reference is the nilpotent-derivation sampler as it was before it
+learned to skip repeated coefficient tuples, to test nilpotency by M^n = 0
+and to certify only the derivations it keeps.  The second is the
+automorphism sampler as it was before it skipped composition pairs drawn
+before and took its substitution maps from the caller.  The library must
+return the same matrices in the same order and leave the random generator in
+the same state.  The permutation search is compared with certifying every
+basis permutation.
 """
 
 import random
@@ -21,20 +24,28 @@ from skewex.algebra import (
     poly_quotient,
 )
 from skewex.errors import NotEndomorphism
-from skewex.explorer import BLOCK_POLYS
+from skewex.explorer import BLOCK_POLYS, _block_catalogue, random_basis_change, random_recipe
+from skewex import explorer
 from skewex.linalg import Mat, Poly, inverse, is_nilpotent, rat
 from skewex.maps import (
     AlgebraEndo,
     Derivation,
     LinearEndo,
     derivation_space,
+    exp_derivation,
+    inner_automorphism,
     is_derivation,
     local_finiteness_report,
 )
+from skewex.errors import NotInvertible
 from skewex.sampling import (
+    _looks_monogenic,
+    block_slot_maps,
     nilpotent_derivations,
     permutation_automorphisms,
+    random_invertible_element,
     sample_automorphisms,
+    substitution_endos,
 )
 
 F = Fraction
@@ -84,6 +95,42 @@ def reference_permutation_automorphisms(algebra, limit=24):
         if len(out) >= limit:
             break
     return out
+
+
+def reference_sample_automorphisms(algebra, rng, count, derivations=None):
+    """Compose the drawn pair on every attempt, and rebuild the substitution
+    endomorphisms."""
+    pool = []
+    seen = set()
+
+    def push(endo):
+        if endo.matrix.entries not in seen and endo.is_invertible():
+            seen.add(endo.matrix.entries)
+            pool.append(endo)
+
+    push(AlgebraEndo(algebra, Mat.identity(algebra.dim)))
+    for auto in permutation_automorphisms(algebra):
+        push(auto)
+    if _looks_monogenic(algebra) and algebra.dim >= 2:
+        for endo in substitution_endos(algebra):
+            push(endo)
+    if not algebra.is_commutative():
+        for _ in range(count):
+            try:
+                push(inner_automorphism(algebra, random_invertible_element(algebra, rng)))
+            except NotInvertible:
+                continue
+    for d in nilpotent_derivations(algebra, rng, max(2, count // 2), derivations=derivations):
+        push(exp_derivation(d))
+    attempts = 0
+    while len(pool) < count and attempts < 80:
+        attempts += 1
+        if len(pool) < 2:
+            break
+        a = pool[rng.randrange(len(pool))]
+        b = pool[rng.randrange(len(pool))]
+        push(a.compose(b))
+    return pool[:count] if len(pool) > count else pool
 
 
 # -- the algebras ------------------------------------------------------------
@@ -279,3 +326,112 @@ def test_permutation_automorphisms_match_certified_permutations(algebras):
         found += len(got) > 1
     # algebras with automorphisms besides the identity were reached
     assert found >= 30
+
+
+# -- the automorphism sampler ------------------------------------------------
+
+def explorer_algebras(count=300, max_dim=4):
+    """The algebras of the explorer's first trial at seeds 0 .. count - 1,
+    basis change included, with the recipe each came from."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        recipe = random_recipe(rng, max_dim)
+        algebra = recipe.algebra
+        if rng.random() < 0.5:
+            algebra = random_basis_change(algebra, rng)
+        yield seed, recipe, algebra
+
+
+def counting_compose(monkeypatch):
+    calls = []
+    real_compose = AlgebraEndo.compose
+
+    def spy(self, other):
+        calls.append(1)
+        return real_compose(self, other)
+
+    monkeypatch.setattr(AlgebraEndo, "compose", spy)
+    return calls
+
+
+def test_sample_automorphisms_matches_composing_reference(corpus, monkeypatch):
+    """A pair drawn again is not composed again: the pools, their order and
+    the generator state stay those of the loop that composed every draw.
+    Sixteen maps of Q[t]/(t^3) need compositions of maps that do not
+    commute, so (a, b) and (b, a) are different pairs."""
+    calls = counting_compose(monkeypatch)
+    cases = [(f"{name}/{seed}/{count}", algebra, seed, count)
+             for name, algebra in corpus.items() if algebra.dim <= 4
+             for seed in (3, 17) for count in (4, 8, 16)]
+    cases += [(f"explore/{seed}", algebra, seed, 4)
+              for seed, _, algebra in explorer_algebras()]
+    composed_new = composed_old = 0
+    for label, algebra, seed, count in cases:
+        basis = derivation_space(algebra)
+        del calls[:]
+        rng_old = random.Random(seed)
+        expected = reference_sample_automorphisms(algebra, rng_old, count, basis)
+        composed_old += len(calls)
+        del calls[:]
+        rng_new = random.Random(seed)
+        got = sample_automorphisms(algebra, rng_new, count, derivations=basis)
+        composed_new += len(calls)
+        assert [e.matrix for e in got] == [e.matrix for e in expected], label
+        assert rng_new.getstate() == rng_old.getstate(), label
+    assert len(cases) == 300 + 48
+    # most draws of a small pool repeat a pair
+    assert composed_new * 4 < composed_old, (composed_new, composed_old)
+
+
+def offered(monkeypatch):
+    """The matrices offered to the pool, in order: push asks each new one
+    whether it is invertible."""
+    log = []
+    real = AlgebraEndo.is_invertible
+
+    def spy(self):
+        log.append(self.matrix)
+        return real(self)
+
+    monkeypatch.setattr(AlgebraEndo, "is_invertible", spy)
+    return log
+
+
+def test_given_slot_maps_push_in_the_same_order(monkeypatch):
+    log = offered(monkeypatch)
+    for k, block in enumerate(_block_catalogue()):
+        for seed in range(8):
+            del log[:]
+            rng_omitted = random.Random(seed)
+            omitted = sample_automorphisms(block.algebra, rng_omitted, 4)
+            pushed_omitted = list(log)
+            del log[:]
+            rng_given = random.Random(seed)
+            given = sample_automorphisms(block.algebra, rng_given, 4,
+                                         slot_maps=block.slot_maps)
+            assert log == pushed_omitted, (k, seed)
+            assert [e.matrix for e in given] == [e.matrix for e in omitted], (k, seed)
+            assert rng_given.getstate() == rng_omitted.getstate(), (k, seed)
+
+
+def test_explorer_passes_slot_maps_of_lone_blocks_only(monkeypatch):
+    seen = []
+    real = explorer.sample_automorphisms
+
+    def spy(algebra, rng, count, derivations=None, slot_maps=None):
+        seen.append((algebra, slot_maps))
+        return real(algebra, rng, count, derivations=derivations, slot_maps=slot_maps)
+
+    monkeypatch.setattr(explorer, "sample_automorphisms", spy)
+    explorer.random_explorer(7, 50, 4)
+    catalogue = {id(b.algebra): b for b in _block_catalogue()}
+    given = 0
+    for algebra, slot_maps in seen:
+        block = catalogue.get(id(algebra))
+        if block is None:
+            assert slot_maps is None
+        else:
+            assert slot_maps is block.slot_maps
+            assert slot_maps == block_slot_maps(algebra)
+            given += 1
+    assert len(seen) == 50 and given >= 3
