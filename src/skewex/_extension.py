@@ -27,42 +27,16 @@ non-pivot ones, are formed: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
 terms (m, c) of xpow[b][i], folded and reduced against N, in integers.  When
 N is the image of (p(X)) these are the constants of E on that section.
 
-The certificate.  Nothing checks that N absorbs products; the returned
-algebra B, of dimension d*n - dim N, is E whatever N was computed to be:
-- every vector put into N is the fold of an element of (p(X)): the
-  generators are, and e_a, X and folding stay inside the ideal.  So N lies
-  in the image of (p(X)), and dim E <= d*n - dim N;
-- B is unital and associative.  quotient_by_relations checks the unit law
-  and the associators (x, y, z) = (x y) z - x (y z) at basis elements x, z
-  for y in Y, the embedded generators G of the base (Algebra.generators)
-  and u.  In any algebra the middle nucleus {y : (x, y, z) = 0 for all x, z}
-  is a subalgebra, by the Teichmueller identity
-  a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd),
-  and it holds the unit.  The quotient first sees that the left-normed
-  words in Y applied to the unit span B, so the nucleus is all of B; that
-  uses neither associativity nor a multiplicative embed.  It is
-  (|G| + 1) (dim B)^2 associators instead of the (dim B)^3 basis triples of
-  make_algebra.  Were the words to fall short, the embedded basis and u
-  are checked instead and verify_extension's span check finishes the proof;
-- verify_extension then proves that embed is an injective unital
-  homomorphism, from the pairs (e_g, e_j) with g in G, that p(u) = 0, that
-  u a - a u = D(a) (or u a = phi(a) u) for a in G, and that the embedded A
-  and the powers of u span B.  The generators suffice because B is now
-  associative: where embed is multiplicative, and where two derivations or
-  two homomorphisms agree, is a subalgebra.  By the universal property of
-  the skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
-  Rings, 1.2) a -> embed(a), X -> u extends to a homomorphism R -> B; it
-  kills p(X), so it factors through E, and it is onto;
-- verify_extension checks no postcondition the others imply.  The inverse
-  u^(-1) is read off p(u) = 0, since u u^(-1) = u^(-1) u = 1 - p(u)/p(0)
-  in the associative B.  The realized twist moves u^j past A both ways
-  (phi(A) = A, as conjugation by the unit u is injective), so
-  sum_{j<=i} A u^j = sum_{j<=i} u^j A and the left span decides the right;
-- so d*n - dim N = dim B <= dim E <= d*n - dim N, the surjection E -> B is
-  an isomorphism, and N is the whole image of (p(X)).
-An N that misses a vector cannot come back as an algebra: it ends in
-AssociativityFails from the quotient's checks or in a SkewexError from
-verify_extension.  N = 0 means the window itself is the extension.
+The certificate.  Nothing checks that N absorbs products: every vector put
+into N is the fold of an element of (p(X)), since the generators are and
+e_a, X and folding stay inside the ideal, so N lies in the image of (p(X))
+and dim E <= d*n - dim N.  verify_extension then proves that the returned
+algebra B, of dimension d*n - dim N, is associative and a quotient of E;
+its docstring has the argument.  So d*n - dim N = dim B <= dim E <=
+d*n - dim N, the surjection E -> B is an isomorphism, and N is the whole
+image of (p(X)).  An N that misses a vector cannot come back as an extension:
+verify_extension rejects the table.  N = 0 means the window itself is the
+extension.
 """
 
 from __future__ import annotations
@@ -88,7 +62,6 @@ from .linalg import (
     Subspace,
     Vec,
     _integer_row,
-    _integer_rref,
     _integer_span,
     _rational_row,
     is_zero_vec,
@@ -228,18 +201,8 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     coefficients c by L_xpow, the base's constants by its L_table and the
     residual against the relations by their L_N, so every kept entry is an
     integer over L_table L_xpow L_beta L_N, and the algebra is built from
-    that integer table.
-
-    The table is checked for the unit law and then for associativity at the
-    associators (e_i, y, e_k) for y in Y = embed(G) and u, G the base's
-    generators; a failure raises AssociativityFails.  Y is checked only once
-    the left-normed words in Y applied to the unit are seen to span the
-    table: the middle nucleus {y : (x, y, z) = 0 for all x, z} is a
-    subalgebra holding the unit in any algebra (see the certificate above),
-    so it then holds everything and the table is associative, with no
-    assumption on the table or on embed.  Should the words fall short, the
-    embedded basis of the base and u are checked instead, and
-    verify_extension's span check completes the argument.
+    that integer table.  Nothing is checked here: verify_extension is the
+    certificate.
     """
     n, d = base.dim, p.degree
     scale_table, table = base.integer_sc
@@ -276,36 +239,9 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     for i in range(1, d):
         power = "X" if i == 1 else f"X^{i}"
         labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
-    ext_unit = project([(0, unit_terms)])
-    algebra = Algebra._from_integer_table(
-        scale * scale_table * scale_xpow, cells, _rational_row(ext_unit, scale * scale_unit),
-        [labels[j] for j in kept])
-    try:
-        _check_unit_law(algebra)
-    except UnitFails as exc:
-        raise AssociativityFails(str(exc)) from exc
-    names, generators = _associator_generators(algebra, base, embed, u, ext_unit)
-    witness = _first_nonassociative_at(algebra.integer_sc, generators)
-    if witness is not None:
-        i, g, k = witness
-        raise AssociativityFails(f"associativity fails on (e{i}, {names[g]}, e{k})")
-    return algebra, embed, u
-
-
-def _associator_generators(ext: Algebra, base: Algebra, embed: Mat, u: Vec,
-                           unit: list[int]) -> tuple[list[str], list[Vec]]:
-    """Names and elements of the middle elements the quotient's associators
-    take: Y = embed(G) and u when the left-normed words in Y applied to the
-    unit (a multiple of the integer row unit) span ext, else the embedded
-    basis of the base and u."""
-    chosen = list(base.generators)
-    words = _LeftWords(ext.integer_sc[1], unit)
-    for y in [embed.column(g) for g in chosen] + [u]:
-        words.add(_nonzero(_integer_row(y)[1]))
-    if words.rank < ext.dim:
-        chosen = list(range(base.dim))
-    return ([f"embed(e{g})" for g in chosen] + ["u"],
-            [embed.column(g) for g in chosen] + [u])
+    ext_unit = _rational_row(project([(0, unit_terms)]), scale * scale_unit)
+    return (Algebra._from_integer_table(scale * scale_table * scale_xpow, cells, ext_unit,
+                                        [labels[j] for j in kept]), embed, u)
 
 
 def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
@@ -357,51 +293,73 @@ def assemble(
 def verify_extension(
     mode: str, base: Algebra, ext: Algebra, embed: Mat, u: Vec, p: Poly, twist: Mat
 ) -> Optional[Vec]:
-    """Check the postconditions of an extension; return u^(-1), or None in the
+    """Certify that ext, with embed and u, is an associative quotient of
+    R/(p(X)) in which u realizes twist; return u^(-1), or None in the
     derivation mode.
 
-    ext must be associative: quotient_by_relations certifies that, or, when
-    its words fall short, its associators at the whole embedded basis and u
-    do together with the span check below.  twist must be a certified
-    derivation (derivation mode) or automorphism of base.
-    G is base.generators, whose left-normed words span base.  Raises
-    SkewexError at the first postcondition that fails:
+    R is A[X; D] or A[X; phi] for A = base, and twist must be a certified
+    derivation (derivation mode) or automorphism of base.  ext may be any
+    table with a designated unit, such as quotient_by_relations builds.  G
+    is base.generators, whose left-normed words span base, and Y is embed(G)
+    and u.  Raises at the first check that fails, in this order:
+    - the unit law of ext (AssociativityFails);
+    - the left-normed words y_1 (y_2 (... (y_k 1))) in Y span ext
+      (SkewexError).  Nothing here assumes associativity;
+    - the associators (x, y, z) = (x y) z - x (y z) vanish at basis elements
+      x, z for y in Y (AssociativityFails).  In any algebra the middle
+      nucleus {y : (x, y, z) = 0 for all x, z} is a subalgebra, by the
+      Teichmueller identity
+      a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd),
+      and it holds the unit.  So it holds every word in Y, which is all of
+      ext: ext is associative.  That is (|G| + 1) (dim ext)^2 associators
+      instead of the (dim ext)^3 basis triples of make_algebra;
     - embed is injective and unital, and multiplicative on the pairs
       (e_g, e_j), g in G.  That makes it multiplicative: as ext and base are
       associative, {x : embed(x y) = embed(x) embed(y) for all y} is closed
       under products, and it holds 1 because embed is unital;
     - p(u) = 0;
-    - ext is generated as a left module over the embedded base by the powers
-      u^i, i < deg p;
     - u embed(a) - embed(a) u (derivation mode) or u embed(a) u^(-1)
       (automorphism mode) is embed(twist(a)) for a in G.  Both sides are
       derivations along embed, or unital homomorphisms, of base into ext, and
       where two of them agree is a subalgebra holding 1, so they agree on
       all of base.
+    The last three raise SkewexError.  The inverse u^(-1) = -(sum_{i >= 1} alpha_i u^(i-1)) / p(0), for
+    p = sum alpha_i X^i, is read off p(u) = 0: ext is associative, so
+    u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1.  The powers u^0 .. u^(deg p) are
+    formed once, as integer rows over one common scale, and serve both.
 
-    The powers u^0 .. u^(deg p) are formed once, as integer rows over one
-    common scale, and serve p(u) = 0, the left-module span and u^(-1).
-
-    Two more postconditions follow from these and are not checked again:
-    - u^(-1) = -(sum_{i >= 1} alpha_i u^(i-1)) / p(0), for p = sum alpha_i X^i,
-      is a two-sided inverse: ext is associative, so
-      u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1;
-    - ext is generated as a right module too: with A the embedded base,
-      sum_{j <= i} A u^j = sum_{j <= i} u^j A for every i.  For a derivation,
-      u^j a = sum_k C(j, k) D^k(a) u^(j-k) and
-      a u^j = sum_k (-1)^k C(j, k) u^(j-k) D^k(a).  For an automorphism,
-      u^j A = phi^j(A) u^j, and phi(A) = A: u is a unit and embed is
-      injective, so u embed(a) u^(-1) = embed(phi(a)) makes phi injective.
-    Each check can fail on its own in this order.
+    Then ext is a quotient of R/(p(X)).  By the universal property of the
+    skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
+    Rings, 1.2) a -> embed(a), X -> u extends to a homomorphism R -> ext,
+    which kills p(X).  Its image is the subalgebra generated by embed(base)
+    and u; that holds every word in Y, so it is ext.  As R is the sum of the
+    A X^i and p(u) = 0 folds the powers u^i, i >= deg p, it follows that
+    ext = sum_{i < deg p} embed(base) u^i; no span of those products is
+    formed.
     """
     generators = base.generators
+    try:
+        _check_unit_law(ext)
+    except UnitFails as exc:
+        raise AssociativityFails(str(exc)) from exc
+    images = embed.columns()
+    names = [f"embed(e{g})" for g in generators] + ["u"]
+    middles = [images[g] for g in generators] + [u]
+    words = _LeftWords(ext.integer_sc[1], _integer_row(ext.unit)[1])
+    for y in middles:
+        words.add(_nonzero(_integer_row(y)[1]))
+    if words.rank < ext.dim:
+        raise SkewexError("the embedded generators and u do not generate the extension")
+    witness = _first_nonassociative_at(ext.integer_sc, middles)
+    if witness is not None:
+        i, g, k = witness
+        raise AssociativityFails(f"associativity fails on (e{i}, {names[g]}, e{k})")
     if kernel(embed).dim != 0:
         raise SkewexError("base does not embed; construction precondition violated")
     if embed.apply(base.unit) != ext.unit:
         raise SkewexError("embedding does not send unit to unit")
     if _first_unmultiplicative_pair(base, ext, embed, generators) is not None:
         raise SkewexError("embedding is not multiplicative")
-    images = embed.columns()
     scale, powers = _integer_powers(ext, u, p.degree)
     coeffs = _integer_row(p.coeffs)[1]  # a positive multiple of p's
     if any(_integer_combination(coeffs, powers)):
@@ -410,12 +368,6 @@ def verify_extension(
     if mode == "automorphism":
         acc = _integer_combination(coeffs[1:], powers)
         u_inverse = _rational_row([-x for x in acc], coeffs[0] * scale)
-    table = ext.integer_sc[1]
-    lefts = [_nonzero(_integer_row(img)[1]) for img in images]
-    rights = [_nonzero(row) for row in powers[:p.degree]]
-    products = [_integer_product(table, x, y) for y in rights for x in lefts]
-    if len(_integer_rref(products)) != ext.dim:
-        raise SkewexError("extension is not generated by the witness powers as a left module")
     for a in generators:
         img = images[a]
         if mode == "derivation":

@@ -77,14 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def emit_report(report: Report, json_out) -> None:
-    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in report.records]
-    if json_out:
-        with open(json_out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
+def write_output(lines: list[str], json_out) -> None:
+    """Print the lines, or write them to the --json file, joined by newlines
+    and ending in one; a file that cannot be written is a ValidationError."""
+    if not json_out:
         for line in lines:
             print(line)
+        return
+    try:
+        with open(json_out, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {json_out}: {exc.strerror or exc}") from exc
+
+
+def emit_report(report: Report, json_out) -> None:
+    write_output([json.dumps(r.to_dict(), sort_keys=True) for r in report.records], json_out)
     counts = report.counts()
     summary = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"checks: {len(report.records)} ({summary})", file=sys.stderr)
@@ -121,13 +129,8 @@ def cmd_explore(args) -> int:
 def cmd_idempotents(args) -> int:
     algebra = load_algebra(args.algebra)
     idems = enumerate_idempotents(algebra)
-    payload = idempotent_set_to_json(idems)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    write_output([json.dumps(idempotent_set_to_json(idems), sort_keys=True, indent=2)],
+                 args.json_out)
     return 0 if idems.complete else 3
 
 
@@ -144,13 +147,8 @@ def cmd_extend(args) -> int:
         if not isinstance(the_map, AlgebraEndo) or not the_map.is_invertible():
             raise ValidationError("automorphism mode needs an invertible endomorphism")
         result = laurent_quotient(algebra, the_map, p)
-    payload = extension_to_json(result)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    write_output([json.dumps(extension_to_json(result), sort_keys=True, indent=2)],
+                 args.json_out)
     print(
         f"mode={result.mode} base_dim={algebra.dim} extension_dim={result.algebra.dim} "
         f"relation_degree={result.p.degree} free_module={result.free_module} "

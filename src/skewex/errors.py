@@ -101,9 +101,10 @@ class AssociativityFails(SkewexError):
 
     Raised when the rewrite-generated multiplication table is inconsistent,
     which happens exactly when the construction's precondition was bypassed:
-    the quotient table breaks the unit law, or an associator (e_i, g, e_k) is
-    nonzero at a generator g, an embedded base element or u; or the forced
-    free model meets a nonzero relation submodule.  detail names the witness.
+    verify_extension finds that the table breaks the unit law, or that an
+    associator (e_i, y, e_k) is nonzero at y = embed(e_g), g among the base's
+    generators, or at u; or the forced free model meets a nonzero relation
+    submodule.  detail names the witness.
     """
 
     def __init__(self, detail):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .algebra import (
     FAIL,
@@ -34,7 +34,14 @@ from .algebra import (
     quotient_section,
     radical,
 )
-from .errors import CapExceeded, DimensionMismatch, NotCommutative, NotIdempotent, SkewexError
+from .errors import (
+    CapExceeded,
+    DimensionMismatch,
+    NotCommutative,
+    NotIdempotent,
+    SkewexError,
+    ValidationError,
+)
 from .linalg import (
     Mat,
     Poly,
@@ -63,8 +70,19 @@ CAP_ENV_VAR = "SKEWEX_IDEMPOTENT_CAP"
 
 
 def idempotent_cap() -> int:
+    """The cap on enumerated idempotents: SKEWEX_IDEMPOTENT_CAP, or DEFAULT_CAP
+    when it is unset or empty.  Any other value must be a positive integer,
+    else ValidationError."""
     value = os.environ.get(CAP_ENV_VAR)
-    return int(value) if value else DEFAULT_CAP
+    if not value:
+        return DEFAULT_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{CAP_ENV_VAR} must be a positive integer, got {value!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -321,34 +339,48 @@ def ms_witness_check(
 
     Not applicable unless every positive power of a lies in v; otherwise the
     side-appropriate eventual products must land in v, decided via the stable
-    tail span rather than any finite sampling.  The powers are the integer
-    rows of _power_chain, the tail the rows _integer_rref reduces them to,
-    and the products b t, t c or b t c are formed on the integer table; each
-    is a nonzero multiple of the rational one, so v's integer residual
-    decides its membership exactly.
+    tail span rather than any finite sampling.  See _witness_probe.
     """
     if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
     n = algebra.dim
     if v.ambient_dim != n or len(b) != n or len(c) != n:
         raise DimensionMismatch("element length differs from algebra dimension")
+    return _witness_probe(algebra, v, a)(b, c, side)
+
+
+def _witness_probe(algebra: Algebra, v: Subspace, a: Vec) -> Callable[..., str]:
+    """ms_witness_check for one v and a, as a function of b, c and side, so
+    that probes with the same a share its powers.
+
+    The powers are the integer rows of _power_chain, the tail the rows
+    _integer_rref reduces them to, both built once here; the products b t,
+    t c or b t c are formed on the integer table.  Each is a nonzero multiple
+    of the rational one, so v's integer residual decides its membership
+    exactly.
+    """
+    n = algebra.dim
     chain = _power_chain(algebra, a)
     if any(any(v._integer_residual(power)) for power in chain[:n + 1]):
-        return NOT_APPLICABLE
+        return lambda b, c, side="two": NOT_APPLICABLE
     rows = [power for power in chain[n:] if any(power)]
     rank = len(_integer_rref(rows))
     tail = [_nonzero(t) for t in rows[:rank]]
     table = algebra.integer_sc[1]
-    bs = _nonzero(_integer_row(b)[1])
-    cs = _nonzero(_integer_row(c)[1])
-    if side == "left":
-        products = [_integer_product(table, bs, t) for t in tail]
-    elif side == "right":
-        products = [_integer_product(table, t, cs) for t in tail]
-    else:
-        products = [_integer_product(table, _nonzero(_integer_product(table, bs, t)), cs)
-                    for t in tail]
-    return FAIL if any(any(v._integer_residual(x)) for x in products) else PASS
+
+    def verdict(b: Vec, c: Vec, side: str = "two") -> str:
+        bs = _nonzero(_integer_row(b)[1])
+        cs = _nonzero(_integer_row(c)[1])
+        if side == "left":
+            products = [_integer_product(table, bs, t) for t in tail]
+        elif side == "right":
+            products = [_integer_product(table, t, cs) for t in tail]
+        else:
+            products = [_integer_product(table, _nonzero(_integer_product(table, bs, t)), cs)
+                        for t in tail]
+        return FAIL if any(any(v._integer_residual(x)) for x in products) else PASS
+
+    return verdict
 
 
 def image_idempotent_audit(

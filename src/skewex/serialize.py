@@ -85,13 +85,17 @@ def algebra_to_json(algebra: Algebra) -> dict:
     }
 
 
+def _is_index(x) -> bool:
+    """Whether x is a JSON integer: an int, and not a bool (true is 1 to isinstance)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_json(data, where: str = "algebra") -> Algebra:
     if not isinstance(data, dict):
         raise ParseError(f"expected an object at {where}")
-    try:
-        dim = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or bad 'dim' at {where}") from exc
+    dim = data.get("dim")
+    if not _is_index(dim):
+        raise ParseError(f"missing or bad 'dim' at {where}")
     if dim < 1:
         raise ParseError(f"'dim' must be >= 1 at {where}")
     labels = data.get("labels") or [f"e{i}" for i in range(dim)]
@@ -107,7 +111,7 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
             raise ParseError(f"'sc' entry {pos} must be [i, j, k, value] at {where}")
         i, j, k, value = entry
         for name, idx in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if not _is_index(idx) or not 0 <= idx < dim:
                 raise ParseError(f"'sc' entry {pos}: index {name}={idx} out of range at {where}")
         sc[i][j][k] = parse_fraction(value, f"{where}.sc[{pos}]")
     try:

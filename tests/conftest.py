@@ -1,6 +1,8 @@
 """Shared fixtures: the small-algebra corpus and frequently used maps."""
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,16 @@ from skewex.algebra import (
 )
 from skewex.linalg import Mat, Poly
 from skewex.maps import AlgebraEndo, Derivation
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocesses_import_this_checkout():
+    """pytest puts src on its own path (pyproject.toml); the command-line
+    tests start Python processes, which find skewex through PYTHONPATH."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"),
+                     prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

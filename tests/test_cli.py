@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -101,6 +102,48 @@ def test_idempotents_cap_env(files):
                      env={"SKEWEX_IDEMPOTENT_CAP": "2"})
     assert result.returncode == 1
     assert "cap" in result.stderr
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-4", "2.5"])
+def test_idempotents_bad_cap_env(files, cap):
+    result = run_cli("idempotents", str(files["split"]),
+                     env={"SKEWEX_IDEMPOTENT_CAP": cap})
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error: SKEWEX_IDEMPOTENT_CAP must be a positive integer")
+    assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def test_unwritable_json_path(files, tmp_path):
+    runs = [("suite", "--algebra", str(files["qxq"]), "--suites", "ms_oracle"),
+            ("explore", "--trials", "1", "--max-dim", "2"),
+            ("idempotents", str(files["split"])),
+            ("extend", "--mode", "derivation", "--algebra", str(files["dual"]),
+             "--map", str(files["euler"]))]
+    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+        for args in runs:
+            result = run_cli(*args, "--json", str(target))
+            assert result.returncode == 2, (args, result.stderr)
+            assert result.stderr.startswith(f"error: cannot write {target}: "), args
+            assert "Traceback" not in result.stderr, args
+
+
+def without_elapsed(text):
+    return re.sub(r'"elapsed_ms": [^,]*, ', "", text)
+
+
+def test_json_file_matches_stdout(files, tmp_path):
+    runs = [("suite", "--algebra", str(files["qxq"]), "--suites", "ms_oracle,thm16_audit"),
+            ("idempotents", str(files["split"])),
+            ("extend", "--mode", "automorphism", "--algebra", str(files["qxq"]),
+             "--map", str(files["swap"]))]
+    for args in runs:
+        out = tmp_path / f"{args[0]}.json"
+        printed = run_cli(*args)
+        written = run_cli(*args, "--json", str(out))
+        assert printed.returncode == written.returncode == 0, args
+        assert written.stdout == ""
+        assert without_elapsed(out.read_text()) == without_elapsed(printed.stdout), args
+        assert printed.stdout.endswith("}\n") and not printed.stdout.endswith("\n\n"), args
 
 
 def test_extend_derivation(files, tmp_path):

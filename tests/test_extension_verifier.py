@@ -1,9 +1,10 @@
 """verify_extension accepts the constructions' own results and rejects each
-broken postcondition with its own message; so does the quotient's unit law
-and generator associativity check, which verify_extension completes."""
+broken postcondition with its own message, from the unit law and the
+associators of a table quotient_by_relations built to the realized twist."""
 
 import pytest
 
+from skewex import _extension
 from skewex._extension import quotient_by_relations, relation_submodule, verify_extension
 from skewex.algebra import subalgebra_as_algebra, upper_triangular
 from skewex.errors import AssociativityFails, SkewexError
@@ -59,13 +60,14 @@ def test_shifted_witness(ore_fields, laurent_fields):
 
 
 def test_generation_sides(ore_fields):
-    # p = X and u = 0: the powers of u add nothing to the embedded base
+    # p = X and u = 0: the words in the embedded generators and u stay in
+    # the embedded base, and the verifier stops there, before the twist
     degree_one = {**ore_fields, "p": Poly.of([0, 1]), "u": zero_vec(ore_fields["ext"].dim)}
-    with pytest.raises(SkewexError, match="as a left module"):
+    with pytest.raises(SkewexError, match="do not generate the extension"):
         verify_extension(**degree_one)
     # upper-triangular 3x3 matrices over the span of E11, E12, E22 and E33,
-    # with u = E23 and p = X^2: E12 u = E13 and E22 u = E23 fill the left
-    # span, while the right span misses E13.  A realized twist would make
+    # with u = E23 and p = X^2: the words reach E13 = E12 E23, while the
+    # right span of the base and u misses E13.  A realized twist would make
     # the two spans equal, so the verifier stops at the twist instead: the
     # zero derivation is not u a - a u, since E23 E22 - E22 E23 = -E23
     t3 = upper_triangular(3)  # basis E11, E12, E13, E22, E23, E33
@@ -86,18 +88,28 @@ def test_scaled_twist(ore_fields, laurent_fields):
         verify_extension(**{**laurent_fields, "twist": laurent_fields["twist"].scale(2)})
 
 
-def test_quotient_certificate_messages(dual_numbers, euler):
+def test_quotient_certificate_messages(monkeypatch, dual_numbers, euler):
     p = euler.minimal_polynomial  # X^2 - X
     xpow = _leibniz_table(dual_numbers, euler, p)
     relations = relation_submodule(dual_numbers, p, xpow)
     assert relations.dim == 1
+    window = quotient_by_relations(dual_numbers, p, xpow, span([], relations.ambient_dim))
+    doubled = [[[(m, vec_scale(2, c)) for m, c in row[0]]] + row[1:] for row in xpow]
+    unitless = quotient_by_relations(dual_numbers, p, doubled, relations)
+
+    def verify(quotient):
+        ext, embed, u = quotient
+        return verify_extension("derivation", dual_numbers, ext, embed, u, p, euler.matrix)
+
     # without its relation the window is not associative, and only the
-    # associator at u shows it: the embedded base alone passes, and p(u) = 0,
-    # the twist and the span all hold in the window
+    # associator at u shows it: the embedded generator alone passes, and
+    # the words span, p(u) = 0 and the twist holds in the window
     with pytest.raises(AssociativityFails,
                        match=r"associativity fails on \(e2, u, e1\)$"):
-        quotient_by_relations(dual_numbers, p, xpow, span([], relations.ambient_dim))
+        verify(window)
+    with monkeypatch.context() as patch:
+        patch.setattr(_extension, "_first_nonassociative_at", lambda *args: None)
+        assert verify(window) is None
     # X^0 e_b = 2 e_b makes 1 (e_b X^j) = 2 e_b X^j, and the unit law is checked first
-    doubled = [[[(m, vec_scale(2, c)) for m, c in row[0]]] + row[1:] for row in xpow]
     with pytest.raises(AssociativityFails, match="unit fails against basis element 0$"):
-        quotient_by_relations(dual_numbers, p, doubled, relations)
+        verify(unitless)

@@ -1,14 +1,14 @@
 """Each check that runs on a generating set, against its loop over the basis.
 
 Algebra.generators is a greedy list G of basis indices whose left-normed
-words span the algebra.  The extension quotient checks associators at
-embed(G) and u once their words span its table; verify_extension checks that
-embed is multiplicative on the pairs (e_g, e_j) and that u realizes the twist
-on G; derivation_space solves the product rule on those pairs plus D(1) = 0.
+words span the algebra.  verify_extension checks associators at embed(G)
+and u once their words span the extension's table, that embed is
+multiplicative on the pairs (e_g, e_j) and that u realizes the twist on G;
+derivation_space solves the product rule on those pairs plus D(1) = 0.
 Each is compared with the full basis loop it replaces on the test corpus,
 M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases show what each
 part of the argument is for: the unit checks, the D(1) = 0 rows, a G that
-spans, and u among the quotient's generators.
+spans, and u among the verifier's generators.
 """
 
 import random
@@ -19,7 +19,6 @@ import pytest
 
 from skewex import _extension
 from skewex.algebra import (
-    _check_unit_law,
     _first_nonassociative_at,
     make_algebra,
     matrix_algebra,
@@ -33,7 +32,7 @@ from skewex.linalg import (
     Mat,
     Poly,
     _integer_kernel,
-    _integer_row,
+    solve,
     span,
     vec_add,
     vec_sub,
@@ -217,18 +216,18 @@ def test_multiplicativity_needs_the_unit_check(dual_numbers):
                                     zero_vec(2), Poly.of([0, 1]), Mat.zeros(2, 2))
 
 
-def twist_on(mode, result, twist, indices):
+def moved_by_u(result, img):
+    """u img - img u (derivation mode) or u img u^(-1) (automorphism mode)."""
+    ext, u = result.algebra, result.u
+    if result.mode == "derivation":
+        return vec_sub(ext.multiply(u, img), ext.multiply(img, u))
+    return ext.multiply(ext.multiply(u, img), result.u_inverse)
+
+
+def twist_on(result, twist, indices):
     """Whether u realizes twist at the basis elements of the given indices."""
-    ext, embed, u = result.algebra, result.embed, result.u
-    for a in indices:
-        img = embed.column(a)
-        if mode == "derivation":
-            got = vec_sub(ext.multiply(u, img), ext.multiply(img, u))
-        else:
-            got = ext.multiply(ext.multiply(u, img), result.u_inverse)
-        if got != embed.apply(twist.column(a)):
-            return False
-    return True
+    return all(moved_by_u(result, result.embed.column(a)) == result.embed.apply(twist.column(a))
+               for a in indices)
 
 
 def test_twist_on_generators_matches_the_basis_loop(corpus, m3):
@@ -246,15 +245,21 @@ def test_twist_on_generators_matches_the_basis_loop(corpus, m3):
             candidates = [phi.matrix for phi in sample_automorphisms(base, rng, 3)]
             candidates.append(Mat.identity(base.dim))
         for twist in candidates[:6]:
-            full = twist_on(mode, result, twist, range(base.dim))
-            assert twist_on(mode, result, twist, base.generators) == full, label
+            full = twist_on(result, twist, range(base.dim))
+            assert twist_on(result, twist, base.generators) == full, label
             verdicts[full] = verdicts.get(full, 0) + 1
     assert verdicts[True] >= 100 and verdicts[False] >= 300, verdicts
 
 
-# -- the quotient's associators ------------------------------------------------
+# -- the extension's associators -----------------------------------------------
 
-def test_quotient_checks_associators_at_embedded_generators_and_u(monkeypatch, corpus, m3):
+def realized_twist(result):
+    """The twist u realizes in an extension, read back through embed."""
+    return Mat.from_columns([solve(result.embed, moved_by_u(result, img))
+                             for img in result.embed.columns()])
+
+
+def test_verifier_checks_associators_at_embedded_generators_and_u(monkeypatch, corpus, m3):
     seen = []
 
     def spy(integer_sc, generators):
@@ -266,28 +271,26 @@ def test_quotient_checks_associators_at_embedded_generators_and_u(monkeypatch, c
         expected = [result.embed.column(g) for g in result.base.generators] + [result.u]
         assert seen.pop() == expected, label
         assert not seen
-    # words that fall short of the table fall back to the whole embedded basis
+    # words that fall short of the table are a rejection, before any associator
     result = next(r for _, _, r in extensions(corpus, m3) if r.p.degree > 1)
-    ext, base = result.algebra, result.base
-    names, generators = _extension._associator_generators(
-        ext, base, result.embed, zero_vec(ext.dim), _integer_row(ext.unit)[1])
-    assert names == [f"embed(e{a})" for a in range(base.dim)] + ["u"]
-    assert generators == result.embed.columns() + [zero_vec(ext.dim)]
+    seen.clear()
+    with pytest.raises(SkewexError, match="do not generate the extension"):
+        _extension.verify_extension(result.mode, result.base, result.algebra, result.embed,
+                                    zero_vec(result.algebra.dim), result.p, realized_twist(result))
+    assert not seen
 
 
-def routed_verdict(broken, result):
-    """The quotient's verdict on a table: the unit law, then the associators
-    at the generators _associator_generators picks; None when both pass."""
+def verifier_verdict(ext, result, twist):
+    """Where verify_extension stops on the table ext with the embedding, u
+    and p of result: "unit", "words", "generators" (an associator), "later"
+    (a check after the associators), or None when it accepts."""
     try:
-        _check_unit_law(broken)
-    except UnitFails:
-        return "unit"
-    names, generators = _extension._associator_generators(
-        broken, result.base, result.embed, result.u, _integer_row(broken.unit)[1])
-    if len(generators) != len(result.base.generators) + 1:
-        return "fallback"
-    if _first_nonassociative_at(broken.integer_sc, generators) is not None:
-        return "generators"
+        _extension.verify_extension(result.mode, result.base, ext, result.embed, result.u,
+                                    result.p, twist)
+    except AssociativityFails as exc:
+        return "unit" if "unit fails" in str(exc) else "generators"
+    except SkewexError as exc:
+        return "words" if "do not generate" in str(exc) else "later"
     return None
 
 
@@ -295,6 +298,8 @@ def test_routed_associators_match_the_full_check_on_perturbed_tables(corpus, m3)
     rng = random.Random(4099)
     verdicts = {}
     for source, label, result in all_extensions(corpus, m3):
+        twist = realized_twist(result)
+        assert verifier_verdict(result.algebra, result, twist) is None, label
         for _ in range(3 if result.algebra.dim <= 16 else 1):
             broken = perturbed(result.algebra, rng)
             try:
@@ -302,25 +307,27 @@ def test_routed_associators_match_the_full_check_on_perturbed_tables(corpus, m3)
                 full = None
             except (NotAssociative, UnitFails) as exc:
                 full = type(exc).__name__
-            routed = routed_verdict(broken, result)
-            if routed is None:
-                # a routed pass is a proof of associativity
+            routed = verifier_verdict(broken, result, twist)
+            if routed in (None, "later"):
+                # passing the associators is a proof of associativity
                 assert full is None, label
             verdicts[full, routed] = verdicts.get((full, routed), 0) + 1
-    # a fallback leaves the proof to verify_extension's span check; it is
-    # taken only where a perturbation made embed(G) and u stop generating
+    # words that stop spanning, where a perturbation made embed(G) and u stop
+    # generating, are a rejection whether or not the table is associative
     assert set(verdicts) <= {("UnitFails", "unit"), ("NotAssociative", "generators"),
-                             ("NotAssociative", "fallback"), (None, "fallback"),
-                             (None, None)}, verdicts
+                             ("NotAssociative", "words"), (None, "words"),
+                             (None, "later"), (None, None)}, verdicts
     assert verdicts[("NotAssociative", "generators")] >= 200, verdicts
+    assert verdicts[("UnitFails", "unit")] >= 250, verdicts
 
 
-def test_the_associator_check_comes_before_verify_extension(monkeypatch, corpus, m3):
-    """Every table from a relation submodule missing one vector fails the
-    quotient's associators.  verify_extension's checks on generators assume
-    an associative table: run first on these tables, they would accept some
-    and reject others with messages of their own."""
-    said = {}
+def test_verify_extension_alone_rejects_tables_missing_a_relation(monkeypatch, corpus, m3):
+    """Every table from a relation submodule missing one vector is built
+    without complaint and rejected by verify_extension's unit law or
+    associators.  The checks after those assume an associative table: run
+    without the associators, they accept some of these tables and reject
+    others with messages of their own."""
+    unchecked = {}
     for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *fuzz_cases(),
                                            *m3_pair(m3)]:
         xpow = xpow_of(mode, algebra, twist, p)
@@ -328,21 +335,21 @@ def test_the_associator_check_comes_before_verify_extension(monkeypatch, corpus,
         if not relations.dim:
             continue
         smaller = span(relations.basis[1:], relations.ambient_dim)
+        ext, embed, u = _extension.quotient_by_relations(algebra, p, xpow, smaller)
         with pytest.raises(AssociativityFails):
-            _extension.quotient_by_relations(algebra, p, xpow, smaller)
+            _extension.verify_extension(mode, algebra, ext, embed, u, p, twist.matrix)
         with monkeypatch.context() as patch:
             patch.setattr(_extension, "_first_nonassociative_at", lambda *args: None)
             try:
-                ext, embed, u = _extension.quotient_by_relations(algebra, p, xpow, smaller)
                 _extension.verify_extension(mode, algebra, ext, embed, u, p, twist.matrix)
                 outcome = "accepted"
             except AssociativityFails:
                 outcome = "unit"
             except SkewexError as exc:
                 outcome = str(exc)
-        said[outcome] = said.get(outcome, 0) + 1
-    assert said.get("accepted", 0) >= 10, said
-    assert said.get("embedding is not multiplicative", 0) >= 5, said
+        unchecked[outcome] = unchecked.get(outcome, 0) + 1
+    assert unchecked.get("accepted", 0) >= 10, unchecked
+    assert unchecked.get("embedding is not multiplicative", 0) >= 5, unchecked
 
 
 def test_generators_are_found_without_fraction_arithmetic(monkeypatch):

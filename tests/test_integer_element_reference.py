@@ -31,7 +31,7 @@ from skewex.algebra import (
     radical,
 )
 from skewex.errors import DimensionMismatch, UnitFails
-from skewex.idempotents import ms_witness_check, power_span
+from skewex.idempotents import _witness_probe, ms_witness_check, power_span
 from skewex.linalg import (
     ZERO,
     Mat,
@@ -272,6 +272,23 @@ def test_ms_witness_check_matches_fraction_code(corpus):
                     for bb, cc in ((b, c), (zero_vec(n), c), (algebra.unit, algebra.unit)):
                         got = ms_witness_check(algebra, v, a, bb, cc, side)
                         assert got == ref_ms_witness_check(algebra, v, a, bb, cc, side), \
+                            (name, a, side)
+                        statuses.add(got)
+    assert statuses == {PASS, FAIL, NOT_APPLICABLE}
+
+
+def test_one_witness_probe_serves_every_b_c_and_side(corpus):
+    statuses = set()
+    for name, algebra, rng in algebras_of(corpus)[:12]:
+        n = algebra.dim
+        for a in elements_of(algebra, rng)[:4]:
+            for v in subspaces_for(algebra, a, rng):
+                probe = _witness_probe(algebra, v, a)
+                for _ in range(2):
+                    b, c = rational_element(rng, n), rational_element(rng, n)
+                    for side in SIDES:
+                        got = probe(b, c, side)
+                        assert got == ref_ms_witness_check(algebra, v, a, b, c, side), \
                             (name, a, side)
                         statuses.add(got)
     assert statuses == {PASS, FAIL, NOT_APPLICABLE}

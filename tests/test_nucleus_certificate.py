@@ -1,13 +1,14 @@
-"""The extension quotient's associativity certificate against make_algebra's.
+"""The extension's associativity certificate against make_algebra's.
 
-make_algebra checks associativity on every basis triple.  The extension
-quotient checks only the associators (e_i, g, e_k) for g among the embedded
-base and u, and verify_extension shows that these generators span the
-extension; since the middle nucleus is a subalgebra, that decides the same
-thing.  The full triple check is the oracle here: on every extension the
-tests build, on seeded single-constant perturbations of those tables and on
-a hand-built nonassociative table.  A last test pins that the quotient runs
-neither the full check nor any Fraction arithmetic.
+make_algebra checks associativity on every basis triple.  verify_extension
+checks only the associators (e_i, g, e_k) for g among generators of the
+extension; here they are the embedded basis and u, whose products
+embed(a) u^i span the extension.  Since the middle nucleus is a subalgebra,
+that decides the same thing.  The full triple check is the oracle here: on
+every extension the tests build, on seeded single-constant perturbations of
+those tables and on a hand-built nonassociative table.  A last test pins
+that the quotient and the verifier's unit law, word span and associators
+run neither the full check nor any Fraction arithmetic.
 """
 
 import random
@@ -18,14 +19,16 @@ import pytest
 from skewex import _extension, algebra as algebra_module
 from skewex.algebra import (
     Algebra,
+    _LeftWords,
     _check_unit_law,
     _first_nonassociative_at,
     _first_nonassociative_triple,
+    _nonzero,
     make_algebra,
     matrix_algebra,
 )
 from skewex.errors import NotAssociative, UnitFails
-from skewex.linalg import power_reduction_table, span
+from skewex.linalg import _integer_row, power_reduction_table, span
 from skewex.maps import inner_derivation
 from test_relation_certificate import build
 from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
@@ -138,9 +141,10 @@ def test_hand_built_nonassociative_witness():
 
 def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3):
     """On the M_3 pair the quotient's only Fraction arithmetic is the folding
-    table beta; with it computed beforehand the cells, the projection, the
-    unit law and the generator check make none, and the full triple check
-    never runs."""
+    table beta; with it computed beforehand the cells and the projection make
+    none, nor do verify_extension's first steps on the result, the unit law,
+    the word span and the associators at embed(G) and u, and the full triple
+    check never runs."""
     counts = {}
 
     def counting(name, method):
@@ -173,6 +177,14 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
             assert counts == {"__mul__": 1, "__add__": 1}
             counts.clear()
             got = _extension.quotient_by_relations(algebra, p, xpow, relations)
+            ext = got[0]
+            _check_unit_law(ext)
+            middles = [embed.column(g) for g in algebra.generators] + [u]
+            words = _LeftWords(ext.integer_sc[1], _integer_row(ext.unit)[1])
+            for y in middles:
+                words.add(_nonzero(_integer_row(y)[1]))
+            assert words.rank == ext.dim, label
+            assert _first_nonassociative_at(ext.integer_sc, middles) is None, label
             assert counts == {}, (label, counts)
         assert (got[0].sc, got[0].unit, got[0].labels) == (expected.sc, expected.unit,
                                                            expected.labels), label

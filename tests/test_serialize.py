@@ -59,6 +59,29 @@ def test_algebra_bad_index_reports_position():
     assert "out of range" in str(info.value)
 
 
+@pytest.mark.parametrize("dim", [1.7, 1.0, "1", True, None])
+def test_algebra_dim_must_be_an_integer(dim):
+    # int() would read 1.7, 1.0, "1" and true as dimension 1
+    data = {"dim": dim, "labels": ["1"], "unit": ["1"], "sc": [[0, 0, 0, "1"]]}
+    with pytest.raises(ParseError, match="bad 'dim'"):
+        algebra_from_json(data)
+    with pytest.raises(ParseError, match="bad 'dim'"):
+        algebra_from_json({k: v for k, v in data.items() if k != "dim"})
+    assert algebra_from_json({**data, "dim": 1}).dim == 1
+
+
+def test_algebra_index_must_not_be_a_bool(dual_numbers):
+    data = algebra_to_json(dual_numbers)
+    assert algebra_from_json(data).sc == dual_numbers.sc
+    for pos, entry in enumerate(data["sc"]):
+        for slot in range(3):
+            if entry[slot] == 1:
+                changed = [list(e) for e in data["sc"]]
+                changed[pos][slot] = True
+                with pytest.raises(ParseError, match="out of range"):
+                    algebra_from_json({**data, "sc": changed})
+
+
 def test_map_round_trip(dual_numbers, euler):
     data = map_to_json(euler, "derivation")
     back = certified_map_from_json(dual_numbers, data, None, "euler")

@@ -18,6 +18,7 @@ from skewex.idempotents import (
     enumerate_idempotents,
     image_kernel_idempotent_report,
     ms_check,
+    ms_witness_check,
     principal_ideal,
 )
 from skewex.linalg import Mat, column_space
@@ -102,6 +103,34 @@ def test_each_idempotent_ideal_is_built_once(m2, monkeypatch):
     assert len(items) == 102
     assert len(built) == len(set(items)) == len(ctx.ideals)
     assert set(ctx.ideals) == set(items)
+
+
+def test_each_idempotent_power_chain_is_built_once(m2, monkeypatch):
+    probes = counting(monkeypatch, suites, "_witness_probe")
+    chains = counting(monkeypatch, idempotents, "_power_chain")
+    ctx = make_ctx(m2, 0)
+    records = run_suite(["ms_oracle"], ctx).records
+    items = ctx.idempotents().items
+    assert [args[2] for args in probes] == list(items)
+    assert all(args[1] is ctx.ideals[args[2]] for args in probes)
+    assert len(chains) == len(items)
+    assert records[-1].witness == {"instances": 3 * len(items)}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_membership_probes_match_one_witness_check_per_probe(corpus, seed, monkeypatch):
+    """Each probe as its own ms_witness_check, drawing b then c as before,
+    gives the same records and leaves the random stream in the same state."""
+    for name, algebra in corpus.items():
+        ctx = make_ctx(algebra, seed)
+        shared = run_suite(["ms_oracle"], ctx)
+        with monkeypatch.context() as patch:
+            patch.setattr(suites, "_witness_probe", lambda algebra, v, a: (
+                lambda b, c: ms_witness_check(algebra, v, a, b, c)))
+            each_ctx = make_ctx(algebra, seed)
+            each = run_suite(["ms_oracle"], each_ctx)
+        assert stripped(shared) == stripped(each), (name, seed)
+        assert ctx.rng.getstate() == each_ctx.rng.getstate(), (name, seed)
 
 
 def test_ms_check_with_ideals_matches_without(corpus):
