@@ -24,8 +24,12 @@ multiples once, then X until nothing new appears.
 
 The quotient.  Only the products of the coordinates that N keeps, its
 non-pivot ones, are formed: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
-terms (m, c) of xpow[b][i], folded and reduced against N, in integers.  When
-N is the image of (p(X)) these are the constants of E on that section.
+terms (m, c) of xpow[b][i], folded and reduced against N, in integers.  Fold
+and reduction are linear, so each monomial e_a X^m, m < 2d, is folded and
+reduced once, and every product is an integer combination of those rows.
+When N is the image of (p(X)) these are the constants of E on that section.
+The table stays in integers: the algebra is built from it with no dense
+Fraction tensor.
 
 The certificate.  Nothing checks that N absorbs products: every vector put
 into N is the fold of an element of (p(X)), since the generators are and
@@ -195,14 +199,19 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     """The extension on the coordinates the relation submodule keeps, with
     the embedding of the base and the image u of X.
 
-    Only the kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over the
-    terms (m, c) of xpow[b][i], are formed, folded into the window and
-    projected, all in integers: the folding table beta scales by L_beta, the
-    coefficients c by L_xpow, the base's constants by its L_table and the
-    residual against the relations by their L_N, so every kept entry is an
-    integer over L_table L_xpow L_beta L_N, and the algebra is built from
-    that integer table.  Nothing is checked here: verify_extension is the
-    certificate.
+    Each monomial e_a X^m with m < 2d is folded into the window and reduced
+    against the relations once, in integers: the folding table beta scales
+    by L_beta and the residual by the relations' L_N, so its row is
+    L_beta L_N times the kept coordinates of the rational projection.  Fold
+    and residual are linear at that one scale, so folding and reducing an
+    integer combination of monomials gives exactly the same combination of
+    their rows.  The kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over
+    the terms (m, c) of xpow[b][i], are such combinations with
+    m + j <= 2d - 2; c scales by L_xpow and the base's constants by its
+    L_table, so every kept entry is an integer over L_table L_xpow L_beta L_N,
+    and the algebra is built from that integer table.  embed, u and the unit
+    combine the rows of X^0 and X^1 (X^1 lies past 2d - 2 when d = 1).
+    Nothing is checked here: verify_extension is the certificate.
     """
     n, d = base.dim, p.degree
     scale_table, table = base.integer_sc
@@ -211,11 +220,22 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     kept = _kept_coordinates(relations)
     scale_n = relations._integer_rows[0]
 
+    def monomial(m: int, a: int) -> list[tuple[int, int]]:
+        residual = relations._integer_residual(_integer_fold([(m, [(a, 1)])], beta, n, d * n))
+        return _nonzero([residual[j] for j in kept])
+
+    monomials = [[monomial(m, a) for a in range(n)] for m in range(2 * d)]
+
     def project(terms: IntegerTerms) -> list[int]:
         """The kept coordinates of sum c X^m over the (m, c) of terms, folded
         and reduced against the relations, times L_beta L_N."""
-        residual = relations._integer_residual(_integer_fold(terms, beta, n, d * n))
-        return [residual[j] for j in kept]
+        out = [0] * len(kept)
+        for m, coeff in terms:
+            rows = monomials[m]
+            for a, x in coeff:
+                for k, y in rows[a]:
+                    out[k] += x * y
+        return out
 
     cells = []
     for r in kept:

@@ -1,14 +1,15 @@
 """Finite-dimensional unital associative algebras over Q by structure constants.
 
-An Algebra is a dense tensor c[i][j][k] with e_i e_j = sum_k c[i][j][k] e_k
-plus a distinguished unit vector.  make_algebra validates the two-sided unit
-law and associativity on all basis triples.  The one other constructor, the
-extension quotient in _extension, checks the unit law and the associators at
-a generating set, which its verifier shows to generate; so any Algebra in
-circulation is genuinely an associative unital algebra.  Beside
-the dense tensor every Algebra keeps one table of its nonzero constants as
-integers over a common scale; products and the associativity and ideal checks
-all sum over it in one integer loop.
+An Algebra is its structure constants c[i][j][k], with e_i e_j =
+sum_k c[i][j][k] e_k, plus a distinguished unit vector.  The constants are
+kept as one table of the nonzero ones, integers over a common scale; products
+and the associativity and ideal checks all sum over it in one integer loop.
+The dense tensor sc is a view of that table, built on first read unless the
+constructor was given it.  make_algebra validates the two-sided unit law and
+associativity on all basis triples.  The one other constructor, the extension
+quotient in _extension, checks the unit law and the associators at a
+generating set, which its verifier shows to generate; so any Algebra in
+circulation is genuinely an associative unital algebra.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -151,15 +152,18 @@ class _LeftWords:
 class Algebra:
     """Validated structure-constant algebra; immutable by convention.
 
-    sc[i][j] is the dense coordinate vector of e_i * e_j.  integer_sc is
-    (L, table), built once here: table[i][j] holds the same product as its
-    nonzero (k, L c) pairs in ascending k, L the lcm of the denominators of
-    all the constants.  multiply scales both factors to integers and walks
-    only those pairs and the nonzero entries of the factors, so its cost
-    follows the number of nonzero constants (n^3 of the n^6 for M_n) rather
-    than dim^3, and it makes one Fraction per nonzero entry of the product.
-    The regular trace is linear, so trace_vector, the traces of the basis
-    elements, is built once on first use and trace_of is a dot product with it.
+    integer_sc is the algebra: (L, table), where table[i][j] holds e_i * e_j
+    as its nonzero (k, L c) pairs in ascending k, L the lcm of the
+    denominators of all the constants.  multiply scales both factors to
+    integers and walks only those pairs and the nonzero entries of the
+    factors, so its cost follows the number of nonzero constants (n^3 of the
+    n^6 for M_n) rather than dim^3, and it makes one Fraction per nonzero
+    entry of the product.  sc[i][j], the dense coordinate vector of e_i * e_j,
+    is a view: the constructor keeps the dense table it is given, and a table
+    built in integers, as the extension quotient builds it, forms sc only
+    when something reads it.  The regular trace is linear, so trace_vector,
+    the traces of the basis elements, is built once on first use and
+    trace_of is a dot product with it.
     """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
@@ -185,7 +189,7 @@ class Algebra:
 
         Dividing by c = gcd(scale, all cells) gives the integer table that
         __init__ would build, since scale / c is the lcm of the denominators
-        of the constants; the dense sc is formed once, from the cells.
+        of the constants.  No dense sc is formed here.
         """
         table = tuple(tuple(tuple(_nonzero(cell)) for cell in row) for row in cells)
         common = gcd(scale, *(x for row in table for cell in row for _, x in cell))
@@ -195,10 +199,16 @@ class Algebra:
         algebra = cls.__new__(cls)
         algebra.dim = len(cells)
         algebra.integer_sc = scale // common, table
-        algebra.sc = tuple(tuple(_rational_row(cell, scale) for cell in row) for row in cells)
         algebra.unit = unit
         algebra.labels = tuple(labels)
         return algebra
+
+    @cached_property
+    def sc(self) -> tuple[tuple[Vec, ...], ...]:
+        """The dense table, one Fraction per nonzero constant, read off integer_sc."""
+        scale, table = self.integer_sc
+        return tuple(tuple(_rational_row([dict(cell).get(k, 0) for k in range(self.dim)], scale)
+                           for cell in row) for row in table)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -255,9 +265,12 @@ class Algebra:
 
     @cached_property
     def trace_vector(self) -> Vec:
-        """t_i = sum_j c[i][j][j], the regular trace of e_i."""
-        return tuple(sum((self.sc[i][j][j] for j in range(self.dim)), ZERO)
-                     for i in range(self.dim))
+        """t_i = sum_j c[i][j][j], the regular trace of e_i, summed in integers
+        over the table's scale."""
+        scale, table = self.integer_sc
+        return tuple(Fraction(sum(x for j, cell in enumerate(row) for k, x in cell if k == j),
+                              scale)
+                     for row in table)
 
     def trace_of(self, x: Vec) -> Fraction:
         """Trace of left multiplication by x, read off the trace vector: sum x_i t_i."""
@@ -266,8 +279,11 @@ class Algebra:
         return sum((a * t for a, t in zip(x, self.trace_vector) if a), ZERO)
 
     def is_commutative(self) -> bool:
+        """Whether e_i e_j = e_j e_i for all i < j; the integer cells share
+        one scale, so they compare as the rational ones do."""
+        table = self.integer_sc[1]
         return all(
-            self.sc[i][j] == self.sc[j][i]
+            table[i][j] == table[j][i]
             for i in range(self.dim)
             for j in range(i + 1, self.dim)
         )

@@ -147,8 +147,8 @@ def cmd_extend(args) -> int:
         if not isinstance(the_map, AlgebraEndo) or not the_map.is_invertible():
             raise ValidationError("automorphism mode needs an invertible endomorphism")
         result = laurent_quotient(algebra, the_map, p)
-    write_output([json.dumps(extension_to_json(result), sort_keys=True, indent=2)],
-                 args.json_out)
+    # one compact object: indent would force the pure-Python encoder
+    write_output([json.dumps(extension_to_json(result), sort_keys=True)], args.json_out)
     print(
         f"mode={result.mode} base_dim={algebra.dim} extension_dim={result.algebra.dim} "
         f"relation_degree={result.p.degree} free_module={result.free_module} "

@@ -1,6 +1,7 @@
 """JSON wire formats: algebras, maps, extensions, idempotent sets, reports.
 
-Rationals travel as strings "p/q" (or "p") in lowest terms.  Algebra files
+Rationals travel as strings "p/q" (or "p") in lowest terms; JSON integers
+and decimals are read exactly as well.  Algebra files
 are sparse: {"dim": n, "labels": [...], "unit": [...], "sc": [[i, j, k,
 "p/q"], ...]} with omitted entries zero and 0-based indices.  Maps are
 {"matrix": [["p/q", ...], ...], "role": "..."} acting on coordinates with
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from ._extension import ExtensionResult
@@ -23,12 +25,22 @@ from .maps import AlgebraEndo, Derivation, EDerivation, LinearEndo
 ROLES = ("derivation", "endomorphism", "ederivation")
 
 
+def _format_ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator, in lowest terms with a positive denominator."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
 def format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return _format_ratio(x.numerator, x.denominator)
 
 
 def parse_fraction(text, where: str = "") -> Fraction:
+    """A rational from a string, an integer or a Fraction.  A bool is not a
+    number, and a float is not exact: _read_json reads JSON decimals as
+    Fractions, so the only floats left are NaN and the infinities."""
     try:
+        if isinstance(text, (bool, float)):
+            raise TypeError(type(text).__name__)
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParseError(f"bad rational {text!r}{' at ' + where if where else ''}") from exc
@@ -71,12 +83,15 @@ def poly_from_json(data, where: str) -> Poly:
 
 
 def algebra_to_json(algebra: Algebra) -> dict:
+    """The sparse algebra file, read off the integer table: each nonzero
+    x / L is reduced by gcd(x, L) and written as format_fraction writes it."""
+    scale, table = algebra.integer_sc
     sc = []
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k, value in enumerate(algebra.sc[i][j]):
-                if value:
-                    sc.append([i, j, k, format_fraction(value)])
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            for k, x in cell:
+                common = gcd(x, scale)
+                sc.append([i, j, k, _format_ratio(x // common, scale // common)])
     return {
         "dim": algebra.dim,
         "labels": list(algebra.labels),
@@ -98,7 +113,9 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
         raise ParseError(f"missing or bad 'dim' at {where}")
     if dim < 1:
         raise ParseError(f"'dim' must be >= 1 at {where}")
-    labels = data.get("labels") or [f"e{i}" for i in range(dim)]
+    labels = data.get("labels", [f"e{i}" for i in range(dim)])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ParseError(f"'labels' must be a list of strings at {where}")
     if len(labels) != dim:
         raise ParseError(f"'labels' length differs from dim at {where}")
     unit = vector_from_json(data.get("unit"), dim, f"{where}.unit")
@@ -173,7 +190,7 @@ def parse_definitions(algebra_path: str, map_specs: list[str]) -> tuple[Algebra,
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_float=Fraction)
     except FileNotFoundError as exc:
         raise ParseError(f"{path}: no such file") from exc
     except json.JSONDecodeError as exc:

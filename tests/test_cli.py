@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -8,8 +9,9 @@ import pytest
 
 from skewex.algebra import poly_quotient
 from skewex.linalg import Poly
-from skewex.maps import inner_derivation
+from skewex.maps import inner_automorphism, inner_derivation
 from skewex.serialize import algebra_to_json, map_to_json
+from test_extension_fuzz import U0, V0
 
 
 def run_cli(*args, env=None):
@@ -56,6 +58,16 @@ def test_validate_broken_file(tmp_path):
     result = run_cli("validate", str(bad))
     assert result.returncode == 2
     assert "error" in result.stderr
+
+
+@pytest.mark.parametrize("labels", [5, "ab", [["x"], ["y"]]])
+def test_validate_rejects_bad_labels(tmp_path, q_times_q, labels):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**algebra_to_json(q_times_q), "labels": labels}))
+    result = run_cli("validate", str(bad))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: 'labels' must be a list of strings")
+    assert "Traceback" not in result.stderr
 
 
 def test_validate_missing_file():
@@ -156,6 +168,35 @@ def test_extend_derivation(files, tmp_path):
     assert payload["mode"] == "derivation"
     assert payload["dim"] == 3
     assert payload["p"] == ["0", "-1", "1"]
+
+
+# sha256 of json.dumps(value, sort_keys=True) for the extensions of M_3 by
+# ad_U0 and conj_V0, as written by the indented encoder before extend wrote
+# one compact object
+M3_EXTENSION_SHA256 = {
+    "derivation": "317cd6d990a69725e79d2c3f3574de86cbd0249c459650413c992c3f148e3d58",
+    "automorphism": "de39759e15220e79d67a536206b07d4e558afe7eb6f8e2020ec01115b2d72644",
+}
+
+
+def test_extend_m3_writes_the_pinned_value_compactly(tmp_path, m3):
+    def flat(m):
+        return m3.element([m[i][j] for i in range(3) for j in range(3)])
+
+    algebra_path = tmp_path / "m3.json"
+    algebra_path.write_text(json.dumps(algebra_to_json(m3)))
+    twists = {"derivation": (inner_derivation(m3, flat(U0)), "derivation"),
+              "automorphism": (inner_automorphism(m3, flat(V0)), "endomorphism")}
+    for mode, (twist, role) in twists.items():
+        map_path, out = tmp_path / f"{mode}-map.json", tmp_path / f"{mode}-ext.json"
+        map_path.write_text(json.dumps(map_to_json(twist, role)))
+        result = run_cli("extend", "--mode", mode, "--algebra", str(algebra_path),
+                         "--map", str(map_path), "--json", str(out))
+        assert result.returncode == 0, result.stderr
+        text = out.read_text()
+        canonical = json.dumps(json.loads(text), sort_keys=True)
+        assert text == canonical + "\n", mode
+        assert hashlib.sha256(canonical.encode()).hexdigest() == M3_EXTENSION_SHA256[mode], mode
 
 
 def test_extend_with_explicit_poly(files):

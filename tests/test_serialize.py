@@ -15,6 +15,7 @@ from skewex.serialize import (
     extension_to_json,
     format_fraction,
     idempotent_set_to_json,
+    load_algebra,
     map_to_json,
     parse_definitions,
     parse_fraction,
@@ -30,6 +31,36 @@ def test_fraction_round_trip():
     assert parse_fraction("-2") == F(-2)
     with pytest.raises(ParseError):
         parse_fraction("x")
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, float("inf"), float("nan"), None, [1]])
+def test_parse_fraction_takes_only_exact_values(value):
+    # Fraction(True) is 1, Fraction(0.1) a binary approximation, and
+    # Fraction(inf) raises OverflowError
+    with pytest.raises(ParseError, match="bad rational"):
+        parse_fraction(value, "here")
+    assert parse_fraction(F(1, 10)) == parse_fraction("0.1") == F(1, 10)
+    assert parse_fraction(7) == F(7)
+
+
+def test_json_decimals_are_read_exactly(tmp_path):
+    # the unit 0.1 of the constant 10 holds only if 0.1 is read as 1/10
+    path = tmp_path / "a.json"
+    path.write_text('{"dim": 1, "unit": [0.1], "sc": [[0, 0, 0, 1e1]]}')
+    algebra = load_algebra(str(path))
+    assert algebra.unit == (F(1, 10),)
+    assert algebra.labels == ("e0",)
+    path.write_text('{"dim": 1, "unit": [Infinity], "sc": [[0, 0, 0, "1"]]}')
+    with pytest.raises(ParseError, match="bad rational"):
+        load_algebra(str(path))
+
+
+@pytest.mark.parametrize("labels", [5, "ab", [["x"], ["y"]], ["a", 1], ["a"], None, {}])
+def test_algebra_labels_must_be_dim_strings(q_times_q, labels):
+    data = {**algebra_to_json(q_times_q), "labels": labels}
+    with pytest.raises(ParseError, match="'labels'"):
+        algebra_from_json(data)
+    assert algebra_from_json({**data, "labels": ["a", "b"]}).labels == ("a", "b")
 
 
 def test_algebra_round_trip(m2):
