@@ -326,17 +326,13 @@ def verify_extension(
     - the left-normed words y_1 (y_2 (... (y_k 1))) in Y span ext
       (SkewexError).  Nothing here assumes associativity;
     - the associators (x, y, z) = (x y) z - x (y z) vanish at basis elements
-      x, z for y in Y (AssociativityFails).  In any algebra the middle
-      nucleus {y : (x, y, z) = 0 for all x, z} is a subalgebra, by the
-      Teichmueller identity
-      a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd),
-      and it holds the unit.  So it holds every word in Y, which is all of
-      ext: ext is associative.  That is (|G| + 1) (dim ext)^2 associators
-      instead of the (dim ext)^3 basis triples of make_algebra;
+      x, z for y in Y (AssociativityFails).  The middle nucleus holds the
+      unit and is a subalgebra (_first_nonassociative_at), so it holds every
+      word in Y, which is all of ext: ext is associative;
     - embed is injective and unital, and multiplicative on the pairs
-      (e_g, e_j), g in G.  That makes it multiplicative: as ext and base are
-      associative, {x : embed(x y) = embed(x) embed(y) for all y} is closed
-      under products, and it holds 1 because embed is unital;
+      (1, e_j) and (e_g, e_j), g in G.  That makes it multiplicative: as ext
+      and base are associative, {x : embed(x y) = embed(x) embed(y) for all y}
+      is closed under products, and it holds 1;
     - p(u) = 0;
     - u embed(a) - embed(a) u (derivation mode) or u embed(a) u^(-1)
       (automorphism mode) is embed(twist(a)) for a in G.  Both sides are
@@ -378,7 +374,7 @@ def verify_extension(
         raise SkewexError("base does not embed; construction precondition violated")
     if embed.apply(base.unit) != ext.unit:
         raise SkewexError("embedding does not send unit to unit")
-    if _first_unmultiplicative_pair(base, ext, embed, generators) is not None:
+    if _first_unmultiplicative_pair(base, ext, embed) is not None:
         raise SkewexError("embedding is not multiplicative")
     scale, powers = _integer_powers(ext, u, p.degree)
     coeffs = _integer_row(p.coeffs)[1]  # a positive multiple of p's

@@ -5,11 +5,12 @@ sum_k c[i][j][k] e_k, plus a distinguished unit vector.  The constants are
 kept as one table of the nonzero ones, integers over a common scale; products
 and the associativity and ideal checks all sum over it in one integer loop.
 The dense tensor sc is a view of that table, built on first read unless the
-constructor was given it.  make_algebra validates the two-sided unit law and
-associativity on all basis triples.  The one other constructor, the extension
-quotient in _extension, checks the unit law and the associators at a
-generating set, which its verifier shows to generate; so any Algebra in
-circulation is genuinely an associative unital algebra.
+constructor was given it.  make_algebra and the extension quotient in
+_extension certify a table alike: the two-sided unit law, then the
+associators (e_i, y, e_k) at elements y whose left-normed words span it
+(_first_nonassociative_at), e_g for g in Algebra.generators here and the
+embedded generators and u there.  So any Algebra in circulation is
+genuinely an associative unital algebra.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -215,9 +216,10 @@ class Algebra:
         """Basis indices G whose left-normed words span the algebra, chosen greedily.
 
         A basis index joins G when its element lies outside the span of the
-        left-normed words in G applied to the unit.  The algebra is
-        associative, so that span is the subalgebra G generates: a property
-        whose holders form a subalgebra holds everywhere once it holds on G.
+        words y_1 (y_2 (... (y_k 1))) in G so far.  Nothing here uses
+        associativity, so make_algebra finds G before it knows the table is
+        associative.  A property whose holders form a unital subalgebra holds
+        everywhere once it holds on G.
         """
         words = _LeftWords(self.integer_sc[1], _integer_row(self.unit)[1])
         found = []
@@ -296,14 +298,17 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
     """Build and validate an algebra; raises NotAssociative / UnitFails.
 
     The unit law is checked first, against each basis element in turn; then
-    associativity on every basis triple in (i, j, k) order, and the first
-    failing triple is reported.
+    the associators (e_i, e_g, e_k) for g in the generators, in (g, i, k)
+    order, and the first failing basis triple (i, g, k) is reported.
     """
     algebra = Algebra(dim, sc, unit, labels)
     _check_unit_law(algebra)
-    triple = _first_nonassociative_triple(algebra.integer_sc)
-    if triple is not None:
-        raise NotAssociative(*triple)
+    generators = algebra.generators
+    witness = _first_nonassociative_at(algebra.integer_sc,
+                                       [algebra.basis_element(g) for g in generators])
+    if witness is not None:
+        i, g, k = witness
+        raise NotAssociative(i, generators[g], k)
     return algebra
 
 
@@ -326,35 +331,16 @@ def _check_unit_law(algebra: Algebra) -> None:
             raise UnitFails(i)
 
 
-def _first_nonassociative_triple(integer_sc: IntegerTable) -> Optional[tuple[int, int, int]]:
-    """First (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
-
-    Both sides of a triple are sums of products of two integer constants, so
-    both scale by L^2 and compare exactly as the rational sides do.
-    """
-    table = integer_sc[1]
-    n = len(table)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if (_integer_product(table, table[i][j], [(k, 1)])
-                        != _integer_product(table, [(i, 1)], table[j][k])):
-                    return i, j, k
-    return None
-
-
 def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
                              ) -> Optional[tuple[int, int, int]]:
     """First (i, g, k) with (e_i y) e_k != e_i (y e_k) for y = generators[g],
     in (g, i, k) order, or None.
 
-    A unital table that passes is associative once products of the generators
-    span it: the middle nucleus {y : (x, y, z) = 0 for all x, z} contains the
-    unit and is closed under products, by the Teichmueller identity
-    a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), so it holds
-    everything the generators generate.  That is (#generators) dim^2 triples
-    instead of dim^3.  Both sides scale by L^2 Ly, y = Y / Ly, and compare
-    exactly as the rational sides do.
+    A unital table that passes is associative once the left-normed words in
+    the generators span it: by the Teichmueller identity
+    a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), the
+    middle nucleus {y : (x, y, z) = 0 for all x, z} is closed under products,
+    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly.
     """
     table = integer_sc[1]
     n = len(table)

@@ -41,18 +41,18 @@ class ImproperIdeal(SkewexError):
 
 
 class NotDerivation(SkewexError):
-    """A matrix fails the product rule; carries the basis-pair witness."""
+    """A matrix fails the product rule; carries the witness ("unit", j) or (g, j)."""
 
     def __init__(self, pair):
-        super().__init__(f"product rule fails on basis pair {pair}")
+        super().__init__(f"product rule fails on pair {pair}")
         self.pair = pair
 
 
 class NotEndomorphism(SkewexError):
-    """A matrix is not multiplicative (or not unital when required)."""
+    """A matrix is not multiplicative (or not unital when required); carries the witness."""
 
     def __init__(self, pair, reason="multiplicativity"):
-        super().__init__(f"{reason} fails on basis pair {pair}")
+        super().__init__(f"{reason} fails on pair {pair}")
         self.pair = pair
 
 

@@ -1,16 +1,17 @@
 """Derivations, algebra endomorphisms, and difference maps I - phi.
 
 Role wrappers (Derivation, AlgebraEndo, EDerivation) certify their defining
-identity on all basis pairs at construction time, so downstream code can rely
-on the algebraic meaning of the matrix it is handed.  An E-derivation is
-certified by its definition, I - m being an endomorphism, and that one check
-also certifies the phi it carries.  Each map computes its minimal polynomial
-at most once.
+identity at construction time on the pairs (x, e_j), x the unit and then e_g
+for g in Algebra.generators.  The x at which it holds for all e_j form a
+subalgebra, which the unit row puts 1 in, so it holds on the words in G and
+everywhere.  An E-derivation is certified by its definition, I - m being an
+endomorphism, and that one check also certifies the phi it carries.  Each
+map computes its minimal polynomial at most once.
 
 The certificates run on integers: the matrix's integer form (L, A) from
 linalg and the algebra's integer structure constants, summed by the one
-integer product loop of algebra.  Each basis pair compares two integer
-vectors that are both sides of the identity over one common denominator, so
+integer product loop of algebra.  Each pair compares two integer vectors
+that are both sides of the identity over one common denominator, so
 the verdicts and witnesses are those of the rational identity.  The
 derivation space is solved from integer rows built from the same constants.
 """
@@ -20,9 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
-from .algebra import Algebra, _integer_product, is_ideal, quotient, quotient_section
+from .algebra import Algebra, _integer_product, _nonzero, is_ideal, quotient, quotient_section
 from .errors import (
     DimensionMismatch,
     NotAutomorphism,
@@ -88,54 +89,63 @@ def _integer_image(columns: list[list[tuple[int, int]]], xs, rows: int) -> list[
     return out
 
 
-def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Product rule D(ab) = D(a)b + aD(b) on all basis pairs; witness on failure.
+def _certificate_rows(algebra: Algebra) -> list[tuple]:
+    """(name, X, products): the unit, "unit", then e_g, g, for g in G, as the
+    nonzero pairs of X = Lx x and of each X e_j, L Lx e_j for x = 1 by the unit law."""
+    scale, unit = _integer_row(algebra.unit)
+    step = scale * algebra.integer_sc[0]
+    return [("unit", _nonzero(unit), [[(j, step)] for j in range(algebra.dim)])] + [
+        (g, [(g, 1)], algebra.integer_sc[1][g]) for g in algebra.generators]
 
-    With D = A / L and the constants C / Lc, both sides of the rule on
-    (e_i, e_j) are integer vectors over L Lc: A C_ij on the left, and
-    sum A_i e_j C + sum e_i A_j C on the right, A_i the i-th column of A.
+
+def is_derivation(algebra: Algebra, m: Mat) -> tuple[bool, Optional[tuple]]:
+    """Product rule D(x e_j) = D(x) e_j + x D(e_j) on the rows of
+    _certificate_rows; witness ("unit", j) or (g, j).  The unit row holds
+    exactly when D(1) = 0.
+
+    With D = A / L, the constants C / Lc and x = X / Lx, both sides are
+    integer vectors over L Lc Lx: A (X e_j C), and (A X) e_j C + X A_j C.
     """
     _, columns = _integer_columns(m, algebra.dim, algebra.dim)
     table = algebra.integer_sc[1]
-    for i, row in enumerate(table):
-        for j, product in enumerate(row):
+    for name, xs, products in _certificate_rows(algebra):
+        image = _nonzero(_integer_image(columns, xs, algebra.dim))
+        for j, product in enumerate(products):
             lhs = _integer_image(columns, product, algebra.dim)
-            rhs = [x + y for x, y in zip(_integer_product(table, columns[i], [(j, 1)]),
-                                         _integer_product(table, [(i, 1)], columns[j]))]
+            rhs = [x + y for x, y in zip(_integer_product(table, image, [(j, 1)]),
+                                         _integer_product(table, xs, columns[j]))]
             if lhs != rhs:
-                return False, (i, j)
+                return False, (name, j)
     return True, None
 
 
-def _first_unmultiplicative_pair(source: Algebra, target: Algebra, m: Mat,
-                                 rows: Optional[Sequence[int]] = None
-                                 ) -> Optional[tuple[int, int]]:
-    """First basis pair (i, j) of source, in row-major order, with
-    m(e_i e_j) != m(e_i) m(e_j) in target; None when m is multiplicative.
-    With rows given, only the pairs with i among them are checked.
+def _first_unmultiplicative_pair(source: Algebra, target: Algebra, m: Mat) -> Optional[tuple]:
+    """First (x, e_j) on the rows of _certificate_rows of source with
+    m(x e_j) != m(x) m(e_j) in target, ("unit", j) or (g, j); or None.
 
-    With m = A / L and the constants Cs / Ls of source and Ct / Lt of target,
-    m(e_i e_j) is A Cs_ij over L Ls and m(e_i) m(e_j) is sum A_i A_j Ct over
-    L^2 Lt, A_i the i-th column of A; so the two agree exactly when
-    L Lt (A Cs_ij) = Ls (sum A_i A_j Ct).
+    With m = A / L, x = X / Lx and the constants Cs / Ls of source and
+    Ct / Lt of target, the two sides are A (X e_j Cs) over L Ls Lx and
+    (A X) A_j Ct over L^2 Lx Lt; they agree exactly when
+    L Lt (A (X e_j Cs)) = Ls ((A X) A_j Ct).
     """
     scale, columns = _integer_columns(m, target.dim, source.dim)
-    source_scale, source_table = source.integer_sc
+    source_scale = source.integer_sc[0]
     target_scale, target_table = target.integer_sc
     left = scale * target_scale
-    for i in range(source.dim) if rows is None else rows:
-        for j, product in enumerate(source_table[i]):
+    for name, xs, products in _certificate_rows(source):
+        image = _nonzero(_integer_image(columns, xs, m.rows))
+        for j, product in enumerate(products):
             lhs = _integer_image(columns, product, m.rows)
-            rhs = _integer_product(target_table, columns[i], columns[j])
+            rhs = _integer_product(target_table, image, columns[j])
             if any(left * x != source_scale * y for x, y in zip(lhs, rhs)):
-                return i, j
+                return name, j
     return None
 
 
 def is_endomorphism(
     algebra: Algebra, m: Mat, require_unital: bool = True
 ) -> tuple[bool, Optional[tuple]]:
-    """Multiplicativity on all basis pairs, plus unit preservation when required."""
+    """Unit preservation when required, witness ("unit",), then multiplicativity."""
     if require_unital and m.apply(algebra.unit) != algebra.unit:
         return False, ("unit",)
     pair = _first_unmultiplicative_pair(algebra, algebra, m)
@@ -223,11 +233,12 @@ class EDerivation(LinearEndo):
 
     @staticmethod
     def certify(algebra: Algebra, m: Mat, require_unital: bool = True) -> "EDerivation":
-        # is_ederivation has just certified I - m, so phi needs no second check.
-        if not is_ederivation(algebra, m, require_unital):
-            raise NotEndomorphism(("difference map",), reason="difference-map identity")
-        phi = AlgebraEndo(algebra, Mat.identity(algebra.dim) - m, require_unital)
-        return EDerivation(algebra, m, phi)
+        # the check of I - m certifies phi, which needs no second one
+        phi = Mat.identity(algebra.dim) - m
+        ok, witness = is_endomorphism(algebra, phi, require_unital)
+        if not ok:
+            raise NotEndomorphism(witness, reason="difference-map identity")
+        return EDerivation(algebra, m, AlgebraEndo(algebra, phi, require_unital))
 
 
 def inner_derivation(algebra: Algebra, u: Vec) -> Derivation:

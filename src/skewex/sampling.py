@@ -151,7 +151,7 @@ def substitution_endos(algebra: Algebra,
     universal property of Q[t]/(f), the unital map with columns
     1, g, ..., g^(n-1) is multiplicative exactly when f(g) = 0, that is when
     g^n is the map's image of t^n.  A candidate is kept on that one
-    comparison, without the check on all basis pairs.
+    comparison, without a multiplicativity check.
     """
     n = algebra.dim
     if n < 2 or not _looks_monogenic(algebra):

@@ -123,6 +123,7 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
     entries = data.get("sc", [])
     if not isinstance(entries, list):
         raise ParseError(f"'sc' must be a list at {where}")
+    first = {}  # the position of the entry that set each cell
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"'sc' entry {pos} must be [i, j, k, value] at {where}")
@@ -130,6 +131,9 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
         for name, idx in (("i", i), ("j", j), ("k", k)):
             if not _is_index(idx) or not 0 <= idx < dim:
                 raise ParseError(f"'sc' entry {pos}: index {name}={idx} out of range at {where}")
+        if first.setdefault((i, j, k), pos) != pos:
+            raise ParseError(f"'sc' entries {first[i, j, k]} and {pos} both set ({i}, {j}, {k}) "
+                             f"at {where}")
         sc[i][j][k] = parse_fraction(value, f"{where}.sc[{pos}]")
     try:
         return make_algebra(dim, sc, unit, labels)
@@ -191,8 +195,10 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle, parse_float=Fraction)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read the file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}") from exc
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from skewex.algebra import poly_quotient
+from skewex.cli import main
 from skewex.linalg import Poly
 from skewex.maps import inner_automorphism, inner_derivation
 from skewex.serialize import algebra_to_json, map_to_json
@@ -73,6 +74,19 @@ def test_validate_rejects_bad_labels(tmp_path, q_times_q, labels):
 def test_validate_missing_file():
     result = run_cli("validate", "/nonexistent/nope.json")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("kind, message", [("directory", "cannot read the file ("),
+                                           ("utf16", "not UTF-8 text at byte 0")])
+def test_validate_unreadable_input(tmp_path, capsys, kind, message):
+    # a path that cannot be read as UTF-8 text is a usage error, not a traceback
+    path = tmp_path
+    if kind == "utf16":
+        path = tmp_path / "utf16.json"
+        path.write_bytes(json.dumps({"dim": 1}).encode("utf-16"))
+        assert path.read_bytes().startswith(b"\xff\xfe")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
 
 
 def test_suite_command(files, tmp_path):

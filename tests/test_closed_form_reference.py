@@ -65,6 +65,7 @@ from skewex.sampling import (
     sample_automorphisms,
     substitution_endos,
 )
+from test_matrix_kernel_reference import expected_endomorphism_verdict
 
 F = Fraction
 SIDES = ("left", "right", "two")
@@ -360,10 +361,15 @@ def test_is_ederivation_matches_expanded_identity(corpus):
                     assert delta.phi == AlgebraEndo.certify(
                         algebra, Mat.identity(n) - m, require_unital)
                 else:
+                    # the witness is the first failing pair of phi = I - m
+                    # in the certificate's order, or ("unit",)
+                    _, witness = expected_endomorphism_verdict(
+                        algebra, Mat.identity(n) - m, require_unital)
                     with pytest.raises(NotEndomorphism) as caught:
                         EDerivation.certify(algebra, m, require_unital)
+                    assert caught.value.pair == witness, name
                     assert str(caught.value) == str(NotEndomorphism(
-                        ("difference map",), reason="difference-map identity"))
+                        witness, reason="difference-map identity"))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 

@@ -3,12 +3,13 @@
 Algebra.generators is a greedy list G of basis indices whose left-normed
 words span the algebra.  verify_extension checks associators at embed(G)
 and u once their words span the extension's table, that embed is
-multiplicative on the pairs (e_g, e_j) and that u realizes the twist on G;
-derivation_space solves the product rule on those pairs plus D(1) = 0.
-Each is compared with the full basis loop it replaces on the test corpus,
-M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases show what each
-part of the argument is for: the unit checks, the D(1) = 0 rows, a G that
-spans, and u among the verifier's generators.
+multiplicative on the pairs (1, e_j) and (e_g, e_j) and that u realizes the
+twist on G; derivation_space solves the product rule on the pairs (e_g, e_j)
+plus D(1) = 0, and is_derivation checks it on the pairs (1, e_j) and
+(e_g, e_j).  Each is compared with the full basis loop it replaces on the
+test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
+show what each part of the argument is for: the unit checks and rows, the
+D(1) = 0 rows, a G that spans, and u among the verifier's generators.
 """
 
 import random
@@ -20,12 +21,11 @@ import pytest
 from skewex import _extension
 from skewex.algebra import (
     _first_nonassociative_at,
-    make_algebra,
     matrix_algebra,
     poly_quotient,
     subalgebra_generated,
 )
-from skewex.errors import AssociativityFails, NotAssociative, SkewexError, UnitFails
+from skewex.errors import AssociativityFails, SkewexError
 from skewex.explorer import random_basis_change, random_recipe
 from skewex.laurent import laurent_quotient
 from skewex.linalg import (
@@ -42,10 +42,12 @@ from skewex.maps import (
     _first_unmultiplicative_pair,
     derivation_space,
     is_derivation,
+    is_endomorphism,
 )
 from skewex.ore import ore_quotient
 from skewex.sampling import sample_automorphisms
-from test_nucleus_certificate import extensions, perturbed
+from test_matrix_kernel_reference import expected_pair, ref_first_unmultiplicative_pair
+from test_nucleus_certificate import extensions, full_route, perturbed
 from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
 
 F = Fraction
@@ -172,7 +174,8 @@ def test_derivation_space_matches_the_full_system(corpus):
 
 def test_the_unit_rows_are_needed(q_times_q):
     # Q x Q has G = [0]: the product rule holds on (e_0, e_0) and (e_0, e_1)
-    # for D(e_0) = 0, D(e_1) = e_1, which moves the unit and is no derivation
+    # for D(e_0) = 0, D(e_1) = e_1, which moves the unit and is no derivation;
+    # is_derivation finds it on the unit row, at (1, e_1)
     assert q_times_q.generators == (0,)
     moved = Mat.from_rows([[0, 0], [0, 1]])
     for j in range(2):
@@ -180,7 +183,7 @@ def test_the_unit_rows_are_needed(q_times_q):
         rhs = vec_add(q_times_q.multiply(moved.column(0), q_times_q.basis_element(j)),
                       q_times_q.multiply(q_times_q.basis_element(0), moved.column(j)))
         assert lhs == rhs, j
-    assert not is_derivation(q_times_q, moved)[0]
+    assert is_derivation(q_times_q, moved) == (False, ("unit", 1))
     assert derivation_space(q_times_q) == []
     rational = poly_quotient(Poly.of([0, 1]))
     assert rational.generators == () and derivation_space(rational) == []
@@ -196,21 +199,30 @@ def test_multiplicativity_on_generators_matches_all_pairs(corpus):
         maps += [m + unital_perturbation(algebra, rng) for m in list(maps)]
         for m in maps:
             assert m.apply(algebra.unit) == algebra.unit, name
-            full = _first_unmultiplicative_pair(algebra, algebra, m)
-            routed = _first_unmultiplicative_pair(algebra, algebra, m, algebra.generators)
-            assert (full is None) == (routed is None), name
-            verdicts[full is None] = verdicts.get(full is None, 0) + 1
+            routed = _first_unmultiplicative_pair(algebra, algebra, m)
+            # the verdict of all basis pairs, and the first failing pair in
+            # the certificate's order; a unital map passes the unit row
+            assert routed == expected_pair(algebra, algebra, m), name
+            assert routed is None or routed[0] != "unit", name
+            verdicts[routed is None] = verdicts.get(routed is None, 0) + 1
     assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
 
 
 def test_multiplicativity_needs_the_unit_check(dual_numbers):
     # 1 -> 1 + t, t -> 2 t is injective and multiplicative on (t, 1) and
-    # (t, t), the pairs of G = [t], but not on (1, 1): only the unit check
-    # tells it from a homomorphism, and verify_extension stops there
+    # (t, t), the pairs of G = [t], but not on (1, 1): only the unit row
+    # tells it from a homomorphism when the map need not be unital, and
+    # the unit check when it must, where verify_extension stops
     assert dual_numbers.generators == (1,)
     phi = Mat.from_columns([(F(1), F(1)), (F(0), F(2))])
-    assert _first_unmultiplicative_pair(dual_numbers, dual_numbers, phi, (1,)) is None
-    assert _first_unmultiplicative_pair(dual_numbers, dual_numbers, phi) == (0, 0)
+    t = dual_numbers.basis_element(1)
+    for y in (dual_numbers.unit, t):
+        assert phi.apply(dual_numbers.multiply(t, y)) == dual_numbers.multiply(
+            phi.apply(t), phi.apply(y))
+    assert ref_first_unmultiplicative_pair(dual_numbers, dual_numbers, phi) == (0, 0)
+    assert _first_unmultiplicative_pair(dual_numbers, dual_numbers, phi) == ("unit", 0)
+    assert is_endomorphism(dual_numbers, phi, require_unital=False) == (False, ("unit", 0))
+    assert is_endomorphism(dual_numbers, phi) == (False, ("unit",))
     with pytest.raises(SkewexError, match="does not send unit to unit"):
         _extension.verify_extension("derivation", dual_numbers, dual_numbers, phi,
                                     zero_vec(2), Poly.of([0, 1]), Mat.zeros(2, 2))
@@ -236,8 +248,8 @@ def test_twist_on_generators_matches_the_basis_loop(corpus, m3):
     for source, label, result in all_extensions(corpus, m3):
         base, mode = result.base, result.mode
         embed, ext = result.embed, result.algebra
-        assert _first_unmultiplicative_pair(base, ext, embed, base.generators) is None, label
         assert _first_unmultiplicative_pair(base, ext, embed) is None, label
+        assert ref_first_unmultiplicative_pair(base, ext, embed) is None, label
         if mode == "derivation":
             candidates = [d.matrix for d in derivation_space(base)]
             candidates += [m.scale(2) for m in candidates] + [Mat.zeros(base.dim, base.dim)]
@@ -302,11 +314,7 @@ def test_routed_associators_match_the_full_check_on_perturbed_tables(corpus, m3)
         assert verifier_verdict(result.algebra, result, twist) is None, label
         for _ in range(3 if result.algebra.dim <= 16 else 1):
             broken = perturbed(result.algebra, rng)
-            try:
-                make_algebra(broken.dim, broken.sc, broken.unit)
-                full = None
-            except (NotAssociative, UnitFails) as exc:
-                full = type(exc).__name__
+            full = full_route(broken)
             routed = verifier_verdict(broken, result, twist)
             if routed in (None, "later"):
                 # passing the associators is a proof of associativity

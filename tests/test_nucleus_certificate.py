@@ -1,14 +1,15 @@
-"""The extension's associativity certificate against make_algebra's.
+"""The extension's associativity certificate against the full triple check.
 
-make_algebra checks associativity on every basis triple.  verify_extension
-checks only the associators (e_i, g, e_k) for g among generators of the
-extension; here they are the embedded basis and u, whose products
-embed(a) u^i span the extension.  Since the middle nucleus is a subalgebra,
-that decides the same thing.  The full triple check is the oracle here: on
-every extension the tests build, on seeded single-constant perturbations of
-those tables and on a hand-built nonassociative table.  A last test pins
-that the quotient and the verifier's unit law, word span and associators
-run neither the full check nor any Fraction arithmetic.
+dense_make_algebra (test_sparse_reference) checks associativity on every
+basis triple.  verify_extension checks only the associators
+(e_i, g, e_k) for g among generators of the extension; here they are the
+embedded basis and u, whose products embed(a) u^i span the extension.
+Since the middle nucleus is a subalgebra, that decides the same thing.  The
+full triple check is the oracle here: on every extension the tests build,
+on seeded single-constant perturbations of those tables and on a hand-built
+nonassociative table.  A last test pins that the quotient and the
+verifier's unit law, word span and associators run neither make_algebra
+nor any Fraction arithmetic.
 """
 
 import random
@@ -22,7 +23,6 @@ from skewex.algebra import (
     _LeftWords,
     _check_unit_law,
     _first_nonassociative_at,
-    _first_nonassociative_triple,
     _nonzero,
     make_algebra,
     matrix_algebra,
@@ -32,6 +32,7 @@ from skewex.linalg import _integer_row, power_reduction_table, span
 from skewex.maps import inner_derivation
 from test_relation_certificate import build
 from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
+from test_sparse_reference import dense_make_algebra
 
 F = Fraction
 
@@ -56,9 +57,9 @@ def generators(result):
 
 
 def full_route(ext):
-    """make_algebra's verdict: None, or the name of the error it raises."""
+    """The full triple check's verdict: None, or the name of the error it raises."""
     try:
-        make_algebra(ext.dim, ext.sc, ext.unit)
+        dense_make_algebra(ext.dim, ext.sc, ext.unit)
     except (NotAssociative, UnitFails) as exc:
         return type(exc).__name__
     return None
@@ -98,7 +99,7 @@ def test_generator_check_agrees_with_the_full_check(corpus, m3):
     for source, label, result in extensions(corpus, m3):
         ext = result.algebra
         assert _first_nonassociative_at(ext.integer_sc, generators(result)) is None, label
-        assert _first_nonassociative_triple(ext.integer_sc) is None, label
+        assert full_route(ext) is None, label
         counts[source] = counts.get(source, 0) + 1
         for _ in range(3 if ext.dim <= 16 else 1):
             broken = perturbed(ext, rng)
@@ -127,10 +128,12 @@ def test_hand_built_nonassociative_witness():
     z = (zero,) * 3
     sc = [[e[0], e[1], e[2]], [e[1], e[2], z], [e[2], e[1], z]]
     table = Algebra(3, sc, e[0])
-    assert _first_nonassociative_triple(table.integer_sc) == (1, 1, 1)
-    with pytest.raises(NotAssociative) as caught:
-        make_algebra(3, sc, e[0])
-    assert caught.value.triple == (1, 1, 1)
+    assert table.generators == (1,)
+    for build in (dense_make_algebra, make_algebra):
+        # the first basis triple, and the first with a in the middle
+        with pytest.raises(NotAssociative) as caught:
+            build(3, sc, e[0])
+        assert caught.value.triple == (1, 1, 1), build
     # generators in (g, i, k) order: b comes first and fails at (a, b, a)
     assert _first_nonassociative_at(table.integer_sc, [e[2], e[1]]) == (1, 0, 1)
     assert _first_nonassociative_at(table.integer_sc, [e[1]]) == (1, 0, 1)
@@ -143,8 +146,8 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
     """On the M_3 pair the quotient's only Fraction arithmetic is the folding
     table beta; with it computed beforehand the cells and the projection make
     none, nor do verify_extension's first steps on the result, the unit law,
-    the word span and the associators at embed(G) and u, and the full triple
-    check never runs."""
+    the word span and the associators at embed(G) and u, and make_algebra
+    never runs."""
     counts = {}
 
     def counting(name, method):
@@ -153,9 +156,9 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
             return method(*args)
         return wrapper
 
-    def full_check(integer_sc):
-        counts["full check"] = counts.get("full check", 0) + 1
-        return _first_nonassociative_triple(integer_sc)
+    def full_check(*args):
+        counts["make_algebra"] = counts.get("make_algebra", 0) + 1
+        return make_algebra(*args)
 
     for label, mode, algebra, twist, p in m3_pair(m3):
         xpow = xpow_of(mode, algebra, twist, p)
@@ -169,7 +172,7 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
 
         with monkeypatch.context() as patch:
             patch.setattr(_extension, "power_reduction_table", folding_table)
-            patch.setattr(algebra_module, "_first_nonassociative_triple", full_check)
+            patch.setattr(algebra_module, "make_algebra", full_check)
             for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                          "__truediv__", "__rtruediv__"):
                 patch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))

@@ -90,6 +90,17 @@ def test_algebra_bad_index_reports_position():
     assert "out of range" in str(info.value)
 
 
+def test_algebra_repeated_entry_reports_both_positions(dual_numbers):
+    # read with the last value kept, the first file would load as Q
+    data = {"dim": 1, "labels": ["1"], "unit": ["1"], "sc": [[0, 0, 0, "5"], [0, 0, 0, "1"]]}
+    with pytest.raises(ParseError, match=r"'sc' entries 0 and 1 both set \(0, 0, 0\)"):
+        algebra_from_json(data)
+    data = algebra_to_json(dual_numbers)
+    repeated = data["sc"] + [data["sc"][0]]
+    with pytest.raises(ParseError, match=rf"entries 0 and {len(data['sc'])} both set"):
+        algebra_from_json({**data, "sc": repeated})
+
+
 @pytest.mark.parametrize("dim", [1.7, 1.0, "1", True, None])
 def test_algebra_dim_must_be_an_integer(dim):
     # int() would read 1.7, 1.0, "1" and true as dimension 1

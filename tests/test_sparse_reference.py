@@ -3,14 +3,16 @@
 The reference functions below are the dense loops the library used before it
 moved to closed forms and sparse tables: the Ore grid by step-by-step skew
 rewriting, the Laurent grid by laurent_mul, the structure-constant product
-over every coordinate, the
-associativity check over every basis triple in Fractions, and Subspace
-membership by rescanning each echelon row.  The library must agree with them
-exactly.
+over every coordinate, the associativity check over every basis triple, and
+Subspace membership by rescanning each echelon row.  The library must agree
+with them exactly.  make_algebra checks associators only at its generators,
+so its verdict must be the full loop's and its failing triple the first at
+a generator, in (generator, i, k) order.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -44,8 +46,33 @@ def dense_multiply(sc, x, y):
     return tuple(out)
 
 
+def dense_associator_fails(algebra):
+    """Whether (e_i e_j) e_k != e_i (e_j e_k), as a predicate on basis
+    triples.  Each side is summed over the nonzero constants of the dense
+    table, read as integers over the lcm L of their denominators; both sides
+    are then the rational ones times L^2, and the loop over all dim^3
+    triples stays cheap."""
+    scale = lcm(*(c.denominator for row in algebra.sc for product in row for c in product))
+    terms = [[[(k, c.numerator * (scale // c.denominator)) for k, c in enumerate(product) if c]
+              for product in row] for row in algebra.sc]
+
+    def combine(pairs):
+        out = [0] * algebra.dim
+        for c, products in pairs:
+            for k, s in products:
+                out[k] += c * s
+        return out
+
+    def fails(i, j, k):
+        return (combine((c, terms[l][k]) for l, c in terms[i][j])
+                != combine((c, terms[i][l]) for l, c in terms[j][k]))
+
+    return fails
+
+
 def dense_make_algebra(dim, sc, unit, labels=None):
-    """The triple loop in Fractions; the verdict as an exception or an algebra."""
+    """The unit law in Fractions and the loop over every basis triple; the
+    verdict as an exception or an algebra."""
     algebra = Algebra(dim, sc, unit, labels)
 
     def e(i):
@@ -55,13 +82,11 @@ def dense_make_algebra(dim, sc, unit, labels=None):
         if (dense_multiply(algebra.sc, algebra.unit, e(i)) != e(i)
                 or dense_multiply(algebra.sc, e(i), algebra.unit) != e(i)):
             raise UnitFails(i)
+    fails = dense_associator_fails(algebra)
     for i in range(dim):
         for j in range(dim):
-            left = algebra.sc[i][j]
             for k in range(dim):
-                lhs = dense_multiply(algebra.sc, left, e(k))
-                rhs = dense_multiply(algebra.sc, e(i), algebra.sc[j][k])
-                if lhs != rhs:
+                if fails(i, j, k):
                     raise NotAssociative(i, j, k)
     return algebra
 
@@ -158,6 +183,19 @@ def verdict(build, dim, sc, unit):
     except NotAssociative as exc:
         return ("associativity", exc.triple)
     return ("ok", None)
+
+
+def generator_order_verdict(dim, sc, unit):
+    """dense_make_algebra's verdict, with a failing triple replaced by the
+    first (i, g, k) at which dense_associator_fails, for g in the table's
+    generators G and in (g, i, k) order: the triple make_algebra reports."""
+    kind, witness = verdict(dense_make_algebra, dim, sc, unit)
+    if kind == "associativity":
+        table = Algebra(dim, sc, unit)
+        fails = dense_associator_fails(table)
+        witness = next(((i, g, k) for g in table.generators for i in range(dim)
+                        for k in range(dim) if fails(i, g, k)), None)
+    return kind, witness
 
 
 def derivations_to_check(algebra, rng):
@@ -300,7 +338,7 @@ def test_integer_associativity_matches_dense_on_perturbed_tables(corpus, value):
             sc = [[list(algebra.sc[a][b]) for b in range(n)] for a in range(n)]
             sc[i][j][k] = sc[i][j][k] + value if rng.random() < 0.5 else value
             fast = verdict(make_algebra, n, sc, algebra.unit)
-            assert fast == verdict(dense_make_algebra, n, sc, algebra.unit), (name, i, j, k)
+            assert fast == generator_order_verdict(n, sc, algebra.unit), (name, i, j, k)
             verdicts.add(fast[0])
     # the perturbations reach both failure kinds
     assert {"unit", "associativity"} <= verdicts
