@@ -1,11 +1,12 @@
 """Shared machinery for realizing twisted polynomial quotients as finite algebras.
 
 Both extension flavours (derivation twist and automorphism twist) differ in
-one rule only, how X^i moves past a basis element e_b.  Each supplies it as a
-table xpow[b][i], the left-normal form of X^i e_b for i <= d = deg p:
+one rule only, how X^i moves past a basis element e_b.  twist_table writes
+it as a table xpow[b][i], the left-normal form of X^i e_b for i <= d = deg p:
 sum_k C(i, k) D^k(e_b) X^(i-k) for a derivation D (Ore 1933) and
-phi^i(e_b) X^i for an automorphism phi.  Everything else is derived here from
-that table.
+phi^i(e_b) X^i for an automorphism phi.  It is built once per extension, in
+integers over one scale, from the integer orbits of the basis under the
+twist's integer form.  Everything else is derived here from that table.
 
 Let R be the skew polynomial ring A[X; D] or A[X; phi], n = dim A, and E the
 extension R/(p(X)), the quotient by the two-sided ideal.  Folding X^m by the
@@ -46,7 +47,7 @@ extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -73,16 +74,10 @@ from .linalg import (
     power_reduction_table,
     vec_sub,
 )
-from .maps import _first_unmultiplicative_pair
+from .maps import _first_unmultiplicative_pair, _integer_columns, _integer_image
 
 # Callers of the constructions re-check p(u) = 0 with p(x) from here.
 poly_of_element = _poly_of_element
-
-# A term list is a left-normal form: pairs (power, coefficient in the base
-# algebra), powers arbitrary non-negative integers before reduction.
-TermList = list[tuple[int, Vec]]
-# xpow[b][i] is X^i e_b as a term list, for i <= deg p.
-XPowTable = list[list[TermList]]
 
 
 @dataclass(frozen=True)
@@ -116,6 +111,9 @@ class ExtensionResult:
 IntegerBeta = list[list[tuple[int, int]]]
 # A sparse left-normal form: pairs (power, nonzero (index, integer) pairs).
 IntegerTerms = list[tuple[int, list[tuple[int, int]]]]
+# An integer twist table (L_xpow, xpow): xpow[b][i] is X^i e_b, i <= deg p,
+# as integer terms over L_xpow.
+IntegerXPow = tuple[int, list[list[IntegerTerms]]]
 
 
 def _integer_beta(p: Poly, max_power: int) -> tuple[int, IntegerBeta]:
@@ -125,13 +123,39 @@ def _integer_beta(p: Poly, max_power: int) -> tuple[int, IntegerBeta]:
     return scale, [_nonzero(flat[m:m + d]) for m in range(0, len(flat), d)]
 
 
-def _integer_xpow(xpow: XPowTable) -> tuple[int, list[list[IntegerTerms]]]:
-    """(L_xpow, table): xpow with every coefficient sparse in integers over
-    L_xpow, the lcm of all their denominators."""
-    scale = lcm(*(x.denominator for row in xpow for terms in row
-                  for _, coeff in terms for x in coeff))
-    return scale, [[[(m, _nonzero([x.numerator * (scale // x.denominator) for x in coeff]))
-                     for m, coeff in terms] for terms in row] for row in xpow]
+def twist_table(mode: str, twist: Mat, degree: int) -> IntegerXPow:
+    """(L_xpow, xpow): X^i e_b for i <= degree, in integers over L_xpow, the
+    lcm of the denominators of all the coefficients.
+
+    With twist = A / L (Mat.integer_form) and the integer orbits A^k e_b,
+    X^i e_b is sum_k C(i, k) L^(degree-k) A^k e_b X^(i-k) over L^degree for
+    a derivation (Ore 1933), and L^(degree-i) A^i e_b X^i over L^degree for
+    an automorphism; terms with A^k e_b = 0 are left out.  Dividing L^degree
+    and every integer by their gcd c leaves the lcm M: L^degree / c is a
+    common scale, so M divides it, and L^degree / M divides L^degree and
+    every integer, hence c.
+    """
+    n = twist.cols
+    scale, columns = _integer_columns(twist, n, n)
+    lifts = [scale ** (degree - k) for k in range(degree + 1)]
+    # (power, k, binomial) for each term of X^i e_b
+    if mode == "derivation":
+        shape = [[(i - k, k, comb(i, k)) for k in range(i + 1)] for i in range(degree + 1)]
+    else:
+        shape = [[(i, i, 1)] for i in range(degree + 1)]
+    table = []
+    for b in range(n):
+        orbit = [[(b, 1)]]
+        for _ in range(degree):
+            orbit.append(_nonzero(_integer_image(columns, orbit[-1], n)))
+        table.append([[(m, [(a, c * lifts[k] * x) for a, x in orbit[k]])
+                       for m, k, c in terms if orbit[k]] for terms in shape])
+    common = gcd(lifts[0], *(x for row in table for terms in row
+                             for _, coeff in terms for _, x in coeff))
+    if common > 1:
+        table = [[[(m, [(a, x // common) for a, x in coeff]) for m, coeff in terms]
+                  for terms in row] for row in table]
+    return lifts[0] // common, table
 
 
 def _integer_fold(terms: IntegerTerms, beta: IntegerBeta, n: int, size: int) -> list[int]:
@@ -146,21 +170,23 @@ def _integer_fold(terms: IntegerTerms, beta: IntegerBeta, n: int, size: int) -> 
     return out
 
 
-def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
+def relation_submodule(base: Algebra, p: Poly, xpow: IntegerXPow,
+                       beta: tuple[int, IntegerBeta]) -> Subspace:
     """N = span{e_a p(X) e_b X^k}, as the closure of the reduced k = 0
     generators p(X) e_b under left multiplication by the base and right
     multiplication by X.
 
-    All vectors are integer rows until N's basis: the generators are folded
-    with p's coefficients over Lp, xpow's over L_xpow and beta over L_beta,
-    a positive multiple of the rational fold, and e_a acts on each
-    coefficient block in one integer pass over the base's table per
-    generator.  Each round of the closure adds at least one dimension, so
-    there are at most dim N rounds.
+    xpow is twist_table's and beta _integer_beta's, for powers up to at
+    least d = deg p.  All vectors are integer rows until N's basis: the
+    generators are folded with p's coefficients over Lp, xpow's over L_xpow
+    and beta over L_beta, a positive multiple of the rational fold, and e_a
+    acts on each coefficient block in one integer pass over the base's table
+    per generator.  Each round of the closure adds at least one dimension,
+    so there are at most dim N rounds.
     """
     n, d = base.dim, p.degree
-    _, beta = _integer_beta(p, d)
-    _, int_xpow = _integer_xpow(xpow)
+    _, int_xpow = xpow
+    _, beta = beta
     _, cp = _integer_row(p.coeffs)
     table = base.integer_sc[1]
     vectors = []
@@ -173,7 +199,7 @@ def relation_submodule(base: Algebra, p: Poly, xpow: XPowTable) -> Subspace:
         blocks = [_nonzero(w[q * n:(q + 1) * n]) for q in range(d)]
         vectors.extend([v for ys in blocks for v in _integer_product(table, [(a, 1)], ys)]
                        for a in range(n))
-    return _close_under_x(_integer_span(vectors, d * n), beta, n)
+    return _close_under_x(_integer_span(vectors, d * n), beta[:d + 1], n)
 
 
 def _close_under_x(relations: Subspace, beta: IntegerBeta, n: int) -> Subspace:
@@ -194,13 +220,15 @@ def _close_under_x(relations: Subspace, beta: IntegerBeta, n: int) -> Subspace:
     return relations
 
 
-def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Subspace
+def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
+                          beta: tuple[int, IntegerBeta], relations: Subspace
                           ) -> tuple[Algebra, Mat, Vec]:
     """The extension on the coordinates the relation submodule keeps, with
     the embedding of the base and the image u of X.
 
-    Each monomial e_a X^m with m < 2d is folded into the window and reduced
-    against the relations once, in integers: the folding table beta scales
+    xpow is twist_table's and beta _integer_beta's, for powers up to at
+    least 2d - 1.  Each monomial e_a X^m with m < 2d is folded into the
+    window and reduced against the relations once, in integers: beta scales
     by L_beta and the residual by the relations' L_N, so its row is
     L_beta L_N times the kept coordinates of the rational projection.  Fold
     and residual are linear at that one scale, so folding and reducing an
@@ -215,8 +243,8 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
     """
     n, d = base.dim, p.degree
     scale_table, table = base.integer_sc
-    scale_beta, beta = _integer_beta(p, 2 * d)
-    scale_xpow, int_xpow = _integer_xpow(xpow)
+    scale_beta, beta = beta
+    scale_xpow, int_xpow = xpow
     kept = _kept_coordinates(relations)
     scale_n = relations._integer_rows[0]
 
@@ -264,17 +292,6 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: XPowTable, relations: Su
                                         [labels[j] for j in kept]), embed, u)
 
 
-def _basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
-    """orbits[b][k] = twist^k(e_b) for k <= length, read by both xpow tables."""
-    orbits = []
-    for b in range(base.dim):
-        orbit = [base.basis_element(b)]
-        for _ in range(length):
-            orbit.append(twist.apply(orbit[-1]))
-        orbits.append(orbit)
-    return orbits
-
-
 def _check_annihilates(twist: Mat, p: Poly) -> None:
     """Raise AnnihilatorFails, with a witness column, unless p(twist) = 0."""
     image = p.eval_matrix(twist)
@@ -288,21 +305,24 @@ def assemble(
     p: Poly,
     mode: str,
     twist: Mat,
-    xpow: XPowTable,
     force_free_model: bool = False,
 ) -> ExtensionResult:
     """Common construction path: build the extension of base that makes twist
-    inner from the twist's table xpow, pass it through verify_extension and
-    return it.
+    inner, pass it through verify_extension and return it.
+
+    The twist table and the folding table of X^m, m <= 2 deg p, are built
+    once and serve both the relation submodule and the quotient.
 
     With force_free_model the grid itself must be the extension, and a
     nonzero relation submodule raises AssociativityFails.
     """
-    relations = relation_submodule(base, p, xpow)
+    xpow = twist_table(mode, twist, p.degree)
+    beta = _integer_beta(p, 2 * p.degree)
+    relations = relation_submodule(base, p, xpow, beta)
     if force_free_model and relations.dim:
         raise AssociativityFails(
             f"relation submodule of dimension {relations.dim}: the rewrite system is inconsistent")
-    algebra, embed, u = quotient_by_relations(base, p, xpow, relations)
+    algebra, embed, u = quotient_by_relations(base, p, xpow, beta, relations)
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
     return ExtensionResult(
         mode, base, algebra, embed, u, u_inverse, p,

@@ -340,7 +340,9 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
     the generators span it: by the Teichmueller identity
     a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), the
     middle nucleus {y : (x, y, z) = 0 for all x, z} is closed under products,
-    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly.
+    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly, and one
+    accumulator sums their difference over the table: the sparse e_i y times
+    e_k, minus e_i times the sparse y e_k.
     """
     table = integer_sc[1]
     n = len(table)
@@ -349,9 +351,16 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
         lefts = [_nonzero(_integer_product(table, [(i, 1)], ys)) for i in range(n)]
         rights = [_nonzero(_integer_product(table, ys, [(k, 1)])) for k in range(n)]
         for i in range(n):
+            row, left = table[i], lefts[i]
             for k in range(n):
-                if (_integer_product(table, lefts[i], [(k, 1)])
-                        != _integer_product(table, [(i, 1)], rights[k])):
+                acc = [0] * n
+                for l, c in left:
+                    for m, s in table[l][k]:
+                        acc[m] += c * s
+                for l, c in rights[k]:
+                    for m, s in row[l]:
+                        acc[m] -= c * s
+                if any(acc):
                     return i, g, k
     return None
 

@@ -72,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     extend.add_argument("--mode", choices=["derivation", "automorphism"], required=True)
     extend.add_argument("--algebra", required=True)
     extend.add_argument("--map", required=True)
-    extend.add_argument("--poly", help="relation coefficients, constant first, comma separated")
+    extend.add_argument("--poly", help="relation coefficients, constant first, comma "
+                        "separated; write --poly=-1,0,1 when the first is negative, "
+                        "since '--poly -1,0,1' reads -1,0,1 as an option")
     extend.add_argument("--json", dest="json_out", metavar="FILE")
     return parser
 

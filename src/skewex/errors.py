@@ -49,10 +49,20 @@ class NotDerivation(SkewexError):
 
 
 class NotEndomorphism(SkewexError):
-    """A matrix is not multiplicative (or not unital when required); carries the witness."""
+    """A matrix is not multiplicative (or not unital when required); carries the
+    witness, ("unit",) when the unit is not sent to the unit.
+
+    reason names the identity that failed; the E-derivation check passes
+    "difference-map identity", whose map is I - m.
+    """
 
     def __init__(self, pair, reason="multiplicativity"):
-        super().__init__(f"{reason} fails on pair {pair}")
+        if pair != ("unit",):
+            super().__init__(f"{reason} fails on pair {pair}")
+        elif reason == "multiplicativity":
+            super().__init__("the map does not send 1 to 1")
+        else:
+            super().__init__(f"{reason} fails: I - m does not send 1 to 1")
         self.pair = pair
 
 

@@ -14,13 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from ._extension import (
-    ExtensionResult,
-    XPowTable,
-    _basis_orbits,
-    _check_annihilates,
-    assemble,
-)
+from ._extension import ExtensionResult, _check_annihilates, assemble
 from .algebra import Algebra, ideal_closure
 from .errors import (
     ConstantTermZero,
@@ -182,13 +176,6 @@ def coefficient_sum_membership(
     return CoefficientSumReport(value, closed, member)
 
 
-def _orbit_table(algebra: Algebra, phi: AlgebraEndo, p: Poly) -> XPowTable:
-    """xpow[b][i] = X^i e_b = phi^i(e_b) X^i, i <= deg p, the table
-    laurent_quotient hands to assemble."""
-    return [[[(i, image)] for i, image in enumerate(orbit)]
-            for orbit in _basis_orbits(algebra, phi.matrix, p.degree)]
-
-
 def laurent_quotient(
     algebra: Algebra,
     phi: AlgebraEndo,
@@ -213,7 +200,5 @@ def laurent_quotient(
         raise ConstantTermZero("relation polynomial needs a nonzero constant term")
     if given and not _skip_annihilator_check:
         _check_annihilates(phi.matrix, p)
-    return assemble(
-        algebra, p, "automorphism", phi.matrix, _orbit_table(algebra, phi, p),
-        force_free_model=_skip_annihilator_check,
-    )
+    return assemble(algebra, p, "automorphism", phi.matrix,
+                    force_free_model=_skip_annihilator_check)

@@ -5,11 +5,12 @@ step until the product is in left-normal form.  The quotient construction
 adjoins an element u with p(u) = 0 whose commutator restricts to D on the
 embedded base algebra.
 
-The extension does not replay the rewriter: it hands assemble the closed
-form X^i b = sum_k C(i, k) D^k(b) X^(i-k) (Ore 1933) as a table over the
-basis, from D^k(e_b) computed once per construction, as laurent.py hands it
-phi^i(e_b) X^i.  The step-by-step skew_mul stays as the oracle that
-commutator_power and the suites check the closed forms against.
+The extension does not replay the rewriter: assemble builds the closed form
+X^i b = sum_k C(i, k) D^k(b) X^(i-k) (Ore 1933) as an integer table over the
+basis, from the integer orbits of D computed once per construction, as it
+builds phi^i(e_b) X^i for laurent.py.  The step-by-step skew_mul stays as
+the oracle that commutator_power and the suites check the closed forms
+against.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from math import comb
 from operator import mul
 from typing import Optional
 
-from ._extension import (
-    ExtensionResult,
-    XPowTable,
-    _basis_orbits,
-    _check_annihilates,
-    assemble,
-)
+from ._extension import ExtensionResult, _check_annihilates, assemble
 from .algebra import Algebra, _integer_product, _nonzero, ideal_closure, is_simple, SIMPLE
 from .errors import DimensionMismatch, NotMonic, SkewexError
 from .linalg import (
@@ -230,17 +225,6 @@ def ideal_constant_term(q: Poly, b: Vec, m: int, k: int, d: Derivation) -> Ideal
     return IdealConstantTerm(value, predicted, member)
 
 
-def _leibniz_table(algebra: Algebra, d: Derivation, p: Poly) -> XPowTable:
-    """xpow[b][i] = X^i e_b = sum_k C(i, k) D^k(e_b) X^(i-k), i <= deg p, the
-    table ore_quotient hands to assemble."""
-    return [
-        [[(i - k, tuple(comb(i, k) * x for x in d_powers[k]))
-          for k in range(i + 1) if not is_zero_vec(d_powers[k])]
-         for i in range(p.degree + 1)]
-        for d_powers in _basis_orbits(algebra, d.matrix, p.degree)
-    ]
-
-
 def ore_quotient(
     algebra: Algebra,
     d: Derivation,
@@ -262,10 +246,8 @@ def ore_quotient(
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if given and not _skip_annihilator_check:
         _check_annihilates(d.matrix, p)
-    return assemble(
-        algebra, p, "derivation", d.matrix, _leibniz_table(algebra, d, p),
-        force_free_model=_skip_annihilator_check,
-    )
+    return assemble(algebra, p, "derivation", d.matrix,
+                    force_free_model=_skip_annihilator_check)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,25 @@ first checked the submodule to absorb multiplication by every basis element
 on both sides.  skewex._extension now closes the k = 0 generators under the
 two actions and builds only the kept cells; the tests compare it with this
 code.
+
+The grid reads the twist from a Fraction table xpow[b][i], the left-normal
+form of X^i e_b: leibniz_table and orbit_table below build it by applying
+the twist's Fraction matrix to each basis element, as the library did before
+its twist_table moved to integers.
 """
 
+from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
-from skewex._extension import ExtensionResult, TermList, XPowTable, verify_extension
+from skewex._extension import (
+    ExtensionResult,
+    IntegerBeta,
+    IntegerXPow,
+    _integer_beta,
+    twist_table,
+    verify_extension,
+)
 from skewex.algebra import (
     Algebra,
     _first_unabsorbed,
@@ -33,6 +47,62 @@ from skewex.linalg import (
     span,
     unit_vec,
 )
+
+# A term list is a left-normal form: pairs (power, coefficient in the base
+# algebra), powers arbitrary non-negative integers before reduction.
+TermList = list[tuple[int, Vec]]
+# xpow[b][i] is X^i e_b as a term list, for i <= deg p.
+XPowTable = list[list[TermList]]
+
+
+def basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
+    """orbits[b][k] = twist^k(e_b) for k <= length, in Fractions."""
+    orbits = []
+    for b in range(base.dim):
+        orbit = [base.basis_element(b)]
+        for _ in range(length):
+            orbit.append(twist.apply(orbit[-1]))
+        orbits.append(orbit)
+    return orbits
+
+
+def leibniz_table(algebra: Algebra, d, p: Poly) -> XPowTable:
+    """xpow[b][i] = X^i e_b = sum_k C(i, k) D^k(e_b) X^(i-k), i <= deg p, for
+    the derivation d, leaving out the terms with D^k(e_b) = 0."""
+    return [
+        [[(i - k, tuple(comb(i, k) * x for x in d_powers[k]))
+          for k in range(i + 1) if not is_zero_vec(d_powers[k])]
+         for i in range(p.degree + 1)]
+        for d_powers in basis_orbits(algebra, d.matrix, p.degree)
+    ]
+
+
+def orbit_table(algebra: Algebra, phi, p: Poly) -> XPowTable:
+    """xpow[b][i] = X^i e_b = phi^i(e_b) X^i, i <= deg p, for the automorphism phi."""
+    return [[[(i, image)] for i, image in enumerate(orbit)]
+            for orbit in basis_orbits(algebra, phi.matrix, p.degree)]
+
+
+def fraction_xpow(mode: str, algebra: Algebra, twist, p: Poly) -> XPowTable:
+    """The Fraction table of the derivation or automorphism twist."""
+    table = leibniz_table if mode == "derivation" else orbit_table
+    return table(algebra, twist, p)
+
+
+def rational_xpow(xpow: IntegerXPow, n: int) -> XPowTable:
+    """An integer twist table over its scale as the Fraction table, zero
+    coordinates filled in, for a base of dimension n."""
+    scale, rows = xpow
+    return [[[(m, tuple(Fraction(dict(coeff).get(a, 0), scale) for a in range(n)))
+              for m, coeff in terms] for terms in row] for row in rows]
+
+
+def integer_tables(mode: str, twist, p: Poly
+                   ) -> tuple[IntegerXPow, tuple[int, IntegerBeta]]:
+    """(xpow, beta) as assemble hands them to relation_submodule and
+    quotient_by_relations: the library's integer twist table and the folding
+    of X^m, m <= 2 deg p."""
+    return twist_table(mode, twist.matrix, p.degree), _integer_beta(p, 2 * p.degree)
 
 
 class FreeModel:

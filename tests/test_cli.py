@@ -223,6 +223,38 @@ def test_extend_with_explicit_poly(files):
     assert payload["u_inverse"] == payload["u"]
 
 
+def test_extend_reads_a_negative_first_coefficient_after_equals(files, tmp_path, capsys):
+    # t -> -t on Q[t]/(t^2) has minimal polynomial X^2 - 1
+    negate = tmp_path / "negate.json"
+    negate.write_text(json.dumps({"matrix": [["1", "0"], ["0", "-1"]], "role": "endomorphism"}))
+    args = ["extend", "--mode", "automorphism", "--algebra", str(files["dual"]),
+            "--map", str(negate)]
+    assert main(args + ["--poly=-1,0,1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p"] == ["-1", "0", "1"]
+    assert (payload["dim"], payload["defect_dim"], payload["free_module"]) == (4, 0, True)
+    assert payload["u_inverse"] == payload["u"]
+    # with a space the parser takes -1,0,1 for an option
+    assert main(args + ["--poly", "-1,0,1"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role, message", [
+    ("endomorphism", "the map does not send 1 to 1"),
+    ("ederivation", "difference-map identity fails: I - m does not send 1 to 1"),
+])
+def test_suite_names_a_map_that_misses_the_unit(files, tmp_path, capsys, role, message):
+    # (a, b) -> (a, 0) on Q x Q is multiplicative but sends 1 = (1, 1) to
+    # (1, 0); as an E-derivation, m = I - phi, the same phi is (a, b) -> (0, b)
+    matrix = [["1", "0"], ["0", "0"]] if role == "endomorphism" else [["0", "0"], ["0", "1"]]
+    proj = tmp_path / "proj.json"
+    proj.write_text(json.dumps({"matrix": matrix, "role": role}))
+    code = main(["suite", "--algebra", str(files["qxq"]), "--map", f"{proj}:{role}",
+                 "--suites", "thm16_audit"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {proj}: {message}\n"
+
+
 def test_extend_rejects_bad_poly(files):
     result = run_cli("extend", "--mode", "derivation",
                      "--algebra", str(files["dual"]), "--map", str(files["euler"]),

@@ -4,13 +4,14 @@ associators of a table quotient_by_relations built to the realized twist."""
 
 import pytest
 
+from free_model_oracle import integer_tables
 from skewex import _extension
 from skewex._extension import quotient_by_relations, relation_submodule, verify_extension
 from skewex.algebra import subalgebra_as_algebra, upper_triangular
 from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, span, vec_add, vec_scale, zero_vec
-from skewex.ore import _leibniz_table, ore_quotient
+from skewex.linalg import Mat, Poly, span, vec_add, zero_vec
+from skewex.ore import ore_quotient
 
 
 def fields(result, twist):
@@ -90,12 +91,13 @@ def test_scaled_twist(ore_fields, laurent_fields):
 
 def test_quotient_certificate_messages(monkeypatch, dual_numbers, euler):
     p = euler.minimal_polynomial  # X^2 - X
-    xpow = _leibniz_table(dual_numbers, euler, p)
-    relations = relation_submodule(dual_numbers, p, xpow)
+    xpow, beta = integer_tables("derivation", euler, p)
+    relations = relation_submodule(dual_numbers, p, xpow, beta)
     assert relations.dim == 1
-    window = quotient_by_relations(dual_numbers, p, xpow, span([], relations.ambient_dim))
-    doubled = [[[(m, vec_scale(2, c)) for m, c in row[0]]] + row[1:] for row in xpow]
-    unitless = quotient_by_relations(dual_numbers, p, doubled, relations)
+    window = quotient_by_relations(dual_numbers, p, xpow, beta, span([], relations.ambient_dim))
+    scale, rows = xpow
+    doubled = [[[(m, [(a, 2 * x) for a, x in c]) for m, c in row[0]]] + row[1:] for row in rows]
+    unitless = quotient_by_relations(dual_numbers, p, (scale, doubled), beta, relations)
 
     def verify(quotient):
         ext, embed, u = quotient

@@ -18,6 +18,7 @@ from functools import cache
 
 import pytest
 
+from free_model_oracle import integer_tables
 from skewex import _extension
 from skewex.algebra import (
     _first_nonassociative_at,
@@ -48,7 +49,7 @@ from skewex.ore import ore_quotient
 from skewex.sampling import sample_automorphisms
 from test_matrix_kernel_reference import expected_pair, ref_first_unmultiplicative_pair
 from test_nucleus_certificate import extensions, full_route, perturbed
-from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
+from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair
 
 F = Fraction
 
@@ -338,12 +339,12 @@ def test_verify_extension_alone_rejects_tables_missing_a_relation(monkeypatch, c
     unchecked = {}
     for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *fuzz_cases(),
                                            *m3_pair(m3)]:
-        xpow = xpow_of(mode, algebra, twist, p)
-        relations = _extension.relation_submodule(algebra, p, xpow)
+        xpow, beta = integer_tables(mode, twist, p)
+        relations = _extension.relation_submodule(algebra, p, xpow, beta)
         if not relations.dim:
             continue
         smaller = span(relations.basis[1:], relations.ambient_dim)
-        ext, embed, u = _extension.quotient_by_relations(algebra, p, xpow, smaller)
+        ext, embed, u = _extension.quotient_by_relations(algebra, p, xpow, beta, smaller)
         with pytest.raises(AssociativityFails):
             _extension.verify_extension(mode, algebra, ext, embed, u, p, twist.matrix)
         with monkeypatch.context() as patch:

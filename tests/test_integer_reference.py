@@ -15,7 +15,7 @@ from math import gcd, lcm
 
 import pytest
 
-from free_model_oracle import free_model, quotient_by_relations
+from free_model_oracle import free_model, quotient_by_relations, rational_xpow
 from skewex import _extension, maps
 from skewex._extension import poly_of_element
 from skewex.algebra import (
@@ -329,10 +329,10 @@ def corpus_extensions(corpus, monkeypatch):
     seen = []
     real = _extension.quotient_by_relations
 
-    def spy(base, p, xpow, relations):
+    def spy(base, p, xpow, beta, relations):
         if relations.dim:
-            seen.append((current, free_model(base, p, xpow), relations))
-        return real(base, p, xpow, relations)
+            seen.append((current, free_model(base, p, rational_xpow(xpow, base.dim)), relations))
+        return real(base, p, xpow, beta, relations)
 
     monkeypatch.setattr(_extension, "quotient_by_relations", spy)
     for name, algebra in corpus.items():

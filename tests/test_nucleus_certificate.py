@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from free_model_oracle import integer_tables
 from skewex import _extension, algebra as algebra_module
 from skewex.algebra import (
     Algebra,
@@ -28,10 +29,10 @@ from skewex.algebra import (
     matrix_algebra,
 )
 from skewex.errors import NotAssociative, UnitFails
-from skewex.linalg import _integer_row, power_reduction_table, span
+from skewex.linalg import _integer_row, span
 from skewex.maps import inner_derivation
 from test_relation_certificate import build
-from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair, xpow_of
+from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair
 from test_sparse_reference import dense_make_algebra
 
 F = Fraction
@@ -143,11 +144,11 @@ def test_hand_built_nonassociative_witness():
 
 
 def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3):
-    """On the M_3 pair the quotient's only Fraction arithmetic is the folding
-    table beta; with it computed beforehand the cells and the projection make
-    none, nor do verify_extension's first steps on the result, the unit law,
-    the word span and the associators at embed(G) and u, and make_algebra
-    never runs."""
+    """On the M_3 pair the quotient, handed the integer twist and folding
+    tables, makes no Fraction arithmetic in its cells and projection, nor do
+    verify_extension's first steps on the result, the unit law, the word
+    span and the associators at embed(G) and u, and make_algebra never
+    runs."""
     counts = {}
 
     def counting(name, method):
@@ -161,17 +162,11 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
         return make_algebra(*args)
 
     for label, mode, algebra, twist, p in m3_pair(m3):
-        xpow = xpow_of(mode, algebra, twist, p)
-        relations = _extension.relation_submodule(algebra, p, xpow)
-        expected, embed, u = _extension.quotient_by_relations(algebra, p, xpow, relations)
-        beta = power_reduction_table(p, 2 * p.degree)
-
-        def folding_table(q, max_power):
-            assert (q, max_power) == (p, 2 * p.degree)
-            return beta
+        xpow, beta = integer_tables(mode, twist, p)
+        relations = _extension.relation_submodule(algebra, p, xpow, beta)
+        expected, embed, u = _extension.quotient_by_relations(algebra, p, xpow, beta, relations)
 
         with monkeypatch.context() as patch:
-            patch.setattr(_extension, "power_reduction_table", folding_table)
             patch.setattr(algebra_module, "make_algebra", full_check)
             for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
                          "__truediv__", "__rtruediv__"):
@@ -179,7 +174,7 @@ def test_quotient_does_no_fraction_arithmetic_and_no_full_check(monkeypatch, m3)
             assert F(1, 2) * F(1, 3) + F(1) == F(7, 6)
             assert counts == {"__mul__": 1, "__add__": 1}
             counts.clear()
-            got = _extension.quotient_by_relations(algebra, p, xpow, relations)
+            got = _extension.quotient_by_relations(algebra, p, xpow, beta, relations)
             ext = got[0]
             _check_unit_law(ext)
             middles = [embed.column(g) for g in algebra.generators] + [u]

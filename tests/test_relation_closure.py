@@ -14,22 +14,15 @@ import random
 
 import pytest
 
-from free_model_oracle import oracle_extension, oracle_relations
+from free_model_oracle import fraction_xpow, integer_tables, oracle_extension, oracle_relations
 from skewex import _extension
 from skewex.errors import AssociativityFails, SkewexError
-from skewex.laurent import _orbit_table
 from skewex.linalg import span
 from skewex.maps import inner_automorphism, inner_derivation
-from skewex.ore import _leibniz_table
 from test_extension_fuzz import U0, V0, random_extension_inputs
 from test_relation_certificate import build, twist_cases
 
 FIELDS = ("mode", "embed", "u", "u_inverse", "p", "free_module", "defect_dim")
-
-
-def xpow_of(mode, algebra, twist, p):
-    table = _leibniz_table if mode == "derivation" else _orbit_table
-    return table(algebra, twist, p)
 
 
 def m3_pair(m3):
@@ -66,9 +59,10 @@ def test_closure_and_kept_cells_match_the_free_model(corpus, m3):
     for source, cases in (("corpus", annihilating_corpus_cases(corpus)),
                           ("fuzz", fuzz_cases()), ("m3", m3_pair(m3))):
         for label, mode, algebra, twist, p in cases:
-            xpow = xpow_of(mode, algebra, twist, p)
+            xpow = fraction_xpow(mode, algebra, twist, p)
             relations, expected = oracle_extension(algebra, p, mode, twist.matrix, xpow)
-            assert _extension.relation_submodule(algebra, p, xpow) == relations, label
+            assert _extension.relation_submodule(algebra, p, *integer_tables(mode, twist, p)) \
+                == relations, label
             assert_same_extension(build(mode, algebra, twist, p), expected, label)
             counts[source] = counts.get(source, 0) + 1
     assert counts == {"corpus": 127, "fuzz": 54, "m3": 2}
@@ -77,7 +71,7 @@ def test_closure_and_kept_cells_match_the_free_model(corpus, m3):
 def test_forced_free_model_raises_exactly_where_the_relations_are_nonzero(corpus, m3):
     raised = passed = 0
     for label, mode, algebra, twist, p in [*twist_cases(corpus), *fuzz_cases(), *m3_pair(m3)]:
-        relations = oracle_relations(algebra, p, xpow_of(mode, algebra, twist, p))
+        relations = oracle_relations(algebra, p, fraction_xpow(mode, algebra, twist, p))
         if relations.dim:
             with pytest.raises(AssociativityFails) as caught:
                 build(mode, algebra, twist, p, _skip_annihilator_check=True)
@@ -112,8 +106,7 @@ def assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate):
         with monkeypatch.context() as patch:
             mutated = mutate(real, patch)
             patch.setattr(_extension, "relation_submodule", mutated)
-            xpow = xpow_of(mode, algebra, twist, p)
-            if mutated(algebra, p, xpow).dim == expected.defect_dim:
+            if mutated(algebra, p, *integer_tables(mode, twist, p)).dim == expected.defect_dim:
                 assert_same_extension(build(mode, algebra, twist, p), expected, label)
                 continue
             with pytest.raises(SkewexError) as caught:
@@ -137,8 +130,8 @@ def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
     rng = random.Random(1103)
 
     def mutate(real, patch):
-        def dropped(base, p, xpow):
-            relations = real(base, p, xpow)
+        def dropped(base, p, xpow, beta):
+            relations = real(base, p, xpow, beta)
             if not relations.dim:
                 return relations
             drop = rng.randrange(relations.dim)

@@ -16,13 +16,20 @@ from math import lcm
 
 import pytest
 
-from free_model_oracle import FreeModel, free_model, relation_generators, relation_submodule
-from skewex.algebra import Algebra, change_of_basis, make_algebra
+from free_model_oracle import (
+    FreeModel,
+    free_model,
+    leibniz_table,
+    orbit_table,
+    relation_generators,
+    relation_submodule,
+)
+from skewex.algebra import Algebra, _first_nonassociative_at, change_of_basis, make_algebra
 from skewex.errors import NotAssociative, UnitFails
-from skewex.laurent import LaurentSkewPoly, _orbit_table, laurent_mul
+from skewex.laurent import LaurentSkewPoly, laurent_mul
 from skewex.linalg import ZERO, Mat, minimal_polynomial, span, vec_add
 from skewex.maps import Derivation, derivation_space
-from skewex.ore import SkewPoly, _leibniz_table, skew_mul
+from skewex.ore import SkewPoly, skew_mul
 from skewex.sampling import random_element, sample_automorphisms
 
 F = Fraction
@@ -218,7 +225,7 @@ def test_leibniz_grid_matches_rewriting(corpus):
     for name, algebra in corpus.items():
         for d in derivations_to_check(algebra, rng):
             p = minimal_polynomial(d.matrix)
-            xpow = _leibniz_table(algebra, d, p)
+            xpow = leibniz_table(algebra, d, p)
             oracle = rewriting_grid(algebra, d, p)
             closed_model = free_model(algebra, p, xpow)
             oracle_model = FreeModel(algebra, p, oracle[0])
@@ -244,7 +251,7 @@ def test_orbit_table_matches_laurent_mul(corpus):
         # the pool starts with the identity; the two maps after it
         for phi in sample_automorphisms(algebra, random.Random(len(name)), 3)[1:]:
             p = minimal_polynomial(phi.matrix)
-            xpow = _orbit_table(algebra, phi, p)
+            xpow = orbit_table(algebra, phi, p)
             oracle = laurent_grid(algebra, phi, p)
             model = free_model(algebra, p, xpow)
             for a, i in [(a, i) for i in range(model.d) for a in range(model.n)]:
@@ -300,7 +307,7 @@ def test_free_model_multiply_matches_dense(m2, dual_numbers):
     for algebra in (m2, dual_numbers):
         for d in derivation_space(algebra):
             p = minimal_polynomial(d.matrix)
-            model = free_model(algebra, p, _leibniz_table(algebra, d, p))
+            model = free_model(algebra, p, leibniz_table(algebra, d, p))
             for _ in range(10):
                 x = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(model.dim))
                 y = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(model.dim))
@@ -342,6 +349,64 @@ def test_integer_associativity_matches_dense_on_perturbed_tables(corpus, value):
             verdicts.add(fast[0])
     # the perturbations reach both failure kinds
     assert {"unit", "associativity"} <= verdicts
+
+
+def dense_first_nonassociative(algebra, middles):
+    """The first (i, g, k), in (g, i, k) order, with (e_i y) e_k != e_i (y e_k)
+    for y = middles[g], every product by dense_multiply; or None."""
+    n = algebra.dim
+    e = [algebra.basis_element(i) for i in range(n)]
+    for g, y in enumerate(middles):
+        for i in range(n):
+            for k in range(n):
+                if (dense_multiply(algebra.sc, dense_multiply(algebra.sc, e[i], y), e[k])
+                        != dense_multiply(algebra.sc, e[i], dense_multiply(algebra.sc, y, e[k]))):
+                    return i, g, k
+    return None
+
+
+@pytest.mark.parametrize("value", [F(1, 3), F(-2)])
+def test_fused_associators_match_dense_on_perturbed_tables(corpus, value):
+    """_first_nonassociative_at, called with the generators as make_algebra
+    calls it and with random rational middles, on tables whose unit law may
+    fail too: its witness is the first failing triple of the dense loops."""
+    rng = random.Random(4242 + value.numerator)
+    outcomes = set()
+    for name, algebra in rational_tables(corpus).items():
+        n = algebra.dim
+        for _ in range(8):
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            sc = [[list(algebra.sc[a][b]) for b in range(n)] for a in range(n)]
+            sc[i][j][k] += value
+            table = Algebra(n, sc, algebra.unit)
+            generators = table.generators
+            fails = dense_associator_fails(table)
+            expected = next(((a, g, c) for g in range(len(generators)) for a in range(n)
+                             for c in range(n) if fails(a, generators[g], c)), None)
+            got = _first_nonassociative_at(
+                table.integer_sc, [table.basis_element(g) for g in generators])
+            assert got == expected, (name, i, j, k)
+            middles = [rational_element(n, rng) for _ in range(2)]
+            got = _first_nonassociative_at(table.integer_sc, middles)
+            assert got == dense_first_nonassociative(table, middles), (name, i, j, k)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_fused_associators_reach_the_last_triple(ut2):
+    """E22 E11 = E22 on the upper-triangular 2 x 2 matrices (E11, E12, E22):
+    the associators at E12 all vanish, and at E11 only (E22, E11, E22)
+    fails, the last (i, k) of the last middle."""
+    sc = [[list(ut2.sc[a][b]) for b in range(3)] for a in range(3)]
+    sc[2][0][2] += 1
+    table = Algebra(3, sc, ut2.unit)
+    middles = [table.basis_element(1), table.basis_element(0)]
+    fails = dense_associator_fails(table)
+    assert [(i, j, k) for j in (1, 0) for i in range(3) for k in range(3)
+            if fails(i, j, k)] == [(2, 0, 2)]
+    assert dense_first_nonassociative(table, middles) == (2, 1, 2)
+    assert _first_nonassociative_at(table.integer_sc, middles) == (2, 1, 2)
+    assert _first_nonassociative_at(table.integer_sc, middles[:1]) is None
 
 
 # -- the Subspace cache ------------------------------------------------------
