@@ -38,6 +38,7 @@ from .linalg import (
     ZERO,
     ONE,
     _IntegerEchelon,
+    _integer_kernel,
     _integer_row,
     _integer_rref,
     _integer_span,
@@ -266,13 +267,17 @@ class Algebra:
         return Mat._from_integers(list(zip(*cols)), self.dim, scale * lx)
 
     @cached_property
+    def integer_trace(self) -> tuple[int, ...]:
+        """L t, for t_i = sum_j c[i][j][j] the regular trace of e_i and L the
+        table's scale: the trace vector in integers."""
+        return tuple(sum(x for j, cell in enumerate(row) for k, x in cell if k == j)
+                     for row in self.integer_sc[1])
+
+    @cached_property
     def trace_vector(self) -> Vec:
-        """t_i = sum_j c[i][j][j], the regular trace of e_i, summed in integers
-        over the table's scale."""
-        scale, table = self.integer_sc
-        return tuple(Fraction(sum(x for j, cell in enumerate(row) for k, x in cell if k == j),
-                              scale)
-                     for row in table)
+        """t_i = sum_j c[i][j][j], the regular trace of e_i."""
+        scale = self.integer_sc[0]
+        return tuple(Fraction(t, scale) for t in self.integer_trace)
 
     def trace_of(self, x: Vec) -> Fraction:
         """Trace of left multiplication by x, read off the trace vector: sum x_i t_i."""
@@ -301,7 +306,11 @@ def make_algebra(dim: int, sc, unit, labels: Optional[Sequence[str]] = None) -> 
     the associators (e_i, e_g, e_k) for g in the generators, in (g, i, k)
     order, and the first failing basis triple (i, g, k) is reported.
     """
-    algebra = Algebra(dim, sc, unit, labels)
+    return _validated(Algebra(dim, sc, unit, labels))
+
+
+def _validated(algebra: Algebra) -> Algebra:
+    """The algebra, once its unit law and associators pass make_algebra's checks."""
     _check_unit_law(algebra)
     generators = algebra.generators
     witness = _first_nonassociative_at(algebra.integer_sc,
@@ -468,6 +477,12 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
 
     The ideal must be a verified proper two-sided ideal.  The projection is a
     surjective algebra homomorphism whose kernel is the ideal.
+
+    Everything is read off integer residuals against the ideal's echelon
+    basis: with the constants C / L and the ideal's scale Lr, the kept
+    coordinates of the residual of C[i][j] are the quotient's constants over
+    L Lr, and the unit and the projection's columns are read the same way.
+    The table is then validated as make_algebra validates one.
     """
     if ideal.ambient_dim != algebra.dim:
         raise DimensionMismatch("ideal lives in the wrong space")
@@ -475,46 +490,52 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
         raise NotAnIdeal("subspace is not closed under two-sided multiplication")
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot divide by the whole algebra")
-    coords = _kept_coordinates(ideal)
-
-    def project(x: Vec) -> Vec:
-        residual = ideal.reduce(x)
-        return tuple(residual[j] for j in coords)
-
-    quot = make_algebra(
-        len(coords),
-        [[project(algebra.sc[i][j]) for j in coords] for i in coords],
-        project(algebra.unit),
-        [algebra.labels[j] for j in coords],
-    )
     n = algebra.dim
-    return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
+    coords = _kept_coordinates(ideal)
+    ideal_scale = ideal._integer_rows[0]
 
+    def project(w: list[int]) -> list[int]:
+        """The kept coordinates of L w's residual, L the ideal's integer scale."""
+        residual = ideal._integer_residual(w)
+        return [residual[j] for j in coords]
 
-def quotient_section(algebra: Algebra, ideal: Subspace) -> Mat:
-    """Coordinate section of the quotient projection: columns are the surviving
-    basis vectors of the ambient algebra, so projection * section = identity."""
-    return Mat.from_columns([algebra.basis_element(j) for j in _kept_coordinates(ideal)])
+    def dense(cell: Sequence[tuple[int, int]]) -> list[int]:
+        w = [0] * n
+        for k, x in cell:
+            w[k] = x
+        return w
+
+    scale, table = algebra.integer_sc
+    unit_scale, unit = _integer_row(algebra.unit)
+    quot = _validated(Algebra._from_integer_table(
+        scale * ideal_scale,
+        [[project(dense(table[i][j])) for j in coords] for i in coords],
+        _rational_row(project(unit), unit_scale * ideal_scale),
+        [algebra.labels[j] for j in coords],
+    ))
+    columns = [project([int(k == c) for k in range(n)]) for c in range(n)]
+    return quot, Mat._from_integers(list(zip(*columns)), n, ideal_scale)
 
 
 def radical(algebra: Algebra) -> Subspace:
     """Kernel of the trace form (x, y) -> trace(mu(x y)); the maximal nilpotent ideal.
 
-    The Gram entry of (e_i, e_j) is trace_of(sc[i][j]), a dot product with the
-    trace vector.  Verified nilpotent as an ideal before returning: the powers
-    R, R^2 = R R, R^3 = R^2 R, ... of the kernel R must reach 0.  The trace
-    form is associative, (x y, z) = (x, y z), so R is a two-sided ideal and
-    the powers are nested, R^(k+1) inside R^k; one that keeps the rank of the
-    one before it equals it, and the powers never reach 0.  Each power is
-    kept as integer rows: its products with R's basis are summed over the
-    integer table, positive multiples of the rational products, and
-    _integer_rref reduces them to a basis.
+    The Gram entry of (e_i, e_j) is trace(e_i e_j), the dot product of the
+    table's cell [i][j] with the trace vector, summed in integers over the
+    square of the table's scale.  Verified nilpotent as an ideal before
+    returning: the powers R, R^2 = R R, R^3 = R^2 R, ... of the kernel R must
+    reach 0.  The trace form is associative, (x y, z) = (x, y z), so R is a
+    two-sided ideal and the powers are nested, R^(k+1) inside R^k; one that
+    keeps the rank of the one before it equals it, and the powers never
+    reach 0.  Each power is kept as integer rows: its products with R's
+    basis are summed over the integer table, positive multiples of the
+    rational products, and _integer_rref reduces them to a basis.
     """
     n = algebra.dim
-    gram = Mat.from_rows([[algebra.trace_of(algebra.sc[i][j]) for i in range(n)]
-                          for j in range(n)])
-    rad = kernel(gram)
     table = algebra.integer_sc[1]
+    trace = algebra.integer_trace
+    gram = [[sum(x * trace[k] for k, x in table[i][j]) for i in range(n)] for j in range(n)]
+    rad = _integer_kernel(gram, n)
     rad_rows = [_nonzero(_integer_row(v)[1]) for v in rad.basis]
     current = rad_rows
     for _ in range(n + 1):

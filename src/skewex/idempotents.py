@@ -4,14 +4,23 @@ Enumeration is exact on commutative algebras: split the semisimple quotient
 along rational eigenvalues of basis directions, lift primitives through the
 radical by the cubic Newton step, and close under orthogonal sums.  A block e
 splits along a direction d by the minimal polynomial of x = e d in the corner
-e A, the Krylov relation of its power chain e, x, x^2, ...; and since an
-idempotent's trace is its rank, trace(e) = dim e A tells a primitive block.
-The quotient by the radical is reduced (the radical is the trace-form
-kernel, verified nilpotent, so it holds every nilpotent), and in a reduced
-commutative algebra that minimal polynomial is square-free: it is split as
-it stands, with no square-free part taken.  When an irreducible factor of
-degree >= 2 survives, the (still valid) partial set is returned flagged
-inconclusive rather than silently treated as complete.
+e A, the relation of its chain e, e x, e x^2, ..., which is e, e d, e d^2, ...
+since e is the corner's unit; and since an idempotent's trace is its rank,
+trace(e) = dim e A tells a primitive block.  The quotient by the radical is
+reduced (the radical is the trace-form kernel, verified nilpotent, so it
+holds every nilpotent), and in a reduced commutative algebra that minimal
+polynomial is square-free: it is split as it stands, with no square-free
+part taken.  When an irreducible factor of degree >= 2 survives, the (still
+valid) partial set is returned flagged inconclusive rather than silently
+treated as complete.
+
+The pipeline runs on integers: an element is a pair (V, s), the vector
+V / s with s > 0, multiplied on the integer structure constants.  The
+chain, its relation (linalg._integer_krylov), the projectors read off the
+chain, the lift and the orthogonal sums are integer rows, and every
+idempotency test compares two integer vectors over one common scale.  Each
+listed idempotent becomes a Fraction vector once, at the end, and keeps an
+integer row that every membership test reads.
 """
 
 from __future__ import annotations
@@ -19,7 +28,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import cache, cached_property
+from math import gcd, lcm
+from operator import mul
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     FAIL,
@@ -27,11 +39,10 @@ from .algebra import (
     PASS,
     Algebra,
     _integer_product,
+    _kept_coordinates,
     _nonzero,
     ideal_closure,
-    poly_of_element,
     quotient,
-    quotient_section,
     radical,
 )
 from .errors import (
@@ -49,19 +60,15 @@ from .linalg import (
     Vec,
     ZERO,
     ONE,
+    _integer_krylov,
     _integer_row,
     _integer_rref,
     _integer_span,
     _primitive,
+    _rational_row,
     column_space,
     is_zero_vec,
-    krylov_relation,
     rat,
-    rref,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vec,
 )
 from .maps import AlgebraEndo, LinearEndo, induced_map
 
@@ -94,55 +101,105 @@ class IdempotentSet:
     inconclusive_reason: Optional[str] = None
     provenance: tuple[str, ...] = ()
 
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """L e for each item e, L the lcm of e's denominators, which membership
+        tests read; built once, outside equality, hashing and repr."""
+        return tuple(tuple(_integer_row(e)[1]) for e in self.items)
+
     def nonzero(self) -> list[Vec]:
         return [e for e in self.items if not is_zero_vec(e)]
 
 
-def _split_block(algebra: Algebra, block: Vec, direction: Vec) -> list[Vec]:
-    """Split an idempotent block along the rational eigenvalues of a direction.
+# An integer element (V, s) is the vector V / s, s > 0.
+Element = tuple[list[int], int]
+
+
+def _reduced(row: list[int], scale: int) -> Element:
+    """The element row / scale with row and scale divided by their gcd."""
+    g = gcd(scale, *row)
+    return ([x // g for x in row], scale // g) if g > 1 else (row, scale)
+
+
+def _is_idempotent(integer_sc, element: Element) -> bool:
+    """e e = e for e = V / s: with the constants C / L, V V C = L s V."""
+    scale_c, table = integer_sc
+    row, scale = element
+    xs = _nonzero(row)
+    return _integer_product(table, xs, xs) == [scale_c * scale * x for x in row]
+
+
+def _split_block(algebra: Algebra, block: Element, direction: int) -> list[Element]:
+    """Split an idempotent block along the rational eigenvalues of a basis direction.
 
     The corner e A (e the block) is a unital algebra with unit e, and x = e d
     lies in it.  Its regular representation is faithful, so the minimal
-    polynomial of multiplication by x on e A is the least monic p with
-    p(x) = 0 there, which is the Krylov relation of the chain e, x, x^2, ...
-    A 1-dimensional corner gives a degree-1 relation and so no split.
+    polynomial m of multiplication by x on e A is the least monic p with
+    p(x) = 0 there, which is the relation of the chain e, e x, e x^2, ...
+    Since e x^k = e d^k, each step multiplies by the basis element d.  A
+    1-dimensional corner gives a degree-1 relation and so no split.
 
     The algebra must be reduced, as enumerate_idempotents' quotient by the
-    radical is; then the minimal polynomial m of x is square-free.  If
-    m = f^2 g with f of positive degree, then (f g)(x)^2 = m(x) g(x) = 0, so
-    (f g)(x) = 0 as the corner has no nonzero nilpotent, although f g has
-    lower degree than m.  So m'(lam) != 0 at every root lam, and
-    (m / (t - lam)) / m'(lam) is the projector onto the lam component.  A
-    root with m'(lam) = 0 is a repeated one and means the algebra was not
-    reduced: SkewexError.
+    radical is; then m is square-free.  If m = f^2 g with f of positive
+    degree, then (f g)(x)^2 = m(x) g(x) = 0, so (f g)(x) = 0 as the corner
+    has no nonzero nilpotent, although f g has lower degree than m.  So
+    m'(lam) != 0 at every root lam, and r(t) / r(lam), r = m / (t - lam),
+    is the projector onto the lam component; r(lam) = m'(lam).  A root with
+    m'(lam) = 0 is a repeated one and means the algebra was not reduced:
+    SkewexError.
+
+    In integers: the relation is a_0 .. a_k, and lam = p / q.  Synthetic
+    division gives r_j = R_j / q^(k-1-j), with R_(k-1) = a_k and
+    R_(j-1) = a_j q^(k-j) + p R_j, so r(lam) = D / q^(k-1) for
+    D = sum_j R_j p^j, and the piece r(x) e / r(lam) is
+    sum_j R_j q^j v_j / D, v_j = V_j / s_j the chain, read off its rows
+    over S D, S the lcm of the s_j.
 
     Returns the finer orthogonal idempotents (possibly just [block]).
     """
-    x = algebra.multiply(block, direction)
-    min_poly = krylov_relation(lambda v: algebra.multiply(v, x), block)
-    roots = min_poly.rational_roots()
-    if not roots or min_poly.degree == 1:
+    scale_c, table = algebra.integer_sc
+    step = ((direction, 1),)
+
+    def iterates():
+        row, scale = block
+        while True:
+            yield row, scale
+            row, scale = _reduced(_integer_product(table, _nonzero(row), step), scale * scale_c)
+
+    chain, relation = _integer_krylov(iterates())
+    k = len(relation) - 1
+    roots = Poly.of(relation).rational_roots() if k > 1 else []
+    if not roots:
         return [block]
+    common = lcm(*(s for _, s in chain))
+    weighted = [[x * (common // s) for x in row] for row, s in chain]
     pieces = []
-    remainder = block
     for lam in roots:
-        reduced, _ = min_poly.divmod(Poly.of([-lam, ONE]))  # divide out (t - lam)
-        scale = reduced.eval(lam)  # m'(lam)
-        if scale == 0:
+        p, q = lam.numerator, lam.denominator
+        reduced = [0] * k
+        reduced[k - 1] = relation[k]
+        for j in range(k - 1, 0, -1):
+            reduced[j - 1] = relation[j] * q ** (k - j) + p * reduced[j]
+        denominator = sum(r * p ** j for j, r in enumerate(reduced))
+        if denominator == 0:
             raise SkewexError("repeated eigenvalue: the corner is not reduced")
-        # q(t) = (m/(t-lam)) / m'(lam) selects the lam component
-        projector = reduced.scale(ONE / scale)
-        piece = poly_of_element(algebra, projector, x, block)
-        if is_zero_vec(piece):
-            continue
-        pieces.append(piece)
-        remainder = vec_sub(remainder, piece)
+        sign = 1 if denominator > 0 else -1
+        coefficients = [sign * r * q ** j for j, r in enumerate(reduced)]
+        piece = [sum(map(mul, coefficients, column)) for column in zip(*weighted)]
+        if any(piece):
+            pieces.append(_reduced(piece, common * sign * denominator))
     if not pieces:
         return [block]
-    if not is_zero_vec(remainder):
-        pieces.append(remainder)
+    row, scale = block
+    total = lcm(scale, *(s for _, s in pieces))
+    remainder = [x * (total // scale) for x in row]
+    for piece, s in pieces:
+        f = total // s
+        remainder = [x - f * y for x, y in zip(remainder, piece)]
+    if any(remainder):
+        pieces.append(_reduced(remainder, total))
     for piece in pieces:
-        if algebra.multiply(piece, piece) != piece:
+        if not _is_idempotent(algebra.integer_sc, piece):
             raise SkewexError("eigen-projection failed to produce an idempotent")
     return pieces
 
@@ -152,78 +209,94 @@ def enumerate_idempotents(algebra: Algebra, cap: Optional[int] = None) -> Idempo
 
     Pipeline: radical, semisimple quotient, rational eigen-splitting along
     every basis direction, cubic Newton lifting, closure under sums of
-    orthogonal primitives.
+    orthogonal primitives.  The primitives are brought to one common scale
+    M, so every orthogonal sum is a sum of integer rows over M.
     """
     if not algebra.is_commutative():
         raise NotCommutative("idempotent enumeration requires a commutative algebra")
     cap = idempotent_cap() if cap is None else cap
     rad = radical(algebra)
-    if rad.dim == 0:
-        semisimple, proj, section = algebra, Mat.identity(algebra.dim), Mat.identity(algebra.dim)
-    else:
-        semisimple, proj = quotient(algebra, rad)
-        section = quotient_section(algebra, rad)
+    semisimple = quotient(algebra, rad)[0] if rad.dim else algebra
 
     # One pass suffices: a direction that leaves a block whole acts on it as a
     # scalar or without rational eigenvalues, and so on every later piece.
-    blocks = [semisimple.unit]
+    unit_scale, unit = _integer_row(semisimple.unit)
+    blocks = [(unit, unit_scale)]
     for direction in range(semisimple.dim):
         blocks = [piece for block in blocks
-                  for piece in _split_block(semisimple, block, semisimple.basis_element(direction))]
-    # trace(e) = dim eA: a block with a corner of dimension > 1 was left unsplit
-    complete = all(semisimple.trace_of(block) <= 1 for block in blocks)
+                  for piece in _split_block(semisimple, block, direction)]
+    # trace(e) = dim eA: a block with a corner of dimension > 1 was left unsplit;
+    # trace(V / s) <= 1 reads sum V_i T_i <= L s for the integer trace T over L
+    trace = semisimple.integer_trace
+    trace_scale = semisimple.integer_sc[0]
+    complete = all(sum(map(mul, row, trace)) <= trace_scale * scale for row, scale in blocks)
 
-    primitives = [_newton_lift(algebra, proj, section, block) for block in blocks]
-    for i, e in enumerate(primitives):
-        for f in primitives[i + 1:]:
-            if not is_zero_vec(algebra.multiply(e, f)):
+    if rad.dim:
+        blocks = [_newton_lift(algebra, rad, block) for block in blocks]
+    n = algebra.dim
+    k = len(blocks)
+    common = lcm(*(s for _, s in blocks))
+    primitives = [[x * (common // s) for x in row] for row, s in blocks]
+    table = algebra.integer_sc[1]
+    supports = [_nonzero(row) for row in primitives]
+    for i, xs in enumerate(supports):
+        for ys in supports[i + 1:]:
+            if any(_integer_product(table, xs, ys)):
                 raise SkewexError("lifted primitives are not orthogonal")
-    total = zero_vec(algebra.dim)
-    for e in primitives:
-        total = vec_add(total, e)
-    if total != algebra.unit:
+    unit_scale, unit = _integer_row(algebra.unit)
+    total = [sum(column) for column in zip(*primitives)] if primitives else [0] * n
+    if [unit_scale * x for x in total] != [common * x for x in unit]:
         raise SkewexError("lifted primitives do not sum to the unit")
 
-    k = len(primitives)
     if 2 ** k > cap:
         raise CapExceeded(f"2^{k} idempotents exceed the cap {cap}")
-    items: list[Vec] = []
-    provenance: list[str] = []
-    lifted_any = rad.dim > 0
-    for mask in range(2 ** k):
-        e = zero_vec(algebra.dim)
-        size = 0
-        for bit in range(k):
-            if mask & (1 << bit):
-                e = vec_add(e, primitives[bit])
-                size += 1
-        if algebra.multiply(e, e) != e:
+    # each sum is the sum without its lowest primitive, plus that one
+    sums = [[0] * n]
+    for mask in range(1, 2 ** k):
+        low = mask & -mask
+        sums.append([x + y for x, y in zip(sums[mask ^ low], primitives[low.bit_length() - 1])])
+    kind = "lifted" if rad.dim else "primitive"
+    provenance = []
+    for mask, row in enumerate(sums):
+        if not _is_idempotent(algebra.integer_sc, (row, common)):
             raise SkewexError("orthogonal sum failed to be idempotent")
-        items.append(e)
-        if size == 1:
-            provenance.append("lifted" if lifted_any else "primitive")
-        else:
-            provenance.append("sum")
+        provenance.append(kind if mask & (mask - 1) == 0 and mask else "sum")
     reason = None if complete else "an irreducible factor of degree >= 2 survived splitting"
-    return IdempotentSet(tuple(items), complete, reason, tuple(provenance))
+    return IdempotentSet(tuple(_rational_row(row, common) for row in sums), complete, reason,
+                         tuple(provenance))
 
 
-def _newton_lift(algebra: Algebra, proj: Mat, section: Mat, block: Vec) -> Vec:
-    """Lift an idempotent of the semisimple quotient through the radical.
+def _newton_lift(algebra: Algebra, rad: Subspace, block: Element) -> Element:
+    """Lift an idempotent of the quotient by the radical through the radical.
 
-    Iterates e <- 3e^2 - 2e^3; every iterate stays congruent to the block
+    The block's entries go to the coordinates the quotient keeps, then
+    e <- 3e^2 - 2e^3 is iterated; every iterate stays congruent to the block
     modulo the radical, and the loop must terminate within log2(nilpotency
-    index) steps.
+    index) steps.  With e = V / s and the constants C / L, e^2 is V V C over
+    L s^2 and e^3 is (V V C) V C over L^2 s^3, so the step is
+    3 L s (V V C) - 2 (V V C) V C over L^2 s^3.
     """
-    e = section.apply(block)
+    scale_c, table = algebra.integer_sc
+    coords = _kept_coordinates(rad)
+    block_row, block_scale = block
+    row = [0] * algebra.dim
+    for c, x in zip(coords, block_row):
+        row[c] = x
+    scale = block_scale
     for _ in range(algebra.dim + 2):
-        square = algebra.multiply(e, e)
-        if square == e:
-            if proj.apply(e) != tuple(block):
+        xs = _nonzero(row)
+        square = _integer_product(table, xs, xs)
+        if square == [scale_c * scale * x for x in row]:
+            # e's quotient coordinates are those of its residual against the
+            # radical, which _integer_residual gives times the radical's scale
+            residual = rad._integer_residual(row)
+            lhs = [block_scale * residual[c] for c in coords]
+            if lhs != [rad._integer_rows[0] * scale * x for x in block_row]:
                 raise SkewexError("lift drifted away from its semisimple image")
-            return e
-        cube = algebra.multiply(square, e)
-        e = vec_sub(vec_scale(rat(3), square), vec_scale(rat(2), cube))
+            return row, scale
+        cube = _integer_product(table, _nonzero(square), xs)
+        row, scale = _reduced([3 * scale_c * scale * x - 2 * y for x, y in zip(square, cube)],
+                              scale_c ** 2 * scale ** 3)
     raise SkewexError("idempotent lifting did not converge")
 
 
@@ -238,13 +311,19 @@ def trace_rank_idempotent(algebra: Algebra, e: Vec) -> TraceRank:
     """Exact trace and rank of left multiplication by an idempotent.
 
     They always agree, the trace is an integer between 0 and dim, and it is
-    positive for nonzero idempotents.
+    positive for nonzero idempotents.  The rank is that of the integer
+    columns e e_j, scaled by a common factor, and the trace is read off the
+    trace vector.
     """
-    if algebra.multiply(e, e) != tuple(e):
+    if len(e) != algebra.dim:
+        raise DimensionMismatch("element length differs from algebra dimension")
+    scale, row = _integer_row(e)
+    if not _is_idempotent(algebra.integer_sc, (row, scale)):
         raise NotIdempotent(f"{e} squared differs from itself")
-    m = algebra.left_regular(e)
-    _, _, rank = rref(m)
-    trace = m.trace()
+    xs = _nonzero(row)
+    table = algebra.integer_sc[1]
+    rank = len(_integer_rref([_integer_product(table, xs, ((j, 1),)) for j in range(algebra.dim)]))
+    trace = algebra.trace_of(e)
     return TraceRank(trace, rank, trace == rank)
 
 
@@ -269,19 +348,29 @@ def principal_ideal(algebra: Algebra, e: Vec, ideals: dict[Vec, Subspace]) -> Su
     return ideal
 
 
+def _memberships(v: Subspace, idems: IdempotentSet) -> list[bool]:
+    """Whether each listed idempotent lies in v, read off its integer row."""
+    if any(len(row) != v.ambient_dim for row in idems.rows):
+        raise DimensionMismatch("vector length differs from ambient dimension")
+    return [not any(v._integer_residual(row)) for row in idems.rows]
+
+
 def ms_check(
     algebra: Algebra, v: Subspace, idems: IdempotentSet, side: str = "two",
-    ideals: Optional[dict[Vec, Subspace]] = None,
+    ideals: Optional[dict[Vec, Subspace]] = None, inside: Optional[Sequence[bool]] = None,
 ) -> MsVerdict:
     """Idempotent criterion: every listed idempotent inside v must generate an
     ideal inside v.  The verdict is only definitive when the set is complete.
     `ideals` is principal_ideal's dict of two-sided ideals, shared by the
-    callers that audit one algebra; it needs side "two"."""
+    callers that audit one algebra; it needs side "two".  `inside` is
+    whether each listed idempotent lies in v, when the caller already knows."""
     if ideals is not None and side != "two":
         raise ValueError("a dict of two-sided ideals needs side 'two'")
+    if inside is None:
+        inside = _memberships(v, idems)
     checked = []
-    for e in idems.items:
-        if not v.contains(e):
+    for e, member in zip(idems.items, inside):
+        if not member:
             continue
         ideal = (ideal_closure(algebra, [e], side) if ideals is None
                  else principal_ideal(algebra, e, ideals))
@@ -387,8 +476,8 @@ def image_idempotent_audit(
     algebra: Algebra, delta: LinearEndo, idems: IdempotentSet
 ) -> list[Vec]:
     """Nonzero listed idempotents inside the image of the map."""
-    image = column_space(delta.matrix)
-    return [e for e in idems.nonzero() if image.contains(e)]
+    inside = _memberships(column_space(delta.matrix), idems)
+    return [e for e, member in zip(idems.items, inside) if member and not is_zero_vec(e)]
 
 
 def image_trace_certificate(algebra: Algebra, m: Mat) -> bool:
@@ -399,6 +488,13 @@ def image_trace_certificate(algebra: Algebra, m: Mat) -> bool:
     enumeration.
     """
     return all(algebra.trace_of(column) == 0 for column in m.columns())
+
+
+def _difference_image(m: Mat) -> Subspace:
+    """The column span of I - m: with m = A / L, that of L I - A."""
+    scale, ints = m.integer_form
+    return _integer_span([[scale * (r == c) - row[c] for r, row in enumerate(ints)]
+                          for c in range(m.cols)], m.rows)
 
 
 @dataclass(frozen=True)
@@ -416,28 +512,27 @@ def image_kernel_idempotent_report(
     the kernel chain of phi, and idempotents inside the image must drag their
     whole ideal along, which is ms_check's idempotent criterion.  The chain
     comes from induced_map, which also certifies that phi induces an
-    automorphism of the quotient by it.  `ideals` is passed on to ms_check."""
-    induced = induced_map(phi)
-    delta = Mat.identity(algebra.dim) - phi.matrix
-    image = column_space(delta)
-    chain = induced.chain
-    entries = []
-    consistent = True
-    for e in idems.items:
-        in_image = image.contains(e)
-        in_chain = chain.contains(e)
-        if in_image != in_chain:
-            consistent = False
-        entries.append((e, in_image, in_chain))
-    ideal_contained = ms_check(algebra, image, idems, ideals=ideals).status != NOT_MS
-    return ImageKernelReport(tuple(entries), consistent, ideal_contained)
+    automorphism of the quotient by it.  `ideals` is passed on to ms_check.
+
+    Each membership is decided once, on the idempotents' integer rows, and
+    the image memberships are given to ms_check."""
+    chain = induced_map(phi).chain
+    image = _difference_image(phi.matrix)
+    in_image = _memberships(image, idems)
+    in_chain = _memberships(chain, idems)
+    ideal_contained = ms_check(algebra, image, idems, ideals=ideals,
+                               inside=in_image).status != NOT_MS
+    return ImageKernelReport(tuple(zip(idems.items, in_image, in_chain)),
+                             in_image == in_chain, ideal_contained)
 
 
-def rank_one_idempotent_grid(size: int, count: int = 100) -> list[Vec]:
+@cache
+def rank_one_idempotent_grid(size: int, count: int = 100) -> tuple[Vec, ...]:
     """Rational rank-one idempotents of a matrix algebra, as coordinate vectors.
 
     Built as v w^T / (w . v) over a deterministic grid of small rational
-    parameters; `count` distinct idempotents are returned.
+    parameters; `count` distinct idempotents are returned, as a tuple built
+    once per size and count.
     """
     if size < 2:
         raise SkewexError("rank-one grid needs a matrix size of at least 2")
@@ -449,7 +544,7 @@ def rank_one_idempotent_grid(size: int, count: int = 100) -> list[Vec]:
     for va in values:
         for vb in values:
             if len(out) >= count:
-                return out
+                return tuple(out)
             v = [ONE, va] + [va * va] * (size - 2)
             w = [ONE, vb] + [vb] * (size - 2)
             dot = sum(x * y for x, y in zip(v, w))
@@ -465,4 +560,4 @@ def rank_one_idempotent_grid(size: int, count: int = 100) -> list[Vec]:
                 out.append(key)
     if len(out) < count:
         raise SkewexError("grid exhausted before reaching the requested count")
-    return out
+    return tuple(out)

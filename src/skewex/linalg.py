@@ -144,7 +144,10 @@ class Mat:
                    tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch("matrix shapes differ")
+        return Mat(self.rows, self.cols,
+                   tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Mat":
         return Mat(self.rows, self.cols, tuple(vec_scale(-ONE, r) for r in self.entries))
@@ -711,33 +714,46 @@ def is_nilpotent(m: Mat) -> bool:
 
 
 def krylov_relation(step: Callable[[Vec], Vec], v: Vec) -> Poly:
-    """The monic relation of least degree among v, step(v), step(step(v)), ...
+    """The monic relation of least degree among v, step(v), step(step(v)), ...,
+    found by _integer_krylov on the iterates scaled to integers.  For v = 0
+    the relation is 1."""
+    def iterates():
+        current = v
+        while True:
+            scale, row = _integer_row(current)
+            yield row, scale
+            current = step(current)
+
+    relation = _integer_krylov(iterates())[1]
+    return Poly.of([Fraction(a, relation[-1]) for a in relation])
+
+
+def _integer_krylov(iterates: Iterable[tuple[list[int], int]]
+                    ) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """The first linear relation in a chain of vectors v_0, v_1, ..., each
+    given as (V, s) with v_k = V / s, s > 0, and read only as far as needed.
 
     One integer echelon form of the chain is kept, each row tagged with the
-    combination of iterates it is: the k-th iterate w = v_k / L enters as
-    (w | L e_k), so every row is a multiple of (sum a_j v_j | a).  Each new
-    iterate is reduced once; the first whose residual is zero on the vector
-    part gives sum a_j v_j = 0 with a_k != 0, the relation with coefficients
-    a_j / a_k.  That relation is unique, so it is the one a solve of the whole
-    chain would give.  For v = 0 the relation is 1.
+    combination of iterates it is: v_k enters as (V | s e_k) = s (v_k | e_k),
+    so every row is a multiple of (sum a_j v_j | a).  Each new iterate is
+    reduced once; the first whose residual is zero on the vector part gives
+    sum a_j v_j = 0 with a_k != 0.  That relation is unique up to a factor,
+    so its monic form is the one a solve of the whole chain would give.
+    Returns the independent iterates (V, s) before v_k, and the integers
+    a_0 .. a_k.
     """
-    if is_zero_vec(v):
-        return Poly.one()
-    n = len(v)
     echelon = _IntegerEchelon()
-    current = v
-    # n + 1 iterates in Q^n are dependent, so the loop returns by k = n
-    for k in range(n + 1):
-        scale, w = _integer_row(current)
+    chain = []
+    for k, (row, scale) in enumerate(iterates):
+        n = len(row)
         tag = [0] * (n + 1)
         tag[k] = scale
-        residual = echelon.reduce(w + tag)
+        residual = echelon.reduce(row + tag)
         if not any(residual[:n]):
-            lead = residual[n + k]
-            return Poly.of([Fraction(a, lead) for a in residual[n:n + k + 1]])
+            return chain, residual[n:n + k + 1]
         echelon.keep(residual)
-        current = step(current)
-    raise AssertionError("more than n independent vectors in Q^n")
+        chain.append((row, scale))
+    raise AssertionError("the chain ended before its first relation")
 
 
 def minimal_polynomial(m: Mat) -> Poly:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Algebra, _integer_product, _nonzero, is_ideal, quotient, quotient_section
+from .algebra import Algebra, _integer_product, _kept_coordinates, _nonzero, is_ideal, quotient
 from .errors import (
     DimensionMismatch,
     NotAutomorphism,
@@ -40,16 +40,17 @@ from .linalg import (
     Subspace,
     Vec,
     _integer_kernel,
+    _integer_matmul,
     _integer_row,
+    _integer_rref,
     inverse,
     is_zero_vec,
-    kernel,
     minimal_polynomial,
     rat,
-    rref,
     solve,
     vec_add,
     vec_sub,
+    zero_subspace,
     zero_vec,
 )
 
@@ -283,21 +284,40 @@ def local_finiteness_report(endo: LinearEndo) -> FinitenessReport:
 
 
 def kernel_chain(phi: AlgebraEndo) -> tuple[Subspace, int]:
-    """Union of Ker(phi^i); stabilizes within dim steps and is a two-sided ideal."""
+    """Union of Ker(phi^i); stabilizes within dim steps and is a two-sided ideal.
+
+    The kernels grow with i, so Ker phi^i = Ker phi^(i+1) exactly when the
+    two powers have the same rank, and the rank drops at every step until
+    then; an injective phi has chain 0 at once.  With phi = A / L the powers
+    are the integer matrices A^i, each divided by its content, which changes
+    neither rank nor kernel; only the last kernel becomes a Subspace.
+    Returns the chain and the least index i at which it stops growing.
+    """
     algebra = phi.algebra
-    power = phi.matrix
-    prev = kernel(power)
+    n = algebra.dim
+    base = phi.matrix.integer_form[1]
+    power = base
+    rank = _integer_rank(power)
     index = 1
-    for _ in range(algebra.dim):
-        power = power * phi.matrix
-        nxt = kernel(power)
-        if nxt == prev:
+    while rank < n:
+        following = _integer_matmul(power, base, n)
+        content = math.gcd(*(x for row in following for x in row))
+        if content > 1:
+            following = [[x // content for x in row] for row in following]
+        following_rank = _integer_rank(following)
+        if following_rank == rank:
             break
-        prev = nxt
+        power, rank = following, following_rank
         index += 1
-    if not is_ideal(algebra, prev):
+    chain = _integer_kernel([list(row) for row in power], n) if rank < n else zero_subspace(n)
+    if not is_ideal(algebra, chain):
         raise SkewexError("kernel chain failed to be a two-sided ideal")
-    return prev, index
+    return chain, index
+
+
+def _integer_rank(ints: list[list[int]]) -> int:
+    """The rank of integer rows, reduced in a copy."""
+    return len(_integer_rref([list(row) for row in ints]))
 
 
 @dataclass(frozen=True)
@@ -324,11 +344,16 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
         ident = Mat.identity(algebra.dim)
         return InducedQuotient(algebra, ident, AlgebraEndo(algebra, phi.matrix, phi.unital), chain)
     quot, proj = quotient(algebra, chain)
-    induced_matrix = proj * phi.matrix * quotient_section(algebra, chain)
-    if induced_matrix * proj != proj * phi.matrix:
+    # the section is the inclusion of the kept coordinates, so the induced
+    # matrix is those columns of proj phi
+    projected = proj * phi.matrix
+    kept = _kept_coordinates(chain)
+    induced_matrix = Mat(quot.dim, quot.dim,
+                         tuple(tuple(row[c] for c in kept) for row in projected.entries))
+    if induced_matrix * proj != projected:
         raise SkewexError("induced map does not commute with the projection")
     induced = AlgebraEndo.certify(quot, induced_matrix)
-    if rref(induced_matrix)[2] != quot.dim:
+    if _integer_rank(induced_matrix.integer_form[1]) != quot.dim:
         raise SkewexError("induced map on the kernel-chain quotient must be injective")
     return InducedQuotient(quot, proj, induced, chain)
 

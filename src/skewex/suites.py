@@ -20,6 +20,8 @@ from .algebra import Algebra, matrix_algebra
 from .errors import SkewexError, UnknownSuite
 from .idempotents import (
     IdempotentSet,
+    _difference_image,
+    _memberships,
     _witness_probe,
     enumerate_idempotents,
     image_idempotent_audit,
@@ -38,7 +40,7 @@ from .laurent import (
     laurent_mul,
     laurent_quotient,
 )
-from .linalg import Mat, Poly, Subspace, Vec, column_space, rat
+from .linalg import Mat, Poly, Subspace, Vec, rat
 from .maps import (
     AlgebraEndo,
     Derivation,
@@ -213,15 +215,26 @@ def _matrix_size(algebra: Algebra) -> Optional[int]:
 def _idempotent_context(algebra: Algebra) -> IdempotentSet:
     if algebra.is_commutative():
         return enumerate_idempotents(algebra)
-    items = [tuple(0 * x for x in algebra.unit), algebra.unit]
-    provenance = ["sum", "sum"]
     size = _matrix_size(algebra)
     if size is not None:
-        for e in rank_one_idempotent_grid(size):
-            items.append(e)
-            provenance.append("grid")
-    return IdempotentSet(tuple(items), False, "noncommutative: enumeration is partial",
-                         tuple(provenance))
+        return _matrix_idempotents(size)
+    return _partial_idempotents(algebra.unit, ())
+
+
+def _partial_idempotents(unit: Vec, grid: tuple[Vec, ...]) -> IdempotentSet:
+    """0, the unit and the grid, a partial list of idempotents."""
+    return IdempotentSet((tuple(0 * x for x in unit), unit) + grid, False,
+                         "noncommutative: enumeration is partial",
+                         ("sum", "sum") + ("grid",) * len(grid))
+
+
+@cache
+def _matrix_idempotents(size: int) -> IdempotentSet:
+    """_partial_idempotents of M_size in its matrix-unit basis, whose unit is
+    sum_i E_ii, with the rank-one grid; built once per size with the items'
+    integer rows."""
+    unit = tuple(rat(int(i == j)) for i in range(size) for j in range(size))
+    return _partial_idempotents(unit, rank_one_idempotent_grid(size))
 
 
 def _audit_map(rec: _Recorder, algebra: Algebra, label: str, matrix: Mat,
@@ -347,8 +360,8 @@ def suite_prop24(ctx: SuiteContext) -> list[CheckRecord]:
     endos = ctx.endomorphisms() or ctx.automorphisms()
     for idx, phi in enumerate(endos):
         def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            delta = Mat.identity(ctx.algebra.dim) - phi.matrix
-            verdict = ms_check(ctx.algebra, column_space(delta), idems, ideals=ctx.ideals)
+            verdict = ms_check(ctx.algebra, _difference_image(phi.matrix), idems,
+                               ideals=ctx.ideals)
             witness = {"map_index": idx, "verdict": verdict.status}
             if verdict.status == NOT_MS:
                 witness["witness_idempotent"] = vector_to_json(verdict.witness)
@@ -549,11 +562,10 @@ def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
             distinct.setdefault(v.basis, v)
         checked = 0
         for v in distinct.values():
-            full = v.dim == algebra.dim
-            for f in idems.items:
-                if full or v.contains(f):
-                    closure_f = closures[f]
-                    if not full and not closure_f.is_subspace_of(v):
+            # every closure lies in the whole algebra
+            if v.dim < algebra.dim:
+                for f, inside in zip(idems.items, _memberships(v, idems)):
+                    if inside and not closures[f].is_subspace_of(v):
                         return FAIL, {"idempotent": vector_to_json(f)}
             checked += 1
         return (PASS if idems.complete else INCONCLUSIVE), {"distinct_ideals": checked}

@@ -65,6 +65,7 @@ from skewex.sampling import (
     sample_automorphisms,
     substitution_endos,
 )
+from idempotent_oracle import commutative_draws
 from test_matrix_kernel_reference import expected_endomorphism_verdict
 
 F = Fraction
@@ -517,37 +518,27 @@ def test_krylov_relation_is_local_to_its_vector():
     assert minimal_polynomial(m) == Poly.of([0, 0, -2, 1])  # the lcm, t^2 (t - 2)
 
 
-def commutative_draws(count):
-    """Commutative algebras drawn as test_single_splitting_pass_matches_fixpoint
-    draws them."""
-    rng = random.Random(606)
-    out = []
-    while len(out) < count:
-        algebra = random_recipe(rng, max_dim=6).algebra
-        if rng.random() < 0.5:
-            algebra = random_basis_change(algebra, rng)
-        if algebra.is_commutative():
-            out.append(algebra)
-    return out
-
-
 def split_block_relations(monkeypatch, algebras):
     """[algebra, block, direction, relation] for every _split_block call made
-    while enumerating the idempotents of the algebras, with the Krylov
-    relation that call computed."""
+    while enumerating the idempotents of the algebras, with the block and
+    direction as vectors and the monic form of the relation that call's
+    integer Krylov kernel found."""
     calls = []
-    real_split, real_krylov = idempotents._split_block, idempotents.krylov_relation
+    real_split, real_krylov = idempotents._split_block, idempotents._integer_krylov
 
     def split(algebra, block, direction):
-        calls.append([algebra, block, direction, None])
+        row, scale = block
+        calls.append([algebra, tuple(F(x, scale) for x in row),
+                      algebra.basis_element(direction), None])
         return real_split(algebra, block, direction)
 
-    def krylov(step, v):
-        calls[-1][3] = real_krylov(step, v)
-        return calls[-1][3]
+    def krylov(iterates):
+        chain, relation = real_krylov(iterates)
+        calls[-1][3] = Poly.of([F(a, relation[-1]) for a in relation])
+        return chain, relation
 
     monkeypatch.setattr(idempotents, "_split_block", split)
-    monkeypatch.setattr(idempotents, "krylov_relation", krylov)
+    monkeypatch.setattr(idempotents, "_integer_krylov", krylov)
     for algebra in algebras:
         enumerate_idempotents(algebra)
     return calls
@@ -576,7 +567,7 @@ def test_corner_relations_are_square_free(corpus, monkeypatch):
 def test_split_block_rejects_an_unreduced_corner(dual_numbers):
     # in Q[t]/(t^2) the relation of t is t^2, whose root 0 is repeated
     with pytest.raises(SkewexError, match="not reduced"):
-        idempotents._split_block(dual_numbers, dual_numbers.unit, dual_numbers.basis_element(1))
+        idempotents._split_block(dual_numbers, ([1, 0], 1), 1)
 
 
 @pytest.fixture

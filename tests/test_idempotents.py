@@ -30,7 +30,7 @@ from skewex.idempotents import (
     rank_one_idempotent_grid,
     trace_rank_idempotent,
 )
-from skewex.linalg import Mat, Poly, column_space, span
+from skewex.linalg import Mat, Poly, _integer_row, _rational_row, column_space, span
 from skewex.maps import AlgebraEndo, EDerivation, LinearEndo, derivation_space
 from skewex.sampling import random_invertible_element, sample_automorphisms
 
@@ -90,18 +90,19 @@ def test_enumeration_lifts_through_radical(dual_numbers, split_pair):
 def fixpoint_blocks(semisimple):
     """Eigen-splitting repeated over every direction until no block splits,
     the oracle for the single pass in enumerate_idempotents."""
-    blocks = [semisimple.unit]
+    scale, unit = _integer_row(semisimple.unit)
+    blocks = [(unit, scale)]
     changed = True
     while changed:
         changed = False
         for direction in range(semisimple.dim):
             new_blocks = []
             for block in blocks:
-                pieces = _split_block(semisimple, block, semisimple.basis_element(direction))
+                pieces = _split_block(semisimple, block, direction)
                 changed |= len(pieces) > 1
                 new_blocks.extend(pieces)
             blocks = new_blocks
-    return blocks
+    return [_rational_row(row, scale) for row, scale in blocks]
 
 
 def test_single_splitting_pass_matches_fixpoint():
