@@ -1,7 +1,8 @@
 """Differential tests of the integer idempotent pipeline against the Fraction
-one it replaced (idempotent_oracle), and of the integer kernel chain, the
-trace-rank check, the shared memberships of image_kernel_idempotent_report
-and Mat.__sub__ against the Fraction code they replaced."""
+one it replaced (idempotent_oracle), and of the integer quotient, kernel
+chain and trace-rank check, the shared memberships of
+image_kernel_idempotent_report and Mat.__sub__ against the Fraction code
+they replaced."""
 
 import random
 from fractions import Fraction
