@@ -56,7 +56,6 @@ from .algebra import (
     _check_unit_law,
     _first_nonassociative_at,
     _integer_product,
-    _kept_coordinates,
     _nonzero,
 )
 from .algebra import poly_of_element as _poly_of_element
@@ -209,14 +208,13 @@ def _close_under_x(relations: Subspace, beta: IntegerBeta, n: int) -> Subspace:
     The shifts are folded in integers and tested against the relations'
     integer residual; beta folds X^m for m <= d, the number of blocks."""
     size, d = relations.ambient_dim, len(beta) - 1
-    frontier = [_integer_row(v)[1] for v in relations.basis]
+    frontier = relations.rows()
     while frontier:
         shifted = [_integer_fold([(q + 1, _nonzero(v[q * n:(q + 1) * n])) for q in range(d)],
                                  beta, n, size) for v in frontier]
-        frontier = [v for v in shifted if any(relations._integer_residual(v))]
+        frontier = [v for v in shifted if any(relations.residual(v))]
         if frontier:
-            basis = [_integer_row(v)[1] for v in relations.basis]
-            relations = _integer_span(basis + frontier, size)
+            relations = _integer_span(relations.rows() + frontier, size)
     return relations
 
 
@@ -245,12 +243,10 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
     scale_table, table = base.integer_sc
     scale_beta, beta = beta
     scale_xpow, int_xpow = xpow
-    kept = _kept_coordinates(relations)
-    scale_n = relations._integer_rows[0]
+    kept = relations.kept()
 
     def monomial(m: int, a: int) -> list[tuple[int, int]]:
-        residual = relations._integer_residual(_integer_fold([(m, [(a, 1)])], beta, n, d * n))
-        return _nonzero([residual[j] for j in kept])
+        return _nonzero(relations.project(_integer_fold([(m, [(a, 1)])], beta, n, d * n)))
 
     monomials = [[monomial(m, a) for a in range(n)] for m in range(2 * d)]
 
@@ -278,7 +274,7 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
             row.append(project([(m + j, v) for m, v in left[b]]))
         cells.append(row)
 
-    scale = scale_beta * scale_n
+    scale = scale_beta * relations.scale
     scale_unit, unit = _integer_row(base.unit)
     unit_terms = _nonzero(unit)
     embed = Mat.from_columns([_rational_row(project([(0, [(a, 1)])]), scale) for a in range(n)])

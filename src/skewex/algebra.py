@@ -382,14 +382,14 @@ def _first_unabsorbed(integer_sc: IntegerTable, subspace: Subspace
     For each basis row v of the subspace (index its position) and each basis
     element e_r, in that order, "left" means e_r v and then "right" means
     v e_r lies outside the subspace.  The products are formed from the
-    integer table and the row scaled to integers, so each is a positive
+    integer table and the subspace's integer rows, so each is a positive
     multiple of the rational product, and the subspace's integer residual
     decides membership exactly.
     """
     table = integer_sc[1]
-    residual = subspace._integer_residual
-    for index, v in enumerate(subspace.basis):
-        w = _nonzero(_integer_row(v)[1])
+    residual = subspace.residual
+    for index, row in enumerate(subspace.rows()):
+        w = _nonzero(row)
         for r in range(len(table)):
             if any(residual(_integer_product(table, [(r, 1)], w))):
                 return index, r, "left"
@@ -445,10 +445,6 @@ def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> S
     return _integer_span(products(rows, side == "left"), n)
 
 
-def two_sided_ideal(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
-    return ideal_closure(algebra, gens, "two")
-
-
 def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
     """Smallest unital multiplicatively closed subspace containing gens: the
     span of the left-normed words in gens applied to the unit, as the
@@ -464,12 +460,6 @@ def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
 def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:
     """Whether the subspace absorbs every basis element on both sides."""
     return _first_unabsorbed(algebra.integer_sc, subspace) is None
-
-
-def _kept_coordinates(ideal: Subspace) -> list[int]:
-    """The non-pivot coordinates, which a quotient by the subspace keeps."""
-    pivots = set(ideal.pivots())
-    return [j for j in range(ideal.ambient_dim) if j not in pivots]
 
 
 def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
@@ -491,13 +481,7 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
     if ideal.dim == algebra.dim:
         raise ImproperIdeal("cannot divide by the whole algebra")
     n = algebra.dim
-    coords = _kept_coordinates(ideal)
-    ideal_scale = ideal._integer_rows[0]
-
-    def project(w: list[int]) -> list[int]:
-        """The kept coordinates of L w's residual, L the ideal's integer scale."""
-        residual = ideal._integer_residual(w)
-        return [residual[j] for j in coords]
+    coords = ideal.kept()
 
     def dense(cell: Sequence[tuple[int, int]]) -> list[int]:
         w = [0] * n
@@ -508,13 +492,13 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
     scale, table = algebra.integer_sc
     unit_scale, unit = _integer_row(algebra.unit)
     quot = _validated(Algebra._from_integer_table(
-        scale * ideal_scale,
-        [[project(dense(table[i][j])) for j in coords] for i in coords],
-        _rational_row(project(unit), unit_scale * ideal_scale),
+        scale * ideal.scale,
+        [[ideal.project(dense(table[i][j])) for j in coords] for i in coords],
+        _rational_row(ideal.project(unit), unit_scale * ideal.scale),
         [algebra.labels[j] for j in coords],
     ))
-    columns = [project([int(k == c) for k in range(n)]) for c in range(n)]
-    return quot, Mat._from_integers(list(zip(*columns)), n, ideal_scale)
+    columns = [ideal.project([int(k == c) for k in range(n)]) for c in range(n)]
+    return quot, Mat._from_integers(list(zip(*columns)), n, ideal.scale)
 
 
 def radical(algebra: Algebra) -> Subspace:
@@ -536,7 +520,7 @@ def radical(algebra: Algebra) -> Subspace:
     trace = algebra.integer_trace
     gram = [[sum(x * trace[k] for k, x in table[i][j]) for i in range(n)] for j in range(n)]
     rad = _integer_kernel(gram, n)
-    rad_rows = [_nonzero(_integer_row(v)[1]) for v in rad.basis]
+    rad_rows = [_nonzero(row) for row in rad.rows()]
     current = rad_rows
     for _ in range(n + 1):
         if not current:
@@ -614,7 +598,7 @@ def is_simple(algebra: Algebra) -> tuple[str, Optional[Subspace]]:
         e = inclusion.apply(e_small)
         if is_zero_vec(e) or e == algebra.unit:
             continue
-        return NOT_SIMPLE, two_sided_ideal(algebra, [e])
+        return NOT_SIMPLE, ideal_closure(algebra, [e])
     if not idems.complete:
         return INCONCLUSIVE, None
     return SIMPLE, None

@@ -39,7 +39,6 @@ from .algebra import (
     PASS,
     Algebra,
     _integer_product,
-    _kept_coordinates,
     _nonzero,
     ideal_closure,
     quotient,
@@ -277,10 +276,9 @@ def _newton_lift(algebra: Algebra, rad: Subspace, block: Element) -> Element:
     3 L s (V V C) - 2 (V V C) V C over L^2 s^3.
     """
     scale_c, table = algebra.integer_sc
-    coords = _kept_coordinates(rad)
     block_row, block_scale = block
     row = [0] * algebra.dim
-    for c, x in zip(coords, block_row):
+    for c, x in zip(rad.kept(), block_row):
         row[c] = x
     scale = block_scale
     for _ in range(algebra.dim + 2):
@@ -288,10 +286,9 @@ def _newton_lift(algebra: Algebra, rad: Subspace, block: Element) -> Element:
         square = _integer_product(table, xs, xs)
         if square == [scale_c * scale * x for x in row]:
             # e's quotient coordinates are those of its residual against the
-            # radical, which _integer_residual gives times the radical's scale
-            residual = rad._integer_residual(row)
-            lhs = [block_scale * residual[c] for c in coords]
-            if lhs != [rad._integer_rows[0] * scale * x for x in block_row]:
+            # radical, which project gives times the radical's scale
+            lhs = [block_scale * x for x in rad.project(row)]
+            if lhs != [rad.scale * scale * x for x in block_row]:
                 raise SkewexError("lift drifted away from its semisimple image")
             return row, scale
         cube = _integer_product(table, _nonzero(square), xs)
@@ -352,7 +349,7 @@ def _memberships(v: Subspace, idems: IdempotentSet) -> list[bool]:
     """Whether each listed idempotent lies in v, read off its integer row."""
     if any(len(row) != v.ambient_dim for row in idems.rows):
         raise DimensionMismatch("vector length differs from ambient dimension")
-    return [not any(v._integer_residual(row)) for row in idems.rows]
+    return [not any(v.residual(row)) for row in idems.rows]
 
 
 def ms_check(
@@ -450,7 +447,7 @@ def _witness_probe(algebra: Algebra, v: Subspace, a: Vec) -> Callable[..., str]:
     """
     n = algebra.dim
     chain = _power_chain(algebra, a)
-    if any(any(v._integer_residual(power)) for power in chain[:n + 1]):
+    if any(any(v.residual(power)) for power in chain[:n + 1]):
         return lambda b, c, side="two": NOT_APPLICABLE
     rows = [power for power in chain[n:] if any(power)]
     rank = len(_integer_rref(rows))
@@ -467,7 +464,7 @@ def _witness_probe(algebra: Algebra, v: Subspace, a: Vec) -> Callable[..., str]:
         else:
             products = [_integer_product(table, _nonzero(_integer_product(table, bs, t)), cs)
                         for t in tail]
-        return FAIL if any(any(v._integer_residual(x)) for x in products) else PASS
+        return FAIL if any(any(v.residual(x)) for x in products) else PASS
 
     return verdict
 

@@ -2,20 +2,20 @@
 
 All results are exact: rank, kernel and minimal-polynomial computations
 never see rounding.  Vectors are plain tuples of `fractions.Fraction`;
-matrices and subspaces are small immutable wrappers.  Subspaces are kept in
-reduced row-echelon form, which makes equality a structural comparison.
+matrices and subspaces are small immutable wrappers.  A Subspace is stored
+as its reduced row-echelon basis in integers, which makes equality a
+structural comparison; its Fraction basis is a view for the boundary.
 
 Fractions are the boundary, integers the inside.  Elimination scales each
 row to integers by the lcm of its denominators and runs Gauss-Jordan without
 fractions (Bareiss, Math. Comp. 1968), keeping each row divided by its
-content; only the finished pivot rows are divided by their pivots, which
-gives the same unique reduced echelon form as rational elimination.  Spans
-take integer rows: the reduced echelon form does not change when a row is
-scaled by a nonzero factor, so callers that build vectors only to span them
-or test them for membership keep any nonzero multiples as integer rows and
-pass them to _integer_span, which makes one Fraction per nonzero entry of
-the basis.  Subspace membership likewise works on one integer copy of the
-echelon basis.
+content; the finished pivot rows over their pivots are the same unique
+reduced echelon form as rational elimination gives.  Spans take integer
+rows: the reduced echelon form does not change when a row is scaled by a
+nonzero factor, so callers that build vectors only to span them or test them
+for membership keep any nonzero multiples as integer rows and pass them to
+_integer_span, which makes no Fraction.  Membership, quotient coordinates,
+sums and intersections read the stored integer rows.
 Matrices have one integer kernel: each Mat keeps its integer form (L, A),
 L the lcm of its denominators and A = L M, and products, powers,
 matrix-vector products and polynomials in a matrix multiply integers and
@@ -91,7 +91,7 @@ class Mat:
     @cached_property
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(L, A): L the lcm of the denominators of all entries, A = L M."""
-        scale, ints = _common_integer_rows(self.entries)
+        scale, ints = _common_scale_rows(self.entries)
         return scale, tuple(map(tuple, ints))
 
     @staticmethod
@@ -186,7 +186,7 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [x.numerator * (scale // x.denominator) for x in row]
 
 
-def _common_integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+def _common_scale_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
     """(L, L * rows) for L the lcm of the denominators of all the rows."""
     scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
@@ -349,57 +349,65 @@ def inverse(m: Mat) -> Optional[Mat]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n with a reduced row-echelon basis.
+    """Subspace of Q^n, stored as its reduced row-echelon basis R in integers.
 
-    The basis is canonical, so two Subspaces are equal exactly when their
-    stored tuples are equal.  The integer copy of the basis that membership
-    works on is built on first use and stays out of equality, hashing and
-    repr.
+    scale is L, the lcm of the denominators of R, and echelon holds each
+    row's pivot p with the nonzero (column, L * R[column]) pairs after p.  R
+    is canonical, so two Subspaces are equal exactly when these fields are.
+    Callers work on the integer API (residual, rows, kept, project); basis,
+    the Fraction rows, is a view built on first read and kept out of equality.
     """
 
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    scale: int
+    echelon: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon)
 
     @cached_property
-    def _integer_rows(self) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
-        """(L, rows): L the lcm of the basis denominators, and for each basis
-        row R its pivot p with the nonzero (column, L * R[column]) pairs after p."""
-        scale = lcm(*(x.denominator for row in self.basis for x in row))
-        rows = []
-        for row in self.basis:
-            entries = [(j, x.numerator * (scale // x.denominator)) for j, x in enumerate(row) if x]
-            rows.append((entries[0][0], tuple(entries[1:])))
-        return scale, tuple(rows)
+    def basis(self) -> tuple[Vec, ...]:
+        """The reduced echelon rows as Fraction vectors."""
+        return tuple(_rational_row(row, self.scale) for row in self.rows())
+
+    def rows(self) -> list[list[int]]:
+        """The reduced echelon rows as dense integers, L R for L = scale."""
+        out = [[0] * self.ambient_dim for _ in self.echelon]
+        for row, (p, entries) in zip(out, self.echelon):
+            for j, x in ((p, self.scale), *entries):
+                row[j] = x
+        return out
 
     def pivots(self) -> list[int]:
-        return [p for p, _ in self._integer_rows[1]]
+        return [p for p, _ in self.echelon]
 
     def contains(self, v: Vec) -> bool:
         """Membership by the integer residual against the echelon basis."""
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length differs from ambient dimension")
-        return not any(self._integer_residual(_integer_row(v)[1]))
+        return not any(self.residual(_integer_row(v)[1]))
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after eliminating against the basis."""
         scale, w = _integer_row(v)
-        residual = self._integer_residual(w)
-        return _rational_row(residual, scale * self._integer_rows[0])
+        return _rational_row(self.residual(w), scale * self.scale)
 
-    def _integer_residual(self, w: list[int]) -> list[int]:
-        """L times the residual of the integer vector w, L as in _integer_rows.
+    def kept(self) -> list[int]:
+        """The non-pivot coordinates, which a quotient by the subspace keeps."""
+        pivots = set(self.pivots())
+        return [j for j in range(self.ambient_dim) if j not in pivots]
+
+    def residual(self, w: Sequence[int]) -> list[int]:
+        """L times the residual of the integer vector w, L = scale.
 
         Each reduced echelon row is 1 on its own pivot and 0 on the others, so
         the residual is w minus w[p] times the row of each pivot p, with zeros
-        on the pivots, whatever the order of the rows.
+        on the pivots, whatever the order of the rows.  It is zero exactly
+        when w lies in the subspace.
         """
-        scale, rows = self._integer_rows
-        residual = [scale * x for x in w]
-        for p, entries in rows:
+        residual = [self.scale * x for x in w]
+        for p, entries in self.echelon:
             f = w[p]
             if f:
                 residual[p] = 0
@@ -407,23 +415,29 @@ class Subspace:
                     residual[j] -= f * y
         return residual
 
+    def project(self, w: Sequence[int]) -> list[int]:
+        """The kept coordinates of residual(w): L times w's image in the quotient."""
+        residual = self.residual(w)
+        return [residual[j] for j in self.kept()]
+
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(v) for v in self.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("ambient dimensions differ")
+        return not any(any(other.residual(row)) for row in self.rows())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
-        return span(list(self.basis) + list(other.basis), self.ambient_dim)
+        return _integer_span(self.rows() + other.rows(), self.ambient_dim)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus block elimination."""
+        """Zassenhaus block elimination on the integer rows."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         n = self.ambient_dim
-        block = [(*v, *v) for v in self.basis] + [(*v, *zero_vec(n)) for v in other.basis]
-        rows, _ = _rref_rows(block)
-        inter = [r[n:] for r in rows if all(x == 0 for x in r[:n]) and any(r[n:])]
-        return span(inter, n)
+        block = [v + v for v in self.rows()] + [v + [0] * n for v in other.rows()]
+        rank = len(_integer_rref(block))
+        return _integer_span([r[n:] for r in block[:rank] if not any(r[:n])], n)
 
 
 def span(vectors: Sequence[Vec], ambient_dim: int) -> Subspace:
@@ -434,25 +448,29 @@ def span(vectors: Sequence[Vec], ambient_dim: int) -> Subspace:
     return _integer_span([_integer_row(v)[1] for v in vectors], ambient_dim)
 
 
-def _integer_span(ints: Sequence[list[int]], ambient_dim: int) -> Subspace:
+def _integer_span(ints: Sequence[Sequence[int]], ambient_dim: int) -> Subspace:
     """The subspace spanned by integer rows of length ambient_dim.
 
-    The rows are reduced by _integer_rref and only then divided by their
-    pivots, one Fraction per nonzero entry of the basis.  Scaling a row by a
-    nonzero factor leaves the reduced echelon form alone, so any nonzero
-    multiples of the vectors give the same Subspace.
+    Each row _integer_rref leaves has content 1, so dividing it by its pivot a
+    gives a reduced echelon row whose denominators have lcm |a|: L is the lcm
+    of the |a| and the stored entries are (L // a) x, with no Fraction made.
+    Scaling a row by a nonzero factor leaves the reduced echelon form alone,
+    so any nonzero multiples of the vectors give the same Subspace.
     """
     rows = [row for row in ints if any(row)]
     pivots = _integer_rref(rows)
-    return Subspace(ambient_dim, tuple(_rational_row(row, row[c]) for row, c in zip(rows, pivots)))
+    scale = lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    return Subspace(ambient_dim, scale, tuple(
+        (c, tuple((j, scale // row[c] * x) for j, x in enumerate(row) if x and j > c))
+        for row, c in zip(rows, pivots)))
 
 
 def zero_subspace(n: int) -> Subspace:
-    return Subspace(n, ())
+    return Subspace(n, 1, ())
 
 
 def full_space(n: int) -> Subspace:
-    return Subspace(n, tuple(unit_vec(i, n) for i in range(n)))
+    return Subspace(n, 1, tuple((i, ()) for i in range(n)))
 
 
 def kernel(m: Mat) -> Subspace:
@@ -461,19 +479,23 @@ def kernel(m: Mat) -> Subspace:
 
 
 def _integer_kernel(ints: list[list[int]], ncols: int) -> Subspace:
-    """Null space of the integer rows, each of length ncols; reduces them in place."""
+    """Null space of the integer rows, each of length ncols; reduces them in place.
+
+    Free column f gives M times the kernel vector with 1 on f: M on f and
+    -row[f] (M // row[p]) on the pivot p of each row, M the lcm of those row[p]."""
     pivots = _integer_rref(ints)
-    basis = []
+    vectors = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for row, p in zip(ints, pivots):
-            if row[f]:
-                v[p] = Fraction(-row[f], row[p])
-        basis.append(tuple(v))
-    return span(basis, ncols)
+        rows = [(row, p) for row, p in zip(ints, pivots) if row[f]]
+        scale = lcm(*(row[p] for row, p in rows))
+        v = [0] * ncols
+        v[f] = scale
+        for row, p in rows:
+            v[p] = -row[f] * (scale // row[p])
+        vectors.append(v)
+    return _integer_span(vectors, ncols)
 
 
 def column_space(m: Mat) -> Subspace:

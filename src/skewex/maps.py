@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .algebra import Algebra, _integer_product, _kept_coordinates, _nonzero, is_ideal, quotient
+from .algebra import Algebra, _integer_product, _nonzero, is_ideal, quotient
 from .errors import (
     DimensionMismatch,
     NotAutomorphism,
@@ -347,7 +347,7 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
     # the section is the inclusion of the kept coordinates, so the induced
     # matrix is those columns of proj phi
     projected = proj * phi.matrix
-    kept = _kept_coordinates(chain)
+    kept = chain.kept()
     induced_matrix = Mat(quot.dim, quot.dim,
                          tuple(tuple(row[c] for c in kept) for row in projected.entries))
     if induced_matrix * proj != projected:

@@ -26,7 +26,7 @@ from .errors import DimensionMismatch, NotMonic, SkewexError
 from .linalg import (
     Poly,
     Vec,
-    _common_integer_rows,
+    _common_scale_rows,
     _rational_row,
     is_zero_vec,
     vec_add,
@@ -112,8 +112,8 @@ def skew_mul(f: SkewPoly, g: SkewPoly, d: Derivation) -> SkewPoly:
     n, m = algebra.dim, f.degree
     scale, table = algebra.integer_sc
     scale_d, dm = d.matrix.integer_form
-    scale_f, fs = _common_integer_rows(f.coeffs)
-    scale_g, current = _common_integer_rows(g.coeffs)
+    scale_f, fs = _common_scale_rows(f.coeffs)
+    scale_g, current = _common_scale_rows(g.coeffs)
     acc = [[0] * n for _ in range(max(0, m + g.degree + 1))]
     for i, a in enumerate(fs):
         xs = _nonzero(a)

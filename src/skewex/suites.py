@@ -154,7 +154,10 @@ class SuiteContext:
     def automorphisms(self) -> list[AlgebraEndo]:
         if self._automorphisms is None:
             given = [m for m in self.endomorphisms() if m.is_invertible()]
-            sampled = sample_automorphisms(self.algebra, self.rng, self.automorphism_samples)
+            # derivations() is the whole derivation space unless maps gave some
+            whole = not any(isinstance(m, Derivation) for m in self.maps)
+            sampled = sample_automorphisms(self.algebra, self.rng, self.automorphism_samples,
+                                           derivations=self.derivations() if whole else None)
             seen = set()
             out = []
             for endo in given + sampled:
@@ -557,11 +560,8 @@ def suite_ms_oracle(ctx: SuiteContext) -> list[CheckRecord]:
     def ideals_are_ms() -> tuple[str, dict]:
         # the idempotent criterion over the cached closures; distinct closure
         # values are few (two on a simple algebra), so group by them
-        distinct: dict[tuple, Subspace] = {}
-        for v in closures.values():
-            distinct.setdefault(v.basis, v)
         checked = 0
-        for v in distinct.values():
+        for v in dict.fromkeys(closures.values()):
             # every closure lies in the whole algebra
             if v.dim < algebra.dim:
                 for f, inside in zip(idems.items, _memberships(v, idems)):

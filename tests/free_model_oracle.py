@@ -31,7 +31,6 @@ from skewex.algebra import (
     Algebra,
     _first_unabsorbed,
     _integer_table,
-    _kept_coordinates,
     _multiply,
     make_algebra,
 )
@@ -223,7 +222,7 @@ def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
     make_algebra re-verifies them.  The result is the quotient when the
     subspace absorbs every product, which quotient_by_relations checks first.
     """
-    coords = _kept_coordinates(ideal)
+    coords = ideal.kept()
 
     def project(x: Vec) -> Vec:
         residual = ideal.reduce(x)

@@ -17,7 +17,6 @@ from skewex.algebra import (
     quotient,
     radical,
     subalgebra_generated,
-    two_sided_ideal,
     upper_triangular,
 )
 from skewex.errors import (
@@ -105,17 +104,17 @@ def test_left_regular_multiplicative_across_corpus(corpus, rng):
 
 def test_two_sided_ideal_full_from_corner(m2):
     # closure oracle: E21*E11*E12 = E22 etc., so (E11) is everything
-    ideal = two_sided_ideal(m2, [m2.basis_element(0)])
+    ideal = ideal_closure(m2, [m2.basis_element(0)])
     assert ideal.dim == 4
 
 
 def test_two_sided_ideal_central_idempotent(q_times_q):
-    ideal = two_sided_ideal(q_times_q, [(F(1), F(0))])
+    ideal = ideal_closure(q_times_q, [(F(1), F(0))])
     assert ideal == span([(F(1), F(0))], 2)
 
 
 def test_two_sided_ideal_zero(m2):
-    assert two_sided_ideal(m2, [(F(0),) * 4]).dim == 0
+    assert ideal_closure(m2, [(F(0),) * 4]).dim == 0
 
 
 def test_ideal_closure_is_closed(corpus, rng):
@@ -151,7 +150,7 @@ def test_subalgebra_generated(m2, jet2):
 
 
 def test_quotient_dual_numbers(dual_numbers):
-    ideal = two_sided_ideal(dual_numbers, [dual_numbers.basis_element(1)])
+    ideal = ideal_closure(dual_numbers, [dual_numbers.basis_element(1)])
     quot, proj = quotient(dual_numbers, ideal)
     assert quot.dim == 1
     assert kernel(proj) == ideal

@@ -261,5 +261,5 @@ def test_idempotent_rows_decide_membership_like_contains(corpus):
             v = column_space(Mat.from_columns([random_element(algebra, rng)
                                                for _ in range(rng.randint(1, algebra.dim))]))
             want = [v.contains(e) for e in idems.items]
-            got = [not any(v._integer_residual(row)) for row in idems.rows]
+            got = [not any(v.residual(row)) for row in idems.rows]
             assert got == want

@@ -24,7 +24,6 @@ from skewex.algebra import (
     is_ideal,
     radical,
     subalgebra_generated,
-    two_sided_ideal,
 )
 from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import _scalar_poly_at, laurent_quotient
@@ -386,7 +385,7 @@ def test_is_ideal_matches_reference(corpus):
             zero_subspace(n),
             full_space(n),
             radical(algebra),
-            two_sided_ideal(algebra, [x]),
+            ideal_closure(algebra, [x]),
             ideal_closure(algebra, [x], "left"),
             ideal_closure(algebra, [x], "right"),
             subalgebra_generated(algebra, [x]),

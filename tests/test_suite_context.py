@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from skewex import idempotents, suites
+from skewex import idempotents, sampling, suites
 from skewex.algebra import ideal_closure
 from skewex.errors import SkewexError
 from skewex.idempotents import (
@@ -165,3 +165,19 @@ def test_ideals_dict_needs_the_two_sided_criterion(ut2):
     for side in ("left", "right"):
         with pytest.raises(ValueError):
             ms_check(ut2, v, items, side=side, ideals={})
+
+
+def test_one_derivation_space_per_run(corpus, dual_numbers, euler, monkeypatch):
+    # the context's derivation basis also feeds the automorphism sampler, so
+    # a run solves the product-rule system once
+    solved = counting(monkeypatch, suites, "derivation_space")
+    monkeypatch.setattr(sampling, "derivation_space", suites.derivation_space)
+    for name, algebra in corpus.items():
+        solved.clear()
+        run_suite(list(SUITE_REGISTRY), make_ctx(algebra, 0))
+        assert len(solved) == 1, name
+    # given a derivation, the context holds it alone; the sampler solves for the space
+    solved.clear()
+    ctx = SuiteContext(dual_numbers, [euler], random.Random(0), automorphism_samples=4)
+    run_suite(list(SUITE_REGISTRY), ctx)
+    assert ctx.derivations() == [euler] and len(solved) == 1
