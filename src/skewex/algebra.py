@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -655,25 +656,22 @@ def cyclic_group_algebra(m: int) -> Algebra:
 
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
-    """Product algebra on the concatenated bases; unit is (1, 1)."""
+    """Product algebra on the concatenated bases; unit is (1, 1).
+
+    Its table is the two integer tables side by side, each brought to the
+    lcm of their scales."""
     dim = a.dim + b.dim
-
-    def embed_a(v: Vec) -> Vec:
-        return tuple(v) + zero_vec(b.dim)
-
-    def embed_b(v: Vec) -> Vec:
-        return zero_vec(a.dim) + tuple(v)
-
-    sc = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            sc[i][j] = embed_a(a.sc[i][j])
-    for i in range(b.dim):
-        for j in range(b.dim):
-            sc[a.dim + i][a.dim + j] = embed_b(b.sc[i][j])
-    unit = vec_add(embed_a(a.unit), embed_b(b.unit))
+    scale = lcm(a.integer_sc[0], b.integer_sc[0])
+    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for offset, part in ((0, a), (a.dim, b)):
+        factor = scale // part.integer_sc[0]
+        for i, row in enumerate(part.integer_sc[1]):
+            for j, cell in enumerate(row):
+                for k, x in cell:
+                    cells[offset + i][offset + j][offset + k] = factor * x
     labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
-    return make_algebra(dim, sc, unit, labels)
+    return _validated(Algebra._from_integer_table(scale, cells, tuple(a.unit) + tuple(b.unit),
+                                                  labels))
 
 
 def upper_triangular(n: int) -> Algebra:
@@ -698,15 +696,23 @@ def upper_triangular(n: int) -> Algebra:
 
 
 def change_of_basis(algebra: Algebra, t: Mat) -> Algebra:
-    """Same algebra expressed in the basis given by the columns of t."""
+    """Same algebra expressed in the basis given by the columns of t.
+
+    With t = T / Lt, its inverse S / Ls and the constants C / L, the new
+    constant cell [i][j] is S times the integer product of columns i and j
+    of T, over Ls Lt^2 L."""
+    n = algebra.dim
+    if (t.rows, t.cols) != (n, n):
+        raise DimensionMismatch("change of basis matrix differs from algebra dimension")
     t_inv = inverse(t)
     if t_inv is None:
         raise ValueError("change of basis matrix must be invertible")
-    n = algebra.dim
-    new_basis = [t.column(j) for j in range(n)]
-    sc = [
-        [t_inv.apply(algebra.multiply(new_basis[i], new_basis[j])) for j in range(n)]
-        for i in range(n)
-    ]
-    unit = t_inv.apply(algebra.unit)
-    return make_algebra(n, sc, unit, [f"b{i}" for i in range(n)])
+    scale_t, ints = t.integer_form
+    scale_inv, inv = t_inv.integer_form
+    scale, table = algebra.integer_sc
+    columns = [_nonzero(column) for column in zip(*ints)]
+    products = [[_integer_product(table, ci, cj) for cj in columns] for ci in columns]
+    return _validated(Algebra._from_integer_table(
+        scale_inv * scale_t * scale_t * scale,
+        [[[sum(map(mul, row, p)) for row in inv] for p in row_p] for row_p in products],
+        t_inv.apply(algebra.unit), [f"b{i}" for i in range(n)]))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .algebra import Algebra, change_of_basis, cyclic_group_algebra, matrix_algebra, poly_quotient
 from .idempotents import image_kernel_idempotent_report
-from .linalg import Mat, Poly, inverse, rat
+from .linalg import Mat, Poly
 from .maps import derivation_space
 from .sampling import ProductRecipe, block_slot_maps, recipe_endomorphisms, sample_automorphisms
 from .suites import (
@@ -89,12 +89,16 @@ def random_recipe(rng: random.Random, max_dim: int) -> ProductRecipe:
 
 
 def random_basis_change(algebra: Algebra, rng: random.Random) -> Algebra:
+    """The algebra in the basis of the columns of the first invertible draw
+    among up to 60 integer matrices; a singular draw is rejected by
+    change_of_basis.  The algebra itself when every draw is singular."""
     n = algebra.dim
     for _ in range(60):
-        grid = [[rat(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        m = Mat.from_rows(grid)
-        if inverse(m) is not None:
-            return change_of_basis(algebra, m)
+        grid = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        try:
+            return change_of_basis(algebra, Mat.from_entries(n, n, grid))
+        except ValueError:
+            continue
     return algebra
 
 

@@ -2,9 +2,9 @@
 
 All results are exact: rank, kernel and minimal-polynomial computations
 never see rounding.  Vectors are plain tuples of `fractions.Fraction`;
-matrices and subspaces are small immutable wrappers.  A Subspace is stored
-as its reduced row-echelon basis in integers, which makes equality a
-structural comparison; its Fraction basis is a view for the boundary.
+matrices and subspaces are small immutable wrappers stored in integers, in
+canonical forms, which makes equality a structural comparison.  A Mat's
+Fraction entries and a Subspace's Fraction basis are views for the boundary.
 
 Fractions are the boundary, integers the inside.  Elimination scales each
 row to integers by the lcm of its denominators and runs Gauss-Jordan without
@@ -16,11 +16,12 @@ nonzero factor, so callers that build vectors only to span them or test them
 for membership keep any nonzero multiples as integer rows and pass them to
 _integer_span, which makes no Fraction.  Membership, quotient coordinates,
 sums and intersections read the stored integer rows.
-Matrices have one integer kernel: each Mat keeps its integer form (L, A),
-L the lcm of its denominators and A = L M, and products, powers,
-matrix-vector products and polynomials in a matrix multiply integers and
-make one Fraction per nonzero entry of the result, over the product of the
-scales.  The nilpotency test makes no Fraction at all.
+A Mat is its integer form (L, A), L the lcm of its denominators and A = L M.
+Sums, products, powers, inverses, echelon forms and polynomials in a matrix
+compute an integer pair (s, B) with M = B / s and divide both by
+gcd(s, B), which gives the stored form again and makes no Fraction; a
+matrix-vector product makes one Fraction per nonzero entry of the result.
+The nilpotency test makes no Fraction at all.
 """
 
 from __future__ import annotations
@@ -78,53 +79,62 @@ def is_zero_vec(a: Vec) -> bool:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable rational matrix, row-major.
+    """Immutable rational matrix M, row-major, stored as its integer form.
 
-    Products, powers and matrix-vector products work on the integer form
-    (L, A), built on first use and kept out of equality, hashing and repr.
+    integer_form is (L, A): L the lcm of the denominators of M's entries (1
+    for a zero matrix) and A = L M, so gcd(L, A) = 1 and the form is
+    canonical; equality and hashing compare it.  Arithmetic runs on A, and
+    entries, the Fraction rows, is a view built on first read and kept out
+    of equality, hashing and repr.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    integer_form: tuple[int, tuple[tuple[int, ...], ...]]
 
     @cached_property
-    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, A): L the lcm of the denominators of all entries, A = L M."""
-        scale, ints = _common_scale_rows(self.entries)
-        return scale, tuple(map(tuple, ints))
+    def entries(self) -> tuple[Vec, ...]:
+        scale, ints = self.integer_form
+        return tuple(_rational_row(row, scale) for row in ints)
 
     @staticmethod
     def _from_integers(ints: Sequence[Sequence[int]], cols: int, scale: int) -> "Mat":
-        """The matrix ints / scale."""
-        return Mat(len(ints), cols, tuple(_rational_row(row, scale) for row in ints))
+        """The matrix ints / scale, scale > 0: both divided by g = gcd(scale, ints)
+        give its integer form."""
+        g = gcd(scale, *(x for row in ints for x in row))
+        if g != 1:
+            ints = [[x // g for x in row] for row in ints]
+        return Mat(len(ints), cols, (scale // g, tuple(map(tuple, ints))))
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: Sequence[Sequence[Fraction]]) -> "Mat":
+        """The rows x cols matrix with the given int or Fraction entries."""
+        scale, ints = _common_scale_rows(entries)
+        return Mat(rows, cols, (scale, tuple(map(tuple, ints))))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Mat":
-        grid = tuple(tuple(rat(x) for x in r) for r in rows)
-        nrows = len(grid)
+        grid = [[rat(x) for x in r] for r in rows]
         ncols = len(grid[0]) if grid else 0
         if any(len(r) != ncols for r in grid):
             raise DimensionMismatch("ragged rows")
-        return Mat(nrows, ncols, grid)
+        return Mat.from_entries(len(grid), ncols, grid)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(unit_vec(i, n) for i in range(n)))
+        return Mat(n, n, (1, tuple(tuple(int(r == c) for c in range(n)) for r in range(n))))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return Mat(rows, cols, (1, ((0,) * cols,) * rows))
 
     @staticmethod
     def from_columns(cols: Sequence[Vec]) -> "Mat":
-        if not cols:
-            return Mat(0, 0, ())
-        n = len(cols[0])
-        return Mat(n, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n)))
+        return Mat.from_entries(len(cols[0]) if cols else 0, len(cols), list(zip(*cols)))
 
     def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        scale, ints = self.integer_form
+        return _rational_row([row[j] for row in ints], scale)
 
     def columns(self) -> list[Vec]:
         return [self.column(j) for j in range(self.cols)]
@@ -138,23 +148,31 @@ class Mat:
         return _rational_row([sum(map(mul, row, w)) for row in ints], scale * lv)
 
     def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        return Mat(self.rows, self.cols,
-                   tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Mat", sign: int) -> "Mat":
+        """self + sign other: A (L / La) + sign B (L / Lb) over L = lcm(La, Lb)."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix shapes differ")
-        return Mat(self.rows, self.cols,
-                   tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)))
+        la, a = self.integer_form
+        lb, b = other.integer_form
+        scale = lcm(la, lb)
+        fa, fb = scale // la, sign * (scale // lb)
+        return Mat._from_integers([[fa * x + fb * y for x, y in zip(r, s)] for r, s in zip(a, b)],
+                                  self.cols, scale)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, tuple(vec_scale(-ONE, r) for r in self.entries))
+        scale, ints = self.integer_form
+        return Mat(self.rows, self.cols, (scale, tuple(tuple(-x for x in row) for row in ints)))
 
     def scale(self, c) -> "Mat":
         c = rat(c)
-        return Mat(self.rows, self.cols, tuple(vec_scale(c, r) for r in self.entries))
+        scale, ints = self.integer_form
+        return Mat._from_integers([[c.numerator * x for x in row] for row in ints], self.cols,
+                                  scale * c.denominator)
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Matrix product: A B over La Lb."""
@@ -174,10 +192,11 @@ class Mat:
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        scale, ints = self.integer_form
+        return Fraction(sum(row[i] for i, row in enumerate(ints)), scale)
 
     def is_zero(self) -> bool:
-        return all(is_zero_vec(r) for r in self.entries)
+        return not any(map(any, self.integer_form[1]))
 
 
 def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -301,50 +320,54 @@ class _IntegerEchelon:
         return True
 
 
-def _rref_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vec], list[int]]:
-    """Reduced echelon rows, then zero rows, as many as given; and the pivots.
-
-    The rows are scaled to integers, reduced by _integer_rref, and only then
-    divided by their pivots: one Fraction per nonzero entry.
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    ints = [_integer_row(row)[1] for row in rows]
+def _pivot_rows(ints: list[list[int]]) -> tuple[int, list[list[int]], list[int]]:
+    """(D, rows, pivots) for rows D R, R the reduced echelon rows of the integer
+    rows (reduced in place by _integer_rref) and D the lcm of their pivots."""
     pivots = _integer_rref(ints)
-    out = [_rational_row(row, row[c]) for row, c in zip(ints, pivots)]
-    out.extend([(ZERO,) * ncols] * (len(rows) - len(pivots)))
-    return out, pivots
+    common = lcm(*(ints[r][c] for r, c in enumerate(pivots)))
+    return common, [[common // row[c] * x for x in row] for row, c in zip(ints, pivots)], pivots
 
 
 def rref(m: Mat) -> tuple[Mat, list[int], int]:
     """Unique reduced row-echelon form along with pivot columns and rank."""
-    rows, pivots = _rref_rows(m.entries)
-    return Mat(m.rows, m.cols, tuple(rows)), pivots, len(pivots)
+    ints = [list(row) for row in m.integer_form[1]]
+    common, rows, pivots = _pivot_rows(ints)
+    rows += ints[len(pivots):]
+    return Mat._from_integers(rows, m.cols, common), pivots, len(pivots)
 
 
 def solve(m: Mat, b: Vec) -> Optional[Vec]:
-    """One solution of m x = b, free variables set to zero; None if inconsistent."""
+    """One solution of m x = b, free variables set to zero; None if inconsistent.
+
+    With m = A / L and b = w / Lb, the system is Lb A x = L w, eliminated on
+    its integer augmented rows."""
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length differs from row count")
-    rows, pivots = _rref_rows([(*r, b[i]) for i, r in enumerate(m.entries)])
+    scale, ints = m.integer_form
+    lb, w = _integer_row(b)
+    common, rows, pivots = _pivot_rows([[lb * x for x in row] + [scale * y]
+                                        for row, y in zip(ints, w)])
     # A pivot in the augmented column means the system is inconsistent.
     if m.cols in pivots:
         return None
-    x = [ZERO] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return tuple(x)
+    x = [0] * m.cols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return _rational_row(x, common)
 
 
 def inverse(m: Mat) -> Optional[Mat]:
+    """M^-1 = L A^-1 for M = A / L, or None: the rows of [A | I] reduce to
+    D (I | A^-1), D the lcm of the pivots."""
     if m.rows != m.cols:
         return None
     n = m.rows
-    rows, pivots = _rref_rows([(*r, *unit_vec(i, n)) for i, r in enumerate(m.entries)])
+    scale, ints = m.integer_form
+    common, rows, pivots = _pivot_rows([[*row, *(int(i == j) for j in range(n))]
+                                        for i, row in enumerate(ints)])
     if pivots[:n] != list(range(n)):
         return None
-    return Mat(n, n, tuple(r[n:] for r in rows[:n]))
+    return Mat._from_integers([[scale * x for x in row[n:]] for row in rows], n, common)
 
 
 @dataclass(frozen=True)
@@ -393,10 +416,15 @@ class Subspace:
         scale, w = _integer_row(v)
         return _rational_row(self.residual(w), scale * self.scale)
 
+    @cached_property
+    def _kept(self) -> tuple[int, ...]:
+        """kept(), found once per Subspace, outside equality and hashing."""
+        pivots = set(self.pivots())
+        return tuple(j for j in range(self.ambient_dim) if j not in pivots)
+
     def kept(self) -> list[int]:
         """The non-pivot coordinates, which a quotient by the subspace keeps."""
-        pivots = set(self.pivots())
-        return [j for j in range(self.ambient_dim) if j not in pivots]
+        return list(self._kept)
 
     def residual(self, w: Sequence[int]) -> list[int]:
         """L times the residual of the integer vector w, L = scale.
@@ -418,7 +446,7 @@ class Subspace:
     def project(self, w: Sequence[int]) -> list[int]:
         """The kept coordinates of residual(w): L times w's image in the quotient."""
         residual = self.residual(w)
-        return [residual[j] for j in self.kept()]
+        return [residual[j] for j in self._kept]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -475,7 +503,7 @@ def full_space(n: int) -> Subspace:
 
 def kernel(m: Mat) -> Subspace:
     """Null space {x : m x = 0} in canonical form."""
-    return _integer_kernel([_integer_row(row)[1] for row in m.entries], m.cols)
+    return _integer_kernel([list(row) for row in m.integer_form[1]], m.cols)
 
 
 def _integer_kernel(ints: list[list[int]], ncols: int) -> Subspace:
@@ -499,7 +527,7 @@ def _integer_kernel(ints: list[list[int]], ncols: int) -> Subspace:
 
 
 def column_space(m: Mat) -> Subspace:
-    return span(m.columns(), m.rows)
+    return _integer_span([list(col) for col in zip(*m.integer_form[1])], m.rows)
 
 
 @dataclass(frozen=True)

@@ -348,8 +348,8 @@ def induced_map(phi: AlgebraEndo) -> InducedQuotient:
     # matrix is those columns of proj phi
     projected = proj * phi.matrix
     kept = chain.kept()
-    induced_matrix = Mat(quot.dim, quot.dim,
-                         tuple(tuple(row[c] for c in kept) for row in projected.entries))
+    scale, ints = projected.integer_form
+    induced_matrix = Mat._from_integers([[row[c] for c in kept] for row in ints], quot.dim, scale)
     if induced_matrix * proj != projected:
         raise SkewexError("induced map does not commute with the projection")
     induced = AlgebraEndo.certify(quot, induced_matrix)
@@ -466,8 +466,5 @@ def derivation_space(algebra: Algebra) -> list[Derivation]:
                     block[k][r * n + j] -= x
             rows.extend(block)
     null = _integer_kernel(rows, n * n)
-    result = []
-    for v in null.basis:
-        m = Mat.from_rows([[v[r * n + c] for c in range(n)] for r in range(n)])
-        result.append(Derivation.certify(algebra, m))
-    return result
+    return [Derivation.certify(algebra, Mat._from_integers(
+        [v[r * n:(r + 1) * n] for r in range(n)], n, null.scale)) for v in null.rows()]

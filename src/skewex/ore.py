@@ -106,7 +106,7 @@ def skew_mul(f: SkewPoly, g: SkewPoly, d: Derivation) -> SkewPoly:
     summed over the one scale L Lf Lg L_D^m, m = deg f, so term i carries
     the factor L_D^(m - i); one Fraction per nonzero entry of the result.
     """
-    if f.algebra is not g.algebra and f.algebra.sc != g.algebra.sc:
+    if f.algebra is not g.algebra and f.algebra.integer_sc != g.algebra.integer_sc:
         raise DimensionMismatch("operands live over different algebras")
     algebra = f.algebra
     n, m = algebra.dim, f.degree

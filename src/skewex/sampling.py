@@ -78,8 +78,8 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
     found: list[Derivation] = []
     seen = set()
     for d in basis:
-        if not d.matrix.is_zero() and is_nilpotent(d.matrix) and d.matrix.entries not in seen:
-            seen.add(d.matrix.entries)
+        if not d.matrix.is_zero() and is_nilpotent(d.matrix) and d.matrix not in seen:
+            seen.add(d.matrix)
             found.append(d)
     n = algebra.dim
     scale = lcm(*(d.matrix.integer_form[0] for d in basis))
@@ -99,9 +99,9 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
         if not any(total) or not _integer_is_nilpotent(ints, n):
             continue
         m = Mat._from_integers(ints, n, scale)
-        if m.entries in seen:
+        if m in seen:
             continue
-        seen.add(m.entries)
+        seen.add(m)
         found.append(Derivation.certify(algebra, m))
     return found[:count]
 
@@ -167,9 +167,9 @@ def substitution_endos(algebra: Algebra,
         for _ in range(1, n):
             cols.append(algebra.multiply(cols[-1], g))
         m = Mat.from_columns(cols)
-        if m.entries in seen:
+        if m in seen:
             continue
-        seen.add(m.entries)
+        seen.add(m)
         if algebra.multiply(cols[-1], g) == m.apply(t_power_n):
             out.append(AlgebraEndo(algebra, m))
     return out
@@ -217,18 +217,19 @@ def block_slot_maps(block: Algebra) -> tuple[Mat, ...]:
 def slot_endomorphism(recipe: ProductRecipe, sources: Sequence[int],
                       block_maps: Sequence[Mat]) -> Mat:
     """The matrix of phi(x)_j = psi_j(x_{sources[j]}), valid when source blocks
-    equal target blocks structurally."""
+    equal target blocks structurally; each psi_j is brought to the lcm of
+    their integer scales."""
     n = recipe.algebra.dim
-    rows = [[ZERO] * n for _ in range(n)]
+    scale = lcm(*(psi.integer_form[0] for psi in block_maps))
+    rows = [[0] * n for _ in range(n)]
     for j, (src, psi) in enumerate(zip(sources, block_maps)):
-        target = recipe.blocks[j]
-        source = recipe.blocks[src]
-        if target.sc != source.sc:
+        if recipe.blocks[j].integer_sc != recipe.blocks[src].integer_sc:
             raise SkewexError("slot map between structurally different blocks")
-        for r in range(target.dim):
-            for c in range(source.dim):
-                rows[recipe.offsets[j] + r][recipe.offsets[src] + c] = psi.entries[r][c]
-    return Mat.from_rows(rows)
+        psi_scale, ints = psi.integer_form
+        for r, row in enumerate(ints):
+            for c, x in enumerate(row):
+                rows[recipe.offsets[j] + r][recipe.offsets[src] + c] = x * (scale // psi_scale)
+    return Mat._from_integers(rows, n, scale)
 
 
 def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
@@ -240,7 +241,7 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
     returned map is certified once.
     """
     compatible_sources = [
-        [i for i, other in enumerate(recipe.blocks) if other.sc == blk.sc]
+        [i for i, other in enumerate(recipe.blocks) if other.integer_sc == blk.integer_sc]
         for blk in recipe.blocks
     ]
     out: list[AlgebraEndo] = []
@@ -251,9 +252,9 @@ def recipe_endomorphisms(recipe: ProductRecipe, rng: random.Random, count: int,
         sources = [rng.choice(opts) for opts in compatible_sources]
         block_maps = [rng.choice(recipe.slot_maps[src]) for src in sources]
         m = slot_endomorphism(recipe, sources, block_maps)
-        if m.entries in seen:
+        if m in seen:
             continue
-        seen.add(m.entries)
+        seen.add(m)
         if require_singular and inverse(m) is not None:
             continue
         out.append(AlgebraEndo.certify(recipe.algebra, m))
@@ -295,8 +296,8 @@ def sample_automorphisms(algebra: Algebra, rng: random.Random, count: int,
     seen: set = set()
 
     def push(endo: AlgebraEndo) -> None:
-        if endo.matrix.entries not in seen and endo.is_invertible():
-            seen.add(endo.matrix.entries)
+        if endo.matrix not in seen and endo.is_invertible():
+            seen.add(endo.matrix)
             pool.append(endo)
 
     push(AlgebraEndo(algebra, Mat.identity(algebra.dim)))

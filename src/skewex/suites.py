@@ -161,8 +161,8 @@ class SuiteContext:
             seen = set()
             out = []
             for endo in given + sampled:
-                if endo.matrix.entries not in seen:
-                    seen.add(endo.matrix.entries)
+                if endo.matrix not in seen:
+                    seen.add(endo.matrix)
                     out.append(endo)
             self._automorphisms = out
         return self._automorphisms
@@ -202,8 +202,8 @@ class _Recorder:
 
 @cache
 def _matrix_sc(n: int):
-    """The structure constants of M_n in its matrix-unit basis, built once per n."""
-    return matrix_algebra(n).sc
+    """The integer structure constants of M_n in its matrix-unit basis, built once per n."""
+    return matrix_algebra(n).integer_sc
 
 
 def _matrix_size(algebra: Algebra) -> Optional[int]:
@@ -212,7 +212,7 @@ def _matrix_size(algebra: Algebra) -> Optional[int]:
     root = round(algebra.dim ** 0.5)
     if root < 2 or root * root != algebra.dim:
         return None
-    return root if algebra.sc == _matrix_sc(root) else None
+    return root if algebra.integer_sc == _matrix_sc(root) else None
 
 
 def _idempotent_context(algebra: Algebra) -> IdempotentSet:

@@ -388,7 +388,7 @@ def test_nilpotent_derivations_match_fraction_sums(corpus):
 
 def test_the_zero_algebra():
     zero = make_algebra(0, [], [])
-    d = Derivation(zero, Mat(0, 0, ()))
+    d = Derivation(zero, Mat.from_entries(0, 0, ()))
     assert [ideal_closure(zero, [()], side).dim for side in SIDES] == [0, 0, 0]
     assert (power_span(zero, ()).powers.dim, zero.left_regular(()).rows) == (0, 0)
     assert skew_mul(SkewPoly.x(zero), SkewPoly.x(zero), d).is_zero()

@@ -84,7 +84,7 @@ def ref_rref_rows(rows):
 
 def ref_rref(m):
     rows, pivots = ref_rref_rows([list(r) for r in m.entries])
-    return Mat(m.rows, m.cols, tuple(tuple(r) for r in rows)), pivots, len(pivots)
+    return Mat.from_entries(m.rows, m.cols, tuple(tuple(r) for r in rows)), pivots, len(pivots)
 
 
 def ref_solve(m, b):
@@ -105,7 +105,7 @@ def ref_inverse(m):
     rows, pivots = ref_rref_rows(rows)
     if pivots[:n] != list(range(n)):
         return None
-    return Mat(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
+    return Mat.from_entries(n, n, tuple(tuple(r[n:]) for r in rows[:n]))
 
 
 def ref_span_basis(vectors, n):
@@ -196,7 +196,7 @@ def random_matrix(rng):
     if rows >= 2 and rng.random() < 0.3:
         grid[rng.randrange(rows)] = list(grid[rng.randrange(rows)])
     rng.shuffle(grid)
-    return Mat(rows, cols, tuple(tuple(r) for r in grid))
+    return Mat.from_entries(rows, cols, tuple(tuple(r) for r in grid))
 
 
 def probes(rng, subspace, count=6):
@@ -255,9 +255,9 @@ def test_kernel_matches_on_singular_and_special_matrices():
     rng = random.Random(77)
     half, third = F(1, 2), F(1, 3)
     cases = [
-        Mat(0, 0, ()),
-        Mat(0, 4, ()),
-        Mat(3, 0, ((), (), ())),
+        Mat.from_entries(0, 0, ()),
+        Mat.from_entries(0, 4, ()),
+        Mat.from_entries(3, 0, ((), (), ())),
         Mat.zeros(3, 3),
         Mat.identity(4),
         Mat.from_rows([[1, 2], [2, 4]]),
@@ -301,7 +301,7 @@ def derivation_systems(corpus, monkeypatch):
     real_kernel = maps._integer_kernel
 
     def spy(rows, ncols):
-        systems[name] = Mat.from_rows(rows) if rows else Mat(0, ncols, ())
+        systems[name] = Mat.from_rows(rows) if rows else Mat.from_entries(0, ncols, ())
         return real_kernel(rows, ncols)
 
     monkeypatch.setattr(maps, "_integer_kernel", spy)

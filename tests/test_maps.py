@@ -233,7 +233,7 @@ def test_automorphism_order_matches_product_loop(corpus):
 def test_automorphism_order_of_the_zero_algebra():
     # on Q^0 the minimal polynomial is 1, and phi is already the identity
     zero = make_algebra(0, [], ())
-    phi = AlgebraEndo.certify(zero, Mat(0, 0, ()))
+    phi = AlgebraEndo.certify(zero, Mat.from_entries(0, 0, ()))
     assert automorphism_order(phi) == product_loop_order(phi) == 1
     assert automorphism_order(phi, bound=0) is None
 

@@ -10,20 +10,47 @@ explorer maps after a basis change.  The certificates check the pairs
 (x, e_j) for x the unit and then e_g, g in Algebra.generators, rather than
 every basis pair: their verdicts must be those of the loops over all basis
 pairs, and each witness the first pair in that order at which the identity
-fails in Fractions.  A last test makes sure
-that the certificates and the nilpotency test do no Fraction arithmetic.
+fails in Fractions.  A test makes sure that the certificates and the
+nilpotency test do no Fraction arithmetic.
+
+A Mat is stored as its integer form (L, A).  Its sums, differences,
+negation, scalings, products, powers, inverse, reduced echelon form, trace
+and minimal polynomial must hold exactly the Fraction results, with the
+form (L, L M) for L the lcm of the denominators, on random matrices, on
+corpus and explorer maps, and on the slot maps of explorer recipes; the
+products and basis changes of recipes must give the algebras that
+make_algebra builds from the dense Fraction tables.  Equal matrices built
+by different routes must be equal and hash equal, and a Fraction.__new__
+counter shows which integer routes make no Fraction.
 """
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from skewex.algebra import change_of_basis, cyclic_group_algebra, matrix_algebra
+from skewex.algebra import (
+    change_of_basis,
+    cyclic_group_algebra,
+    direct_product,
+    make_algebra,
+    matrix_algebra,
+)
 from skewex.errors import DimensionMismatch
 from skewex.explorer import random_basis_change, random_recipe
 from skewex.laurent import laurent_quotient
-from skewex.linalg import ONE, ZERO, Mat, Poly, inverse, is_nilpotent, kernel
+from skewex.linalg import (
+    ONE,
+    ZERO,
+    Mat,
+    Poly,
+    inverse,
+    is_nilpotent,
+    kernel,
+    minimal_polynomial,
+    rref,
+)
 from skewex.maps import (
     _first_unmultiplicative_pair,
     derivation_space,
@@ -33,7 +60,7 @@ from skewex.maps import (
     is_endomorphism,
 )
 from skewex.ore import ore_quotient
-from skewex.sampling import sample_automorphisms
+from skewex.sampling import nilpotent_derivations, sample_automorphisms, slot_endomorphism
 
 F = Fraction
 
@@ -54,7 +81,7 @@ def ref_mul(a, b):
         tuple(sum((r[k] * col[k] for k in range(a.cols) if r[k]), ZERO) for col in bt)
         for r in a.entries
     )
-    return Mat(a.rows, b.cols, grid)
+    return Mat.from_entries(a.rows, b.cols, grid)
 
 
 def ref_power(m, k):
@@ -202,8 +229,8 @@ def ref_derivation_space(algebra):
 # -- inputs ------------------------------------------------------------------
 
 def fresh(m):
-    """The same matrix without its cached integer form."""
-    return Mat(m.rows, m.cols, m.entries)
+    """The same matrix, rebuilt from its Fraction entries."""
+    return Mat.from_entries(m.rows, m.cols, m.entries)
 
 
 def random_matrix(rng, rows, cols):
@@ -219,7 +246,7 @@ def random_matrix(rng, rows, cols):
         j = rng.randrange(cols)
         for row in grid:
             row[j] = ZERO
-    return Mat(rows, cols, tuple(map(tuple, grid)))
+    return Mat.from_entries(rows, cols, tuple(map(tuple, grid)))
 
 
 def random_poly(rng):
@@ -438,3 +465,252 @@ def test_certificates_and_nilpotency_do_no_fraction_arithmetic(monkeypatch):
     assert is_endomorphism(m2, fresh(phi)) == (True, None)
     assert is_endomorphism(m2, fresh(d), False)[0] is False
     assert counts == {"mul": 0, "add": 0}
+
+
+# -- the stored integer form -----------------------------------------------------
+
+def ref_grid(m):
+    return [list(row) for row in m.entries]
+
+
+def ref_combine(a, b, sign):
+    return [[x + sign * y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]
+
+
+def ref_gauss(rows):
+    """Gauss-Jordan in Fractions, in place; returns the pivot columns."""
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def ref_inverse_grid(m):
+    n = m.rows
+    rows = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(m.entries)]
+    if ref_gauss(rows)[:n] != list(range(n)):
+        return None
+    return [r[n:] for r in rows]
+
+
+def ref_minimal_polynomial(m):
+    """The first power M^k that is a combination of I .. M^(k-1), all in Fractions."""
+    n = m.rows
+    powers = [[x for row in ref_power(m, k).entries for x in row] for k in range(n + 1)]
+    for k in range(n + 1):
+        rows = [[p[i] for p in powers[:k]] + [powers[k][i]] for i in range(n * n)]
+        pivots = ref_gauss(rows)
+        if k not in pivots:
+            coeffs = [ZERO] * k
+            for r, c in enumerate(pivots):
+                coeffs[c] = -rows[r][-1]
+            return Poly.of(coeffs + [ONE])
+    raise AssertionError("no relation among the first n + 1 powers")
+
+
+def assert_holds(m, grid, rows, cols):
+    """m is the rows x cols matrix grid: its Fraction view is grid, and its
+    stored form is (L, L grid) for L the lcm of grid's denominators."""
+    scale = lcm(*(x.denominator for row in grid for x in row))
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m.integer_form == (scale, tuple(tuple(int(x * scale) for x in row) for row in grid))
+    assert m.entries == tuple(map(tuple, grid))
+
+
+def check_stored_form(rng, a, b):
+    """Every operation on two matrices of one shape against the Fraction code."""
+    rows, cols = a.rows, a.cols
+    assert_holds(a, ref_grid(a), rows, cols)
+    assert_holds(a + b, ref_combine(a, b, 1), rows, cols)
+    assert_holds(a - b, ref_combine(a, b, -1), rows, cols)
+    assert_holds(-a, [[-x for x in row] for row in a.entries], rows, cols)
+    for c in (0, F(-3, 4), 5):
+        assert_holds(a.scale(c), [[c * x for x in row] for row in a.entries], rows, cols)
+    reduced, pivots, rank = rref(a)
+    grid = ref_grid(a)
+    assert (pivots, rank) == (ref_gauss(grid), len(pivots))
+    assert_holds(reduced, grid, rows, cols)
+    v = tuple(random_matrix(rng, 1, cols).entries[0]) if cols else ()
+    assert a.apply(v) == ref_apply(a, v)
+    c = random_matrix(rng, cols, 2)
+    # the Fraction product leaves rows of length 0 when a has no columns
+    product = ref_grid(ref_mul(a, c)) if cols else [[ZERO] * 2 for _ in range(rows)]
+    assert_holds(a * c, product, rows, 2)
+    if rows != cols:
+        return
+    assert a.trace() == sum((a.entries[i][i] for i in range(rows)), ZERO)
+    for k in (0, 1, 3):
+        assert_holds(a.power(k), ref_grid(ref_power(a, k)), rows, rows)
+    grid = ref_inverse_grid(a)
+    got = inverse(a)
+    assert (got is None) == (grid is None)
+    if got is not None:
+        assert_holds(got, grid, rows, rows)
+    assert minimal_polynomial(a) == ref_minimal_polynomial(a)
+
+
+def test_stored_form_matches_fraction_code_on_random_matrices():
+    rng = random.Random(4099)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2), (3, 3), (4, 4)]
+    inverted = 0
+    for _ in range(30):
+        for rows, cols in shapes:
+            a = random_matrix(rng, rows, cols)
+            check_stored_form(rng, a, random_matrix(rng, rows, cols))
+            check_stored_form(rng, a, a)
+            inverted += rows == cols and rows > 0 and inverse(a) is not None
+    assert inverted > 20
+
+
+def test_stored_form_matches_fraction_code_on_corpus_and_explorer_maps(corpus):
+    for name, algebra, rng in corpus_and_explorer(corpus):
+        maps = [d.matrix for d in derivation_space(algebra)]
+        maps += [phi.matrix for phi in sample_automorphisms(algebra, rng, 3)]
+        for a, b in zip(maps, maps[1:] + maps[:1]):
+            check_stored_form(rng, a, b)
+
+
+def ref_slot_endomorphism(recipe, sources, block_maps):
+    n = recipe.algebra.dim
+    grid = [[ZERO] * n for _ in range(n)]
+    for j, (src, psi) in enumerate(zip(sources, block_maps)):
+        for r, row in enumerate(psi.entries):
+            for c, x in enumerate(row):
+                grid[recipe.offsets[j] + r][recipe.offsets[src] + c] = x
+    return grid
+
+
+def ref_direct_product(a, b):
+    """The product algebra built from the dense Fraction tables."""
+    dim = a.dim + b.dim
+    sc = [[(ZERO,) * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            sc[i][j] = tuple(a.sc[i][j]) + (ZERO,) * b.dim
+    for i in range(b.dim):
+        for j in range(b.dim):
+            sc[a.dim + i][a.dim + j] = (ZERO,) * a.dim + tuple(b.sc[i][j])
+    labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
+    return make_algebra(dim, sc, tuple(a.unit) + tuple(b.unit), labels)
+
+
+def ref_change_of_basis(algebra, t):
+    """The basis change with the products and coordinates taken in Fractions."""
+    n = algebra.dim
+    t_inv = Mat.from_entries(n, n, ref_inverse_grid(t))
+    columns = [t.column(j) for j in range(n)]
+    sc = [[ref_apply(t_inv, ref_multiply(algebra, x, y)) for y in columns] for x in columns]
+    return make_algebra(n, sc, ref_apply(t_inv, algebra.unit), [f"b{i}" for i in range(n)])
+
+
+def same_algebra(got, want):
+    assert (got.dim, got.labels, got.unit) == (want.dim, want.labels, want.unit)
+    assert got.integer_sc == want.integer_sc
+    assert got.sc == want.sc
+    assert got.generators == want.generators
+
+
+def test_trial_algebras_and_slot_maps_match_fraction_code():
+    """Explorer recipes: their products, basis changes and slot maps."""
+    slots = changed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        recipe = random_recipe(rng, 5)
+        want = recipe.blocks[0]
+        for block in recipe.blocks[1:]:
+            want = ref_direct_product(want, block)
+        same_algebra(recipe.algebra, want)
+        t = Mat.from_rows([[rng.randint(-2, 2) for _ in range(want.dim)] for _ in range(want.dim)])
+        if inverse(t) is not None:
+            same_algebra(change_of_basis(recipe.algebra, t), ref_change_of_basis(want, t))
+            changed += 1
+        else:
+            with pytest.raises(ValueError):
+                change_of_basis(recipe.algebra, t)
+        for _ in range(3):
+            sources = [rng.choice([i for i, other in enumerate(recipe.blocks)
+                                   if other.sc == blk.sc]) for blk in recipe.blocks]
+            block_maps = [rng.choice(recipe.slot_maps[src]) for src in sources]
+            m = slot_endomorphism(recipe, sources, block_maps)
+            n = recipe.algebra.dim
+            assert_holds(m, ref_slot_endomorphism(recipe, sources, block_maps), n, n)
+            slots += any(src != j for j, src in enumerate(sources))
+    assert slots > 5 and changed > 10
+
+
+def test_equal_matrices_from_different_routes_are_equal_and_hash_equal():
+    m = Mat.from_rows([[1, 2], [3, 4]])
+    half = Mat.from_rows([[F(1, 2), 1], [F(3, 2), 2]])
+    routes = [
+        half,
+        m.scale(F(1, 2)),
+        (m + m).scale(F(1, 4)),
+        m * Mat.identity(2).scale(F(1, 2)),
+        Mat.identity(2).scale(F(1, 2)) * m,
+        inverse(inverse(half)),
+        -(-half),
+        half - Mat.zeros(2, 2),
+        Mat.from_columns([(F(1, 2), F(3, 2)), (ONE, F(2))]),
+        Mat.from_entries(2, 2, ((F(2, 4), F(3, 3)), (F(6, 4), F(8, 4)))),
+        Mat._from_integers([[2, 4], [6, 8]], 2, 4),
+        Mat._from_integers([[3, 6], [9, 12]], 2, 6),
+    ]
+    assert all(r == half for r in routes)
+    assert {hash(r) for r in routes} == {hash(half)}
+    assert len(set(routes)) == 1
+    assert all(r.integer_form == (2, ((1, 2), (3, 4))) for r in routes)
+    thirds = Mat.from_rows([[F(1, 3), F(-1, 6)], [0, F(5, 7)]])
+    zeros = [Mat.zeros(2, 2), thirds - thirds, thirds.scale(0), thirds * Mat.zeros(2, 2),
+             Mat._from_integers([[0, 0], [0, 0]], 2, 42), Mat.from_rows([[0, 0], [0, 0]])]
+    assert len(set(zeros)) == 1
+    assert all(z.integer_form == (1, ((0, 0), (0, 0))) and z.is_zero() for z in zeros)
+    assert Mat.zeros(0, 3) != Mat.zeros(3, 0)
+    assert half != m and hash(half) != hash(m)
+
+
+def test_integer_matrix_routes_make_no_fraction(monkeypatch):
+    """identity, products, powers, inverse, the trial algebras, the slot maps
+    and the derivation samplers make no Fraction; a basis change makes only
+    its new unit."""
+    rng = random.Random(8)
+    recipes = []
+    while len(recipes) < 2:
+        recipe = random_recipe(rng, 5)
+        if len(recipe.blocks) > 1:
+            recipes.append(recipe)
+    m = Mat.from_rows([[F(1, 2), F(-1, 3), 0], [2, F(5, 4), 1], [0, F(1, 6), F(7, 2)]])
+    t = Mat.from_rows([[1, 2, 0, -1], [0, 1, 1, 0], [F(1, 2), 0, 1, 0], [0, 0, 0, 3]])
+    m2, c3 = matrix_algebra(2), cyclic_group_algebra(3)
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and len(made) == 1
+    made.clear()
+
+    assert Mat.identity(4).integer_form[0] == 1
+    assert (m * m).power(3) * m.power(0) == m.power(6)
+    assert inverse(m) * m == Mat.identity(3)
+    assert direct_product(m2, c3).dim == 7
+    assert len(derivation_space(m2)) == 3
+    assert nilpotent_derivations(m2, random.Random(1), 3)
+    for recipe in recipes:
+        sources = list(range(len(recipe.blocks)))
+        slot_endomorphism(recipe, sources, [maps[-1] for maps in recipe.slot_maps])
+    assert made == []
+    changed = change_of_basis(m2, t)
+    # only the new unit, t^-1 applied to the old one, is made of Fractions
+    assert 0 < len(made) <= sum(1 for x in changed.unit if x)

@@ -80,7 +80,7 @@ def test_integer_span_and_kernel_match_fraction_gauss_jordan():
         assert got.scale == denominator_lcm(want), rows
         assert got.pivots() == pivots
         null = _integer_kernel([list(row) for row in rows], n)
-        want = ref_kernel_basis(Mat(len(rows), n, tuple(map(tuple, fractions(rows)))))
+        want = ref_kernel_basis(Mat.from_entries(len(rows), n, tuple(map(tuple, fractions(rows)))))
         assert null.basis == want, rows
         assert null.scale == denominator_lcm(want), rows
     assert negative >= 20 and full >= 20 and empty >= 2
