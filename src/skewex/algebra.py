@@ -2,15 +2,15 @@
 
 An Algebra is its structure constants c[i][j][k], with e_i e_j =
 sum_k c[i][j][k] e_k, plus a distinguished unit vector.  The constants are
-kept as one table of the nonzero ones, integers over a common scale; products
-and the associativity and ideal checks all sum over it in one integer loop.
-The dense tensor sc is a view of that table, built on first read unless the
-constructor was given it.  make_algebra and the extension quotient in
-_extension certify a table alike: the two-sided unit law, then the
-associators (e_i, y, e_k) at elements y whose left-normed words span it
-(_first_nonassociative_at), e_g for g in Algebra.generators here and the
-embedded generators and u there.  So any Algebra in circulation is
-genuinely an associative unital algebra.
+kept as one table of the nonzero ones, integers over a common scale, and a
+dense table given to the constructor is converted and dropped.  Products,
+traces, the center and the associativity and ideal checks all sum over that
+table in integer loops; the dense tensor sc is a view of it, formed only on
+a read.  make_algebra and the extension quotient in _extension certify a
+table alike: the two-sided unit law, then the associators (e_i, y, e_k) at
+elements y whose left-normed words span it (_first_nonassociative_at), e_g
+for g in Algebra.generators here and the embedded generators and u there.
+So any Algebra in circulation is genuinely an associative unital algebra.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -39,6 +39,7 @@ from .linalg import (
     ZERO,
     ONE,
     _IntegerEchelon,
+    _common_scale_rows,
     _integer_kernel,
     _integer_row,
     _integer_rref,
@@ -46,7 +47,6 @@ from .linalg import (
     _rational_row,
     inverse,
     is_zero_vec,
-    kernel,
     power_reduction_table,
     unit_vec,
     vec,
@@ -63,14 +63,27 @@ Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 IntegerTable = tuple[int, Table]
 
 
+class _Scaled(NamedTuple):
+    """Structure constants cells[i][j][k] / scale, as dense integer cells."""
+
+    scale: int
+    cells: Sequence[Sequence[Sequence[int]]]
+
+
 def _integer_table(sc) -> IntegerTable:
-    """The structure constants of a dense table as integers over one common scale."""
-    scale = lcm(*{c.denominator for row in sc for product in row for c in product if c})
-    return scale, tuple(
-        tuple(tuple((k, c.numerator * (scale // c.denominator)) for k, c in enumerate(product) if c)
-              for product in row)
-        for row in sc
-    )
+    """The canonical integer table of a dense table of rationals or of a
+    _Scaled one: the cells and the scale divided by their gcd are the
+    integers over the lcm of the denominators of the constants."""
+    if not isinstance(sc, _Scaled):
+        n = len(sc)
+        scale, ints = _common_scale_rows([vec(cell) for row in sc for cell in row])
+        sc = _Scaled(scale, [ints[i * n:(i + 1) * n] for i in range(n)])
+    table = tuple(tuple(tuple(_nonzero(cell)) for cell in row) for row in sc.cells)
+    common = gcd(sc.scale, *(x for row in table for cell in row for _, x in cell))
+    if common > 1:
+        table = tuple(tuple(tuple((k, x // common) for k, x in cell) for cell in row)
+                      for row in table)
+    return sc.scale // common, table
 
 
 def _nonzero(row: Sequence[int]) -> list[tuple[int, int]]:
@@ -155,56 +168,39 @@ class _LeftWords:
 class Algebra:
     """Validated structure-constant algebra; immutable by convention.
 
-    integer_sc is the algebra: (L, table), where table[i][j] holds e_i * e_j
-    as its nonzero (k, L c) pairs in ascending k, L the lcm of the
-    denominators of all the constants.  multiply scales both factors to
-    integers and walks only those pairs and the nonzero entries of the
-    factors, so its cost follows the number of nonzero constants (n^3 of the
-    n^6 for M_n) rather than dim^3, and it makes one Fraction per nonzero
-    entry of the product.  sc[i][j], the dense coordinate vector of e_i * e_j,
-    is a view: the constructor keeps the dense table it is given, and a table
-    built in integers, as the extension quotient builds it, forms sc only
-    when something reads it.  The regular trace is linear, so trace_vector,
-    the traces of the basis elements, is built once on first use and
-    trace_of is a dot product with it.
+    An Algebra is (dim, integer_sc, unit, labels).  integer_sc is (L, table),
+    where table[i][j] holds e_i * e_j as its nonzero (k, L c) pairs in
+    ascending k, L the lcm of the denominators of all the constants.
+    multiply scales both factors to integers and walks only those pairs and
+    the nonzero entries of the factors, so its cost follows the number of
+    nonzero constants (n^3 of the n^6 for M_n) rather than dim^3, and it
+    makes one Fraction per nonzero entry of the product.  sc[i][j], the dense
+    coordinate vector of e_i * e_j, is a view formed only when something
+    reads it; nothing in the package does.  The regular trace is linear, so
+    integer_trace, the traces of the basis elements over L, is built once on
+    first use and trace_of is a dot product with it.
     """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
-        self.dim = dim
-        self.sc: tuple[tuple[Vec, ...], ...] = tuple(
-            tuple(vec(sc[i][j]) for j in range(dim)) for i in range(dim)
-        )
-        if any(len(v) != dim for row in self.sc for v in row):
+        """sc is dim x dim cells of dim rationals each, or a _Scaled table."""
+        cells = sc.cells if isinstance(sc, _Scaled) else sc
+        if len(cells) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
+                                    for row in cells):
             raise DimensionMismatch("structure constants differ from dimension")
-        self.integer_sc = _integer_table(self.sc)
+        self.dim = dim
+        self.integer_sc = _integer_table(sc)
         self.unit: Vec = vec(unit)
-        self.labels: tuple[str, ...] = tuple(labels) if labels else tuple(
-            f"e{i}" for i in range(dim)
-        )
+        self.labels: tuple[str, ...] = (tuple(labels) if labels
+                                         else tuple(f"e{i}" for i in range(dim)))
         if len(self.labels) != dim:
             raise DimensionMismatch("label count differs from dimension")
 
     @classmethod
     def _from_integer_table(cls, scale: int, cells: Sequence[Sequence[Sequence[int]]],
-                            unit: Vec, labels: Sequence[str]) -> "Algebra":
+                            unit: Vec, labels: Optional[Sequence[str]] = None) -> "Algebra":
         """The algebra with constants cells[i][j][k] / scale, built from the
-        integers without re-reading them as Fractions.
-
-        Dividing by c = gcd(scale, all cells) gives the integer table that
-        __init__ would build, since scale / c is the lcm of the denominators
-        of the constants.  No dense sc is formed here.
-        """
-        table = tuple(tuple(tuple(_nonzero(cell)) for cell in row) for row in cells)
-        common = gcd(scale, *(x for row in table for cell in row for _, x in cell))
-        if common > 1:
-            table = tuple(tuple(tuple((k, x // common) for k, x in cell) for cell in row)
-                          for row in table)
-        algebra = cls.__new__(cls)
-        algebra.dim = len(cells)
-        algebra.integer_sc = scale // common, table
-        algebra.unit = unit
-        algebra.labels = tuple(labels)
-        return algebra
+        integers without forming a Fraction constant."""
+        return cls(len(cells), _Scaled(scale, cells), unit, labels)
 
     @cached_property
     def sc(self) -> tuple[tuple[Vec, ...], ...]:
@@ -274,17 +270,13 @@ class Algebra:
         return tuple(sum(x for j, cell in enumerate(row) for k, x in cell if k == j)
                      for row in self.integer_sc[1])
 
-    @cached_property
-    def trace_vector(self) -> Vec:
-        """t_i = sum_j c[i][j][j], the regular trace of e_i."""
-        scale = self.integer_sc[0]
-        return tuple(Fraction(t, scale) for t in self.integer_trace)
-
     def trace_of(self, x: Vec) -> Fraction:
-        """Trace of left multiplication by x, read off the trace vector: sum x_i t_i."""
+        """Trace of left multiplication by x, sum x_i t_i: with x = X / Lx, the
+        dot product of X with integer_trace over L Lx."""
         if len(x) != self.dim:
             raise DimensionMismatch("element length differs from algebra dimension")
-        return sum((a * t for a, t in zip(x, self.trace_vector) if a), ZERO)
+        lx, xs = _integer_row(x)
+        return Fraction(sum(map(mul, xs, self.integer_trace)), self.integer_sc[0] * lx)
 
     def is_commutative(self) -> bool:
         """Whether e_i e_j = e_j e_i for all i < j; the integer cells share
@@ -538,35 +530,54 @@ def radical(algebra: Algebra) -> Subspace:
 
 
 def center(algebra: Algebra) -> Subspace:
-    """Elements commuting with everything: mu(x) = rho(x)."""
+    """Elements x with x e_g = e_g x for every g in Algebra.generators.
+
+    The elements that commute with a fixed x form a unital subalgebra, so x
+    is central once it commutes with the generators.  Row (g, r) of the
+    system holds the r-th coordinate of x e_g - e_g x as a function of x, L
+    times c[k][g][r] - c[g][k][r] in column k, read off the integer table.
+    """
     n = algebra.dim
+    table = algebra.integer_sc[1]
     rows = []
-    for r in range(n):
-        for c in range(n):
-            # coefficient of x_k in (mu(x) - rho(x))[r][c]
-            rows.append([algebra.sc[k][c][r] - algebra.sc[c][k][r] for k in range(n)])
-    return kernel(Mat.from_rows(rows))
+    for g in algebra.generators:
+        block = [[0] * n for _ in range(n)]
+        for k in range(n):
+            for r, x in table[k][g]:
+                block[r][k] += x
+            for r, x in table[g][k]:
+                block[r][k] -= x
+        rows += block
+    return _integer_kernel(rows, n)
 
 
 def subalgebra_as_algebra(algebra: Algebra, subspace: Subspace) -> tuple[Algebra, Mat]:
     """Present a unital multiplicatively closed subspace as an Algebra.
 
     Returns the small algebra plus the inclusion matrix whose columns are the
-    subspace basis in ambient coordinates.
+    subspace basis in ambient coordinates.  The basis is the reduced echelon
+    one, R = rows() / Ls, so an element of the subspace has the coordinates
+    it holds at the pivots; with the constants C / L, the product of rows i
+    and j over the integer table is L Ls^2 times b_i b_j, and a nonzero
+    residual shows the subspace is not closed.
     """
-    basis = subspace.basis
+    if subspace.ambient_dim != algebra.dim:
+        raise DimensionMismatch("subspace lives in the wrong space")
+    scale, table = algebra.integer_sc
+    rows = subspace.rows()
     pivots = subspace.pivots()
 
-    def coords(v: Vec) -> Vec:
-        if not subspace.contains(v):
+    def coords(w: list[int]) -> list[int]:
+        if any(subspace.residual(w)):
             raise SkewexError("subspace is not multiplicatively closed")
-        return tuple(v[p] for p in pivots)
+        return [w[p] for p in pivots]
 
-    d = len(basis)
-    sc = [[coords(algebra.multiply(basis[i], basis[j])) for j in range(d)] for i in range(d)]
-    unit = coords(algebra.unit)
-    small = make_algebra(d, sc, unit)
-    return small, Mat.from_columns(list(basis))
+    xs = [_nonzero(row) for row in rows]
+    cells = [[coords(_integer_product(table, x, y)) for y in xs] for x in xs]
+    unit_scale, unit = _integer_row(algebra.unit)
+    small = _validated(Algebra._from_integer_table(
+        scale * subspace.scale ** 2, cells, _rational_row(coords(unit), unit_scale)))
+    return small, Mat._from_integers(list(zip(*rows)), len(rows), subspace.scale)
 
 
 SIMPLE = "simple"
@@ -609,29 +620,29 @@ def is_simple(algebra: Algebra) -> tuple[str, Optional[Subspace]]:
 # Builders for the test corpus.  Each documents its basis order.
 # ---------------------------------------------------------------------------
 
+def _matrix_units(n: int, positions: Sequence[tuple[int, int]]) -> Algebra:
+    """The span of the n x n matrix units E_ij at the positions, in that
+    order, with E_ij E_kl = [j = k] E_il; the positions must hold every
+    (i, l) such a product reaches and every (i, i)."""
+    index = {pos: k for k, pos in enumerate(positions)}
+    dim = len(positions)
+    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), a in index.items():
+        for (k, l), b in index.items():
+            if j == k:
+                cells[a][b][index[i, l]] = 1
+    unit = [ZERO] * dim
+    for i in range(n):
+        unit[index[i, i]] = ONE
+    labels = [f"E{i + 1}{j + 1}" for i, j in positions]
+    return _validated(Algebra._from_integer_table(1, cells, unit, labels))
+
+
 def matrix_algebra(n: int) -> Algebra:
     """Full matrix algebra with matrix-unit basis E_ij, row-major order."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    dim = n * n
-
-    def idx(i: int, j: int) -> int:
-        return i * n + j
-
-    sc = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        target = [ZERO] * dim
-                        target[idx(i, l)] = ONE
-                        sc[idx(i, j)][idx(k, l)] = tuple(target)
-    unit = [ZERO] * dim
-    for i in range(n):
-        unit[idx(i, i)] = ONE
-    labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return make_algebra(dim, sc, unit, labels)
+    return _matrix_units(n, [(i, j) for i in range(n) for j in range(n)])
 
 
 def poly_quotient(f: Poly) -> Algebra:
@@ -650,9 +661,9 @@ def cyclic_group_algebra(m: int) -> Algebra:
     """Group algebra of the cyclic group of order m, basis g^0 .. g^(m-1)."""
     if m < 1:
         raise ValueError("group order must be >= 1")
-    sc = [[unit_vec((i + j) % m, m) for j in range(m)] for i in range(m)]
+    cells = [[[int(k == (i + j) % m) for k in range(m)] for j in range(m)] for i in range(m)]
     labels = [f"g^{i}" if i > 1 else ("g" if i == 1 else "1") for i in range(m)]
-    return make_algebra(m, sc, unit_vec(0, m), labels)
+    return _validated(Algebra._from_integer_table(1, cells, unit_vec(0, m), labels))
 
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
@@ -678,21 +689,7 @@ def upper_triangular(n: int) -> Algebra:
     """Upper-triangular matrices, basis E_ij with i <= j in row-major order."""
     if n < 1:
         raise ValueError("matrix size must be >= 1")
-    positions = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {pos: k for k, pos in enumerate(positions)}
-    dim = len(positions)
-    sc = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for (i, j), a_idx in index.items():
-        for (k, l), b_idx in index.items():
-            if j == k:
-                target = [ZERO] * dim
-                target[index[(i, l)]] = ONE
-                sc[a_idx][b_idx] = tuple(target)
-    unit = [ZERO] * dim
-    for i in range(n):
-        unit[index[(i, i)]] = ONE
-    labels = [f"E{i + 1}{j + 1}" for (i, j) in positions]
-    return make_algebra(dim, sc, unit, labels)
+    return _matrix_units(n, [(i, j) for i in range(n) for j in range(i, n)])
 
 
 def change_of_basis(algebra: Algebra, t: Mat) -> Algebra:

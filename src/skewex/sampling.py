@@ -147,11 +147,11 @@ def substitution_endos(algebra: Algebra,
     (projections onto scalars matter for t^2 - t style blocks).
 
     On that basis the algebra is Q[t]/(f), with f(t) = t^n - r(t) and r(t)
-    the coordinates of t^n = t^(n-1) t, which are sc[n-1][1].  By the
-    universal property of Q[t]/(f), the unital map with columns
-    1, g, ..., g^(n-1) is multiplicative exactly when f(g) = 0, that is when
-    g^n is the map's image of t^n.  A candidate is kept on that one
-    comparison, without a multiplicativity check.
+    the coordinates of t^n = t^(n-1) t.  By the universal property of
+    Q[t]/(f), the unital map with columns 1, g, ..., g^(n-1) is
+    multiplicative exactly when f(g) = 0, that is when g^n is the map's
+    image of t^n.  A candidate is kept on that one comparison, without a
+    multiplicativity check.
     """
     n = algebra.dim
     if n < 2 or not _looks_monogenic(algebra):
@@ -159,7 +159,7 @@ def substitution_endos(algebra: Algebra,
     grid = [(ZERO,) + coeffs
             for coeffs in iter_product([rat(c) for c in coeff_choices], repeat=n - 1)]
     scalars = [(c0,) + zero_vec(n - 1) for c0 in (ZERO, ONE)]
-    t_power_n = algebra.sc[n - 1][1]
+    t_power_n = algebra.multiply(algebra.basis_element(n - 1), algebra.basis_element(1))
     out = []
     seen = set()
     for g in grid + scalars:

@@ -6,6 +6,7 @@ import pytest
 from skewex.algebra import (
     NOT_SIMPLE,
     SIMPLE,
+    Algebra,
     center,
     change_of_basis,
     cyclic_group_algebra,
@@ -58,6 +59,26 @@ def test_make_algebra_rejects_short_structure_constants():
     sc = [[[1, 0], [0, 1]], [[0, 1], [0]]]
     with pytest.raises(DimensionMismatch):
         make_algebra(2, sc, [1, 0])
+
+
+def test_make_algebra_rejects_tables_of_the_wrong_shape():
+    # Q[t]/(t^2); each table below misses or adds a row, a cell or an entry,
+    # which must raise DimensionMismatch rather than an IndexError or be dropped
+    good = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+    assert make_algebra(2, good, [1, 0]).integer_sc == (1, ((((0, 1),), ((1, 1),)),
+                                                            (((1, 1),), ())))
+    wrong = {
+        "too few rows": good[:1],
+        "too few cells": [row[:1] for row in good],
+        "an extra row": good + [[[0, 0], [0, 0]]],
+        "an extra cell": [good[0] + [[0, 0]], good[1]],
+        "an extra entry": [[[1, 0, 0], [0, 1]], good[1]],
+    }
+    for label, sc in wrong.items():
+        with pytest.raises(DimensionMismatch):
+            make_algebra(2, sc, [1, 0])
+        with pytest.raises(DimensionMismatch):
+            Algebra(2, sc, [1, 0])
 
 
 def test_matrix_units_multiplication(m2):

@@ -589,7 +589,7 @@ def test_trace_of_matches_left_regular_trace(trace_corpus):
             assert type(got) is Fraction
             assert got == algebra.left_regular(x).trace(), (name, x)
     m2 = trace_corpus["m2"]
-    assert m2.trace_vector == (2, 0, 0, 2)
+    assert m2.integer_sc[0] == 1 and m2.integer_trace == (2, 0, 0, 2)
     with pytest.raises(DimensionMismatch):
         m2.trace_of((F(1),))
 

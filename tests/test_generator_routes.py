@@ -6,7 +6,7 @@ and u once their words span the extension's table, that embed is
 multiplicative on the pairs (1, e_j) and (e_g, e_j) and that u realizes the
 twist on G; derivation_space solves the product rule on the pairs (e_g, e_j)
 plus D(1) = 0, and is_derivation checks it on the pairs (1, e_j) and
-(e_g, e_j).  Each is compared with the full basis loop it replaces on the
+(e_g, e_j); center solves x e_g = e_g x.  Each is compared with the full basis loop it replaces on the
 test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
 show what each part of the argument is for: the unit checks and rows, the
 D(1) = 0 rows, a G that spans, and u among the verifier's generators.
@@ -22,9 +22,13 @@ from free_model_oracle import integer_tables
 from skewex import _extension
 from skewex.algebra import (
     _first_nonassociative_at,
+    center,
+    change_of_basis,
+    direct_product,
     matrix_algebra,
     poly_quotient,
     subalgebra_generated,
+    upper_triangular,
 )
 from skewex.errors import AssociativityFails, SkewexError
 from skewex.explorer import random_basis_change, random_recipe
@@ -33,6 +37,7 @@ from skewex.linalg import (
     Mat,
     Poly,
     _integer_kernel,
+    kernel,
     solve,
     span,
     vec_add,
@@ -188,6 +193,48 @@ def test_the_unit_rows_are_needed(q_times_q):
     assert derivation_space(q_times_q) == []
     rational = poly_quotient(Poly.of([0, 1]))
     assert rational.generators == () and derivation_space(rational) == []
+
+
+# -- center --------------------------------------------------------------------
+
+def centralizer(algebra, indices):
+    """The kernel of the Fraction system x e_c = e_c x for c in indices,
+    read off the dense table: n rows per index."""
+    n = algebra.dim
+    sc = algebra.sc
+    return kernel(Mat.from_rows([[sc[k][c][r] - sc[c][k][r] for k in range(n)]
+                                 for r in range(n) for c in indices]))
+
+
+def center_cases(corpus):
+    """The corpus, T_3, T_2 x T_2 in two bases and 50 explorer algebras
+    after a basis change."""
+    t2_squared = direct_product(upper_triangular(2), upper_triangular(2))
+    perm = [0, 2, 3, 5, 4, 1]
+    cases = [*corpus.items(), ("t3", upper_triangular(3)), ("t2xt2", t2_squared),
+             ("t2xt2 permuted", change_of_basis(t2_squared, Mat.from_rows(
+                 [[int(perm[j] == i) for j in range(6)] for i in range(6)])))]
+    for seed in range(50):
+        rng = random.Random(20_000 + seed)
+        algebra = random_recipe(rng, 4).algebra
+        changed = random_basis_change(algebra, rng)
+        assert changed is not algebra, seed
+        cases.append((f"explore{seed}", changed))
+    return cases
+
+
+def test_center_on_generators_matches_the_whole_basis_system(corpus):
+    cases = center_cases(corpus)
+    needed = set()
+    for name, algebra in cases:
+        got = center(algebra)
+        assert got == centralizer(algebra, range(algebra.dim)), name
+        gens = algebra.generators
+        if len(gens) > 1:
+            needed.update(p for p in range(len(gens))
+                          if centralizer(algebra, gens[:p] + gens[p + 1:]) != got)
+    # leaving any one generator out of the system changes some center
+    assert needed == set(range(max(len(algebra.generators) for _, algebra in cases)))
 
 
 # -- multiplicativity and the twist ------------------------------------------

@@ -7,7 +7,9 @@ function can outlive its last caller; these tests read the syntax trees
 instead.  The package's __init__.py exists to re-export names, so it is
 exempt from the import check.  A definition counts as referenced when its
 name is read, imported or taken as an attribute in src/, tests/ or
-perfbench/.
+perfbench/.  No module of the package touches an attribute named sc: an
+Algebra is its integer table, and the dense Fraction view Algebra.sc, whose
+definition is a method and no attribute access, is for tests and tools.
 """
 
 import ast
@@ -112,3 +114,24 @@ def test_every_definition_is_referenced():
         if names:
             unreferenced[path.name] = names
     assert unreferenced == {}
+
+
+def dense_table_accesses(source: str) -> list[int]:
+    """Lines that read or write an attribute named sc."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "sc")
+
+
+def test_detector_flags_a_dense_table_access():
+    source = ("class A:\n    @cached_property\n    def sc(self):\n        return ()\n"
+              "t = a.sc[0][1]\nself.sc = t\nf'{where}.sc'\n")
+    assert dense_table_accesses(source) == [5, 6]
+
+
+def test_no_module_touches_the_dense_table():
+    accesses = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = dense_table_accesses(path.read_text(encoding="utf-8"))
+        if lines:
+            accesses[path.name] = lines
+    assert accesses == {}
