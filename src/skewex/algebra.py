@@ -421,16 +421,22 @@ def ideal_closure(algebra: Algebra, gens: Sequence[Vec], side: str = "two") -> S
     """
     if side not in ("left", "right", "two"):
         raise ValueError(f"unknown side {side!r}")
-    n = algebra.dim
-    if any(len(g) != n for g in gens):
+    if any(len(g) != algebra.dim for g in gens):
         raise DimensionMismatch("element length differs from algebra dimension")
+    return _integer_ideal(algebra, [_integer_row(g)[1] for g in gens], side)
+
+
+def _integer_ideal(algebra: Algebra, gens: Sequence[Sequence[int]], side: str) -> Subspace:
+    """ideal_closure of the generators given as integer rows, any nonzero
+    multiples of the rational ones."""
+    n = algebra.dim
     table = algebra.integer_sc[1]
 
     def products(rows: Sequence[list[tuple[int, int]]], left: bool) -> list[list[int]]:
         return [_integer_product(table, [(a, 1)], g) if left else
                 _integer_product(table, g, [(a, 1)]) for g in rows for a in range(n)]
 
-    rows = [_nonzero(_integer_row(g)[1]) for g in gens]
+    rows = [_nonzero(g) for g in gens]
     if side == "two":
         lefts = [row for row in products(rows, True) if any(row)]
         rank = len(_integer_rref(lefts))

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
 All results are exact: rank, kernel and minimal-polynomial computations
-never see rounding.  Vectors are plain tuples of `fractions.Fraction`;
-matrices and subspaces are small immutable wrappers stored in integers, in
-canonical forms, which makes equality a structural comparison.  A Mat's
-Fraction entries and a Subspace's Fraction basis are views for the boundary.
+never see rounding.  Vectors at the public boundary are plain tuples of
+`fractions.Fraction`; matrices, subspaces and the skew polynomials of ore.py
+and laurent.py are small immutable wrappers stored in integers, in canonical
+forms (_canonical_form), which makes equality a structural comparison.  A
+Mat's Fraction entries and a Subspace's Fraction basis are views for the
+boundary.
 
 Fractions are the boundary, integers the inside.  Elimination scales each
 row to integers by the lcm of its denominators and runs Gauss-Jordan without
@@ -99,12 +101,8 @@ class Mat:
 
     @staticmethod
     def _from_integers(ints: Sequence[Sequence[int]], cols: int, scale: int) -> "Mat":
-        """The matrix ints / scale, scale > 0: both divided by g = gcd(scale, ints)
-        give its integer form."""
-        g = gcd(scale, *(x for row in ints for x in row))
-        if g != 1:
-            ints = [[x // g for x in row] for row in ints]
-        return Mat(len(ints), cols, (scale // g, tuple(map(tuple, ints))))
+        """The matrix ints / scale, scale > 0, in its integer form."""
+        return Mat(len(ints), cols, _canonical_form(ints, scale))
 
     @staticmethod
     def from_entries(rows: int, cols: int, entries: Sequence[Sequence[Fraction]]) -> "Mat":
@@ -145,7 +143,7 @@ class Mat:
             raise DimensionMismatch(f"expected length {self.cols}, got {len(v)}")
         scale, ints = self.integer_form
         lv, w = _integer_row(v)
-        return _rational_row([sum(map(mul, row, w)) for row in ints], scale * lv)
+        return _rational_row(_integer_apply(ints, w), scale * lv)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._combine(other, 1)
@@ -199,6 +197,16 @@ class Mat:
         return not any(map(any, self.integer_form[1]))
 
 
+def _canonical_form(ints: Sequence[Sequence[int]], scale: int
+                    ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(s, B) for the rational rows ints / scale, scale > 0: both divided by
+    g = gcd(scale, ints), so gcd(s, B) = 1 and equal rows give equal forms."""
+    g = gcd(scale, *(x for row in ints for x in row))
+    if g != 1:
+        return scale // g, tuple(tuple(x // g for x in row) for row in ints)
+    return scale, tuple(map(tuple, ints))
+
+
 def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(L, L * row) for L the lcm of the row's denominators."""
     scale = lcm(*(x.denominator for x in row))
@@ -209,6 +217,16 @@ def _common_scale_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[li
     """(L, L * rows) for L the lcm of the denominators of all the rows."""
     scale = lcm(*(x.denominator for row in rows for x in row))
     return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+
+
+def _integer_apply(ints: Sequence[Sequence[int]], w: Sequence[int]) -> list[int]:
+    """The product of the integer matrix given by its rows and the integer vector w."""
+    return [sum(map(mul, row, w)) for row in ints]
+
+
+def _equal_rows(x: Sequence[int], x_scale: int, y: Sequence[int], y_scale: int) -> bool:
+    """Whether x / x_scale = y / y_scale, compared cross-multiplied."""
+    return all(a * y_scale == b * x_scale for a, b in zip(x, y))
 
 
 def _rational_row(ints: Sequence[int], scale: int) -> Vec:

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from ._extension import ExtensionResult
-from .algebra import Algebra, make_algebra
+from .algebra import Algebra, _validated
 from .errors import ParseError, SkewexError, ValidationError
 from .idempotents import IdempotentSet
-from .linalg import Mat, Poly, Vec, zero_vec
+from .linalg import Mat, Poly, Vec
 from .maps import AlgebraEndo, Derivation, EDerivation, LinearEndo
 
 ROLES = ("derivation", "endomorphism", "ederivation")
@@ -119,11 +119,11 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
     if len(labels) != dim:
         raise ParseError(f"'labels' length differs from dim at {where}")
     unit = vector_from_json(data.get("unit"), dim, f"{where}.unit")
-    sc = [[list(zero_vec(dim)) for _ in range(dim)] for _ in range(dim)]
     entries = data.get("sc", [])
     if not isinstance(entries, list):
         raise ParseError(f"'sc' must be a list at {where}")
     first = {}  # the position of the entry that set each cell
+    values = {}
     for pos, entry in enumerate(entries):
         if not isinstance(entry, list) or len(entry) != 4:
             raise ParseError(f"'sc' entry {pos} must be [i, j, k, value] at {where}")
@@ -134,9 +134,14 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
         if first.setdefault((i, j, k), pos) != pos:
             raise ParseError(f"'sc' entries {first[i, j, k]} and {pos} both set ({i}, {j}, {k}) "
                              f"at {where}")
-        sc[i][j][k] = parse_fraction(value, f"{where}.sc[{pos}]")
+        values[i, j, k] = parse_fraction(value, f"{where}.sc[{pos}]")
+    # integer cells over the lcm of the denominators, as make_algebra would build them
+    scale = lcm(*(x.denominator for x in values.values()))
+    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), x in values.items():
+        cells[i][j][k] = x.numerator * (scale // x.denominator)
     try:
-        return make_algebra(dim, sc, unit, labels)
+        return _validated(Algebra._from_integer_table(scale, cells, unit, labels))
     except SkewexError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 

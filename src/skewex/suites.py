@@ -499,17 +499,17 @@ def suite_lemma(ctx: SuiteContext) -> list[CheckRecord]:
 
     def conjugation_coherence() -> tuple[str, dict]:
         checked = 0
+        # X^k, X^-k and each basis constant, built once and shared by every phi
+        powers = {k: (LaurentSkewPoly.x(algebra, k), LaurentSkewPoly.x(algebra, -k))
+                  for k in range(-4, 5)}
+        basis = [algebra.basis_element(a_idx) for a_idx in range(algebra.dim)]
+        constants = [LaurentSkewPoly.constant(algebra, a) for a in basis]
         for phi in ctx.automorphisms()[:4]:
-            for k in range(-4, 5):
-                for a_idx in range(algebra.dim):
-                    a = algebra.basis_element(a_idx)
-                    lhs = laurent_mul(
-                        laurent_mul(LaurentSkewPoly.x(algebra, k),
-                                    LaurentSkewPoly.constant(algebra, a), phi),
-                        LaurentSkewPoly.x(algebra, -k), phi,
-                    )
+            for k, (xk, xmk) in powers.items():
+                for a_idx, (a, constant) in enumerate(zip(basis, constants)):
+                    lhs = laurent_mul(laurent_mul(xk, constant, phi), xmk, phi)
                     expected = LaurentSkewPoly.constant(algebra, conjugate_by_x(a, k, phi))
-                    if lhs.terms != expected.terms:
+                    if lhs != expected:
                         return FAIL, {"k": k, "basis": a_idx}
                     checked += 1
         return PASS, {"instances": checked}

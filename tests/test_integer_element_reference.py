@@ -2,15 +2,16 @@
 
 The reference functions below are ideal_closure (all three sides),
 power_span, ms_witness_check, the unit-law check, the regular
-representations, skew_mul with its single rewrite step and
-nilpotent_derivations as they were before their vectors became integer rows.
+representations and nilpotent_derivations as they were before their
+vectors became integer rows; skew_mul is checked against the rewriter of
+rewrite_oracle, which steps X once per degree.
 Their products are summed over the dense Fraction structure constants and
 their spans come from a Fraction Gauss-Jordan elimination, so they share no
 code with the integer kernel.  The library must agree with them exactly on
 the test corpus (M_3 included) and on 24 seeded explorer algebras after a
 basis change, for inputs with denominators, zero generators and zero
-elements.  A last test makes sure that the integer routines do no Fraction
-arithmetic.
+elements.  A last test makes sure that the integer routines, skew_mul,
+laurent_mul and a whole lemma_suite run do no Fraction arithmetic.
 """
 
 import functools
@@ -29,6 +30,7 @@ from skewex.algebra import (
     make_algebra,
     matrix_algebra,
     radical,
+    upper_triangular,
 )
 from skewex.errors import DimensionMismatch, UnitFails
 from skewex.idempotents import _witness_probe, ms_witness_check, power_span
@@ -42,10 +44,13 @@ from skewex.linalg import (
     zero_subspace,
     zero_vec,
 )
-from skewex.maps import Derivation, derivation_space, inner_derivation
+from skewex.laurent import LaurentSkewPoly, laurent_mul
+from skewex.maps import Derivation, derivation_space, inner_automorphism, inner_derivation
 from skewex.ore import SkewPoly, ore_quotient, skew_mul
 from skewex.sampling import nilpotent_derivations
-from test_matrix_kernel_reference import explorer_algebras, ref_apply, ref_multiply
+from skewex.suites import SuiteContext, suite_lemma
+from rewrite_oracle import ref_laurent_mul, ref_skew_mul
+from test_matrix_kernel_reference import explorer_algebras, ref_multiply
 
 F = Fraction
 SIDES = ("left", "right", "two")
@@ -134,33 +139,6 @@ def ref_regular(algebra, x, left):
     cols = [ref_multiply(algebra, x, algebra.basis_element(j)) if left else
             ref_multiply(algebra, algebra.basis_element(j), x) for j in range(algebra.dim)]
     return Mat.from_columns(cols)
-
-
-def ref_x_step(algebra, d_matrix, coeffs):
-    """One application of the rewrite: X * (sum c_p X^p)."""
-    out = [zero_vec(algebra.dim) for _ in range(len(coeffs) + 1)]
-    for p, c in enumerate(coeffs):
-        if not any(c):
-            continue
-        out[p + 1] = tuple(x + y for x, y in zip(out[p + 1], c))
-        out[p] = tuple(x + y for x, y in zip(out[p], ref_apply(d_matrix, c)))
-    while out and not any(out[-1]):
-        out.pop()
-    return out
-
-
-def ref_skew_mul(f, g, d):
-    algebra = f.algebra
-    acc = [zero_vec(algebra.dim) for _ in range(max(0, f.degree + g.degree + 1))]
-    current = list(g.coeffs)
-    for i in range(f.degree + 1):
-        a_i = f.coeff(i)
-        if any(a_i):
-            for p, c in enumerate(current):
-                if any(c):
-                    acc[p] = tuple(x + y for x, y in zip(acc[p], ref_multiply(algebra, a_i, c)))
-        current = ref_x_step(algebra, d.matrix, current)
-    return SkewPoly.of(algebra, acc)
 
 
 def ref_nilpotent_derivations(algebra, rng, count, tries=200, derivations=None):
@@ -398,6 +376,16 @@ def test_the_zero_algebra():
 
 # -- no Fraction arithmetic -----------------------------------------------------------
 
+def warm_context(algebra, seed=0):
+    """A suite context whose derivations, automorphisms, their minimal
+    polynomials and their extensions are built, as the suites before
+    lemma_suite leave them in a run of all suites."""
+    ctx = SuiteContext(algebra, [], random.Random(seed))
+    for twist in ctx.derivations() + ctx.automorphisms():
+        ctx.extension(twist)
+    return ctx
+
+
 def test_integer_routines_do_no_fraction_arithmetic(monkeypatch):
     m2 = matrix_algebra(2)
     # two rank-one matrices, so the one-sided ideals are proper
@@ -412,6 +400,14 @@ def test_integer_routines_do_no_fraction_arithmetic(monkeypatch):
     powers = [ref_power_span(m2, x) for x in (a, nilpotent)]
     regular = [ref_regular(m2, a, True), ref_regular(m2, a, False)]
     product = ref_skew_mul(f, g, d)
+    phi = inner_automorphism(m2, (F(1, 2), F(1, 3), ZERO, F(2)))
+    lf = LaurentSkewPoly.of(m2, [(-2, gens[0]), (1, a), (0, nilpotent)])
+    lg = LaurentSkewPoly.of(m2, [(-1, a), (3, gens[1])])
+    laurent_product = ref_laurent_mul(lf, lg, phi)
+    algebras = [m2, upper_triangular(2)]
+    expected = [[(r.check, r.status, r.witness) for r in suite_lemma(warm_context(x))]
+                for x in algebras]
+    contexts = [warm_context(x) for x in algebras]
     counts = {"mul": 0, "add": 0}
 
     def counting(name, method):
@@ -431,7 +427,13 @@ def test_integer_routines_do_no_fraction_arithmetic(monkeypatch):
     assert ms_witness_check(m2, v, a, gens[0], gens[1], "left") == PASS
     assert [m2.left_regular(a), m2.right_regular(a)] == regular
     assert skew_mul(f, g, d).coeffs == product.coeffs
+    assert laurent_mul(lf, lg, phi).terms == laurent_product.terms
+    records = [suite_lemma(ctx) for ctx in contexts]
     assert counts == {"mul": 0, "add": 0}
+    assert [[(r.check, r.status, r.witness) for r in run] for run in records] == expected
+    assert all(r.status == PASS for run in records for r in run)
+    assert all(r.witness["instances"] > 0 for run in records for r in run
+               if r.check not in ("kernel_chain_preimage", "extension_embeddings"))
     assert [x.basis for x in closures] == ideals
     assert [(p.powers.basis, p.tail.basis) for p in spans] == powers
     assert [len(x) for x in ideals] == [2, 4, 2, 4, 4, 4]

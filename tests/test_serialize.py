@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewex.algebra import make_algebra
 from skewex.errors import ParseError, ValidationError
 from skewex.laurent import laurent_quotient
 from skewex.linalg import Mat
@@ -69,6 +70,31 @@ def test_algebra_round_trip(m2):
     assert back.sc == m2.sc
     assert back.unit == m2.unit
     assert back.labels == m2.labels
+
+
+def dense_table(data):
+    n = data["dim"]
+    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, value in data["sc"]:
+        sc[i][j][k] = parse_fraction(value)
+    return sc
+
+
+def test_loaded_integer_table_is_the_one_make_algebra_builds(corpus):
+    # Q[t]/(t^2 + 3/4 t - 1/6): constants over 6 and 4, integer cells over 12
+    mixed = {"dim": 2, "labels": ["1", "t"], "unit": ["1", "0"],
+             "sc": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1/6"],
+                    [1, 1, 1, "-3/4"]]}
+    files = [algebra_to_json(algebra) for algebra in corpus.values()] + [mixed]
+    assert files[list(corpus).index("m3")]["dim"] == 9
+    for data in files:
+        loaded = algebra_from_json(data)
+        built = make_algebra(data["dim"], dense_table(data),
+                             [parse_fraction(x) for x in data["unit"]], data["labels"])
+        assert loaded.integer_sc == built.integer_sc
+        assert (loaded.unit, loaded.labels) == (built.unit, built.labels)
+    assert loaded.integer_sc == (12, ((((0, 12),), ((1, 12),)), (((1, 12),), ((0, 2), (1, -9)))))
+    assert loaded.multiply((F(0), F(1)), (F(0), F(1))) == (F(1, 6), F(-3, 4))
 
 
 def test_algebra_sparse_entries_default_zero():
