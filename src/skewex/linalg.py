@@ -23,7 +23,8 @@ Sums, products, powers, inverses, echelon forms and polynomials in a matrix
 compute an integer pair (s, B) with M = B / s and divide both by
 gcd(s, B), which gives the stored form again and makes no Fraction; a
 matrix-vector product makes one Fraction per nonzero entry of the result.
-The nilpotency test makes no Fraction at all.
+The nilpotency test makes no Fraction at all, and the minimal polynomial
+makes Fractions only for the Poly it returns.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -834,17 +835,47 @@ def minimal_polynomial(m: Mat) -> Poly:
     V e_i = 0, f is already a multiple of mu_i.  Each step zeroes its column
     of V and keeps the earlier ones zero, so the final check that f
     annihilates M reads V.
+
+    In integers, with M = A / L: V is kept as an integer matrix up to a
+    nonzero factor, which moves neither a column's relation nor its
+    zeroness.  The relation a_0 .. a_k of a column w is _integer_krylov's
+    on the iterates A^j w / L^j, and V becomes sum_j a_j L^(k-j) A^j V by
+    Horner's rule.  f is the product of these integer relations, made monic
+    once at the end.
     """
     if m.rows != m.cols:
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
-    result = Poly.one()
-    value = Mat.identity(m.rows)
-    for i in range(m.rows):
-        column = value.column(i)
-        if not is_zero_vec(column):
-            relation = krylov_relation(m.apply, column)
-            result = result * relation
-            value = relation.eval_matrix(m) * value
-    if not value.is_zero():
+    n = m.rows
+    scale, base = m.integer_form
+    result = [1]
+    value = [[int(r == c) for c in range(n)] for r in range(n)]
+    for i in range(n):
+        column = [row[i] for row in value]
+        if not any(column):
+            continue
+        relation = _integer_krylov(_matrix_iterates(base, scale, column))[1]
+        product = [0] * (len(result) + len(relation) - 1)
+        for p, a in enumerate(result):
+            for q, b in enumerate(relation):
+                product[p + q] += a * b
+        result = _primitive(product)
+        acc = [[relation[-1] * x for x in row] for row in value]
+        power = 1
+        for a in reversed(relation[:-1]):
+            power *= scale
+            acc = [[x + a * power * y for x, y in zip(high, low)]
+                   for high, low in zip(_integer_matmul(base, acc, n), value)]
+        content = gcd(*(x for row in acc for x in row))
+        value = [[x // content for x in row] for row in acc] if content > 1 else acc
+    if any(map(any, value)):
         raise AssertionError("minimal polynomial candidate does not annihilate the matrix")
-    return result
+    return Poly.of([Fraction(a, result[-1]) for a in result])
+
+
+def _matrix_iterates(base: Sequence[Sequence[int]], scale: int, w: list[int]
+                     ) -> Iterator[tuple[list[int], int]]:
+    """(A^j w, L^j) for j = 0, 1, ...: the iterates M^j w of M = A / L."""
+    power = 1
+    while True:
+        yield w, power
+        w, power = _integer_apply(base, w), power * scale

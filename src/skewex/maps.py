@@ -13,7 +13,11 @@ linalg and the algebra's integer structure constants, summed by the one
 integer product loop of algebra.  Each pair compares two integer vectors
 that are both sides of the identity over one common denominator, so
 the verdicts and witnesses are those of the rational identity.  The
-derivation space is solved from integer rows built from the same constants.
+derivation space is solved from integer rows built from the same constants,
+except where it is certified 0: in a commutative algebra, a generator g
+whose minimal polynomial f has f'(e_g) a unit is killed by every
+derivation, since 0 = D(f(e_g)) = f'(e_g) D(e_g); when every generator is
+such, the kernel of D, a subalgebra, holds them all and D = 0.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .algebra import Algebra, _integer_product, _nonzero, is_ideal, quotient
@@ -40,6 +45,7 @@ from .linalg import (
     Subspace,
     Vec,
     _integer_kernel,
+    _integer_krylov,
     _integer_matmul,
     _integer_row,
     _integer_rref,
@@ -434,17 +440,45 @@ def exp_derivation(d: Derivation) -> AlgebraEndo:
     return endo
 
 
-def derivation_space(algebra: Algebra) -> list[Derivation]:
-    """Basis of the space of derivations, by solving the product-rule system.
+def _separable_generator(algebra: Algebra, g: int) -> bool:
+    """Whether f'(e_g) is a unit of a commutative algebra, f the minimal
+    polynomial of e_g.
 
-    Unknowns are the n^2 matrix entries.  The rule is imposed on the pairs
-    (e_g, e_j) for g among the algebra's generators G, n scalar equations
-    each, and D(1) = 0 adds n more: |G| n^2 + n rows instead of n^3.  That
-    suffices, since {x : D(x y) = D(x) y + x D(y) for all y} is closed under
-    products in an associative algebra and holds 1 exactly when D(1) = 0, so
-    it holds the subalgebra G generates, all of it.  The rows are integers
-    read off the integer structure constants and the unit (common scales do
-    not change the kernel).  Every returned map re-passes the certificate.
+    a_k f is the relation a_0 .. a_k of the chain 1, e_g, e_g^2, ..., each
+    step a product with e_g in integers; the factor a_k does not change
+    whether f'(e_g) is a unit.  With the chain V_j / s_j,
+    a_k f'(e_g) = sum_j j a_j e_g^(j-1) is the row
+    sum_j j a_j (S / s_(j-1)) V_(j-1) over S, the lcm of the s_j.  In a
+    commutative algebra it is a unit exactly when multiplication by it has
+    full rank.
+    """
+    scale_c, table = algebra.integer_sc
+    step = ((g, 1),)
+
+    def iterates():
+        scale, row = _integer_row(algebra.unit)
+        while True:
+            yield row, scale
+            row, scale = _integer_product(table, _nonzero(row), step), scale * scale_c
+
+    chain, relation = _integer_krylov(iterates())
+    common = math.lcm(*(s for _, s in chain))
+    weights = [j * a * (common // s) for j, (a, (_, s)) in enumerate(zip(relation[1:], chain), 1)]
+    xs = _nonzero([sum(map(mul, weights, column)) for column in zip(*(row for row, _ in chain))])
+    return len(_integer_rref([_integer_product(table, xs, ((j, 1),))
+                              for j in range(algebra.dim)])) == algebra.dim
+
+
+def _leibniz_rows(algebra: Algebra) -> list[list[int]]:
+    """The product-rule system derivation_space solves, as integer rows in
+    the n^2 unknowns m[r][c], zero rows and repeated rows dropped (neither
+    changes the kernel).
+
+    The rule is imposed on the pairs (e_g, e_j) for g among the algebra's
+    generators G, n scalar equations each, and D(1) = 0 adds n more:
+    |G| n^2 + n rows instead of n^3.  The rows are read off the integer
+    structure constants and the unit (common scales do not change the
+    kernel).
     """
     n = algebra.dim
     table = algebra.integer_sc[1]
@@ -465,6 +499,30 @@ def derivation_space(algebra: Algebra) -> list[Derivation]:
                 for k, x in table[i][r]:
                     block[k][r * n + j] -= x
             rows.extend(block)
-    null = _integer_kernel(rows, n * n)
+    return [list(row) for row in dict.fromkeys(tuple(row) for row in rows if any(row))]
+
+
+def derivation_space(algebra: Algebra) -> list[Derivation]:
+    """Basis of the space of derivations.
+
+    A commutative algebra whose generators are all separable has none but
+    0: for g in G with minimal polynomial f, 0 = D(f(e_g)) = f'(e_g) D(e_g)
+    by the product rule in a commutative algebra (D(1) = 0 kills the
+    constant term), and when f'(e_g) is a unit, D(e_g) = 0.  ker D is a
+    subalgebra, and it holds 1 and every e_g, so it is all of A.  That case
+    returns [] with no system built (_separable_generator).
+
+    Otherwise the product-rule system of _leibniz_rows is solved, its
+    unknowns the n^2 matrix entries.  Its pairs (e_g, e_j) and D(1) = 0
+    suffice, since {x : D(x y) = D(x) y + x D(y) for all y} is closed under
+    products in an associative algebra and holds 1 exactly when D(1) = 0,
+    so it holds the subalgebra G generates, all of it.  Every returned map
+    re-passes Derivation.certify.
+    """
+    if algebra.is_commutative() and all(
+            _separable_generator(algebra, g) for g in algebra.generators):
+        return []
+    n = algebra.dim
+    null = _integer_kernel(_leibniz_rows(algebra), n * n)
     return [Derivation.certify(algebra, Mat._from_integers(
         [v[r * n:(r + 1) * n] for r in range(n)], n, null.scale)) for v in null.rows()]

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 from itertools import permutations, product as iter_product
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import Algebra, direct_product
@@ -70,7 +71,9 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
     A combination is summed on the basis matrices' integer forms, each
     brought to the common scale L, the lcm of theirs; the zero test and the
     nilpotency test, M^n = 0 with n = dim, run on that integer sum, and only
-    a combination that passes both becomes a rational matrix.  Only a
+    a combination that passes both becomes a rational matrix.  Before the
+    sum is formed, a combination with sum_i c_i tr(D_i) != 0 is rejected: a
+    nilpotent matrix has trace 0, and the trace is linear.  Only a
     combination that is kept is certified; the rejected ones were
     combinations of a certified basis and so certainly derivations.
     """
@@ -85,6 +88,7 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
     scale = lcm(*(d.matrix.integer_form[0] for d in basis))
     flat = [[x * (scale // s) for row in ints for x in row]
             for s, ints in (d.matrix.integer_form for d in basis)]
+    traces = [sum(b[k * n + k] for k in range(n)) for b in flat]
     drawn = set()
     attempts = 0
     while len(found) < count and attempts < tries and basis:
@@ -93,6 +97,8 @@ def nilpotent_derivations(algebra: Algebra, rng: random.Random, count: int,
         if coeffs in drawn:
             continue
         drawn.add(coeffs)
+        if sum(map(mul, coeffs, traces)):
+            continue
         terms = [(c, b) for c, b in zip(coeffs, flat) if c]
         total = [sum(c * b[k] for c, b in terms) for k in range(n * n)]
         ints = [total[r * n:(r + 1) * n] for r in range(n)]

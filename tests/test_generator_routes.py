@@ -5,11 +5,14 @@ words span the algebra.  verify_extension checks associators at embed(G)
 and u once their words span the extension's table, that embed is
 multiplicative on the pairs (1, e_j) and (e_g, e_j) and that u realizes the
 twist on G; derivation_space solves the product rule on the pairs (e_g, e_j)
-plus D(1) = 0, and is_derivation checks it on the pairs (1, e_j) and
-(e_g, e_j); center solves x e_g = e_g x.  Each is compared with the full basis loop it replaces on the
+plus D(1) = 0, unless the algebra is commutative and f'(e_g) is a unit for
+the minimal polynomial f of each e_g, which certifies Der(A) = 0;
+is_derivation checks it on the pairs (1, e_j) and (e_g, e_j); center solves
+x e_g = e_g x.  Each is compared with the full basis loop it replaces on the
 test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
 show what each part of the argument is for: the unit checks and rows, the
-D(1) = 0 rows, a G that spans, and u among the verifier's generators.
+D(1) = 0 rows, a G that spans, u among the verifier's generators, and the
+commutativity and unit conditions of the Der(A) = 0 certificate.
 """
 
 import random
@@ -19,7 +22,7 @@ from functools import cache
 import pytest
 
 from free_model_oracle import integer_tables
-from skewex import _extension
+from skewex import _extension, maps
 from skewex.algebra import (
     _first_nonassociative_at,
     center,
@@ -169,13 +172,57 @@ def test_subalgebra_generated_matches_the_product_rounds(corpus):
 
 # -- derivation_space ----------------------------------------------------------
 
-def test_derivation_space_matches_the_full_system(corpus):
+def m2_in_separable_basis():
+    """M_2 in the basis with columns (1,0,0,2), (1,1,0,3), (2,0,1,1) and
+    (0,1,1,0) in E11, E12, E21, E22 coordinates, whose generators all have
+    f'(e_g) invertible although M_2 has a 3-dimensional derivation space."""
+    t = Mat.from_columns([(1, 0, 0, 2), (1, 1, 0, 3), (2, 0, 1, 1), (0, 1, 1, 0)])
+    return change_of_basis(matrix_algebra(2), t)
+
+
+def builds_the_system(algebra, monkeypatch):
+    """Whether derivation_space(algebra) builds the product-rule rows."""
+    built = []
+    real = maps._leibniz_rows
+    monkeypatch.setattr(maps, "_leibniz_rows", lambda a: built.append(a) or real(a))
+    derivation_space(algebra)
+    monkeypatch.undo()
+    return bool(built)
+
+
+def test_derivation_space_matches_the_full_system(corpus, monkeypatch):
     dims = []
-    for name, algebra in all_algebras(corpus):
+    certified = 0
+    inputs = all_algebras(corpus) + [("m2 separable basis", m2_in_separable_basis())]
+    for name, algebra in inputs:
         got = [d.matrix for d in derivation_space(algebra)]
         assert got == full_derivation_system(algebra), name
         dims.append(len(got))
+        certified += not builds_the_system(algebra, monkeypatch)
     assert max(dims) == 15 and dims.count(0) >= 10
+    # the certificate fires on c2, c3, qxq and split, and on 189 of the explorer algebras
+    assert certified == 193
+
+
+def test_separable_commutative_algebras_skip_the_system(corpus, monkeypatch):
+    skipped = {name for name, algebra in corpus.items()
+               if not builds_the_system(algebra, monkeypatch)}
+    assert skipped == {"c2", "c3", "qxq", "split"}
+    # t has minimal polynomial t^2 or t^3, whose derivative at t is nilpotent:
+    # the certificate must not fire, and d/dt survives
+    for name in ("dual", "jet2"):
+        algebra = corpus[name]
+        assert not maps._separable_generator(algebra, algebra.generators[0]), name
+        assert len(derivation_space(algebra)) == algebra.dim - 1, name
+
+
+def test_the_certificate_needs_commutativity():
+    # every generator of M_2 in this basis passes the unit test of f'(e_g),
+    # so only the commutativity condition keeps its derivations
+    algebra = m2_in_separable_basis()
+    assert not algebra.is_commutative()
+    assert all(maps._separable_generator(algebra, g) for g in algebra.generators)
+    assert len(derivation_space(algebra)) == 3
 
 
 def test_the_unit_rows_are_needed(q_times_q):
@@ -191,6 +238,8 @@ def test_the_unit_rows_are_needed(q_times_q):
         assert lhs == rhs, j
     assert is_derivation(q_times_q, moved) == (False, ("unit", 1))
     assert derivation_space(q_times_q) == []
+    # derivation_space certifies Q x Q without rows; its system alone has no kernel either
+    assert _integer_kernel(maps._leibniz_rows(q_times_q), 4).dim == 0
     rational = poly_quotient(Poly.of([0, 1]))
     assert rational.generators == () and derivation_space(rational) == []
 

@@ -1,11 +1,12 @@
 """Differential tests of minimal_polynomial against its lcm form.
 
-The reference below is minimal_polynomial as it was when it took the lcm of
-the Krylov relations of the basis vectors with Poly.lcm, a Fraction Euclid.
-The library multiplies instead: with f the lcm so far, the Krylov relation of
-f(M) e_i is lcm(f, mu_i) / f.  The two must agree on every matrix, and most
-of all on derogatory ones, whose basis vectors share factors of their
-relations.
+The first reference below is minimal_polynomial as it was when it took the
+lcm of the Krylov relations of the basis vectors with Poly.lcm, a Fraction
+Euclid.  The library multiplies instead: with f the lcm so far, the Krylov
+relation of f(M) e_i is lcm(f, mu_i) / f.  The second is that product taken
+in Fraction Polys, as the library took it before it multiplied the integer
+relations.  All three must agree on every matrix, and most of all on
+derogatory ones, whose basis vectors share factors of their relations.
 """
 
 import random
@@ -21,6 +22,19 @@ def ref_minimal_polynomial(m):
     for i in range(m.rows):
         result = result.lcm(krylov_relation(m.apply, unit_vec(i, m.rows)))
     assert result.eval_matrix(m).is_zero()
+    return result
+
+
+def ref_product_minimal_polynomial(m):
+    result = Poly.one()
+    value = Mat.identity(m.rows)
+    for i in range(m.rows):
+        column = value.column(i)
+        if any(column):
+            relation = krylov_relation(m.apply, column)
+            result = result * relation
+            value = relation.eval_matrix(m) * value
+    assert value.is_zero()
     return result
 
 
@@ -79,10 +93,12 @@ def test_matches_lcm_on_derogatory_matrices():
     rng = random.Random(1919)
     checked = 0
     for m in derogatory_matrices():
-        assert minimal_polynomial(m) == ref_minimal_polynomial(m), m
+        assert minimal_polynomial(m) == ref_minimal_polynomial(m) \
+            == ref_product_minimal_polynomial(m), m
         if m.rows:
             c = conjugated(m, rng)
-            assert minimal_polynomial(c) == ref_minimal_polynomial(c), c
+            assert minimal_polynomial(c) == ref_minimal_polynomial(c) \
+                == ref_product_minimal_polynomial(c), c
         checked += 1
     assert checked >= 30
 
@@ -106,7 +122,8 @@ def test_matches_lcm_on_corpus_maps(corpus):
         if algebra.dim <= 4:
             maps += [e.matrix for e in sample_automorphisms(algebra, random.Random(3), 6)]
         for m in maps:
-            assert minimal_polynomial(m) == ref_minimal_polynomial(m), name
+            assert minimal_polynomial(m) == ref_minimal_polynomial(m) \
+                == ref_product_minimal_polynomial(m), name
             checked += 1
     assert checked >= 75
 
@@ -117,7 +134,8 @@ def test_matches_lcm_on_random_integer_matrices():
         for _ in range(15):
             m = Mat.from_rows([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
                                for _ in range(n)])
-            assert minimal_polynomial(m) == ref_minimal_polynomial(m), m
+            assert minimal_polynomial(m) == ref_minimal_polynomial(m) \
+                == ref_product_minimal_polynomial(m), m
 
 
 def test_matches_lcm_on_sampled_maps_of_products():
