@@ -23,14 +23,26 @@ X^d.  The two actions commute, so N is the closure of the n generators
 p(X) e_b (k = 0) under both, which relation_submodule computes: the left
 multiples once, then X until nothing new appears.
 
-The quotient.  Only the products of the coordinates that N keeps, its
-non-pivot ones, are formed: (e_a X^i)(e_b X^j) = sum e_a c X^(m+j) over the
-terms (m, c) of xpow[b][i], folded and reduced against N, in integers.  Fold
-and reduction are linear, so each monomial e_a X^m, m < 2d, is folded and
-reduced once, and every product is an integer combination of those rows.
-When N is the image of (p(X)) these are the constants of E on that section.
-The table stays in integers: the algebra is built from it with no dense
-Fraction tensor.
+The quotient.  The window lists its power blocks from the highest down
+(_integer_fold), so N's reduced echelon basis pivots on the highest powers
+of X, and the extension keeps the other coordinates, listed in ascending
+(power, base index): its basis is the low powers e_a X^i, the Ore normal
+form sum a_i X^i (Ore 1933).  A row pivoting in the X^0 block would be
+zero on every higher power, a nonzero element of the base in N; where the
+base embeds, as verify_extension certifies, there is none.  So the base is
+the leading block of the extension, embed its identity columns, and u the
+image of X.  Every complement of N gives the same algebra; the low powers
+keep the table sparse and its constants small, where the high powers made
+the unit and u dense (8 against 36 bits for an inner derivation of M_3,
+21 against 310 for a generic one of M_5).
+Only the products of the kept coordinates are formed: (e_a X^i)(e_b X^j) =
+sum e_a c X^(m+j) over the terms (m, c) of xpow[b][i], folded and reduced
+against N, in integers.  Fold and reduction are linear, so each monomial
+e_a X^m, m < 2d, is folded and reduced once, and every product is an
+integer combination of those rows.  When N is the image of (p(X)) these are
+the constants of E on that section, and when N = 0 they are the whole
+window in the free module's order.  The table stays in integers: the
+algebra is built from it with no dense Fraction tensor.
 
 The certificate.  Nothing checks that N absorbs products: every vector put
 into N is the fold of an element of (p(X)), since the generators are and
@@ -83,8 +95,9 @@ poly_of_element = _poly_of_element
 class ExtensionResult:
     """Outcome of an extension construction.
 
-    embed maps base coordinates into the extension; u is the adjoined
-    witness; u_inverse is present in the automorphism flavour.  defect_dim
+    embed maps base coordinates into the extension, as the leading identity
+    block of the constructions' tables; u is the adjoined witness; u_inverse
+    is present in the automorphism flavour.  defect_dim
     is the dimension of the relation submodule N, so that
     algebra.dim + defect_dim == p.degree * base.dim, and free_module records
     N = 0, which makes the extension the whole window, free of rank
@@ -117,9 +130,8 @@ IntegerXPow = tuple[int, list[list[IntegerTerms]]]
 
 def _integer_beta(p: Poly, max_power: int) -> tuple[int, IntegerBeta]:
     """(L_beta, beta): the folding of X^m, m <= max_power, in integers over L_beta."""
-    d = p.degree
-    scale, flat = _integer_row([x for row in power_reduction_table(p, max_power) for x in row])
-    return scale, [_nonzero(flat[m:m + d]) for m in range(0, len(flat), d)]
+    scale, rows = power_reduction_table(p, max_power)
+    return scale, [_nonzero(row) for row in rows]
 
 
 def twist_table(mode: str, twist: Mat, degree: int) -> IntegerXPow:
@@ -158,12 +170,17 @@ def twist_table(mode: str, twist: Mat, degree: int) -> IntegerXPow:
 
 
 def _integer_fold(terms: IntegerTerms, beta: IntegerBeta, n: int, size: int) -> list[int]:
-    """sum c X^m over the (m, c) of terms, folded into window coordinates
-    (index (a, i) is i * n + a) by beta: L_beta times the rational fold."""
+    """sum c X^m over the (m, c) of terms, folded into window coordinates by
+    beta: L_beta times the rational fold.
+
+    The power blocks run from the highest down: e_a X^i has index
+    (d - 1 - i) n + a, d = size / n, so an echelon of window vectors
+    pivots on the highest powers it can."""
     out = [0] * size
+    top = size - n
     for power, coeff in terms:
         for q, f in beta[power]:
-            offset = q * n
+            offset = top - q * n
             for a, c in coeff:
                 out[offset + a] += f * c
     return out
@@ -176,7 +193,9 @@ def relation_submodule(base: Algebra, p: Poly, xpow: IntegerXPow,
     multiplication by X.
 
     xpow is twist_table's and beta _integer_beta's, for powers up to at
-    least d = deg p.  All vectors are integer rows until N's basis: the
+    least d = deg p.  The vectors are in _integer_fold's window coordinates,
+    the highest power first, so N's echelon basis pivots on the highest
+    powers.  All vectors are integer rows until N's basis: the
     generators are folded with p's coefficients over Lp, xpow's over L_xpow
     and beta over L_beta, a positive multiple of the rational fold, and e_a
     acts on each coefficient block in one integer pass over the base's table
@@ -210,7 +229,8 @@ def _close_under_x(relations: Subspace, beta: IntegerBeta, n: int) -> Subspace:
     size, d = relations.ambient_dim, len(beta) - 1
     frontier = relations.rows()
     while frontier:
-        shifted = [_integer_fold([(q + 1, _nonzero(v[q * n:(q + 1) * n])) for q in range(d)],
+        # block k holds the power d - 1 - k, which X raises to d - k
+        shifted = [_integer_fold([(d - k, _nonzero(v[k * n:(k + 1) * n])) for k in range(d)],
                                  beta, n, size) for v in frontier]
         frontier = [v for v in shifted if any(relations.residual(v))]
         if frontier:
@@ -224,11 +244,14 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
     """The extension on the coordinates the relation submodule keeps, with
     the embedding of the base and the image u of X.
 
-    xpow is twist_table's and beta _integer_beta's, for powers up to at
-    least 2d - 1.  Each monomial e_a X^m with m < 2d is folded into the
-    window and reduced against the relations once, in integers: beta scales
-    by L_beta and the residual by the relations' L_N, so its row is
-    L_beta L_N times the kept coordinates of the rational projection.  Fold
+    The kept cells e_a X^i, the window indices (d - 1 - i) n + a that are no
+    pivot of the relations, are listed in ascending (power, base index), so
+    the base block X^0, which holds no pivot, comes first.  xpow is
+    twist_table's and beta _integer_beta's, for powers up to at least
+    2d - 1.  Each monomial e_a X^m with m < 2d is folded into the window and
+    reduced against the relations once, in integers: beta scales by L_beta
+    and the residual by the relations' L_N, so its row is L_beta L_N times
+    the kept coordinates of the rational projection.  Fold
     and residual are linear at that one scale, so folding and reducing an
     integer combination of monomials gives exactly the same combination of
     their rows.  The kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over
@@ -243,10 +266,13 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
     scale_table, table = base.integer_sc
     scale_beta, beta = beta
     scale_xpow, int_xpow = xpow
-    kept = relations.kept()
+    # the kept window indices in ascending (power, base index): blocks last first
+    coords = sorted(relations.kept(), key=lambda r: (-(r // n), r))
+    kept = [(d - 1 - r // n, r % n) for r in coords]
 
     def monomial(m: int, a: int) -> list[tuple[int, int]]:
-        return _nonzero(relations.project(_integer_fold([(m, [(a, 1)])], beta, n, d * n)))
+        residual = relations.residual(_integer_fold([(m, [(a, 1)])], beta, n, d * n))
+        return _nonzero([residual[r] for r in coords])
 
     monomials = [[monomial(m, a) for a in range(n)] for m in range(2 * d)]
 
@@ -262,12 +288,10 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
         return out
 
     cells = []
-    for r in kept:
-        i, a = divmod(r, n)
+    for i, a in kept:
         left: dict[int, IntegerTerms] = {}
         row = []
-        for c in kept:
-            j, b = divmod(c, n)
+        for j, b in kept:
             if b not in left:
                 left[b] = [(m, _nonzero(_integer_product(table, [(a, 1)], coeff)))
                            for m, coeff in int_xpow[b][i]]
@@ -285,7 +309,7 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
         labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
     ext_unit = _rational_row(project([(0, unit_terms)]), scale * scale_unit)
     return (Algebra._from_integer_table(scale * scale_table * scale_xpow, cells, ext_unit,
-                                        [labels[j] for j in kept]), embed, u)
+                                        [labels[i * n + a] for i, a in kept]), embed, u)
 
 
 def _check_annihilates(twist: Mat, p: Poly) -> None:

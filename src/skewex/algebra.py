@@ -656,11 +656,10 @@ def poly_quotient(f: Poly) -> Algebra:
     if not f.is_monic() or f.degree < 1:
         raise ValueError("modulus must be monic of degree >= 1")
     d = f.degree
-    reductions = power_reduction_table(f, 2 * d - 2)
-    sc = [[reductions[i + j] for j in range(d)] for i in range(d)]
-    unit = unit_vec(0, d)
+    scale, reductions = power_reduction_table(f, 2 * d - 2)
+    cells = [[reductions[i + j] for j in range(d)] for i in range(d)]
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, d)]
-    return make_algebra(d, sc, unit, labels)
+    return _validated(Algebra._from_integer_table(scale, cells, unit_vec(0, d), labels))
 
 
 def cyclic_group_algebra(m: int) -> Algebra:

@@ -23,8 +23,9 @@ Sums, products, powers, inverses, echelon forms and polynomials in a matrix
 compute an integer pair (s, B) with M = B / s and divide both by
 gcd(s, B), which gives the stored form again and makes no Fraction; a
 matrix-vector product makes one Fraction per nonzero entry of the result.
-The nilpotency test makes no Fraction at all, and the minimal polynomial
-makes Fractions only for the Poly it returns.
+The nilpotency test and the folding table of X^m modulo a monic polynomial
+make no Fraction at all, and the minimal polynomial makes Fractions only for
+the Poly it returns.
 """
 
 from __future__ import annotations
@@ -744,18 +745,29 @@ class Poly:
         return " + ".join(parts)
 
 
-def power_reduction_table(p: Poly, max_power: int) -> list[Vec]:
-    """beta[m] with X^m = sum_q beta[m][q] X^q modulo the monic p, m <= max_power."""
+def power_reduction_table(p: Poly, max_power: int) -> tuple[int, list[list[int]]]:
+    """(L, rows) with X^m = sum_q rows[m][q] X^q / L modulo the monic p, for
+    m <= max_power (and every m < deg p), L the lcm of all their denominators.
+
+    With p = P / Lp in integers (P_d = Lp, d = deg p), the row of X^(m+1) is
+    that of X^m = r / s shifted up one power, its top entry t folded by
+    X^d = -sum_{q < d} P_q X^q / Lp: (s Lp, Lp shifted - t P) when t != 0.
+    Each (s, r) is divided by gcd(s, r), which leaves s the lcm of the row's
+    denominators, so L is the lcm of the s.
+    """
     d = p.degree
-    table = [unit_vec(m, d) for m in range(d)]
-    for m in range(d, max_power + 1):
-        prev = table[m - 1]
-        shifted = [ZERO] + list(prev[:-1])
-        top = prev[-1]
+    lp, cp = _integer_row(p.coeffs)
+    chain = [(1, [int(q == m) for q in range(d)]) for m in range(d)]
+    for _ in range(d, max_power + 1):
+        scale, row = chain[-1]
+        top, shifted = row[-1], [0] + row[:-1]
         if top:
-            shifted = [s - top * p.coeffs[q] for q, s in enumerate(shifted)]
-        table.append(tuple(shifted))
-    return table
+            scale, shifted = scale * lp, [lp * x - top * c for x, c in zip(shifted, cp)]
+            common = gcd(scale, *shifted)
+            scale, shifted = scale // common, [x // common for x in shifted]
+        chain.append((scale, shifted))
+    common = lcm(*(s for s, _ in chain))
+    return common, [[x * (common // s) for x in row] for s, row in chain]
 
 
 def _divisors(n: int) -> list[int]:

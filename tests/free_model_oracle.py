@@ -12,7 +12,13 @@ code.
 The grid reads the twist from a Fraction table xpow[b][i], the left-normal
 form of X^i e_b: leibniz_table and orbit_table below build it by applying
 the twist's Fraction matrix to each basis element, as the library did before
-its twist_table moved to integers.
+its twist_table moved to integers.  It folds X^m with power_reduction_table
+below, the Fraction stepper the library's integer table replaced.
+
+The grid uses the library's window coordinates, power blocks from the
+highest down (e_a X^i at (d - 1 - i) n + a), so its relation submodule is
+the same Subspace and pivots on the highest powers; the quotient keeps the
+other cells in ascending (power, base index), as the library does.
 """
 
 from fractions import Fraction
@@ -42,7 +48,6 @@ from skewex.linalg import (
     Vec,
     ZERO,
     is_zero_vec,
-    power_reduction_table,
     span,
     unit_vec,
 )
@@ -52,6 +57,20 @@ from skewex.linalg import (
 TermList = list[tuple[int, Vec]]
 # xpow[b][i] is X^i e_b as a term list, for i <= deg p.
 XPowTable = list[list[TermList]]
+
+
+def power_reduction_table(p: Poly, max_power: int) -> list[Vec]:
+    """beta[m] with X^m = sum_q beta[m][q] X^q modulo the monic p, m <= max_power."""
+    d = p.degree
+    table = [unit_vec(m, d) for m in range(d)]
+    for m in range(d, max_power + 1):
+        prev = table[m - 1]
+        shifted = [ZERO] + list(prev[:-1])
+        top = prev[-1]
+        if top:
+            shifted = [s - top * p.coeffs[q] for q, s in enumerate(shifted)]
+        table.append(tuple(shifted))
+    return table
 
 
 def basis_orbits(base: Algebra, twist: Mat, length: int) -> list[list[Vec]]:
@@ -121,23 +140,20 @@ class FreeModel:
         self.n = base.dim
         self.dim = self.d * self.n
         self.beta = power_reduction_table(p, 2 * self.d)
-        # grid index (a, i) -> i * n + a, power-major so the base sits at 0..n-1
-        self.sc = [
-            [
-                self.reduce_terms(monomial_product(a, i, b, j))
-                for j in range(self.d)
-                for b in range(self.n)
-            ]
-            for i in range(self.d)
-            for a in range(self.n)
-        ]
+        # grid index (a, i) -> (d - 1 - i) * n + a: the highest power block
+        # first, so the base sits at the end
+        cells = [(a, i) for i in reversed(range(self.d)) for a in range(self.n)]
+        self.sc = [[self.reduce_terms(monomial_product(a, i, b, j)) for b, j in cells]
+                   for a, i in cells]
         self.integer_sc = _integer_table(self.sc)
+        # the grid indices in ascending (power, base index), the free-module order
+        self.ascending = [self.index(a, i) for i in range(self.d) for a in range(self.n)]
 
     def index(self, a: int, i: int) -> int:
-        return i * self.n + a
+        return (self.d - 1 - i) * self.n + a
 
     def slice0(self, x: Vec) -> Vec:
-        return tuple(x) + (ZERO,) * (self.dim - self.n)
+        return (ZERO,) * (self.dim - self.n) + tuple(x)
 
     def reduce_terms(self, terms: TermList) -> Vec:
         """Fold a left-normal term list into window coordinates."""
@@ -147,7 +163,7 @@ class FreeModel:
                 continue
             for q, factor in enumerate(self.beta[power]):
                 if factor:
-                    offset = q * self.n
+                    offset = self.index(0, q)
                     for a, c in enumerate(coeff):
                         if c:
                             out[offset + a] += factor * c
@@ -157,8 +173,9 @@ class FreeModel:
         return _multiply(self.integer_sc, x, y)
 
     def labels(self) -> list[str]:
+        """The labels of the grid indices."""
         out = []
-        for i in range(self.d):
+        for i in reversed(range(self.d)):
             for lab in self.base.labels:
                 if i == 0:
                     out.append(lab)
@@ -212,17 +229,19 @@ def relation_submodule(model: FreeModel, generator_polys: list[TermList]) -> Sub
 
 
 def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
-              ideal: Subspace) -> tuple[Algebra, Mat]:
+              ideal: Subspace, order: Sequence[int]) -> tuple[Algebra, Mat]:
     """The quotient of a product table by a subspace, with the projection
     matrix.
 
     cell(i, j) is the product of basis elements i and j in ambient
     coordinates; it is asked only for the non-pivot coordinates the section
-    keeps, and the quotient's constants are those products projected.
-    make_algebra re-verifies them.  The result is the quotient when the
-    subspace absorbs every product, which quotient_by_relations checks first.
+    keeps, listed as they come in order, and the quotient's constants are
+    those products projected.  make_algebra re-verifies them.  The result is
+    the quotient when the subspace absorbs every product, which
+    quotient_by_relations checks first.
     """
-    coords = ideal.kept()
+    kept = set(ideal.kept())
+    coords = [j for j in order if j in kept]
 
     def project(x: Vec) -> Vec:
         residual = ideal.reduce(x)
@@ -241,7 +260,8 @@ def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
 def quotient_by_relations(model: FreeModel, relations: Subspace):
     """Collapse the free model along the relation submodule.
 
-    Returns (algebra, projection).  The relation submodule is first checked
+    Returns (algebra, projection), the kept cells in ascending (power, base
+    index).  The relation submodule is first checked
     to absorb multiplication by every basis element on both sides (all of
     them: the free model need not be associative), so the quotient
     multiplication is well defined regardless of the section used to compute
@@ -252,7 +272,7 @@ def quotient_by_relations(model: FreeModel, relations: Subspace):
         raise AssociativityFails(f"relation submodule is not {unabsorbed[2]} absorbing")
     try:
         return _collapse(lambda i, j: model.sc[i][j], model.slice0(model.base.unit),
-                         model.labels(), relations)
+                         model.labels(), relations, model.ascending)
     except (NotAssociative, UnitFails) as exc:
         raise AssociativityFails(str(exc)) from exc
 
@@ -269,7 +289,7 @@ def oracle_extension(base: Algebra, p: Poly, mode: str, twist: Mat, xpow: XPowTa
     model = free_model(base, p, xpow)
     relations = relation_submodule(model, relation_generators(p, xpow))
     algebra, proj = quotient_by_relations(model, relations)
-    embed = Mat.from_columns([proj.column(a) for a in range(base.dim)])
+    embed = Mat.from_columns([proj.column(model.index(a, 0)) for a in range(base.dim)])
     u = proj.apply(model.reduce_terms([(1, base.unit)]))
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
     return relations, ExtensionResult(

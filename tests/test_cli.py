@@ -185,11 +185,10 @@ def test_extend_derivation(files, tmp_path):
 
 
 # sha256 of json.dumps(value, sort_keys=True) for the extensions of M_3 by
-# ad_U0 and conj_V0, as written by the indented encoder before extend wrote
-# one compact object
+# ad_U0 and conj_V0, on the basis of the low powers e_a X^i (21 and 27 KB)
 M3_EXTENSION_SHA256 = {
-    "derivation": "317cd6d990a69725e79d2c3f3574de86cbd0249c459650413c992c3f148e3d58",
-    "automorphism": "de39759e15220e79d67a536206b07d4e558afe7eb6f8e2020ec01115b2d72644",
+    "derivation": "25ede68a8b722d7a2c5a49b57af46938a612a3cd2211ef7038d1c272031315f4",
+    "automorphism": "ff4102476da67c5af36c52528a1606bb2b51863191ddc6c13d2ad42a2e0df7f6",
 }
 
 

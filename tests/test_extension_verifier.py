@@ -11,7 +11,9 @@ from skewex.algebra import subalgebra_as_algebra, upper_triangular
 from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import laurent_quotient
 from skewex.linalg import Mat, Poly, span, vec_add, zero_vec
+from skewex.maps import inner_automorphism, inner_derivation
 from skewex.ore import ore_quotient
+from test_relation_closure import m3_pair
 
 
 def fields(result, twist):
@@ -50,6 +52,26 @@ def test_embedding_checks(ore_fields):
     moved = Mat.from_columns([unit_col, vec_add(t_col, ore_fields["u"])])
     with pytest.raises(SkewexError, match="embedding is not multiplicative"):
         verify_extension(**{**ore_fields, "embed": moved})
+
+
+def test_transposed_embedding_is_not_multiplicative(m2, m3):
+    """A construction's embed is the leading identity block of its table, so
+    the embedding check never fires on one; swapping base columns E_ij and
+    E_ji, which keeps the unit, the rank and the span of the embedded
+    generators, must fail it."""
+    u = m2.element([1, 2, 3, 4])
+    cases = [("derivation", m2, inner_derivation(m2, u)),
+             ("automorphism", m2, inner_automorphism(m2, u))]
+    cases += [(mode, m3, twist) for _, mode, _, twist, _ in m3_pair(m3)]
+    for mode, base, twist in cases:
+        build = ore_quotient if mode == "derivation" else laurent_quotient
+        f = fields(build(base, twist), twist.matrix)
+        size = round(base.dim ** 0.5)
+        columns = f["embed"].columns()
+        transposed = Mat.from_columns([columns[j * size + i]
+                                       for i in range(size) for j in range(size)])
+        with pytest.raises(SkewexError, match="embedding is not multiplicative"):
+            verify_extension(**{**f, "embed": transposed})
 
 
 def test_shifted_witness(ore_fields, laurent_fields):

@@ -6,7 +6,8 @@ core moved to integers.  rref, solve, inverse, kernel, span, intersect,
 contains, reduce, is_ideal and the absorption check of the free-model
 oracle's quotient_by_relations must agree with them exactly, on seeded random matrices and on the systems
 and extensions of the test corpus.  f(phi) for a scalar Laurent polynomial f
-must equal its Fraction sum of scaled powers.
+must equal its Fraction sum of scaled powers, and the integer folding table
+of X^m modulo a monic p the oracle's Fraction stepper.
 """
 
 import random
@@ -15,7 +16,12 @@ from math import gcd, lcm
 
 import pytest
 
-from free_model_oracle import free_model, quotient_by_relations, rational_xpow
+from free_model_oracle import (
+    free_model,
+    power_reduction_table as fraction_power_reduction_table,
+    quotient_by_relations,
+    rational_xpow,
+)
 from skewex import _extension, maps
 from skewex._extension import poly_of_element
 from skewex.algebra import (
@@ -34,9 +40,11 @@ from skewex.linalg import (
     Poly,
     _divisors,
     _integer_rref,
+    _rational_row,
     full_space,
     inverse,
     kernel,
+    power_reduction_table,
     rref,
     solve,
     span,
@@ -523,3 +531,24 @@ def test_scalar_poly_at_matches_fraction_sum(corpus):
                 checked += 1
                 zero_results += expected.is_zero()
     assert checked >= 200 and zero_results >= 40
+
+
+# -- the folding table of X^m --------------------------------------------------
+
+def test_power_reduction_table_matches_the_fraction_stepper():
+    """(L, rows) equals the oracle's Fraction rows over L, with L the lcm of
+    their denominators, for random monic polynomials of degree 1 to 5 and
+    every max_power from 0 to 3 deg p, constant term zero or not."""
+    rng = random.Random(6021)
+    folded = 0
+    for _ in range(150):
+        degree = rng.randint(1, 5)
+        coeffs = [F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(degree)]
+        p = Poly.of(coeffs + [1])
+        for max_power in range(3 * degree + 1):
+            expected = fraction_power_reduction_table(p, max_power)
+            scale, rows = power_reduction_table(p, max_power)
+            assert scale == lcm(*(x.denominator for row in expected for x in row)), p
+            assert [_rational_row(row, scale) for row in rows] == expected, (p, max_power)
+            folded += max_power >= degree
+    assert folded >= 1000

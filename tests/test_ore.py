@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from skewex.algebra import matrix_algebra
 from skewex.errors import AnnihilatorFails, AssociativityFails, NotMonic
 from skewex.linalg import Mat, Poly, kernel
 from skewex.maps import Derivation, derivation_space, inner_derivation
@@ -209,6 +210,19 @@ def test_ore_quotient_commutator_traces_vanish(m2, jet2):
         for a in range(algebra.dim):
             image = result.embed.apply(d.matrix.apply(algebra.basis_element(a)))
             assert ext.trace_of(image) == 0
+
+
+def test_generic_m4_extension_keeps_small_constants():
+    """ad_u for a generic u in M_4: deg m = 13, a 208-dimensional window and
+    a 64-dimensional extension.  Keeping the low powers of X keeps its
+    constants to 14 bits; the high powers needed 134."""
+    m4 = matrix_algebra(4)
+    d = inner_derivation(m4, random_trace_zero_invertible(m4, random.Random(3)))
+    result = ore_quotient(m4, d)
+    assert result.algebra.dim == 64 and result.p.degree == 13
+    scale, table = result.algebra.integer_sc
+    bits = max(abs(x).bit_length() for row in table for cell in row for _, x in cell)
+    assert max(bits, scale.bit_length()) <= 32, (bits, scale)
 
 
 def test_ore_quotient_random_trace_zero(m2, rng):

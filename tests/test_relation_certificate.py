@@ -6,7 +6,8 @@ used to be tested separately, by comparing both reduction orders of X^d e_b;
 confluence_check below is that test, kept as the oracle.  Route one minus route two is the reduced k = 0 relation generator,
 and every k > 0 generator is that one times X^k, so the oracle passes exactly
 when the submodule is zero.  On a zero submodule the quotient is the free
-model itself, with the identity projection, and the private force_free_model
+model itself, its cells reordered from the grid's highest-power-first layout
+to ascending powers by the projection, and the private force_free_model
 hook raises AssociativityFails exactly when the oracle reports a mismatch.
 """
 
@@ -23,7 +24,7 @@ from free_model_oracle import (
 )
 from skewex.errors import AnnihilatorFails, AssociativityFails
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, minimal_polynomial
+from skewex.linalg import Mat, Poly, minimal_polynomial, unit_vec
 from skewex.maps import derivation_space
 from skewex.ore import ore_quotient
 from skewex.sampling import sample_automorphisms
@@ -97,8 +98,11 @@ def test_relation_submodule_is_the_consistency_certificate(corpus):
             continue
         zero += 1
         algebra_out, proj = quotient_by_relations(model, relations)
-        assert proj == Mat.identity(model.dim), label
-        assert algebra_out.sc == tuple(map(tuple, model.sc)), label
+        # the quotient is the grid itself, reordered to ascending powers
+        order = model.ascending
+        assert proj == Mat.from_rows([unit_vec(r, model.dim) for r in order]), label
+        assert algebra_out.sc == tuple(tuple(tuple(model.sc[r][c][k] for k in order)
+                                             for c in order) for r in order), label
         forced = build(mode, algebra, twist, p, _skip_annihilator_check=True)
         assert forced.free_module and forced.defect_dim == 0, label
         assert forced.algebra.sc == algebra_out.sc, label

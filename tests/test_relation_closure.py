@@ -11,16 +11,21 @@ the breakage changes.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from free_model_oracle import fraction_xpow, integer_tables, oracle_extension, oracle_relations
 from skewex import _extension
 from skewex.errors import AssociativityFails, SkewexError
-from skewex.linalg import span
+from skewex.linalg import Mat, span, unit_vec
 from skewex.maps import inner_automorphism, inner_derivation
 from test_extension_fuzz import U0, V0, random_extension_inputs
 from test_relation_certificate import build, twist_cases
+
+# the minimal polynomial X^3 - 3X^2 + 2X of the Euler derivation t d/dt of
+# Q[t]/(t^3), the first element of its derivation basis
+JET2_EULER = tuple(map(Fraction, (0, 2, -3, 1)))
 
 FIELDS = ("mode", "embed", "u", "u_inverse", "p", "free_module", "defect_dim")
 
@@ -99,7 +104,7 @@ def assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate):
     """Build every mutation case with relation_submodule replaced by
     mutate(real relation_submodule); a changed submodule must raise a
     SkewexError, an unchanged one give the same extension.  Returns the
-    names of the errors raised."""
+    (label, error) of every case that raised."""
     real = _extension.relation_submodule
     errors = []
     for label, mode, algebra, twist, p, expected in mutation_cases(corpus, m3):
@@ -111,7 +116,7 @@ def assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate):
                 continue
             with pytest.raises(SkewexError) as caught:
                 build(mode, algebra, twist, p)
-            errors.append(type(caught.value).__name__)
+            errors.append((label, caught.value))
     return errors
 
 
@@ -123,7 +128,7 @@ def test_certificate_rejects_the_closure_without_x(monkeypatch, corpus, m3):
     errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
     # the left multiples alone usually span N already, but not always
     assert errors, "the mutation never shrank the relation submodule"
-    assert set(errors) == {"AssociativityFails"}, errors
+    assert {type(error) for _, error in errors} == {AssociativityFails}, errors
 
 
 def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
@@ -141,4 +146,44 @@ def test_certificate_rejects_a_dropped_relation_row(monkeypatch, corpus, m3):
 
     errors = assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate)
     assert len(errors) >= 40, errors
-    assert set(errors) == {"AssociativityFails"}, errors
+    # the associators reject the table, except where embed(G) and u no longer
+    # generate it, which the word span checks first
+    unspanned = {label for label, error in errors if type(error) is SkewexError}
+    assert unspanned == {f"jet2/derivation[0]/{JET2_EULER}", "m3/derivation",
+                         "m3/automorphism"}, errors
+    for label, error in errors:
+        if label in unspanned:
+            assert "do not generate the extension" in str(error), label
+        else:
+            assert type(error) is AssociativityFails, (label, error)
+            assert "associativity fails on" in str(error), label
+
+
+# -- the section: the low powers of X, the base leading ----------------------
+
+def window_labels(base, degree):
+    """The labels of the e_a X^i, i < degree, in ascending (power, base index)."""
+    labels = list(base.labels)
+    for i in range(1, degree):
+        power = "X" if i == 1 else f"X^{i}"
+        labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
+    return labels
+
+
+def test_extension_keeps_the_low_powers_with_the_base_leading(corpus, m3):
+    """The relations pivot on the highest powers of X, so the extension keeps
+    the whole X^0 block: embed is the leading identity block, the labels
+    start with the base's, and the kept cells ascend in (power, base index)."""
+    count = 0
+    for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *fuzz_cases(),
+                                           *m3_pair(m3)]:
+        result = build(mode, algebra, twist, p)
+        n, dim = algebra.dim, result.algebra.dim
+        assert result.embed == Mat.from_columns([unit_vec(a, dim) for a in range(n)]), label
+        labels = list(result.algebra.labels)
+        assert labels[:n] == list(algebra.labels), label
+        window = window_labels(algebra, p.degree)
+        positions = [window.index(lab) for lab in labels]
+        assert positions == sorted(set(positions)), label
+        count += 1
+    assert count == 127 + 54 + 2
