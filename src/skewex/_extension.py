@@ -38,8 +38,9 @@ the unit and u dense (8 against 36 bits for an inner derivation of M_3,
 Only the products of the kept coordinates are formed: (e_a X^i)(e_b X^j) =
 sum e_a c X^(m+j) over the terms (m, c) of xpow[b][i], folded and reduced
 against N, in integers.  Fold and reduction are linear, so each monomial
-e_a X^m, m < 2d, is folded and reduced once, and every product is an
-integer combination of those rows.  When N is the image of (p(X)) these are
+e_a X^m that those products reach, m <= max(2K, 1) for K the highest kept
+power, is folded and reduced once, and every product is an integer
+combination of those rows.  When N is the image of (p(X)) these are
 the constants of E on that section, and when N = 0 they are the whole
 window in the free module's order.  The table stays in integers: the
 algebra is built from it with no dense Fraction tensor.
@@ -54,21 +55,46 @@ d*n - dim N, the surjection E -> B is an isomorphism, and N is the whole
 image of (p(X)).  An N that misses a vector cannot come back as an extension:
 verify_extension rejects the table.  N = 0 means the window itself is the
 extension.
+
+The central-simple route.  When the base is not commutative, its trace form
+has a dual basis f_i with the central-simple identity sum_i e_i x f_i =
+Tr(L_x)/n 1 (algebra.separability), and the Casimir element gives an inner
+witness (v with D = ad_v, or a unit w with phi = conj_w, checked on the
+generators), assemble skips the relation closure.  Y = X - v, or
+Y = w^(-1) X, is central, so R = A[Y] and p(X) = q(Y) with coefficients in
+Q[v] or Q[w].  The identity gives t_a(Y) 1 = n sum_i e_i q(Y) e_a f_i in
+(p(X)) for the trace polynomials t_a(Y) = Tr(L_{q(Y) e_a}), so g = gcd_a t_a,
+of degree k, has dim R/(p) <= n k.  The route builds the extension on the
+cells e_a X^i, i < k, from the relation X^k = sum_{i<k} r_i X^i that g(Y)
+becomes (r_i in Q[v] or Q[w], which commute with X), and verify_extension
+proves that the result, of dimension n k, is a quotient of R/(p): the two
+are equal, and dim N = (d - k) n.  The closure keeps those same cells: they
+are independent modulo N (e_a X^i = e_a (Y + v)^i is unitriangular in the
+powers of Y, and e_a X^i = e_a w^i Y^i block-diagonal), and N's reduced
+echelon basis, pivoting on the highest powers, leaves exactly the lowest k
+blocks.  The coordinates of a quotient on a given basis are unique, so both
+routes give the same table, byte for byte.  force_free_model and every other
+input keep the closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .algebra import (
     Algebra,
+    Separability,
     _LeftWords,
+    _casimir_sum,
     _check_unit_law,
     _first_nonassociative_at,
     _integer_product,
     _nonzero,
+    _trace_gram,
+    separability,
 )
 from .algebra import poly_of_element as _poly_of_element
 from .errors import AnnihilatorFails, AssociativityFails, SkewexError, UnitFails
@@ -77,8 +103,11 @@ from .linalg import (
     Poly,
     Subspace,
     Vec,
+    _equal_rows,
     _integer_row,
+    _integer_rref,
     _integer_span,
+    _primitive_gcd,
     _rational_row,
     is_zero_vec,
     kernel,
@@ -248,24 +277,16 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
     pivot of the relations, are listed in ascending (power, base index), so
     the base block X^0, which holds no pivot, comes first.  xpow is
     twist_table's and beta _integer_beta's, for powers up to at least
-    2d - 1.  Each monomial e_a X^m with m < 2d is folded into the window and
+    2d - 1.  Each monomial e_a X^m that a kept product reaches, m <=
+    max(2K, 1) for K the highest kept power, is folded into the window and
     reduced against the relations once, in integers: beta scales by L_beta
     and the residual by the relations' L_N, so its row is L_beta L_N times
-    the kept coordinates of the rational projection.  Fold
-    and residual are linear at that one scale, so folding and reducing an
-    integer combination of monomials gives exactly the same combination of
-    their rows.  The kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over
-    the terms (m, c) of xpow[b][i], are such combinations with
-    m + j <= 2d - 2; c scales by L_xpow and the base's constants by its
-    L_table, so every kept entry is an integer over L_table L_xpow L_beta L_N,
-    and the algebra is built from that integer table.  embed, u and the unit
-    combine the rows of X^0 and X^1 (X^1 lies past 2d - 2 when d = 1).
-    Nothing is checked here: verify_extension is the certificate.
+    the kept coordinates of the rational projection.  _kept_cell_quotient
+    forms the table from those rows.  Nothing is checked here:
+    verify_extension is the certificate.
     """
     n, d = base.dim, p.degree
-    scale_table, table = base.integer_sc
     scale_beta, beta = beta
-    scale_xpow, int_xpow = xpow
     # the kept window indices in ascending (power, base index): blocks last first
     coords = sorted(relations.kept(), key=lambda r: (-(r // n), r))
     kept = [(d - 1 - r // n, r % n) for r in coords]
@@ -274,11 +295,34 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
         residual = relations.residual(_integer_fold([(m, [(a, 1)])], beta, n, d * n))
         return _nonzero([residual[r] for r in coords])
 
-    monomials = [[monomial(m, a) for a in range(n)] for m in range(2 * d)]
+    top = max(2 * max((i for i, _ in kept), default=0), 1)
+    monomials = [[monomial(m, a) for a in range(n)] for m in range(top + 1)]
+    return _kept_cell_quotient(base, xpow, kept, monomials, scale_beta * relations.scale)
+
+
+def _kept_cell_quotient(base: Algebra, xpow: IntegerXPow, kept: list[tuple[int, int]],
+                        monomials: list[list[list[tuple[int, int]]]], scale: int
+                        ) -> tuple[Algebra, Mat, Vec]:
+    """The extension on the kept cells e_a X^i, the (power, base index) pairs
+    of kept, from the rows of the monomials.
+
+    monomials[m][a] is the nonzero (position in kept, S x) pairs of e_a X^m
+    in the extension, x its coordinates on the kept cells, for one integer
+    scale S = scale and every m a kept product reaches.  The rows are linear
+    at that one scale, so an integer combination of monomials has exactly
+    the same combination of their rows.  The kept cells (e_a X^i)(e_b X^j)
+    = sum e_a c X^(m+j), over the terms (m, c) of xpow[b][i], are such
+    combinations with m + j <= i + j; c scales by L_xpow and the base's
+    constants by its L_table, so every kept entry is an integer over
+    L_table L_xpow S, and the algebra is built from that integer table.
+    embed, u and the unit combine the rows of X^0 and X^1.
+    """
+    n = base.dim
+    scale_table, table = base.integer_sc
+    scale_xpow, int_xpow = xpow
 
     def project(terms: IntegerTerms) -> list[int]:
-        """The kept coordinates of sum c X^m over the (m, c) of terms, folded
-        and reduced against the relations, times L_beta L_N."""
+        """The kept coordinates of sum c X^m over the (m, c) of terms, times S."""
         out = [0] * len(kept)
         for m, coeff in terms:
             rows = monomials[m]
@@ -298,18 +342,161 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
             row.append(project([(m + j, v) for m, v in left[b]]))
         cells.append(row)
 
-    scale = scale_beta * relations.scale
     scale_unit, unit = _integer_row(base.unit)
     unit_terms = _nonzero(unit)
     embed = Mat.from_columns([_rational_row(project([(0, [(a, 1)])]), scale) for a in range(n)])
     u = _rational_row(project([(1, unit_terms)]), scale * scale_unit)
-    labels = list(base.labels)
-    for i in range(1, d):
+    labels = []
+    for i, a in kept:
+        lab = base.labels[a]
         power = "X" if i == 1 else f"X^{i}"
-        labels += [power if lab == "1" else f"{lab}*{power}" for lab in base.labels]
+        labels.append(lab if i == 0 else power if lab == "1" else f"{lab}*{power}")
     ext_unit = _rational_row(project([(0, unit_terms)]), scale * scale_unit)
     return (Algebra._from_integer_table(scale * scale_table * scale_xpow, cells, ext_unit,
-                                        [labels[i * n + a] for i, a in kept]), embed, u)
+                                        labels), embed, u)
+
+
+def _inner_witness(mode: str, base: Algebra, twist: Mat, separable: Separability
+                   ) -> Optional[tuple[int, list[int]]]:
+    """(s, Z) for the inner witness z = Z / s read off the Casimir element,
+    or None when it does not realize the twist.
+
+    For a derivation D, v = sum_i D(e_i) f_i, and D = ad_v, a -> v a - a v:
+    D(a e_i) = D(a) e_i + a D(e_i) and sum a e_i (x) f_i = sum e_i (x) f_i a
+    give sum a D(e_i) f_i = v a - D(a), as sum e_i f_i = 1.  For an
+    automorphism phi, w = sum_i phi(e_i) e_b f_i satisfies w a = phi(a) w
+    for every b, by the same commutation; the first b with w != 0 is taken,
+    and phi = conj_w once w is a unit.  Both identities are checked on G =
+    base.generators, since the elements on which two derivations, or two
+    unital homomorphisms, agree form a subalgebra holding 1, and w is a unit
+    exactly when left multiplication by it has full rank.  With the table
+    over L, the twist over L_t and the dual basis over S, v is an integer
+    row over L L_t S and w one over L^2 L_t S.
+    """
+    n = base.dim
+    scale_table, table = base.integer_sc
+    scale_twist, columns = _integer_columns(twist, n, n)
+    duals = [_nonzero(f) for f in separable.dual]
+    if mode == "derivation":
+        scale, z = scale_table * scale_twist * separable.scale, _casimir_sum(table, columns, duals)
+        zs = _nonzero(z)
+        for g in base.generators:
+            got = [x - y for x, y in zip(_integer_product(table, zs, [(g, 1)]),
+                                         _integer_product(table, [(g, 1)], zs))]
+            image = [row[g] for row in twist.integer_form[1]]
+            if not _equal_rows(got, scale_table * scale, image, scale_twist):
+                return None
+        return scale, z
+    scale = scale_table * scale_table * scale_twist * separable.scale
+    for b in range(n):
+        z = _casimir_sum(table, [_nonzero(_integer_product(table, column, [(b, 1)]))
+                                 for column in columns], duals)
+        if any(z):
+            break
+    else:
+        return None
+    zs = _nonzero(z)
+    for g in base.generators:
+        if not _equal_rows(_integer_product(table, zs, [(g, 1)]), scale_table * scale,
+                           _integer_product(table, columns[g], zs),
+                           scale_table * scale_twist * scale):
+            return None
+    if len(_integer_rref([_integer_product(table, zs, [(j, 1)]) for j in range(n)])) < n:
+        return None
+    return scale, z
+
+
+def _central_simple_quotient(mode: str, base: Algebra, p: Poly, twist: Mat
+                             ) -> Optional[tuple[Algebra, Mat, Vec]]:
+    """The extension A (x) Q[Y]/(g) of a central simple base, with its
+    embedding and u, or None when the route does not apply.
+
+    It applies when the base is not commutative, separability finds the
+    central-simple identity sum_i e_i x f_i = Tr(L_x)/n 1, and
+    _inner_witness gives z: v with D = ad_v, or w with phi = conj_w.  Then
+    Y = X - v, or Y = w^(-1) X, commutes with the base, so R = A[Y] and
+    p(X) = q(Y) with the coefficients q_j = sum_i alpha_i C(i, j) v^(i-j),
+    or q_j = alpha_j w^j, in Q[z], for p = sum alpha_i X^i.  The identity
+    makes the trace polynomials t_a(Y) = Tr(L_{q(Y) e_a}), whose coefficient
+    of Y^j is (Gram q_j)_a, lie in the ideal: t_a(Y) 1 =
+    n sum_i e_i q(Y) e_a f_i.  So g = gcd_a t_a, of degree k, has g(Y) 1 in
+    (p(X)), R/(p) is a quotient of the span of the e_a Y^i with i < k, and
+    dim R/(p) <= n k.
+
+    z commutes with X (D(v) = 0, phi(w) = w), so g(Y) is a polynomial in X
+    with coefficients in Q[z], read off g(X - v) or w^k g(w^(-1) X); it
+    gives X^k = sum_{i<k} r_i X^i.  That rewrites every e_a X^m as
+    sum_i e_a rho_(m,i) X^i on the cells e_a X^i, i < k, where rho_m is
+    X^m reduced by X^(i+1) = X X^i and the r_i, all in integers; the kept
+    cells and _kept_cell_quotient then form the table on exactly the cells
+    the closure keeps (module docstring).  verify_extension proves that the
+    result, of dimension n k, is a quotient of R/(p), so the two are equal.
+    """
+    if base.is_commutative():
+        return None
+    separable = separability(base)
+    if separable is None or not separable.central_simple:
+        return None
+    witness = _inner_witness(mode, base, twist, separable)
+    if witness is None:
+        return None
+    n, d = base.dim, p.degree
+    scale_table, table = base.integer_sc
+    # z^i = powers[i] / scale_z, and q_j a common positive multiple of the integer rows q[j]
+    scale_z, powers = _integer_powers(base, _rational_row(witness[1], witness[0]), d)
+    cp = _integer_row(p.coeffs)[1]
+    if mode == "derivation":
+        q = [[sum(cp[i] * comb(i, j) * powers[i - j][c] for i in range(j, d + 1))
+              for c in range(n)] for j in range(d + 1)]
+    else:
+        q = [[cp[j] * x for x in powers[j]] for j in range(d + 1)]
+    traces = set()
+    for row in _trace_gram(base):
+        t = [sum(map(mul, row, q_j)) for q_j in q]
+        while t and not t[-1]:
+            t.pop()
+        traces.add(tuple(t))
+    cg = []
+    for t in traces:
+        cg = _primitive_gcd(cg, list(t))
+    if len(cg) < 2:
+        # a constant g puts 1 in (p(X)), which only a p that misses the twist does
+        return None
+    # g = cg / scale_g, and X^k = sum_{i<k} relation[i] X^i / (scale_g scale_z)
+    k, scale_g = len(cg) - 1, cg[-1]
+    if mode == "derivation":
+        relation = [[-sum(cg[i] * comb(i, j) * (-1) ** (i - j) * powers[i - j][c]
+                          for i in range(j, k + 1)) for c in range(n)] for j in range(k)]
+    else:
+        relation = [[-cg[j] * x for x in powers[k - j]] for j in range(k)]
+    step = [_nonzero(row) for row in relation]
+    lift = scale_table * scale_g * scale_z
+    scale_unit, unit = _integer_row(base.unit)
+    # rho_m = rows / s, its k coefficients dense integer rows over one scale s
+    chain = [(scale_unit, [unit if i == m else [0] * n for i in range(k)]) for m in range(k)]
+    top = max(2 * k - 2, 1)
+    while len(chain) <= top:
+        scale, rows = chain[-1]
+        lead = _nonzero(rows[-1])
+        shifted = [[0] * n] + rows[:-1]
+        if lead:
+            scale *= lift
+            shifted = [[lift * x + y for x, y in zip(row, _integer_product(table, lead, r))]
+                       for row, r in zip(shifted, step)]
+            common = gcd(scale, *(x for row in shifted for x in row))
+            scale, shifted = scale // common, [[x // common for x in row] for row in shifted]
+        chain.append((scale, shifted))
+    common = lcm(*(s for s, _ in chain))
+    monomials = []
+    for scale, rows in chain[:top + 1]:
+        factor = common // scale
+        rows = [_nonzero(row) for row in rows]
+        monomials.append([[(i * n + c, factor * x) for i, row in enumerate(rows)
+                           for c, x in enumerate(_integer_product(table, [(a, 1)], row)) if x]
+                          for a in range(n)])
+    kept = [(i, a) for i in range(k) for a in range(n)]
+    return _kept_cell_quotient(base, twist_table(mode, twist, k - 1), kept, monomials,
+                               scale_table * common)
 
 
 def _check_annihilates(twist: Mat, p: Poly) -> None:
@@ -330,24 +517,28 @@ def assemble(
     """Common construction path: build the extension of base that makes twist
     inner, pass it through verify_extension and return it.
 
-    The twist table and the folding table of X^m, m <= 2 deg p, are built
-    once and serve both the relation submodule and the quotient.
+    A central simple base with an inner twist takes _central_simple_quotient,
+    which needs no relation closure, unless force_free_model is set.  Every
+    other input builds the twist table and the folding table of X^m, m <=
+    2 deg p, once, for both the relation submodule and the quotient.
 
     With force_free_model the grid itself must be the extension, and a
     nonzero relation submodule raises AssociativityFails.
     """
-    xpow = twist_table(mode, twist, p.degree)
-    beta = _integer_beta(p, 2 * p.degree)
-    relations = relation_submodule(base, p, xpow, beta)
-    if force_free_model and relations.dim:
-        raise AssociativityFails(
-            f"relation submodule of dimension {relations.dim}: the rewrite system is inconsistent")
-    algebra, embed, u = quotient_by_relations(base, p, xpow, beta, relations)
+    quotient = None if force_free_model else _central_simple_quotient(mode, base, p, twist)
+    if quotient is None:
+        xpow = twist_table(mode, twist, p.degree)
+        beta = _integer_beta(p, 2 * p.degree)
+        relations = relation_submodule(base, p, xpow, beta)
+        if force_free_model and relations.dim:
+            raise AssociativityFails(f"relation submodule of dimension {relations.dim}: "
+                                     "the rewrite system is inconsistent")
+        quotient = quotient_by_relations(base, p, xpow, beta, relations)
+    algebra, embed, u = quotient
     u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
-    return ExtensionResult(
-        mode, base, algebra, embed, u, u_inverse, p,
-        free_module=(relations.dim == 0), defect_dim=relations.dim,
-    )
+    defect = p.degree * base.dim - algebra.dim
+    return ExtensionResult(mode, base, algebra, embed, u, u_inverse, p,
+                           free_module=(defect == 0), defect_dim=defect)
 
 
 def verify_extension(

@@ -40,10 +40,12 @@ from .linalg import (
     ONE,
     _IntegerEchelon,
     _common_scale_rows,
+    _equal_rows,
     _integer_kernel,
     _integer_row,
     _integer_rref,
     _integer_span,
+    _pivot_rows,
     _rational_row,
     inverse,
     is_zero_vec,
@@ -516,9 +518,7 @@ def radical(algebra: Algebra) -> Subspace:
     """
     n = algebra.dim
     table = algebra.integer_sc[1]
-    trace = algebra.integer_trace
-    gram = [[sum(x * trace[k] for k, x in table[i][j]) for i in range(n)] for j in range(n)]
-    rad = _integer_kernel(gram, n)
+    rad = _integer_kernel(_trace_gram(algebra), n)
     rad_rows = [_nonzero(row) for row in rad.rows()]
     current = rad_rows
     for _ in range(n + 1):
@@ -533,6 +533,77 @@ def radical(algebra: Algebra) -> Subspace:
     if current:
         raise SkewexError("radical candidate is not nilpotent")
     return rad
+
+
+def _trace_gram(algebra: Algebra) -> list[list[int]]:
+    """L^2 times the Gram matrix Tr(L_{e_i e_j}) of the trace form, L the
+    table's scale: the dot products of the cells [i][j] with integer_trace.
+    The form is symmetric, Tr(L_x L_y) = Tr(L_y L_x)."""
+    n = algebra.dim
+    table = algebra.integer_sc[1]
+    trace = algebra.integer_trace
+    return [[sum(x * trace[k] for k, x in table[i][j]) for j in range(n)] for i in range(n)]
+
+
+class Separability(NamedTuple):
+    """The dual basis f_j = dual[j] / scale of the trace form, with
+    Tr(L_{e_i f_j}) = [i = j], and whether the central-simple identity holds."""
+
+    scale: int
+    dual: list[list[int]]
+    central_simple: bool
+
+
+def separability(algebra: Algebra) -> Optional[Separability]:
+    """The dual basis of the trace form, or None when the form is degenerate.
+
+    In characteristic 0 the form is nondegenerate exactly when the algebra
+    is semisimple (Dickson's criterion).  It is invariant, (x y, z) =
+    (x, y z), so the Casimir element sum e_i (x) f_i commutes with the
+    algebra: sum a e_i (x) f_i = sum e_i (x) f_i a, as both sides give
+    Tr(L_{a e_i f_k}) as the coefficient of e_k (x) f_i.  Its value
+    sum e_i f_i is 1, since Tr(L_{x c}) = sum_i Tr(L_{x e_i f_i}) = Tr(L_x)
+    for every x; that is checked here, not assumed, and a failure raises
+    SkewexError.  central_simple records the identity
+    sum_i e_i x f_i = Tr(L_x) / n * 1, checked at x = e_j for each j (both
+    sides are linear in x); it holds on central simple algebras and fails
+    where the center is larger than Q.
+
+    With the Gram matrix G = L^2 (Tr(L_{e_i e_j})), the rows of [G | I]
+    reduce to D (I | G^-1), and f_j is L^2 times row j of G^-1 (G is
+    symmetric), in integers over D.  Both identities are compared
+    cross-multiplied: sum_i e_i f_i is an integer row over L S, and
+    sum_i (e_i e_j) f_i one over L^2 S, S = scale.
+    """
+    n = algebra.dim
+    scale_table, table = algebra.integer_sc
+    gram = _trace_gram(algebra)
+    common, rows, pivots = _pivot_rows([row + [int(i == j) for j in range(n)]
+                                        for i, row in enumerate(gram)])
+    if pivots[:n] != list(range(n)):
+        return None
+    square = scale_table * scale_table
+    dual = [[square * x for x in row[n:]] for row in rows]
+    content = gcd(common, *(x for row in dual for x in row))
+    scale, dual = common // content, [[x // content for x in row] for row in dual]
+    duals = [_nonzero(row) for row in dual]
+    scale_unit, unit = _integer_row(algebra.unit)
+    if not _equal_rows(_casimir_sum(table, [[(i, 1)] for i in range(n)], duals),
+                       scale_table * scale, unit, scale_unit):
+        raise SkewexError("the trace form's Casimir element does not sum to 1")
+    trace = algebra.integer_trace
+    central_simple = all(
+        _equal_rows(_casimir_sum(table, [table[i][j] for i in range(n)], duals),
+                    square * scale, [trace[j] * x for x in unit], scale_table * n * scale_unit)
+        for j in range(n))
+    return Separability(scale, dual, central_simple)
+
+
+def _casimir_sum(table: Table, xs: Sequence[Sequence[tuple[int, int]]],
+                 duals: Sequence[Sequence[tuple[int, int]]]) -> list[int]:
+    """sum_i x_i f_i over the table, for the sparse integer rows x_i and f_i."""
+    return [sum(column) for column in zip(*(_integer_product(table, x, f)
+                                            for x, f in zip(xs, duals)))]
 
 
 def center(algebra: Algebra) -> Subspace:

@@ -266,6 +266,28 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // content for x in row] if content > 1 else row
 
 
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd, leading coefficient positive, of two integer
+    polynomials given by their coefficients from the constant term up, the
+    leading one nonzero; [] when both are zero.
+
+    Euclid on pseudo-remainders: each step cancels the leading term of a
+    with a multiple of b, and each remainder is divided by its content.  By
+    Gauss's lemma that leaves a positive multiple of the rational gcd.
+    """
+    while b:
+        while len(a) >= len(b):
+            g = gcd(a[-1], b[-1])
+            fa, fb, shift = b[-1] // g, a[-1] // g, len(a) - len(b)
+            a = [fa * x - (fb * b[i - shift] if i >= shift else 0) for i, x in enumerate(a)]
+            while a and not a[-1]:
+                a.pop()
+            a = _primitive(a)
+        a, b = b, a
+    a = _primitive(a)
+    return [-x for x in a] if a and a[-1] < 0 else a
+
+
 def _integer_rref(ints: list[list[int]]) -> list[int]:
     """Fraction-free Gauss-Jordan on integer rows, in place; returns the pivots.
 

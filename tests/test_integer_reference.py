@@ -18,6 +18,7 @@ import pytest
 
 from free_model_oracle import (
     free_model,
+    integer_tables,
     power_reduction_table as fraction_power_reduction_table,
     quotient_by_relations,
     rational_xpow,
@@ -319,34 +320,31 @@ def test_kernel_matches_on_corpus_derivation_systems(corpus):
 
 # -- absorption --------------------------------------------------------------
 
-def corpus_extensions(corpus, monkeypatch):
-    """(name, model, relations) for every nonzero relation submodule that
-    quotient_by_relations sees while the corpus extensions are built, with
-    the oracle's dense free model of each."""
+def corpus_extensions(corpus):
+    """(name, model, relations) for every nonzero relation submodule of the
+    twists whose extensions the corpus builds, found by relation_submodule on
+    the tables assemble's closure hands it, with the oracle's dense free
+    model of each."""
     seen = []
-    real = _extension.quotient_by_relations
-
-    def spy(base, p, xpow, beta, relations):
-        if relations.dim:
-            seen.append((current, free_model(base, p, rational_xpow(xpow, base.dim)), relations))
-        return real(base, p, xpow, beta, relations)
-
-    monkeypatch.setattr(_extension, "quotient_by_relations", spy)
     for name, algebra in corpus.items():
-        current = f"{name}/derivation"
-        for d in derivation_space(algebra)[:2]:
-            ore_quotient(algebra, d)
-        current = f"{name}/automorphism"
+        twists = [("derivation", d) for d in derivation_space(algebra)[:2]]
         # the pool starts with the identity, whose extension needs no quotient
-        for phi in sample_automorphisms(algebra, random.Random(len(name)), 2)[1:]:
-            laurent_quotient(algebra, phi)
-    monkeypatch.undo()
+        twists += [("automorphism", phi) for phi in
+                   sample_automorphisms(algebra, random.Random(len(name)), 2)[1:]]
+        for mode, twist in twists:
+            p = twist.minimal_polynomial
+            xpow, beta = integer_tables(mode, twist, p)
+            relations = _extension.relation_submodule(algebra, p, xpow, beta)
+            if relations.dim:
+                seen.append((f"{name}/{mode}", free_model(algebra, p,
+                                                         rational_xpow(xpow, algebra.dim)),
+                             relations))
     return seen
 
 
-def test_absorption_matches_reference_on_corpus_extensions(corpus, monkeypatch):
+def test_absorption_matches_reference_on_corpus_extensions(corpus):
     rng = random.Random(2718)
-    extensions = corpus_extensions(corpus, monkeypatch)
+    extensions = corpus_extensions(corpus)
     kinds = {name.split("/")[1] for name, _, _ in extensions}
     assert kinds == {"derivation", "automorphism"}
     raised = 0
