@@ -610,22 +610,25 @@ def center(algebra: Algebra) -> Subspace:
     """Elements x with x e_g = e_g x for every g in Algebra.generators.
 
     The elements that commute with a fixed x form a unital subalgebra, so x
-    is central once it commutes with the generators.  Row (g, r) of the
-    system holds the r-th coordinate of x e_g - e_g x as a function of x, L
-    times c[k][g][r] - c[g][k][r] in column k, read off the integer table.
+    is central once it commutes with the generators: the system stacks the
+    commutator matrices of the generators.
     """
+    return _integer_kernel([row for g in algebra.generators
+                            for row in _commutator_matrix(algebra, g)], algebra.dim)
+
+
+def _commutator_matrix(algebra: Algebra, g: int) -> list[list[int]]:
+    """L times the matrix of x -> x e_g - e_g x, the table over L: row r,
+    column k holds c[k][g][r] - c[g][k][r]."""
     n = algebra.dim
     table = algebra.integer_sc[1]
-    rows = []
-    for g in algebra.generators:
-        block = [[0] * n for _ in range(n)]
-        for k in range(n):
-            for r, x in table[k][g]:
-                block[r][k] += x
-            for r, x in table[g][k]:
-                block[r][k] -= x
-        rows += block
-    return _integer_kernel(rows, n)
+    m = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for r, x in table[k][g]:
+            m[r][k] += x
+        for r, x in table[g][k]:
+            m[r][k] -= x
+    return m
 
 
 def subalgebra_as_algebra(algebra: Algebra, subspace: Subspace) -> tuple[Algebra, Mat]:

@@ -32,6 +32,7 @@ from .suites import (
     PASS,
     Report,
     _audit_derivations_and_automorphisms,
+    _fault_witness,
     _idempotent_context,
     _Recorder,
 )
@@ -112,12 +113,19 @@ def random_explorer(seed: int, trials: int, max_dim: int) -> Report:
         if rng.random() < 0.5:
             algebra = random_basis_change(algebra, rng)
         rec = _Recorder(f"explore[{trial}]")
-        idems = _idempotent_context(algebra)
-        derivations = derivation_space(algebra)
-        # a lone catalogue block carries its substitution maps as slot maps
-        slot_maps = recipe.slot_maps[0] if algebra is recipe.blocks[0] else None
-        autos = sample_automorphisms(algebra, rng, 4, derivations=derivations,
-                                     slot_maps=slot_maps)
+        try:
+            idems = _idempotent_context(algebra)
+            derivations = derivation_space(algebra)
+            # a lone catalogue block carries its substitution maps as slot maps
+            slot_maps = recipe.slot_maps[0] if algebra is recipe.blocks[0] else None
+            autos = sample_automorphisms(algebra, rng, 4, derivations=derivations,
+                                         slot_maps=slot_maps)
+        except Exception as exc:
+            # one failed record that replays the algebra, then the next trial
+            rec.add("setup", FAIL, {**_fault_witness(exc), "algebra": algebra_to_json(algebra)},
+                    rec.started)
+            report.extend(rec.records)
+            continue
         _audit_derivations_and_automorphisms(rec, algebra, idems, derivations, autos)
         endos = autos
         if algebra is recipe.algebra:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from ._extension import ExtensionResult
 from .algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
 from .algebra import Algebra, matrix_algebra
-from .errors import SkewexError, UnknownSuite
+from .errors import SkewexError, UnknownSuite, ValidationError
 from .idempotents import (
     IdempotentSet,
     _difference_image,
@@ -172,32 +172,37 @@ class _Recorder:
     def __init__(self, suite: str):
         self.suite = suite
         self.records: list[CheckRecord] = []
+        self.started = time.perf_counter()  # the start of the set-up, for its record
 
     def add(self, check: str, status: str, witness: dict, started: float) -> None:
         elapsed = (time.perf_counter() - started) * 1000.0
         self.records.append(CheckRecord(self.suite, check, status, witness, elapsed))
 
     def run(self, check: str, fn: Callable[[], tuple[str, dict]]) -> None:
-        """Record fn's verdict.  A SkewexError is a failed check.  Any other
-        exception is a fault of the program: it becomes a failed record with
-        the exception's type, message and raising line, and the run goes on
-        so the records gathered so far are kept."""
+        """Record fn's verdict, or a failed record if it raises, so that the
+        run goes on and the records gathered so far are kept."""
         started = time.perf_counter()
         try:
             status, witness = fn()
-        except SkewexError as exc:
-            status, witness = FAIL, {"error": str(exc)}
         except Exception as exc:
-            tb = exc.__traceback__
-            while tb.tb_next is not None:
-                tb = tb.tb_next
-            code = tb.tb_frame.f_code
-            status, witness = FAIL, {
-                "error": str(exc),
-                "exception": type(exc).__name__,
-                "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}",
-            }
+            status, witness = FAIL, _fault_witness(exc)
         self.add(check, status, witness, started)
+
+
+def _fault_witness(exc: Exception) -> dict:
+    """The witness of a check that raised: a SkewexError's message, or for
+    any other exception, a fault of the program, its message, type and
+    raising line.  A ValidationError, an invalid setting, is raised again."""
+    if isinstance(exc, ValidationError):
+        raise exc
+    if isinstance(exc, SkewexError):
+        return {"error": str(exc)}
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    code = tb.tb_frame.f_code
+    return {"error": str(exc), "exception": type(exc).__name__,
+            "raised_at": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"}
 
 
 @cache
@@ -603,9 +608,17 @@ SUITE_REGISTRY: dict[str, Callable[[SuiteContext], list[CheckRecord]]] = {
 
 
 def run_suite(names: list[str], ctx: SuiteContext) -> Report:
+    """The records of each named suite in turn.  A suite that raises, as
+    when it builds the objects it shares through ctx, gives one failed
+    "setup" record in place of its own, and the next suite runs."""
     report = Report()
     for name in names:
         if name not in SUITE_REGISTRY:
             raise UnknownSuite(f"unknown suite {name!r}; known: {sorted(SUITE_REGISTRY)}")
-        report.extend(SUITE_REGISTRY[name](ctx))
+        rec = _Recorder(name)
+        try:
+            report.extend(SUITE_REGISTRY[name](ctx))
+        except Exception as exc:
+            rec.add("setup", FAIL, _fault_witness(exc), rec.started)
+            report.extend(rec.records)
     return report

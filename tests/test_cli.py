@@ -9,9 +9,12 @@ import pytest
 
 from skewex.algebra import poly_quotient
 from skewex.cli import main
+from skewex.errors import SkewexError
+from skewex.idempotents import enumerate_idempotents
 from skewex.linalg import Poly
 from skewex.maps import inner_automorphism, inner_derivation
-from skewex.serialize import algebra_to_json, map_to_json
+from skewex.serialize import algebra_from_json, algebra_to_json, map_to_json
+from skewex.suites import SUITE_REGISTRY
 from test_extension_fuzz import U0, V0
 
 
@@ -370,3 +373,67 @@ def test_consecutive_calls_do_not_share_the_map_list(monkeypatch):
         assert cli.main(argv) == 2
     assert seen == [["a.json:derivation"], ["b.json", "c.json"], []]
     assert cli.build_parser() is cli.build_parser()
+
+
+def stripped_records(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        rec.pop("elapsed_ms")
+    return records
+
+
+def capped_run(argv, tmp_path, monkeypatch, code):
+    """The records of argv with the default cap, then with the cap 2, which
+    makes every listing of 2^k > 2 idempotents raise CapExceeded; the capped
+    run exits 1 with each raising set-up as one failed "setup" record, and
+    the records before the first one are the default run's.  Returns the
+    index of the first setup record and the setup records."""
+    assert main(argv + ["--json", str(tmp_path / "default.jsonl")]) == code
+    monkeypatch.setenv("SKEWEX_IDEMPOTENT_CAP", "2")
+    assert main(argv + ["--json", str(tmp_path / "capped.jsonl")]) == 1
+    default, capped = stripped_records(tmp_path / "default.jsonl"), \
+        stripped_records(tmp_path / "capped.jsonl")
+    first = next(i for i, r in enumerate(capped) if r["check"] == "setup")
+    assert capped[:first] == default[:first]
+    setups = [r for r in capped if r["check"] == "setup"]
+    for r in setups:
+        assert r["status"] == "fail" and r["witness"]["error"].endswith("exceed the cap 2"), r
+    return first, setups
+
+
+@pytest.mark.parametrize("seed, trials, first", [(7, 50, 0), (11, 8, 12)])
+def test_a_raising_explorer_set_up_is_one_failed_record(tmp_path, monkeypatch, capsys,
+                                                         seed, trials, first):
+    argv = ["explore", "--seed", str(seed), "--trials", str(trials), "--max-dim", "4"]
+    found, setups = capped_run(argv, tmp_path, monkeypatch, 3)
+    assert found == first
+    for r in setups:
+        # the witness replays: its algebra's idempotents exceed the cap again
+        with pytest.raises(SkewexError, match="exceed the cap 2"):
+            enumerate_idempotents(algebra_from_json(r["witness"]["algebra"]))
+    assert len({r["suite"] for r in setups}) == len(setups) > 1
+
+
+def test_a_raising_suite_is_one_failed_record(files, tmp_path, monkeypatch, capsys):
+    argv = ["suite", "--algebra", str(files["qxq"]), "--suites", ",".join(SUITE_REGISTRY),
+            "--seed", "0"]
+    first, setups = capped_run(argv, tmp_path, monkeypatch, 0)
+    # the two thm19 suites wrote their 3 records; each suite that lists
+    # idempotents failed, and the two after them that do not still ran
+    assert first == 3
+    assert [r["suite"] for r in setups] == ["thm16_audit", "prop22", "prop24", "cor25",
+                                            "ms_oracle"]
+    assert all(set(r["witness"]) == {"error"} for r in setups)
+    records = stripped_records(tmp_path / "capped.jsonl")
+    assert {r["suite"] for r in records[first:] if r["check"] != "setup"} == {
+        "cor34", "lemma_suite"}
+
+
+@pytest.mark.parametrize("command", ["explore", "suite"])
+def test_an_invalid_cap_still_ends_the_run(files, monkeypatch, capsys, command):
+    argv = {"explore": ["explore", "--seed", "7", "--trials", "2", "--max-dim", "4"],
+            "suite": ["suite", "--algebra", str(files["qxq"]), "--suites", "prop22"]}[command]
+    monkeypatch.setenv("SKEWEX_IDEMPOTENT_CAP", "abc")
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: SKEWEX_IDEMPOTENT_CAP must be a positive integer")

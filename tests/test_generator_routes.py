@@ -5,14 +5,14 @@ words span the algebra.  verify_extension checks associators at embed(G)
 and u once their words span the extension's table, that embed is
 multiplicative on the pairs (1, e_j) and (e_g, e_j) and that u realizes the
 twist on G; derivation_space solves the product rule on the pairs (e_g, e_j)
-plus D(1) = 0, unless the algebra is commutative and f'(e_g) is a unit for
-the minimal polynomial f of each e_g, which certifies Der(A) = 0;
+plus D(1) = 0, unless the trace form is nondegenerate (algebra.separability),
+which certifies that every derivation is inner and spans the ad_{e_j};
 is_derivation checks it on the pairs (1, e_j) and (e_g, e_j); center solves
 x e_g = e_g x.  Each is compared with the full basis loop it replaces on the
 test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
 show what each part of the argument is for: the unit checks and rows, the
 D(1) = 0 rows, a G that spans, u among the verifier's generators, and the
-commutativity and unit conditions of the Der(A) = 0 certificate.
+separability condition of the Der(A) = Inn(A) certificate.
 """
 
 import random
@@ -30,6 +30,7 @@ from skewex.algebra import (
     direct_product,
     matrix_algebra,
     poly_quotient,
+    separability,
     subalgebra_generated,
     upper_triangular,
 )
@@ -200,28 +201,69 @@ def test_derivation_space_matches_the_full_system(corpus, monkeypatch):
         dims.append(len(got))
         certified += not builds_the_system(algebra, monkeypatch)
     assert max(dims) == 15 and dims.count(0) >= 10
-    # the certificate fires on c2, c3, qxq and split, and on 189 of the explorer algebras
-    assert certified == 193
+    # the certificate fires on c2, c3, qxq, split, m2, m3, m4, the moved M_2
+    # and on 211 of the explorer algebras
+    assert certified == 219
+
+
+def unimodular_change(algebra, rng, steps):
+    """The algebra in the basis of the columns of a product of steps random
+    elementary integer matrices: the table stays integer and small, so the
+    n^3-row reference system of M_4 solves in about a second, where the
+    explorer's dense change takes minutes."""
+    n = algebra.dim
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-1, 1])
+        for row in t:
+            row[j] += c * row[i]
+    return change_of_basis(algebra, Mat.from_rows(t))
+
+
+def off_corpus_algebras():
+    """Q x M_2, M_3 and M_4 after a basis change, and two products that are
+    not semisimple and have outer derivations, each with whether it is
+    semisimple."""
+    rng = random.Random(71)
+    dual = poly_quotient(Poly.of([0, 0, 1]))
+    return [("q x m2", direct_product(poly_quotient(Poly.of([0, 1])), matrix_algebra(2)), True),
+            ("m3 moved", random_basis_change(matrix_algebra(3), rng), True),
+            ("m4 moved", unimodular_change(matrix_algebra(4), rng, 8), True),
+            ("m2 x dual", direct_product(matrix_algebra(2), dual), False),
+            ("t2 x dual", direct_product(upper_triangular(2), dual), False)]
+
+
+def test_derivation_space_matches_the_full_system_off_the_corpus(monkeypatch):
+    for name, algebra, semisimple in off_corpus_algebras():
+        assert (separability(algebra) is not None) == semisimple, name
+        assert builds_the_system(algebra, monkeypatch) != semisimple, name
+        got = [d.matrix for d in derivation_space(algebra)]
+        assert got == full_derivation_system(algebra), name
+        # the inner derivations are ad_x for x modulo the center
+        inner = algebra.dim - center(algebra).dim
+        assert len(got) == inner if semisimple else len(got) > inner, name
 
 
 def test_separable_commutative_algebras_skip_the_system(corpus, monkeypatch):
     skipped = {name for name, algebra in corpus.items()
                if not builds_the_system(algebra, monkeypatch)}
-    assert skipped == {"c2", "c3", "qxq", "split"}
-    # t has minimal polynomial t^2 or t^3, whose derivative at t is nilpotent:
-    # the certificate must not fire, and d/dt survives
+    assert skipped == {"c2", "c3", "qxq", "split", "m2", "m3"}
+    # t is nilpotent, so the trace form is degenerate: the certificate must
+    # not fire, and d/dt survives
     for name in ("dual", "jet2"):
         algebra = corpus[name]
-        assert not maps._separable_generator(algebra, algebra.generators[0]), name
+        assert separability(algebra) is None, name
         assert len(derivation_space(algebra)) == algebra.dim - 1, name
 
 
 def test_the_certificate_needs_commutativity():
-    # every generator of M_2 in this basis passes the unit test of f'(e_g),
-    # so only the commutativity condition keeps its derivations
+    # every generator of M_2 in this basis has f'(e_g) invertible, the test
+    # of a commutative certificate of Der(A) = 0; the trace form sees that
+    # M_2 is semisimple and keeps its inner derivations
     algebra = m2_in_separable_basis()
     assert not algebra.is_commutative()
-    assert all(maps._separable_generator(algebra, g) for g in algebra.generators)
+    assert separability(algebra) is not None
     assert len(derivation_space(algebra)) == 3
 
 

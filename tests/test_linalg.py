@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from skewex.linalg import (
     Mat,
     Poly,
+    _primitive_gcd,
     full_space,
     inverse,
     kernel,
@@ -187,6 +189,45 @@ def test_poly_arithmetic():
     assert p.gcd(q) == q
     assert q.lcm(q) == q
     assert p.squarefree_part() == q
+
+
+def gcd_pairs(rng, count):
+    """Integer polynomials, constant term first, leading coefficient
+    nonzero: count seeded pairs that share a random factor and carry a
+    common content, then zero, constants and negative leading coefficients."""
+    def draw(degree):
+        return [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    pairs = []
+    for _ in range(count):
+        common, content = draw(rng.randint(0, 3)), rng.choice([1, 1, 2, 6, -4])
+        pairs.append(([content * x for x in times(common, draw(rng.randint(0, 3)))],
+                      [content * x for x in times(common, draw(rng.randint(0, 3)))]))
+    pairs += [([], []), ([], [0, 0, -4]), ([6], [4]), ([-6], []), ([0, -2], [0, 0, -6]),
+              ([2, 0, -2], [-3, 3]), ([1, 2, 1], [-1, -1])]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+def test_primitive_gcd_matches_the_rational_gcd():
+    degrees = []
+    for a, b in gcd_pairs(random.Random(83), 300):
+        got = _primitive_gcd(list(a), list(b))
+        expected = Poly.of(a).gcd(Poly.of(b))
+        assert Poly.of(got).monic() == expected, (a, b)
+        if expected.is_zero():
+            assert got == [], (a, b)
+        else:
+            # primitive, leading coefficient positive, no trailing zeros
+            assert gcd(*got) == 1 and got[-1] > 0, (a, b, got)
+        degrees.append(expected.degree)
+    assert min(degrees) < 0 and degrees.count(0) >= 100 and sum(d >= 2 for d in degrees) >= 150
 
 
 def test_poly_rational_roots():
