@@ -90,6 +90,7 @@ from .algebra import (
     _LeftWords,
     _casimir_sum,
     _check_unit_law,
+    _dense,
     _first_nonassociative_at,
     _integer_product,
     _nonzero,
@@ -321,39 +322,38 @@ def _kept_cell_quotient(base: Algebra, xpow: IntegerXPow, kept: list[tuple[int, 
     scale_table, table = base.integer_sc
     scale_xpow, int_xpow = xpow
 
-    def project(terms: IntegerTerms) -> list[int]:
-        """The kept coordinates of sum c X^m over the (m, c) of terms, times S."""
-        out = [0] * len(kept)
+    def project(terms: IntegerTerms, shift: int) -> tuple[tuple[int, int], ...]:
+        """The nonzero (position in kept, S x) of sum c X^(m + shift) over the
+        (m, c) of terms, x its kept coordinates, summed only where a row lands."""
+        out: dict[int, int] = {}
         for m, coeff in terms:
-            rows = monomials[m]
+            rows = monomials[m + shift]
             for a, x in coeff:
                 for k, y in rows[a]:
-                    out[k] += x * y
-        return out
+                    out[k] = out.get(k, 0) + x * y
+        return tuple(sorted(item for item in out.items() if item[1]))
+
+    def rational(terms: IntegerTerms, denominator: int) -> Vec:
+        return _rational_row(_dense(project(terms, 0), len(kept)), denominator)
 
     cells = []
     for i, a in kept:
-        left: dict[int, IntegerTerms] = {}
-        row = []
-        for j, b in kept:
-            if b not in left:
-                left[b] = [(m, _nonzero(_integer_product(table, [(a, 1)], coeff)))
-                           for m, coeff in int_xpow[b][i]]
-            row.append(project([(m + j, v) for m, v in left[b]]))
-        cells.append(row)
+        # the terms (m, e_a c) of e_a X^i e_b, over the (m, c) of xpow[b][i]
+        lefts = [[(m, v) for m, coeff in int_xpow[b][i]
+                  if (v := _nonzero(_integer_product(table, [(a, 1)], coeff)))] for b in range(n)]
+        cells.append([project(lefts[b], j) if lefts[b] else () for j, b in kept])
 
     scale_unit, unit = _integer_row(base.unit)
     unit_terms = _nonzero(unit)
-    embed = Mat.from_columns([_rational_row(project([(0, [(a, 1)])]), scale) for a in range(n)])
-    u = _rational_row(project([(1, unit_terms)]), scale * scale_unit)
+    embed = Mat.from_columns([rational([(0, [(a, 1)])], scale) for a in range(n)])
+    u = rational([(1, unit_terms)], scale * scale_unit)
     labels = []
     for i, a in kept:
         lab = base.labels[a]
         power = "X" if i == 1 else f"X^{i}"
         labels.append(lab if i == 0 else power if lab == "1" else f"{lab}*{power}")
-    ext_unit = _rational_row(project([(0, unit_terms)]), scale * scale_unit)
-    return (Algebra._from_integer_table(scale * scale_table * scale_xpow, cells, ext_unit,
-                                        labels), embed, u)
+    ext_unit = rational([(0, unit_terms)], scale * scale_unit)
+    return Algebra._from_cells(scale * scale_table * scale_xpow, cells, ext_unit, labels), embed, u
 
 
 def _inner_witness(mode: str, base: Algebra, twist: Mat, separable: Separability

@@ -1,16 +1,16 @@
 """Finite-dimensional unital associative algebras over Q by structure constants.
 
-An Algebra is its structure constants c[i][j][k], with e_i e_j =
-sum_k c[i][j][k] e_k, plus a distinguished unit vector.  The constants are
-kept as one table of the nonzero ones, integers over a common scale, and a
-dense table given to the constructor is converted and dropped.  Products,
-traces, the center and the associativity and ideal checks all sum over that
-table in integer loops; the dense tensor sc is a view of it, formed only on
-a read.  make_algebra and the extension quotient in _extension certify a
-table alike: the two-sided unit law, then the associators (e_i, y, e_k) at
-elements y whose left-normed words span it (_first_nonassociative_at), e_g
-for g in Algebra.generators here and the embedded generators and u there.
-So any Algebra in circulation is genuinely an associative unital algebra.
+An Algebra is its structure constants c[i][j][k], with e_i e_j = sum_k
+c[i][j][k] e_k, plus a distinguished unit vector.  The constants are kept as
+one table of the nonzero ones, sparse integer cells over one scale, and a
+dense table given to Algebra() is converted and dropped.  Products, traces,
+the center and the associativity and ideal checks sum over that table in
+integer loops; the dense tensor sc is a view of it, formed only on a read.
+make_algebra and the extension quotient in _extension certify a table alike:
+the two-sided unit law, then the associators (e_i, y, e_k) at elements y
+whose left-normed words span it (_first_nonassociative_at), e_g for g in
+Algebra.generators here and the embedded generators and u there.  So any
+Algebra in circulation is genuinely an associative unital algebra.
 
 Elements are plain coordinate tuples (linalg.Vec) relative to the basis.
 """
@@ -65,32 +65,37 @@ Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 IntegerTable = tuple[int, Table]
 
 
-class _Scaled(NamedTuple):
-    """Structure constants cells[i][j][k] / scale, as dense integer cells."""
-
-    scale: int
-    cells: Sequence[Sequence[Sequence[int]]]
-
-
-def _integer_table(sc) -> IntegerTable:
-    """The canonical integer table of a dense table of rationals or of a
-    _Scaled one: the cells and the scale divided by their gcd are the
-    integers over the lcm of the denominators of the constants."""
-    if not isinstance(sc, _Scaled):
-        n = len(sc)
-        scale, ints = _common_scale_rows([vec(cell) for row in sc for cell in row])
-        sc = _Scaled(scale, [ints[i * n:(i + 1) * n] for i in range(n)])
-    table = tuple(tuple(tuple(_nonzero(cell)) for cell in row) for row in sc.cells)
-    common = gcd(sc.scale, *(x for row in table for cell in row for _, x in cell))
+def _integer_table(scale: int, cells) -> IntegerTable:
+    """The canonical integer table of the constants x / scale at the (k, x) of
+    cells[i][j], nonzero and strictly ascending in k < dim = len(cells), else
+    DimensionMismatch: the scale and the x divided by their gcd."""
+    dim = len(cells)
+    if any(len(row) != dim for row in cells):
+        raise DimensionMismatch("structure constants differ from dimension")
+    for row in cells:
+        for cell in row:
+            last = -1
+            for k, x in cell:
+                if not last < k < dim or not x:
+                    raise DimensionMismatch(f"malformed structure constant cell {cell!r}")
+                last = k
+    common = gcd(scale, *(x for row in cells for cell in row for _, x in cell))
     if common > 1:
-        table = tuple(tuple(tuple((k, x // common) for k, x in cell) for cell in row)
-                      for row in table)
-    return sc.scale // common, table
+        cells = [[[(k, x // common) for k, x in cell] for cell in row] for row in cells]
+    return scale // common, tuple(tuple(map(tuple, row)) for row in cells)
 
 
 def _nonzero(row: Sequence[int]) -> list[tuple[int, int]]:
     """The (index, entry) pairs of the nonzero entries of an integer row."""
     return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _dense(cell: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """The integer row of length n holding the (index, entry) pairs of cell."""
+    row = [0] * n
+    for j, x in cell:
+        row[j] = x
+    return row
 
 
 def _integer_product(
@@ -184,32 +189,37 @@ class Algebra:
     """
 
     def __init__(self, dim: int, sc, unit: Vec, labels: Optional[Sequence[str]] = None):
-        """sc is dim x dim cells of dim rationals each, or a _Scaled table."""
-        cells = sc.cells if isinstance(sc, _Scaled) else sc
-        if len(cells) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
-                                    for row in cells):
+        """sc is the dense table: dim x dim cells of dim rationals each."""
+        if len(sc) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
+                                 for row in sc):
             raise DimensionMismatch("structure constants differ from dimension")
-        self.dim = dim
-        self.integer_sc = _integer_table(sc)
-        self.unit: Vec = vec(unit)
-        self.labels: tuple[str, ...] = (tuple(labels) if labels
-                                         else tuple(f"e{i}" for i in range(dim)))
-        if len(self.labels) != dim:
-            raise DimensionMismatch("label count differs from dimension")
+        scale, ints = _common_scale_rows([vec(cell) for row in sc for cell in row])
+        self._build(scale, [[_nonzero(ints[i * dim + j]) for j in range(dim)]
+                            for i in range(dim)], unit, labels)
 
     @classmethod
-    def _from_integer_table(cls, scale: int, cells: Sequence[Sequence[Sequence[int]]],
-                            unit: Vec, labels: Optional[Sequence[str]] = None) -> "Algebra":
-        """The algebra with constants cells[i][j][k] / scale, built from the
-        integers without forming a Fraction constant."""
-        return cls(len(cells), _Scaled(scale, cells), unit, labels)
+    def _from_cells(cls, scale: int, cells: Sequence[Sequence[Sequence[tuple[int, int]]]],
+                    unit: Vec, labels: Optional[Sequence[str]] = None) -> "Algebra":
+        """The algebra with constants x / scale at the (k, x) of cells[i][j], built
+        from the sparse integers without a Fraction constant or a dense cell."""
+        algebra = cls.__new__(cls)
+        algebra._build(scale, cells, unit, labels)
+        return algebra
+
+    def _build(self, scale: int, cells, unit: Vec, labels: Optional[Sequence[str]]) -> None:
+        """Both constructors end here, with sparse integer cells over scale."""
+        self.dim = dim = len(cells)
+        self.integer_sc = _integer_table(scale, cells)
+        self.unit: Vec = vec(unit)
+        self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
+        if len(self.labels) != dim:
+            raise DimensionMismatch("label count differs from dimension")
 
     @cached_property
     def sc(self) -> tuple[tuple[Vec, ...], ...]:
         """The dense table, one Fraction per nonzero constant, read off integer_sc."""
         scale, table = self.integer_sc
-        return tuple(tuple(_rational_row([dict(cell).get(k, 0) for k in range(self.dim)], scale)
-                           for cell in row) for row in table)
+        return tuple(tuple(_rational_row(_dense(c, self.dim), scale) for c in row) for row in table)
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -281,14 +291,14 @@ class Algebra:
         return Fraction(sum(map(mul, xs, self.integer_trace)), self.integer_sc[0] * lx)
 
     def is_commutative(self) -> bool:
-        """Whether e_i e_j = e_j e_i for all i < j; the integer cells share
-        one scale, so they compare as the rational ones do."""
+        """Whether e_g e_j = e_j e_g for g in generators and every j.
+
+        The elements that commute with every e_j form the center, a unital
+        subalgebra of an associative algebra, so it is everything once it
+        holds the generators.  The integer cells share one scale, so they
+        compare as the rational ones do."""
         table = self.integer_sc[1]
-        return all(
-            table[i][j] == table[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        return all(table[g][j] == table[j][g] for g in self.generators for j in range(self.dim))
 
     def __repr__(self) -> str:
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
@@ -344,52 +354,41 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
     the generators span it: by the Teichmueller identity
     a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), the
     middle nucleus {y : (x, y, z) = 0 for all x, z} is closed under products,
-    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly, and one
-    accumulator sums their difference over the table: the sparse e_i y times
-    e_k, minus e_i times the sparse y e_k.
+    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly.  For a
+    middle y and a row i, one accumulator per k that a product reaches sums
+    their difference: the sparse e_i y times the nonempty cells e_l e_k,
+    minus the nonempty cells e_i e_l times the sparse y e_k, read by l.  A k
+    that no product reaches has both sides 0, so only the products that land
+    are summed, and the first k with a nonzero accumulator is the witness.
     """
     table = integer_sc[1]
     n = len(table)
+    reached = [[(k, cell) for k, cell in enumerate(row) if cell] for row in table]
     for g, y in enumerate(generators):
         ys = _nonzero(_integer_row(y)[1])
-        lefts = [_nonzero(_integer_product(table, [(i, 1)], ys)) for i in range(n)]
-        rights = [_nonzero(_integer_product(table, ys, [(k, 1)])) for k in range(n)]
+        # rights[l] holds the (k, c) with c the l-th coordinate of y e_k
+        rights = [[] for _ in range(n)]
+        for k in range(n):
+            for l, c in _nonzero(_integer_product(table, ys, [(k, 1)])):
+                rights[l].append((k, c))
         for i in range(n):
-            row, left = table[i], lefts[i]
-            for k in range(n):
-                acc = [0] * n
-                for l, c in left:
-                    for m, s in table[l][k]:
+            accs = [None] * n
+            for l, c in _nonzero(_integer_product(table, [(i, 1)], ys)):
+                for k, cell in reached[l]:
+                    acc = accs[k]
+                    if acc is None:
+                        acc = accs[k] = [0] * n
+                    for m, s in cell:
                         acc[m] += c * s
-                for l, c in rights[k]:
-                    for m, s in row[l]:
+            for l, cell in reached[i]:
+                for k, c in rights[l]:
+                    acc = accs[k]
+                    if acc is None:
+                        acc = accs[k] = [0] * n
+                    for m, s in cell:
                         acc[m] -= c * s
-                if any(acc):
-                    return i, g, k
-    return None
-
-
-def _first_unabsorbed(integer_sc: IntegerTable, subspace: Subspace
-                      ) -> Optional[tuple[int, int, str]]:
-    """First (index, r, side) at which the subspace fails to absorb a product,
-    or None when it is a two-sided ideal of the algebra the table describes.
-
-    For each basis row v of the subspace (index its position) and each basis
-    element e_r, in that order, "left" means e_r v and then "right" means
-    v e_r lies outside the subspace.  The products are formed from the
-    integer table and the subspace's integer rows, so each is a positive
-    multiple of the rational product, and the subspace's integer residual
-    decides membership exactly.
-    """
-    table = integer_sc[1]
-    residual = subspace.residual
-    for index, row in enumerate(subspace.rows()):
-        w = _nonzero(row)
-        for r in range(len(table)):
-            if any(residual(_integer_product(table, [(r, 1)], w))):
-                return index, r, "left"
-            if any(residual(_integer_product(table, w, [(r, 1)]))):
-                return index, r, "right"
+            if any(map(any, filter(None, accs))):
+                return i, g, next(k for k, acc in enumerate(accs) if acc and any(acc))
     return None
 
 
@@ -459,8 +458,22 @@ def subalgebra_generated(algebra: Algebra, gens: Sequence[Vec]) -> Subspace:
 
 
 def is_ideal(algebra: Algebra, subspace: Subspace) -> bool:
-    """Whether the subspace absorbs every basis element on both sides."""
-    return _first_unabsorbed(algebra.integer_sc, subspace) is None
+    """Whether the subspace V absorbs e_g on both sides for g in Algebra.generators.
+
+    The a with a V in V form a unital subalgebra, as (a b) V = a (b V), and
+    so do the a with V a in V; once both hold the generators, they are the
+    whole algebra and V is a two-sided ideal.  The products are formed from
+    the integer table and V's integer rows, positive multiples of the
+    rational ones, and V's integer residual decides membership exactly.
+    """
+    table = algebra.integer_sc[1]
+    for row in subspace.rows():
+        w = _nonzero(row)
+        for g in algebra.generators:
+            if (any(subspace.residual(_integer_product(table, [(g, 1)], w)))
+                    or any(subspace.residual(_integer_product(table, w, [(g, 1)])))):
+                return False
+    return True
 
 
 def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
@@ -483,18 +496,11 @@ def quotient(algebra: Algebra, ideal: Subspace) -> tuple[Algebra, Mat]:
         raise ImproperIdeal("cannot divide by the whole algebra")
     n = algebra.dim
     coords = ideal.kept()
-
-    def dense(cell: Sequence[tuple[int, int]]) -> list[int]:
-        w = [0] * n
-        for k, x in cell:
-            w[k] = x
-        return w
-
     scale, table = algebra.integer_sc
     unit_scale, unit = _integer_row(algebra.unit)
-    quot = _validated(Algebra._from_integer_table(
+    quot = _validated(Algebra._from_cells(
         scale * ideal.scale,
-        [[ideal.project(dense(table[i][j])) for j in coords] for i in coords],
+        [[_nonzero(ideal.project(_dense(table[i][j], n))) for j in coords] for i in coords],
         _rational_row(ideal.project(unit), unit_scale * ideal.scale),
         [algebra.labels[j] for j in coords],
     ))
@@ -653,9 +659,9 @@ def subalgebra_as_algebra(algebra: Algebra, subspace: Subspace) -> tuple[Algebra
         return [w[p] for p in pivots]
 
     xs = [_nonzero(row) for row in rows]
-    cells = [[coords(_integer_product(table, x, y)) for y in xs] for x in xs]
+    cells = [[_nonzero(coords(_integer_product(table, x, y))) for y in xs] for x in xs]
     unit_scale, unit = _integer_row(algebra.unit)
-    small = _validated(Algebra._from_integer_table(
+    small = _validated(Algebra._from_cells(
         scale * subspace.scale ** 2, cells, _rational_row(coords(unit), unit_scale)))
     return small, Mat._from_integers(list(zip(*rows)), len(rows), subspace.scale)
 
@@ -706,16 +712,12 @@ def _matrix_units(n: int, positions: Sequence[tuple[int, int]]) -> Algebra:
     (i, l) such a product reaches and every (i, i)."""
     index = {pos: k for k, pos in enumerate(positions)}
     dim = len(positions)
-    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j), a in index.items():
-        for (k, l), b in index.items():
-            if j == k:
-                cells[a][b][index[i, l]] = 1
+    cells = [[[(index[i, l], 1)] if j == k else [] for k, l in positions] for i, j in positions]
     unit = [ZERO] * dim
     for i in range(n):
         unit[index[i, i]] = ONE
     labels = [f"E{i + 1}{j + 1}" for i, j in positions]
-    return _validated(Algebra._from_integer_table(1, cells, unit, labels))
+    return _validated(Algebra._from_cells(1, cells, unit, labels))
 
 
 def matrix_algebra(n: int) -> Algebra:
@@ -731,18 +733,18 @@ def poly_quotient(f: Poly) -> Algebra:
         raise ValueError("modulus must be monic of degree >= 1")
     d = f.degree
     scale, reductions = power_reduction_table(f, 2 * d - 2)
-    cells = [[reductions[i + j] for j in range(d)] for i in range(d)]
+    cells = [[_nonzero(reductions[i + j]) for j in range(d)] for i in range(d)]
     labels = ["1"] + [f"t^{i}" if i > 1 else "t" for i in range(1, d)]
-    return _validated(Algebra._from_integer_table(scale, cells, unit_vec(0, d), labels))
+    return _validated(Algebra._from_cells(scale, cells, unit_vec(0, d), labels))
 
 
 def cyclic_group_algebra(m: int) -> Algebra:
     """Group algebra of the cyclic group of order m, basis g^0 .. g^(m-1)."""
     if m < 1:
         raise ValueError("group order must be >= 1")
-    cells = [[[int(k == (i + j) % m) for k in range(m)] for j in range(m)] for i in range(m)]
+    cells = [[[((i + j) % m, 1)] for j in range(m)] for i in range(m)]
     labels = [f"g^{i}" if i > 1 else ("g" if i == 1 else "1") for i in range(m)]
-    return _validated(Algebra._from_integer_table(1, cells, unit_vec(0, m), labels))
+    return _validated(Algebra._from_cells(1, cells, unit_vec(0, m), labels))
 
 
 def direct_product(a: Algebra, b: Algebra) -> Algebra:
@@ -750,18 +752,15 @@ def direct_product(a: Algebra, b: Algebra) -> Algebra:
 
     Its table is the two integer tables side by side, each brought to the
     lcm of their scales."""
-    dim = a.dim + b.dim
     scale = lcm(a.integer_sc[0], b.integer_sc[0])
-    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for offset, part in ((0, a), (a.dim, b)):
+    cells = []
+    for before, part, after in ((0, a, b.dim), (a.dim, b, 0)):
         factor = scale // part.integer_sc[0]
-        for i, row in enumerate(part.integer_sc[1]):
-            for j, cell in enumerate(row):
-                for k, x in cell:
-                    cells[offset + i][offset + j][offset + k] = factor * x
+        for row in part.integer_sc[1]:
+            shifted = [[(before + k, factor * x) for k, x in cell] for cell in row]
+            cells.append([()] * before + shifted + [()] * after)
     labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
-    return _validated(Algebra._from_integer_table(scale, cells, tuple(a.unit) + tuple(b.unit),
-                                                  labels))
+    return _validated(Algebra._from_cells(scale, cells, tuple(a.unit) + tuple(b.unit), labels))
 
 
 def upper_triangular(n: int) -> Algebra:
@@ -788,7 +787,7 @@ def change_of_basis(algebra: Algebra, t: Mat) -> Algebra:
     scale, table = algebra.integer_sc
     columns = [_nonzero(column) for column in zip(*ints)]
     products = [[_integer_product(table, ci, cj) for cj in columns] for ci in columns]
-    return _validated(Algebra._from_integer_table(
+    return _validated(Algebra._from_cells(
         scale_inv * scale_t * scale_t * scale,
-        [[[sum(map(mul, row, p)) for row in inv] for p in row_p] for row_p in products],
+        [[_nonzero([sum(map(mul, row, p)) for row in inv]) for p in row_p] for row_p in products],
         t_inv.apply(algebra.unit), [f"b{i}" for i in range(n)]))

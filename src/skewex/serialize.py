@@ -135,13 +135,14 @@ def algebra_from_json(data, where: str = "algebra") -> Algebra:
             raise ParseError(f"'sc' entries {first[i, j, k]} and {pos} both set ({i}, {j}, {k}) "
                              f"at {where}")
         values[i, j, k] = parse_fraction(value, f"{where}.sc[{pos}]")
-    # integer cells over the lcm of the denominators, as make_algebra would build them
+    # sparse integer cells over the lcm of the denominators, ascending in k
     scale = lcm(*(x.denominator for x in values.values()))
-    cells = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), x in values.items():
-        cells[i][j][k] = x.numerator * (scale // x.denominator)
+    cells = [[[] for _ in range(dim)] for _ in range(dim)]
+    for (i, j, k), x in sorted(values.items()):
+        if x:
+            cells[i][j].append((k, x.numerator * (scale // x.denominator)))
     try:
-        return _validated(Algebra._from_integer_table(scale, cells, unit, labels))
+        return _validated(Algebra._from_cells(scale, cells, unit, labels))
     except SkewexError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 

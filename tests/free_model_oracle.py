@@ -23,7 +23,7 @@ other cells in ascending (power, base index), as the library does.
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from skewex._extension import (
     ExtensionResult,
@@ -35,9 +35,9 @@ from skewex._extension import (
 )
 from skewex.algebra import (
     Algebra,
-    _first_unabsorbed,
-    _integer_table,
+    _integer_product,
     _multiply,
+    _nonzero,
     make_algebra,
 )
 from skewex.errors import AssociativityFails, NotAssociative, UnitFails
@@ -145,7 +145,7 @@ class FreeModel:
         cells = [(a, i) for i in reversed(range(self.d)) for a in range(self.n)]
         self.sc = [[self.reduce_terms(monomial_product(a, i, b, j)) for b, j in cells]
                    for a, i in cells]
-        self.integer_sc = _integer_table(self.sc)
+        self.integer_sc = Algebra(self.dim, self.sc, self.slice0(base.unit)).integer_sc
         # the grid indices in ascending (power, base index), the free-module order
         self.ascending = [self.index(a, i) for i in range(self.d) for a in range(self.n)]
 
@@ -255,6 +255,30 @@ def _collapse(cell: Callable[[int, int], Vec], unit: Vec, labels: Sequence[str],
     )
     n = ideal.ambient_dim
     return quot, Mat.from_columns([project(unit_vec(c, n)) for c in range(n)])
+
+
+def _first_unabsorbed(integer_sc, subspace: Subspace) -> Optional[tuple[int, int, str]]:
+    """First (index, r, side) at which the subspace fails to absorb a product,
+    or None when it is a two-sided ideal of the table; every basis element is
+    tried, as a free model need not be associative.
+
+    For each basis row v of the subspace (index its position) and each basis
+    element e_r, in that order, "left" means e_r v and then "right" means
+    v e_r lies outside the subspace.  The products are formed from the
+    integer table and the subspace's integer rows, so each is a positive
+    multiple of the rational product, and the subspace's integer residual
+    decides membership exactly.
+    """
+    table = integer_sc[1]
+    residual = subspace.residual
+    for index, row in enumerate(subspace.rows()):
+        w = _nonzero(row)
+        for r in range(len(table)):
+            if any(residual(_integer_product(table, [(r, 1)], w))):
+                return index, r, "left"
+            if any(residual(_integer_product(table, w, [(r, 1)]))):
+                return index, r, "right"
+    return None
 
 
 def quotient_by_relations(model: FreeModel, relations: Subspace):

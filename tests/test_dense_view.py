@@ -247,13 +247,13 @@ def test_no_algebra_built_in_the_package_stores_a_dense_table():
 
 def test_suites_explore_and_extend_store_no_dense_table(monkeypatch, tmp_path, corpus, m3):
     built = []
-    init = Algebra.__init__
+    build = Algebra._build  # where both constructors end
 
     def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+        build(self, *args, **kwargs)
         built.append(self)
 
-    monkeypatch.setattr(Algebra, "__init__", recording)
+    monkeypatch.setattr(Algebra, "_build", recording)
     for name, algebra in corpus.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(algebra_to_json(algebra)))

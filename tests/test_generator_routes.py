@@ -8,8 +8,9 @@ twist on G; derivation_space solves the product rule on the pairs (e_g, e_j)
 plus D(1) = 0, unless the trace form is nondegenerate (algebra.separability),
 which certifies that every derivation is inner and spans the ad_{e_j};
 is_derivation checks it on the pairs (1, e_j) and (e_g, e_j); center solves
-x e_g = e_g x.  Each is compared with the full basis loop it replaces on the
-test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
+x e_g = e_g x; is_commutative compares e_g e_j with e_j e_g, and is_ideal
+tests e_g v and v e_g.  Each is compared with the full basis loop it
+replaces on the test corpus, M_3, M_4 and 300 seeded explorer algebras.  Hand-built cases
 show what each part of the argument is for: the unit checks and rows, the
 D(1) = 0 rows, a G that spans, u among the verifier's generators, and the
 separability condition of the Der(A) = Inn(A) certificate.
@@ -21,15 +22,18 @@ from functools import cache
 
 import pytest
 
-from free_model_oracle import integer_tables
+from free_model_oracle import _first_unabsorbed, integer_tables
 from skewex import _extension, maps
 from skewex.algebra import (
     _first_nonassociative_at,
     center,
     change_of_basis,
     direct_product,
+    ideal_closure,
+    is_ideal,
     matrix_algebra,
     poly_quotient,
+    radical,
     separability,
     subalgebra_generated,
     upper_triangular,
@@ -55,7 +59,7 @@ from skewex.maps import (
     is_endomorphism,
 )
 from skewex.ore import ore_quotient
-from skewex.sampling import sample_automorphisms
+from skewex.sampling import random_element, sample_automorphisms
 from test_matrix_kernel_reference import expected_pair, ref_first_unmultiplicative_pair
 from test_nucleus_certificate import extensions, full_route, perturbed
 from test_relation_closure import annihilating_corpus_cases, fuzz_cases, m3_pair
@@ -326,6 +330,59 @@ def test_center_on_generators_matches_the_whole_basis_system(corpus):
                           if centralizer(algebra, gens[:p] + gens[p + 1:]) != got)
     # leaving any one generator out of the system changes some center
     assert needed == set(range(max(len(algebra.generators) for _, algebra in cases)))
+
+
+# -- commutativity and ideals ---------------------------------------------------
+
+def whole_basis_commutative(algebra):
+    """e_i e_j = e_j e_i for every pair, on the integer cells."""
+    table = algebra.integer_sc[1]
+    return all(table[i][j] == table[j][i] for i in range(algebra.dim) for j in range(algebra.dim))
+
+
+def test_commutativity_on_generators_matches_every_pair(corpus):
+    """Also on products whose first generator is a central idempotent, so
+    that a later generator decides."""
+    dual = poly_quotient(Poly.of([0, 0, 1]))
+    products = [(f"{a} x {b}", direct_product(x, y)) for a, x in (("Q", poly_quotient(Poly.x())),
+                                                                   ("dual", dual))
+                for b, y in (("M_2", matrix_algebra(2)), ("T_2", upper_triangular(2)))]
+    verdicts = {True: 0, False: 0}
+    for name, algebra in [*all_algebras(corpus), *center_cases(corpus), *products]:
+        expected = whole_basis_commutative(algebra)
+        assert algebra.is_commutative() == expected, name
+        verdicts[expected] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 30, verdicts
+
+
+def doctored_subspaces(algebra, rng):
+    """Two-sided, one-sided and non-ideals: the closures of a random element,
+    the radical, a generated subalgebra, a span, a two-sided ideal less one
+    basis row and plus a stray vector, and the zero and whole space."""
+    n = algebra.dim
+    x, stray = random_element(algebra, rng), random_element(algebra, rng)
+    two = ideal_closure(algebra, [x])
+    out = [span([], n), span([algebra.basis_element(i) for i in range(n)], n), two,
+           ideal_closure(algebra, [x], "left"), ideal_closure(algebra, [x], "right"),
+           radical(algebra), subalgebra_generated(algebra, [x]), span([x, stray], n),
+           span(list(two.basis) + [stray], n)]
+    if two.dim:
+        drop = rng.randrange(two.dim)
+        out.append(span([v for i, v in enumerate(two.basis) if i != drop], n))
+    return out
+
+
+def test_ideals_on_generators_match_the_whole_basis_check(corpus):
+    """is_ideal absorbs only e_g, g in G; free_model_oracle's _first_unabsorbed
+    tries every basis element."""
+    rng = random.Random(8080)
+    verdicts = {True: 0, False: 0}
+    for name, algebra in [*all_algebras(corpus), *center_cases(corpus)]:
+        for subspace in doctored_subspaces(algebra, rng):
+            expected = _first_unabsorbed(algebra.integer_sc, subspace) is None
+            assert is_ideal(algebra, subspace) == expected, name
+            verdicts[expected] += 1
+    assert verdicts[True] >= 2000 and verdicts[False] >= 500, verdicts
 
 
 # -- multiplicativity and the twist ------------------------------------------

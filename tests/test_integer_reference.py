@@ -17,6 +17,7 @@ from math import gcd, lcm
 import pytest
 
 from free_model_oracle import (
+    _first_unabsorbed,
     free_model,
     integer_tables,
     power_reduction_table as fraction_power_reduction_table,
@@ -26,7 +27,6 @@ from free_model_oracle import (
 from skewex import _extension, maps
 from skewex._extension import poly_of_element
 from skewex.algebra import (
-    _first_unabsorbed,
     ideal_closure,
     is_ideal,
     radical,
