@@ -7,6 +7,9 @@ sum_k C(i, k) D^k(e_b) X^(i-k) for a derivation D (Ore 1933) and
 phi^i(e_b) X^i for an automorphism phi.  It is built once per extension, in
 integers over one scale, from the integer orbits of the basis under the
 twist's integer form.  Everything else is derived here from that table.
+assemble is the one gate of both: it alone decides the default p, the
+preconditions on p and the twist, the route and the private hook that
+forces the rewrite grid; ore_quotient and laurent_quotient name the mode.
 
 Let R be the skew polynomial ring A[X; D] or A[X; phi], n = dim A, and E the
 extension R/(p(X)), the quotient by the two-sided ideal.  Folding X^m by the
@@ -73,8 +76,8 @@ are independent modulo N (e_a X^i = e_a (Y + v)^i is unitriangular in the
 powers of Y, and e_a X^i = e_a w^i Y^i block-diagonal), and N's reduced
 echelon basis, pivoting on the highest powers, leaves exactly the lowest k
 blocks.  The coordinates of a quotient on a given basis are unique, so both
-routes give the same table, byte for byte.  force_free_model and every other
-input keep the closure.
+routes give the same table, byte for byte.  The private
+_skip_annihilator_check and every other input keep the closure.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ from .algebra import (
     separability,
 )
 from .algebra import poly_of_element as _poly_of_element
-from .errors import AnnihilatorFails, AssociativityFails, SkewexError, UnitFails
+from .errors import (AnnihilatorFails, AssociativityFails, ConstantTermZero, NotAutomorphism,
+                     NotMonic, SkewexError, UnitFails)
 from .linalg import (
     Mat,
     Poly,
@@ -115,7 +119,7 @@ from .linalg import (
     power_reduction_table,
     vec_sub,
 )
-from .maps import _first_unmultiplicative_pair, _integer_columns, _integer_image
+from .maps import LinearEndo, _first_unmultiplicative_pair, _integer_columns, _integer_image
 
 # Callers of the constructions re-check p(u) = 0 with p(x) from here.
 poly_of_element = _poly_of_element
@@ -499,43 +503,59 @@ def _central_simple_quotient(mode: str, base: Algebra, p: Poly, twist: Mat
                                scale_table * common)
 
 
-def _check_annihilates(twist: Mat, p: Poly) -> None:
-    """Raise AnnihilatorFails, with a witness column, unless p(twist) = 0."""
-    image = p.eval_matrix(twist)
-    if not image.is_zero():
-        witness = next(j for j in range(twist.cols) if not is_zero_vec(image.column(j)))
-        raise AnnihilatorFails(witness, image.column(witness))
-
-
 def assemble(
     base: Algebra,
-    p: Poly,
     mode: str,
-    twist: Mat,
-    force_free_model: bool = False,
+    twist: LinearEndo,
+    p: Optional[Poly] = None,
+    _skip_annihilator_check: bool = False,
 ) -> ExtensionResult:
-    """Common construction path: build the extension of base that makes twist
-    inner, pass it through verify_extension and return it.
+    """The extension of base that makes twist inner, passed through
+    verify_extension; the one gate of ore_quotient and laurent_quotient.
+
+    twist is a certified Derivation (mode "derivation") or AlgebraEndo
+    (mode "automorphism").  p defaults to its minimal polynomial.  Raises,
+    in this order: NotAutomorphism when an automorphism-mode twist is not
+    invertible; NotMonic unless p is monic of degree >= 1; ConstantTermZero
+    when p(0) = 0 in automorphism mode; AnnihilatorFails, with a witness
+    column, when a given p has p(twist) != 0.
 
     A central simple base with an inner twist takes _central_simple_quotient,
-    which needs no relation closure, unless force_free_model is set.  Every
-    other input builds the twist table and the folding table of X^m, m <=
-    2 deg p, once, for both the relation submodule and the quotient.
+    which needs no relation closure.  Every other input builds the twist
+    table and the folding table of X^m, m <= 2 deg p, once, for both the
+    relation submodule and the quotient.
 
-    With force_free_model the grid itself must be the extension, and a
-    nonzero relation submodule raises AssociativityFails.
+    The private _skip_annihilator_check skips the annihilator check and the
+    route: the rewrite grid itself must be the extension, and a nonzero
+    relation submodule raises AssociativityFails.
     """
-    quotient = None if force_free_model else _central_simple_quotient(mode, base, p, twist)
+    automorphism = mode == "automorphism"
+    if automorphism and not twist.is_invertible():
+        raise NotAutomorphism("the twist must be an automorphism")
+    given = p is not None
+    p = p if given else twist.minimal_polynomial
+    if not p.is_monic() or p.degree < 1:
+        raise NotMonic("relation polynomial must be monic of degree >= 1")
+    if automorphism and p.coeff(0) == 0:
+        raise ConstantTermZero("relation polynomial needs a nonzero constant term")
+    matrix = twist.matrix
+    if given and not _skip_annihilator_check:
+        image = p.eval_matrix(matrix)
+        if not image.is_zero():
+            witness = next(j for j in range(matrix.cols) if not is_zero_vec(image.column(j)))
+            raise AnnihilatorFails(witness, image.column(witness))
+    quotient = (None if _skip_annihilator_check
+                else _central_simple_quotient(mode, base, p, matrix))
     if quotient is None:
-        xpow = twist_table(mode, twist, p.degree)
+        xpow = twist_table(mode, matrix, p.degree)
         beta = _integer_beta(p, 2 * p.degree)
         relations = relation_submodule(base, p, xpow, beta)
-        if force_free_model and relations.dim:
+        if _skip_annihilator_check and relations.dim:
             raise AssociativityFails(f"relation submodule of dimension {relations.dim}: "
                                      "the rewrite system is inconsistent")
         quotient = quotient_by_relations(base, p, xpow, beta, relations)
     algebra, embed, u = quotient
-    u_inverse = verify_extension(mode, base, algebra, embed, u, p, twist)
+    u_inverse = verify_extension(mode, base, algebra, embed, u, p, matrix)
     defect = p.degree * base.dim - algebra.dim
     return ExtensionResult(mode, base, algebra, embed, u, u_inverse, p,
                            free_module=(defect == 0), defect_dim=defect)

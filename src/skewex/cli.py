@@ -13,12 +13,10 @@ import random
 import sys
 from functools import cache
 
+from ._extension import assemble
 from .errors import ParseError, SkewexError, UnknownSuite, ValidationError
 from .idempotents import enumerate_idempotents
-from .laurent import laurent_quotient
 from .linalg import Poly
-from .maps import AlgebraEndo
-from .ore import ore_quotient
 from .serialize import (
     extension_to_json,
     idempotent_set_to_json,
@@ -143,12 +141,9 @@ def cmd_extend(args) -> int:
     p = None
     if args.poly:
         p = Poly.of([parse_fraction(c.strip(), "--poly") for c in args.poly.split(",")])
-    if args.mode == "derivation":
-        result = ore_quotient(algebra, the_map, p)
-    else:
-        if not isinstance(the_map, AlgebraEndo) or not the_map.is_invertible():
-            raise ValidationError("automorphism mode needs an invertible endomorphism")
-        result = laurent_quotient(algebra, the_map, p)
+    if args.mode == "automorphism" and not the_map.is_invertible():
+        raise ValidationError("automorphism mode needs an invertible endomorphism")
+    result = assemble(algebra, args.mode, the_map, p)
     # one compact object: indent would force the pure-Python encoder
     write_output([json.dumps(extension_to_json(result), sort_keys=True)], args.json_out)
     print(

@@ -113,7 +113,8 @@ class AssociativityFails(SkewexError):
     which happens exactly when the construction's precondition was bypassed:
     verify_extension finds that the table breaks the unit law, or that an
     associator (e_i, y, e_k) is nonzero at y = embed(e_g), g among the base's
-    generators, or at u; or the forced free model meets a nonzero relation
+    generators, or at u; or, under the private _skip_annihilator_check hook
+    of _extension.assemble, the rewrite grid meets a nonzero relation
     submodule.  detail names the witness.
     """
 

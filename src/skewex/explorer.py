@@ -22,21 +22,20 @@ from functools import cache
 from typing import NamedTuple
 
 from .algebra import Algebra, change_of_basis, cyclic_group_algebra, matrix_algebra, poly_quotient
-from .idempotents import image_kernel_idempotent_report
 from .linalg import Mat, Poly
 from .maps import derivation_space
 from .sampling import ProductRecipe, block_slot_maps, recipe_endomorphisms, sample_automorphisms
 from .suites import (
     FAIL,
-    INCONCLUSIVE,
-    PASS,
     Report,
     _audit_derivations_and_automorphisms,
+    _biconditional,
     _fault_witness,
     _idempotent_context,
+    _per_map,
     _Recorder,
 )
-from .serialize import algebra_to_json, map_to_json
+from .serialize import algebra_to_json
 
 BLOCK_POLYS = [
     Poly.of([0, 1]),        # scalars
@@ -131,16 +130,8 @@ def random_explorer(seed: int, trials: int, max_dim: int) -> Report:
         if algebra is recipe.algebra:
             endos = endos + recipe_endomorphisms(recipe, rng, 2)
         ideals = {}
-        for idx, phi in enumerate(endos):
-            def check(phi=phi, idx=idx):
-                result = image_kernel_idempotent_report(algebra, phi, idems, ideals)
-                witness = {"map_index": idx, "complete": idems.complete}
-                if not (result.consistent and result.ideal_contained):
-                    witness["algebra"] = algebra_to_json(algebra)
-                    witness["offending_map"] = map_to_json(phi, "endomorphism")
-                    return FAIL, witness
-                return (PASS if idems.complete else INCONCLUSIVE), witness
-
-            rec.run(f"image_kernel_biconditional[{idx}]", check)
+        _per_map(rec, "image_kernel_biconditional", list(enumerate(endos)),
+                 lambda idx, phi: _biconditional(algebra, idems, ideals, phi,
+                                                 {"map_index": idx, "complete": idems.complete}))
         report.extend(rec.records)
     return report

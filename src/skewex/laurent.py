@@ -21,15 +21,9 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence
 
-from ._extension import ExtensionResult, _check_annihilates, assemble
+from ._extension import ExtensionResult, assemble
 from .algebra import Algebra, _integer_ideal, _integer_product, _nonzero
-from .errors import (
-    ConstantTermZero,
-    DimensionMismatch,
-    NotAutomorphism,
-    NotMonic,
-    SkewexError,
-)
+from .errors import DimensionMismatch, NotAutomorphism, SkewexError
 from .linalg import (
     Mat,
     Poly,
@@ -256,21 +250,10 @@ def laurent_quotient(
 ) -> ExtensionResult:
     """Adjoin an invertible u with p(u) = 0 conjugating by phi on the base.
 
-    p defaults to the minimal polynomial of phi; it must be monic with
-    nonzero constant term and p(phi) = 0.  The result has passed
+    phi must be invertible, and p, which defaults to its minimal polynomial,
+    monic with nonzero constant term and p(phi) = 0; _extension.assemble
+    checks the preconditions and the private flag.  The result has passed
     verify_extension, whose docstring lists the postconditions; in
-    particular u embed(a) u^(-1) = embed(phi(a)).  The private flag is as
-    in ore_quotient.
+    particular u embed(a) u^(-1) = embed(phi(a)).
     """
-    if not phi.is_invertible():
-        raise NotAutomorphism("the twist must be an automorphism")
-    given = p is not None
-    p = p if given else phi.minimal_polynomial  # which checks p(phi) = 0
-    if not p.is_monic() or p.degree < 1:
-        raise NotMonic("relation polynomial must be monic of degree >= 1")
-    if p.coeff(0) == 0:
-        raise ConstantTermZero("relation polynomial needs a nonzero constant term")
-    if given and not _skip_annihilator_check:
-        _check_annihilates(phi.matrix, p)
-    return assemble(algebra, p, "automorphism", phi.matrix,
-                    force_free_model=_skip_annihilator_check)
+    return assemble(algebra, "automorphism", phi, p, _skip_annihilator_check)

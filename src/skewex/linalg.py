@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -767,27 +768,33 @@ class Poly:
         return " + ".join(parts)
 
 
-def power_reduction_table(p: Poly, max_power: int) -> tuple[int, list[list[int]]]:
-    """(L, rows) with X^m = sum_q rows[m][q] X^q / L modulo the monic p, for
-    m <= max_power (and every m < deg p), L the lcm of all their denominators.
+def _power_residues(p: Poly) -> Iterator[tuple[int, list[int]]]:
+    """(s, r) with X^m = sum_q r[q] X^q / s modulo the monic p of degree
+    d >= 1, for m = 0, 1, 2, ... in turn, each with gcd(s, r) = 1.
 
-    With p = P / Lp in integers (P_d = Lp, d = deg p), the row of X^(m+1) is
-    that of X^m = r / s shifted up one power, its top entry t folded by
-    X^d = -sum_{q < d} P_q X^q / Lp: (s Lp, Lp shifted - t P) when t != 0.
-    Each (s, r) is divided by gcd(s, r), which leaves s the lcm of the row's
-    denominators, so L is the lcm of the s.
+    With p = P / Lp in integers (P_d = Lp), the row of X^(m+1) is that of
+    X^m = r / s shifted up one power, its top entry t folded by
+    X^d = -sum_{q < d} P_q X^q / Lp: (s Lp, Lp shifted - t P) when t != 0,
+    then divided by its gcd, which leaves s the lcm of the row's
+    denominators.
     """
     d = p.degree
     lp, cp = _integer_row(p.coeffs)
-    chain = [(1, [int(q == m) for q in range(d)]) for m in range(d)]
-    for _ in range(d, max_power + 1):
-        scale, row = chain[-1]
-        top, shifted = row[-1], [0] + row[:-1]
+    scale, row = 1, [1] + [0] * (d - 1)
+    while True:
+        yield scale, row
+        top, row = row[-1], [0] + row[:-1]
         if top:
-            scale, shifted = scale * lp, [lp * x - top * c for x, c in zip(shifted, cp)]
-            common = gcd(scale, *shifted)
-            scale, shifted = scale // common, [x // common for x in shifted]
-        chain.append((scale, shifted))
+            scale, row = scale * lp, [lp * x - top * c for x, c in zip(row, cp)]
+            common = gcd(scale, *row)
+            scale, row = scale // common, [x // common for x in row]
+
+
+def power_reduction_table(p: Poly, max_power: int) -> tuple[int, list[list[int]]]:
+    """(L, rows) with X^m = sum_q rows[m][q] X^q / L modulo the monic p, for
+    m <= max_power (and every m < deg p), L the lcm of all the denominators
+    of _power_residues."""
+    chain = list(islice(_power_residues(p), max(max_power + 1, p.degree)))
     common = lcm(*(s for s, _ in chain))
     return common, [[x * (common // s) for x in row] for s, row in chain]
 

@@ -48,6 +48,7 @@ from .linalg import (
     _integer_row,
     _integer_rref,
     _integer_span,
+    _power_residues,
     inverse,
     is_zero_vec,
     minimal_polynomial,
@@ -388,25 +389,16 @@ def automorphism_order(phi: AlgebraEndo, bound: int = 64) -> Optional[int]:
     """Least m <= bound with phi^m = I, or None; read off the powers X^m
     modulo the minimal polynomial of phi, since phi^m = I iff X^m = 1 there.
 
-    The residues are walked in integers and the walk stops at the first 1:
-    with p = X^d + sum_{q<d} (P_q / L) X^q and a residue R / S, X R / S is
-    (L shift(R) - t P) / (L S), t the top entry of R, kept divided by its
-    content.
+    The residues are linalg._power_residues, walked until the first 1.
     """
     if not phi.is_invertible():
         raise NotAutomorphism("order is only defined for automorphisms")
     p = phi.minimal_polynomial
-    d = p.degree
-    if d == 0:  # the zero algebra, on which phi is the identity
+    if p.degree == 0:  # the zero algebra, on which phi is the identity
         return 1 if bound >= 1 else None
-    scale_p, cp = _integer_row(p.coeffs[:-1])
-    scale, residue = 1, [1] + [0] * (d - 1)
-    for m in range(1, bound + 1):
-        top = residue[-1]
-        residue = [scale_p * x - top * c for x, c in zip([0] + residue[:-1], cp)]
-        scale *= scale_p
-        content = math.gcd(scale, *residue)
-        scale, residue = scale // content, [x // content for x in residue]
+    residues = _power_residues(p)
+    next(residues)  # X^0
+    for m, (scale, residue) in zip(range(1, bound + 1), residues):
         if residue[0] == scale and not any(residue[1:]):
             return m
     return None

@@ -28,10 +28,10 @@ from itertools import zip_longest
 from math import comb, lcm
 from typing import Optional
 
-from ._extension import ExtensionResult, _check_annihilates, assemble
+from ._extension import ExtensionResult, assemble
 from .algebra import (Algebra, SIMPLE, _integer_ideal, _integer_product, _nonzero,
                       ideal_closure, is_simple)
-from .errors import DimensionMismatch, NotMonic, SkewexError
+from .errors import DimensionMismatch, SkewexError
 from .linalg import (
     Mat,
     Poly,
@@ -293,20 +293,11 @@ def ore_quotient(
     """Adjoin u with p(u) = 0 whose commutator realizes d on the base.
 
     p defaults to the minimal polynomial of d and must be monic with
-    p(d) = 0.  The result has passed verify_extension, whose docstring lists
-    the postconditions; in particular [u, embed(a)] = embed(d(a)).
-
-    The private flag skips the annihilator check and demands the raw rewrite
-    grid itself, raising AssociativityFails unless its relations vanish.
+    p(d) = 0; _extension.assemble checks the preconditions and the private
+    flag.  The result has passed verify_extension, whose docstring lists the
+    postconditions; in particular [u, embed(a)] = embed(d(a)).
     """
-    given = p is not None
-    p = p if given else d.minimal_polynomial  # which checks p(d) = 0
-    if not p.is_monic() or p.degree < 1:
-        raise NotMonic("relation polynomial must be monic of degree >= 1")
-    if given and not _skip_annihilator_check:
-        _check_annihilates(d.matrix, p)
-    return assemble(algebra, p, "derivation", d.matrix,
-                    force_free_model=_skip_annihilator_check)
+    return assemble(algebra, "derivation", d, p, _skip_annihilator_check)
 
 
 @dataclass(frozen=True)

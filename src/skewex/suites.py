@@ -11,10 +11,10 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Optional
 
-from ._extension import ExtensionResult
+from ._extension import ExtensionResult, assemble
 from .algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
 from .algebra import Algebra, matrix_algebra
 from .errors import SkewexError, UnknownSuite, ValidationError
@@ -33,13 +33,7 @@ from .idempotents import (
     trace_rank_idempotent,
     NOT_MS,
 )
-from .laurent import (
-    LaurentSkewPoly,
-    coefficient_sum_membership,
-    conjugate_by_x,
-    laurent_mul,
-    laurent_quotient,
-)
+from .laurent import LaurentSkewPoly, coefficient_sum_membership, conjugate_by_x, laurent_mul
 from .linalg import Mat, Poly, Subspace, Vec, rat
 from .maps import (
     AlgebraEndo,
@@ -57,7 +51,6 @@ from .ore import (
     constant_term_identity,
     constant_terms,
     ideal_constant_term,
-    ore_quotient,
     simple_image_check,
 )
 from .sampling import random_element, sample_automorphisms
@@ -135,13 +128,13 @@ class SuiteContext:
         return self._idempotents
 
     def extension(self, twist: LinearEndo) -> ExtensionResult:
-        """ore_quotient of a derivation or laurent_quotient of an
-        automorphism, built once per map object.  Only a success is kept, so
-        a SkewexError is raised again on every call."""
+        """The extension that makes a derivation or an automorphism inner,
+        built once per map object.  Only a success is kept, so a SkewexError
+        is raised again on every call."""
         entry = self._extensions.get(id(twist))
         if entry is None:
-            build = ore_quotient if isinstance(twist, Derivation) else laurent_quotient
-            entry = self._extensions[id(twist)] = (twist, build(self.algebra, twist))
+            mode = "derivation" if isinstance(twist, Derivation) else "automorphism"
+            entry = self._extensions[id(twist)] = (twist, assemble(self.algebra, mode, twist))
         return entry[1]
 
     def endomorphisms(self) -> list[AlgebraEndo]:
@@ -245,25 +238,38 @@ def _matrix_idempotents(size: int) -> IdempotentSet:
     return _partial_idempotents(unit, rank_one_idempotent_grid(size))
 
 
-def _audit_map(rec: _Recorder, algebra: Algebra, label: str, matrix: Mat,
-               idems: IdempotentSet, endo_for_witness, role: str) -> None:
-    def check() -> tuple[str, dict]:
-        # A trace-zero image holds no nonzero idempotent, since an
-        # idempotent's regular trace is its rank: the certificate alone
-        # decides a clean audit, and a partial idempotent list never
-        # downgrades it.
-        if image_trace_certificate(algebra, matrix):
-            return PASS, {"map": label, "trace_certificate": True}
-        findings = image_idempotent_audit(algebra, LinearEndo(algebra, matrix), idems)
-        return FAIL, {
-            "map": label,
-            "trace_certificate": False,
-            "findings": [vector_to_json(e) for e in findings],
-            "algebra": algebra_to_json(algebra),
-            "offending_map": map_to_json(endo_for_witness, role),
-        }
+def _per_map(rec: _Recorder, check: str, keyed: list, body: Callable[..., tuple[str, dict]],
+             none_note: Optional[str] = None) -> None:
+    """Record body(key, m) as check[key] for each (key, m) of keyed; when
+    keyed is empty and a none_note is given, one not-applicable check[none]
+    record instead."""
+    for key, m in keyed:
+        rec.run(f"{check}[{key}]", lambda key=key, m=m: body(key, m))
+    if not keyed and none_note:
+        rec.add(f"{check}[none]", NOT_APPLICABLE, {"note": none_note}, time.perf_counter())
 
-    rec.run(f"image_audit[{label}]", check)
+
+def _failure(algebra: Algebra, m: LinearEndo, witness: dict) -> tuple[str, dict]:
+    """A failed verdict whose witness replays: the algebra and the offending map."""
+    witness["algebra"] = algebra_to_json(algebra)
+    witness["offending_map"] = map_to_json(m, "derivation" if isinstance(m, Derivation)
+                                           else "endomorphism")
+    return FAIL, witness
+
+
+def _image_audit(algebra: Algebra, idems: IdempotentSet, label: str, m: LinearEndo
+                 ) -> tuple[str, dict]:
+    """Thm 16 on one map: no nonzero idempotent in the image of a derivation,
+    or of I - phi for an endomorphism phi."""
+    matrix = m.matrix if isinstance(m, Derivation) else Mat.identity(algebra.dim) - m.matrix
+    # A trace-zero image holds no nonzero idempotent, since an idempotent's
+    # regular trace is its rank: the certificate alone decides a clean audit,
+    # and a partial idempotent list never downgrades it.
+    if image_trace_certificate(algebra, matrix):
+        return PASS, {"map": label, "trace_certificate": True}
+    findings = image_idempotent_audit(algebra, LinearEndo(algebra, matrix), idems)
+    return _failure(algebra, m, {"map": label, "trace_certificate": False,
+                                 "findings": [vector_to_json(e) for e in findings]})
 
 
 def _audit_derivations_and_automorphisms(
@@ -271,62 +277,52 @@ def _audit_derivations_and_automorphisms(
     derivations: list[Derivation], automorphisms: list[AlgebraEndo],
 ) -> None:
     """Audit the image of every derivation d and of every I - phi."""
-    for idx, d in enumerate(derivations):
-        _audit_map(rec, algebra, f"derivation[{idx}]", d.matrix, idems, d, "derivation")
-    for idx, phi in enumerate(automorphisms):
-        delta = Mat.identity(algebra.dim) - phi.matrix
-        _audit_map(rec, algebra, f"one_minus_automorphism[{idx}]", delta, idems,
-                   phi, "endomorphism")
+    keyed = ([(f"derivation[{idx}]", d) for idx, d in enumerate(derivations)]
+             + [(f"one_minus_automorphism[{idx}]", phi) for idx, phi in enumerate(automorphisms)])
+    _per_map(rec, "image_audit", keyed, partial(_image_audit, algebra, idems))
+
+
+def _biconditional(algebra: Algebra, idems: IdempotentSet, ideals: dict[Vec, Subspace],
+                   phi: AlgebraEndo, witness: dict) -> tuple[str, dict]:
+    """Prop 22 on one endomorphism, as image_kernel_idempotent_report decides
+    it; witness holds the record's keys before the verdict's."""
+    report = image_kernel_idempotent_report(algebra, phi, idems, ideals)
+    if not (report.consistent and report.ideal_contained):
+        return _failure(algebra, phi, witness)
+    return (PASS if idems.complete else INCONCLUSIVE), witness
+
+
+def _inner_extension(ctx: SuiteContext, idx: int, m: LinearEndo) -> tuple[str, dict]:
+    """Thm 19 on one map: its extension, and for a derivation D whether every
+    commutator [u, embed(a)] = embed(D(a)) has trace zero in it."""
+    result = ctx.extension(m)
+    ext = result.algebra
+    witness = {
+        "map_index": idx,
+        "relation_degree": result.p.degree,
+        "extension_dim": ext.dim,
+        "free_module": result.free_module,
+        "defect_dim": result.defect_dim,
+    }
+    if not isinstance(m, Derivation):
+        return PASS, witness
+    witness["commutator_traces_zero"] = all(
+        ext.trace_of(result.embed.apply(m.matrix.apply(ctx.algebra.basis_element(a)))) == 0
+        for a in range(ctx.algebra.dim))
+    return (PASS if witness["commutator_traces_zero"] else FAIL), witness
 
 
 def suite_thm19_derivation(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("thm19_derivation")
-    if not ctx.derivations():
-        rec.add("inner_extension[none]", NOT_APPLICABLE,
-                {"note": "the derivation space is zero"}, time.perf_counter())
-        return rec.records
-    for idx, d in enumerate(ctx.derivations()):
-        def check(d=d, idx=idx) -> tuple[str, dict]:
-            result = ctx.extension(d)
-            ext = result.algebra
-            trace_zero = all(
-                ext.trace_of(result.embed.apply(d.matrix.apply(ctx.algebra.basis_element(a)))) == 0
-                for a in range(ctx.algebra.dim)
-            )
-            witness = {
-                "map_index": idx,
-                "relation_degree": result.p.degree,
-                "extension_dim": ext.dim,
-                "free_module": result.free_module,
-                "defect_dim": result.defect_dim,
-                "commutator_traces_zero": trace_zero,
-            }
-            return (PASS if trace_zero else FAIL), witness
-
-        rec.run(f"inner_extension[{idx}]", check)
+    _per_map(rec, "inner_extension", list(enumerate(ctx.derivations())),
+             partial(_inner_extension, ctx), "the derivation space is zero")
     return rec.records
 
 
 def suite_thm19_automorphism(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("thm19_automorphism")
-    autos = ctx.automorphisms()
-    if not autos:
-        rec.add("inner_extension[none]", NOT_APPLICABLE,
-                {"note": "no automorphisms available"}, time.perf_counter())
-        return rec.records
-    for idx, phi in enumerate(autos):
-        def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            result = ctx.extension(phi)
-            witness = {
-                "map_index": idx,
-                "relation_degree": result.p.degree,
-                "extension_dim": result.algebra.dim,
-                "free_module": result.free_module,
-                "defect_dim": result.defect_dim,
-            }
-            return PASS, witness
-
-        rec.run(f"inner_extension[{idx}]", check)
+    _per_map(rec, "inner_extension", list(enumerate(ctx.automorphisms())),
+             partial(_inner_extension, ctx), "no automorphisms available")
     return rec.records
 
 
@@ -341,89 +337,66 @@ def suite_thm16_audit(ctx: SuiteContext) -> list[CheckRecord]:
 def suite_prop22(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("prop22")
     idems = ctx.idempotents()
-    endos = ctx.endomorphisms() or ctx.automorphisms()
-    for idx, phi in enumerate(endos):
-        def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            report = image_kernel_idempotent_report(ctx.algebra, phi, idems, ctx.ideals)
-            witness = {
-                "map_index": idx,
-                "idempotents_checked": len(report.entries),
-                "complete": idems.complete,
-            }
-            if not (report.consistent and report.ideal_contained):
-                witness["algebra"] = algebra_to_json(ctx.algebra)
-                witness["offending_map"] = map_to_json(phi, "endomorphism")
-                return FAIL, witness
-            if not idems.complete:
-                return INCONCLUSIVE, witness
-            return PASS, witness
 
-        rec.run(f"image_kernel_biconditional[{idx}]", check)
+    def check(idx: int, phi: AlgebraEndo) -> tuple[str, dict]:
+        return _biconditional(ctx.algebra, idems, ctx.ideals, phi, {
+            "map_index": idx, "idempotents_checked": len(idems.items),
+            "complete": idems.complete})
+
+    _per_map(rec, "image_kernel_biconditional",
+             list(enumerate(ctx.endomorphisms() or ctx.automorphisms())), check)
     return rec.records
 
 
 def suite_prop24(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("prop24")
     idems = ctx.idempotents()
-    endos = ctx.endomorphisms() or ctx.automorphisms()
-    for idx, phi in enumerate(endos):
-        def check(phi=phi, idx=idx) -> tuple[str, dict]:
-            verdict = ms_check(ctx.algebra, _difference_image(phi.matrix), idems,
-                               ideals=ctx.ideals)
-            witness = {"map_index": idx, "verdict": verdict.status}
-            if verdict.status == NOT_MS:
-                witness["witness_idempotent"] = vector_to_json(verdict.witness)
-                witness["algebra"] = algebra_to_json(ctx.algebra)
-                witness["offending_map"] = map_to_json(phi, "endomorphism")
-                return FAIL, witness
-            if not idems.complete:
-                return INCONCLUSIVE, witness
-            return PASS, witness
 
-        rec.run(f"difference_image_is_ms[{idx}]", check)
+    def check(idx: int, phi: AlgebraEndo) -> tuple[str, dict]:
+        verdict = ms_check(ctx.algebra, _difference_image(phi.matrix), idems,
+                           ideals=ctx.ideals)
+        witness = {"map_index": idx, "verdict": verdict.status}
+        if verdict.status == NOT_MS:
+            witness["witness_idempotent"] = vector_to_json(verdict.witness)
+            return _failure(ctx.algebra, phi, witness)
+        return (PASS if idems.complete else INCONCLUSIVE), witness
+
+    _per_map(rec, "difference_image_is_ms",
+             list(enumerate(ctx.endomorphisms() or ctx.automorphisms())), check)
     return rec.records
 
 
 def suite_cor25(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("cor25")
     idems = ctx.idempotents()
-    found = 0
-    for idx, phi in enumerate(ctx.automorphisms()):
-        order = automorphism_order(phi)
-        if order is None:
-            continue
-        found += 1
-        delta = Mat.identity(ctx.algebra.dim) - phi.matrix
-        _audit_map(rec, ctx.algebra, f"finite_order[{idx},order={order}]", delta,
-                   idems, phi, "endomorphism")
-    if not found:
-        started = time.perf_counter()
-        rec.add("finite_order[none]", NOT_APPLICABLE,
-                {"note": "no finite-order automorphism in the sample"}, started)
+    finite = [(f"finite_order[{idx},order={order}]", phi)
+              for idx, phi in enumerate(ctx.automorphisms())
+              if (order := automorphism_order(phi)) is not None]
+    # the audits are image_audit[finite_order[...]] records; with none, the
+    # one not-applicable record is finite_order[none]
+    _per_map(rec, "image_audit" if finite else "finite_order", finite,
+             partial(_image_audit, ctx.algebra, idems),
+             "no finite-order automorphism in the sample")
     return rec.records
 
 
 def suite_cor34(ctx: SuiteContext) -> list[CheckRecord]:
     rec = _Recorder("cor34")
-    derivations = ctx.derivations()
-    for idx, d in enumerate(derivations):
-        def check(d=d, idx=idx) -> tuple[str, dict]:
-            report = simple_image_check(ctx.algebra, d)
-            witness = {
-                "map_index": idx,
-                "left_full": report.left_full,
-                "right_full": report.right_full,
-                "simple": report.simple,
-                "nonzero": report.nonzero,
-            }
-            if not report.applicable:
-                return NOT_APPLICABLE, witness
-            return (PASS if report.left_full and report.right_full else FAIL), witness
 
-        rec.run(f"image_spans[{idx}]", check)
-    if not derivations:
-        started = time.perf_counter()
-        rec.add("image_spans[none]", NOT_APPLICABLE, {"note": "no derivations"}, started)
+    def check(idx: int, d: Derivation) -> tuple[str, dict]:
+        report = simple_image_check(ctx.algebra, d)
+        witness = {
+            "map_index": idx,
+            "left_full": report.left_full,
+            "right_full": report.right_full,
+            "simple": report.simple,
+            "nonzero": report.nonzero,
+        }
+        if not report.applicable:
+            return NOT_APPLICABLE, witness
+        return (PASS if report.left_full and report.right_full else FAIL), witness
+
+    _per_map(rec, "image_spans", list(enumerate(ctx.derivations())), check, "no derivations")
     return rec.records
 
 

@@ -241,6 +241,16 @@ def test_extend_reads_a_negative_first_coefficient_after_equals(files, tmp_path,
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_extend_rejects_a_singular_endomorphism_in_automorphism_mode(files, tmp_path, capsys):
+    # t -> 0 on Q[t]/(t^2) is a unital endomorphism with no inverse
+    collapse = tmp_path / "collapse.json"
+    collapse.write_text(json.dumps({"matrix": [["1", "0"], ["0", "0"]], "role": "endomorphism"}))
+    code = main(["extend", "--mode", "automorphism", "--algebra", str(files["dual"]),
+                 "--map", str(collapse)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: automorphism mode needs an invertible endomorphism\n"
+
+
 @pytest.mark.parametrize("role, message", [
     ("endomorphism", "the map does not send 1 to 1"),
     ("ederivation", "difference-map identity fails: I - m does not send 1 to 1"),

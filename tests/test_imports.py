@@ -10,6 +10,8 @@ name is read, imported or taken as an attribute in src/, tests/ or
 perfbench/.  No module of the package touches an attribute named sc: an
 Algebra is its integer table, and the dense Fraction view Algebra.sc, whose
 definition is a method and no attribute access, is for tests and tools.
+The extension's preconditions are decided in _extension.assemble alone:
+ore.py, laurent.py, cli.py and suites.py raise none of its errors.
 """
 
 import ast
@@ -135,3 +137,39 @@ def test_no_module_touches_the_dense_table():
         if lines:
             accesses[path.name] = lines
     assert accesses == {}
+
+
+GATE_ERRORS = {"NotMonic", "ConstantTermZero", "AnnihilatorFails"}
+GATE_FREE = ("ore.py", "laurent.py", "cli.py", "suites.py")
+
+
+def gate_bypasses(source: str) -> list[str]:
+    """The extension preconditions a module raises, and its calls of
+    _check_annihilates, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        target = None
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        elif isinstance(node, ast.Call):
+            target = node.func
+        name = (target.id if isinstance(target, ast.Name)
+                else target.attr if isinstance(target, ast.Attribute) else None)
+        if (isinstance(node, ast.Raise) and name in GATE_ERRORS
+                or isinstance(node, ast.Call) and name == "_check_annihilates"):
+            found.append((node.lineno, name))
+    return [name for _, name in sorted(found)]
+
+
+def test_detector_flags_a_bypassed_gate():
+    source = ("if p.degree < 1:\n    raise NotMonic('degree')\n"
+              "_extension._check_annihilates(m, p)\nraise errors.ConstantTermZero\n"
+              "AnnihilatorFails(0, v)\n")
+    assert gate_bypasses(source) == ["NotMonic", "_check_annihilates", "ConstantTermZero"]
+
+
+def test_only_the_extension_gate_decides_the_preconditions():
+    """_extension.assemble alone raises NotMonic, ConstantTermZero and
+    AnnihilatorFails; the entry points and their callers go through it."""
+    assert {name: gate_bypasses((PACKAGE / name).read_text(encoding="utf-8"))
+            for name in GATE_FREE} == {name: [] for name in GATE_FREE}

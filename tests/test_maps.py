@@ -16,7 +16,16 @@ from skewex.errors import (
     SkewexError,
 )
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, inverse, minimal_polynomial, span, zero_subspace
+from skewex.linalg import (
+    Mat,
+    Poly,
+    _rational_row,
+    inverse,
+    minimal_polynomial,
+    power_reduction_table,
+    span,
+    zero_subspace,
+)
 from skewex.maps import (
     AlgebraEndo,
     Derivation,
@@ -36,6 +45,7 @@ from skewex.maps import (
     local_finiteness_report,
 )
 from skewex.sampling import nilpotent_derivations, random_element, sample_automorphisms
+from skewex.suites import SuiteContext
 
 F = Fraction
 
@@ -228,6 +238,34 @@ def test_automorphism_order_matches_product_loop(corpus):
             assert automorphism_order(phi, bound=order) == order
             assert automorphism_order(phi, bound=order - 1) is None
             assert product_loop_order(phi, bound=order - 1) is None
+
+
+def test_automorphism_order_and_the_folding_table_read_one_residue_walk(corpus, monkeypatch):
+    """On the automorphisms the suites audit, automorphism_order agrees with
+    phi^m = I by matrix products, pulls X^0 .. X^order from _power_residues
+    and no further (X^0 .. X^64 when no order is found), and the residues it
+    pulled are power_reduction_table's rows."""
+    pulled = []
+    walk = maps._power_residues
+
+    def counted(p):
+        for residue in walk(p):
+            pulled.append(residue)
+            yield residue
+
+    monkeypatch.setattr(maps, "_power_residues", counted)
+    orders = set()
+    for name, algebra in corpus.items():
+        for phi in SuiteContext(algebra, [], random.Random(0)).automorphisms():
+            pulled.clear()
+            order = automorphism_order(phi)
+            assert order == product_loop_order(phi), name
+            assert len(pulled) == (65 if order is None else order + 1), name
+            scale, rows = power_reduction_table(phi.minimal_polynomial, len(pulled) - 1)
+            assert ([_rational_row(row, s) for s, row in pulled]
+                    == [_rational_row(row, scale) for row in rows]), name
+            orders.add(order)
+    assert {None, 1, 2} <= orders
 
 
 def test_automorphism_order_of_the_zero_algebra():

@@ -7,8 +7,9 @@ confluence_check below is that test, kept as the oracle.  Route one minus route 
 and every k > 0 generator is that one times X^k, so the oracle passes exactly
 when the submodule is zero.  On a zero submodule the quotient is the free
 model itself, its cells reordered from the grid's highest-power-first layout
-to ascending powers by the projection, and the private force_free_model
-hook raises AssociativityFails exactly when the oracle reports a mismatch.
+to ascending powers by the projection, and the private
+_skip_annihilator_check hook raises AssociativityFails exactly when the
+oracle reports a mismatch.
 """
 
 import random

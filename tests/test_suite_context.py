@@ -64,25 +64,26 @@ def counting(monkeypatch, module, name):
 
 
 def test_each_map_is_extended_once(m2, monkeypatch):
-    ore = counting(monkeypatch, suites, "ore_quotient")
-    laurent = counting(monkeypatch, suites, "laurent_quotient")
+    built = counting(monkeypatch, suites, "assemble")
     ctx = make_ctx(m2, 0)
     report = run_suite(list(SUITE_REGISTRY), ctx)
     assert all(r.status != "fail" for r in report.records)
     derivations, automorphisms = ctx.derivations(), ctx.automorphisms()
-    assert [args[1] for args in ore] == derivations
-    assert [args[1] for args in laurent] == automorphisms
+    assert {args[1] for args in built} == {"derivation", "automorphism"}
+    assert [args[2] for args in built if args[1] == "derivation"] == derivations
+    assert [args[2] for args in built if args[1] == "automorphism"] == automorphisms
     assert len(ctx._extensions) == len(derivations) + len(automorphisms)
 
 
 def test_a_failed_extension_is_raised_and_recorded_again(q_times_q, swap, monkeypatch):
     calls = []
 
-    def refuse(algebra, phi):
+    def refuse(algebra, mode, phi):
+        assert mode == "automorphism"
         calls.append(phi)
         raise SkewexError("no extension")
 
-    monkeypatch.setattr(suites, "laurent_quotient", refuse)
+    monkeypatch.setattr(suites, "assemble", refuse)
     ctx = SuiteContext(q_times_q, [swap], random.Random(0), automorphism_samples=4)
     records = run_suite(["thm19_automorphism", "lemma_suite", "thm19_automorphism"], ctx).records
     autos = ctx.automorphisms()
