@@ -533,7 +533,7 @@ def assemble(
     if automorphism and not twist.is_invertible():
         raise NotAutomorphism("the twist must be an automorphism")
     given = p is not None
-    p = p if given else twist.minimal_polynomial
+    p = p if given else twist.minimal_polynomial  # which checks p(twist) = 0
     if not p.is_monic() or p.degree < 1:
         raise NotMonic("relation polynomial must be monic of degree >= 1")
     if automorphism and p.coeff(0) == 0:
