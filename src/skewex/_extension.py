@@ -117,7 +117,6 @@ from .linalg import (
     is_zero_vec,
     kernel,
     power_reduction_table,
-    vec_sub,
 )
 from .maps import LinearEndo, _first_unmultiplicative_pair, _integer_columns, _integer_image
 
@@ -595,6 +594,14 @@ def verify_extension(
     u u^(-1) = u^(-1) u = 1 - p(u)/p(0) = 1.  The powers u^0 .. u^(deg p) are
     formed once, as integer rows over one common scale, and serve both.
 
+    Every check runs on integer rows over the integer table.  With embed =
+    E / Le, twist = T / Lt, u = U / Lu, u^(-1) = V / Lv, 1_A = B / Lb,
+    1 = W / Lw, ext's constants C / L and x y the integer product over C,
+    the unit and twist checks are Lw (E B) = Lb Le W and, for a in G,
+    Lt (U E_a - E_a U) = Lu L (E T_a) or Lt ((U E_a) V) = Lu L^2 Lv (E T_a):
+    the rational identity times one common scale, Lb Le Lw, Le Lt Lu L or
+    Le Lt Lu L^2 Lv, with Le, a factor of both sides, divided out.
+
     Then ext is a quotient of R/(p(X)).  By the universal property of the
     skew polynomial ring (McConnell and Robson, Noncommutative Noetherian
     Rings, 1.2) a -> embed(a), X -> u extends to a homomorphism R -> ext,
@@ -609,21 +616,28 @@ def verify_extension(
         _check_unit_law(ext)
     except UnitFails as exc:
         raise AssociativityFails(str(exc)) from exc
-    images = embed.columns()
+    n = ext.dim
+    scale_table, table = ext.integer_sc
+    scale_embed, columns = _integer_columns(embed, n, base.dim)
+    scale_u, u_row = _integer_row(u)
+    us = _nonzero(u_row)
+    scale_unit, unit = _integer_row(ext.unit)
     names = [f"embed(e{g})" for g in generators] + ["u"]
-    middles = [images[g] for g in generators] + [u]
-    words = _LeftWords(ext.integer_sc[1], _integer_row(ext.unit)[1])
-    for y in middles:
-        words.add(_nonzero(_integer_row(y)[1]))
-    if words.rank < ext.dim:
+    words = _LeftWords(table, unit)
+    for y in [columns[g] for g in generators] + [us]:
+        words.add(y)
+    if words.rank < n:
         raise SkewexError("the embedded generators and u do not generate the extension")
-    witness = _first_nonassociative_at(ext.integer_sc, middles)
+    witness = _first_nonassociative_at(ext.integer_sc,
+                                       [embed.column(g) for g in generators] + [u])
     if witness is not None:
         i, g, k = witness
         raise AssociativityFails(f"associativity fails on (e{i}, {names[g]}, e{k})")
     if kernel(embed).dim != 0:
         raise SkewexError("base does not embed; construction precondition violated")
-    if embed.apply(base.unit) != ext.unit:
+    scale_base_unit, base_unit = _integer_row(base.unit)
+    if not _equal_rows(_integer_image(columns, _nonzero(base_unit), n),
+                       scale_embed * scale_base_unit, unit, scale_unit):
         raise SkewexError("embedding does not send unit to unit")
     if _first_unmultiplicative_pair(base, ext, embed) is not None:
         raise SkewexError("embedding is not multiplicative")
@@ -632,16 +646,24 @@ def verify_extension(
     if any(_integer_combination(coeffs, powers)):
         raise SkewexError("p(u) != 0 in the constructed extension")
     u_inverse = None
+    # the scale of the left side of the twist identity, Le dropped (docstring)
+    scale_got = scale_u * scale_table
     if mode == "automorphism":
-        acc = _integer_combination(coeffs[1:], powers)
-        u_inverse = _rational_row([-x for x in acc], coeffs[0] * scale)
+        inverse = [-x for x in _integer_combination(coeffs[1:], powers)]
+        scale_inverse = coeffs[0] * scale
+        u_inverse = _rational_row(inverse, scale_inverse)
+        inverse = _nonzero(inverse)
+        scale_got *= scale_table * scale_inverse
+    scale_twist, twist_columns = _integer_columns(twist, base.dim, base.dim)
     for a in generators:
-        img = images[a]
+        image = columns[a]
+        got = _integer_product(table, us, image)
         if mode == "derivation":
-            got = vec_sub(ext.multiply(u, img), ext.multiply(img, u))
+            got = [x - y for x, y in zip(got, _integer_product(table, image, us))]
         else:
-            got = ext.multiply(ext.multiply(u, img), u_inverse)
-        if got != embed.apply(twist.column(a)):
+            got = _integer_product(table, _nonzero(got), inverse)
+        if not _equal_rows(got, scale_got, _integer_image(columns, twist_columns[a], n),
+                           scale_twist):
             raise SkewexError(f"adjoined witness does not realize the {mode}")
     return u_inverse
 

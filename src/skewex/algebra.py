@@ -354,7 +354,10 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
     the generators span it: by the Teichmueller identity
     a(b, c, d) + (a, b, c)d = (ab, c, d) - (a, bc, d) + (a, b, cd), the
     middle nucleus {y : (x, y, z) = 0 for all x, z} is closed under products,
-    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly.  For a
+    and it holds the unit.  Both sides scale by L^2 Ly, y = Y / Ly.  As the
+    associator is linear in y, a middle c e_b has the witnesses of e_b, whose
+    products e_i e_b and e_b e_k are the table cells [i][b] and [b][k]; any
+    other middle's products are summed once, where a cell lands.  For a
     middle y and a row i, one accumulator per k that a product reaches sums
     their difference: the sparse e_i y times the nonempty cells e_l e_k,
     minus the nonempty cells e_i e_l times the sparse y e_k, read by l.  A k
@@ -366,14 +369,20 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
     reached = [[(k, cell) for k, cell in enumerate(row) if cell] for row in table]
     for g, y in enumerate(generators):
         ys = _nonzero(_integer_row(y)[1])
+        if len(ys) == 1:
+            b = ys[0][0]
+            lefts, products = [row[b] for row in table], table[b]
+        else:
+            lefts = [_sparse_sum([(c, row[j]) for j, c in ys]) for row in table]
+            products = [_sparse_sum([(c, table[j][k]) for j, c in ys]) for k in range(n)]
         # rights[l] holds the (k, c) with c the l-th coordinate of y e_k
         rights = [[] for _ in range(n)]
-        for k in range(n):
-            for l, c in _nonzero(_integer_product(table, ys, [(k, 1)])):
+        for k, cell in enumerate(products):
+            for l, c in cell:
                 rights[l].append((k, c))
         for i in range(n):
             accs = [None] * n
-            for l, c in _nonzero(_integer_product(table, [(i, 1)], ys)):
+            for l, c in lefts[i]:
                 for k, cell in reached[l]:
                     acc = accs[k]
                     if acc is None:
@@ -390,6 +399,15 @@ def _first_nonassociative_at(integer_sc: IntegerTable, generators: Sequence[Vec]
             if any(map(any, filter(None, accs))):
                 return i, g, next(k for k, acc in enumerate(accs) if acc and any(acc))
     return None
+
+
+def _sparse_sum(terms: Sequence[tuple[int, Sequence[tuple[int, int]]]]) -> list[tuple[int, int]]:
+    """The nonzero (k, x) of sum c cell over the (c, cell) of terms."""
+    out: dict[int, int] = {}
+    for c, cell in terms:
+        for k, s in cell:
+            out[k] = out.get(k, 0) + c * s
+    return [(k, x) for k, x in out.items() if x]
 
 
 def poly_of_element(algebra: Algebra, p: Poly, x: Vec, unit: Optional[Vec] = None) -> Vec:

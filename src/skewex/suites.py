@@ -264,12 +264,17 @@ def _image_audit(algebra: Algebra, idems: IdempotentSet, label: str, m: LinearEn
     matrix = m.matrix if isinstance(m, Derivation) else Mat.identity(algebra.dim) - m.matrix
     # A trace-zero image holds no nonzero idempotent, since an idempotent's
     # regular trace is its rank: the certificate alone decides a clean audit,
-    # and a partial idempotent list never downgrades it.
+    # and a partial idempotent list never downgrades it.  Without it, a listed
+    # idempotent in the image fails the audit; none passes it only when the
+    # list is complete.
     if image_trace_certificate(algebra, matrix):
         return PASS, {"map": label, "trace_certificate": True}
     findings = image_idempotent_audit(algebra, LinearEndo(algebra, matrix), idems)
-    return _failure(algebra, m, {"map": label, "trace_certificate": False,
-                                 "findings": [vector_to_json(e) for e in findings]})
+    witness = {"map": label, "trace_certificate": False,
+               "findings": [vector_to_json(e) for e in findings]}
+    if findings:
+        return _failure(algebra, m, witness)
+    return (PASS if idems.complete else INCONCLUSIVE), witness
 
 
 def _audit_derivations_and_automorphisms(

@@ -6,13 +6,16 @@ an accumulator for every (i, k).  Both must return the same first witness in
 (g, i, k) order, or None: on the corpus tables with make_algebra's
 generators and random rational middles, on the extensions of ad_U0 and
 conj_V0 over M_3, on generic extensions of M_4 and T_5, and on tables with
-one perturbed constant each.  Two hand-built tables pin the parts of the
-loop a shortcut could drop: a row i with e_i y = 0 whose right-hand sum
-e_i (y e_k) is not 0, and a row with two failing k, of which the first is
-the witness.
+one perturbed constant each.  A middle with one nonzero coordinate has
+its products read off the table's cells, and any other middle has them
+summed: both paths meet the oracle at scaled basis elements and two-term
+sums.  Two hand-built tables pin the parts of the loop a shortcut could
+drop: a row i with e_i y = 0 whose right-hand sum e_i (y e_k) is not 0, and
+a row with two failing k, of which the first is the witness.
 """
 
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -25,6 +28,7 @@ from skewex.algebra import (
     upper_triangular,
 )
 from skewex.errors import NotAssociative
+from skewex.linalg import vec_add, vec_scale
 from skewex.maps import Derivation, derivation_space, inner_derivation
 from skewex.ore import ore_quotient
 from skewex.sampling import random_trace_zero_invertible
@@ -121,6 +125,38 @@ def test_witnesses_match_the_oracle_on_perturbed_tables(corpus, m3):
                 outcomes[assert_same_witness(broken.integer_sc, ys, label) is None] += 1
     assert tables >= 200
     assert outcomes[True] >= 100 and outcomes[False] >= 1000, outcomes
+
+
+def scaled_and_summed(algebra, middles):
+    """Each middle times 1, 2, -1 and 1/3, and each plus twice the basis
+    element after the first coordinate it has."""
+    out = [vec_scale(c, y) for y in middles for c in (F(1), F(2), F(-1), F(1, 3))]
+    for y in middles:
+        g = next(k for k, x in enumerate(y) if x)
+        out.append(vec_add(y, vec_scale(F(2), algebra.basis_element((g + 1) % algebra.dim))))
+    return out
+
+
+def test_cell_and_summed_middles_match_the_oracle(corpus, m3):
+    """Basis middles take the cell path, multiples of them too, and every
+    two-term sum is summed; on the corpus, the M_3 pair and tables with one
+    perturbed constant, each gives the oracle's witness, or None."""
+    rng = random.Random(3535)
+    cases = [(name, algebra, basis_middles(algebra))
+             for name, algebra in rational_tables(corpus).items()]
+    for label, mode, algebra, twist, p in m3_pair(m3):
+        result = build(mode, algebra, twist, p)
+        cases.append((label, result.algebra, generators(result)))
+    witnesses = {True: 0, False: 0}
+    for label, algebra, middles in cases:
+        tables = [algebra] + [perturbed(algebra, rng) for _ in range(3 if algebra.dim <= 9 else 1)]
+        for table in tables:
+            ys = scaled_and_summed(table, middles)
+            found = assert_same_witness(table.integer_sc, ys, label)
+            witnesses[found is None] += 1
+            if table is algebra:
+                assert found is None, label
+    assert witnesses[False] >= 20, witnesses
 
 
 def left_empty_table(extra):

@@ -1,16 +1,20 @@
 """verify_extension accepts the constructions' own results and rejects each
 broken postcondition with its own message, from the unit law and the
-associators of a table quotient_by_relations built to the realized twist."""
+associators of a table quotient_by_relations built to the realized twist.
+Isomorphic copies in diagonal bases give every scale of the integer unit
+and twist checks a value above 1, so that each one counts."""
+
+from fractions import Fraction
 
 import pytest
 
 from free_model_oracle import integer_tables
 from skewex import _extension
 from skewex._extension import quotient_by_relations, relation_submodule, verify_extension
-from skewex.algebra import subalgebra_as_algebra, upper_triangular
+from skewex.algebra import change_of_basis, subalgebra_as_algebra, upper_triangular
 from skewex.errors import AssociativityFails, SkewexError
 from skewex.laurent import laurent_quotient
-from skewex.linalg import Mat, Poly, span, vec_add, zero_vec
+from skewex.linalg import Mat, Poly, _integer_row, inverse, span, vec_add, zero_vec
 from skewex.maps import inner_automorphism, inner_derivation
 from skewex.ore import ore_quotient
 from test_relation_closure import m3_pair
@@ -137,3 +141,51 @@ def test_quotient_certificate_messages(monkeypatch, dual_numbers, euler):
     # X^0 e_b = 2 e_b makes 1 (e_b X^j) = 2 e_b X^j, and the unit law is checked first
     with pytest.raises(AssociativityFails, match="unit fails against basis element 0$"):
         verify(unitless)
+
+
+def diagonal(n, shift):
+    """diag(2, 1/3, 1, 2, 1/3, 1, ...), n x n, its pattern started at shift."""
+    cycle = (Fraction(2), Fraction(1, 3), Fraction(1))
+    return Mat.from_rows([[cycle[(i + shift) % 3] if i == j else 0 for j in range(n)]
+                          for i in range(n)])
+
+
+def isomorphic_copy(f):
+    """The fields in new bases of ext and base, the columns of the diagonal
+    P and Q: change_of_basis gives both tables, and embed, u and the twist
+    become P^(-1) embed Q, P^(-1) u and Q^(-1) twist Q."""
+    p, q = diagonal(f["ext"].dim, 0), diagonal(f["base"].dim, 1)
+    p_inverse, q_inverse = inverse(p), inverse(q)
+    return {**f, "base": change_of_basis(f["base"], q), "ext": change_of_basis(f["ext"], p),
+            "embed": p_inverse * f["embed"] * q, "u": p_inverse.apply(f["u"]),
+            "twist": q_inverse * f["twist"] * q}
+
+
+def test_isomorphic_copies_pass_and_a_flipped_twist_column_fails(m3, ore_fields, laurent_fields):
+    """Each copy passes and returns P^(-1) u^(-1); every scale the unit and
+    twist checks multiply by exceeds 1 in some copy, on M_3 in each."""
+    cases = {"dual/euler": ore_fields, "qxq/swap": laurent_fields}
+    for label, mode, base, twist, _ in m3_pair(m3):
+        build = ore_quotient if mode == "derivation" else laurent_quotient
+        cases[label] = fields(build(base, twist), twist.matrix)
+    largest = {}
+    for label, f in cases.items():
+        copy = isomorphic_copy(f)
+        base, ext, mode = copy["base"], copy["ext"], copy["mode"]
+        u_inverse = verify_extension(**copy)
+        scales = {"table": ext.integer_sc[0], "embed": copy["embed"].integer_form[0],
+                  "u": _integer_row(copy["u"])[0], "twist": copy["twist"].integer_form[0],
+                  "unit": _integer_row(ext.unit)[0], "base unit": _integer_row(base.unit)[0]}
+        if mode == "automorphism":
+            assert u_inverse == inverse(diagonal(ext.dim, 0)).apply(verify_extension(**f)), label
+            scales["u_inverse"] = _integer_row(u_inverse)[0]
+        if label.startswith("m3"):
+            assert min(scales.values()) > 1, (label, scales)
+        for name, scale in scales.items():
+            largest[name] = max(largest.get(name, 1), scale)
+        columns = copy["twist"].columns()
+        a = next(g for g in base.generators if any(columns[g]))
+        columns[a] = tuple(-x for x in columns[a])
+        with pytest.raises(SkewexError, match=f"does not realize the {mode}"):
+            verify_extension(**{**copy, "twist": Mat.from_columns(columns)})
+    assert len(largest) == 7 and min(largest.values()) > 1, largest

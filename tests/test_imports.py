@@ -173,3 +173,40 @@ def test_only_the_extension_gate_decides_the_preconditions():
     AnnihilatorFails; the entry points and their callers go through it."""
     assert {name: gate_bypasses((PACKAGE / name).read_text(encoding="utf-8"))
             for name in GATE_FREE} == {name: [] for name in GATE_FREE}
+
+
+FRACTION_CALLS = {"multiply", "apply", "vec_sub", "vec_add"}
+CERTIFICATES = {"_extension.py": "verify_extension", "algebra.py": "_first_nonassociative_at"}
+
+
+def fraction_calls(source: str, function: str) -> list[str]:
+    """The calls of a Fraction product or sum, as a function or a method,
+    in the body of the top-level function of that name, in source order."""
+    node = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    found = []
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            target = call.func
+            name = (target.id if isinstance(target, ast.Name)
+                    else target.attr if isinstance(target, ast.Attribute) else None)
+            if name in FRACTION_CALLS:
+                found.append((call.lineno, call.col_offset, name))
+    return [name for *_, name in sorted(found)]
+
+
+def test_detector_flags_fraction_arithmetic():
+    source = ("def check(ext, embed, u, v):\n"
+              "    got = vec_sub(ext.multiply(u, v), embed.apply(v))\n"
+              "    return linalg.vec_add(got, v)\n"
+              "def other(ext, u):\n    return ext.multiply(u, u)\n")
+    assert fraction_calls(source, "check") == ["vec_sub", "multiply", "apply", "vec_add"]
+
+
+def test_the_extension_certificate_runs_on_integer_rows():
+    """verify_extension and the associator check it calls multiply no
+    Fraction vectors: every product is an integer row over the integer
+    table, and the checks compare cross-multiplied integer rows."""
+    assert {name: fraction_calls((PACKAGE / module).read_text(encoding="utf-8"), name)
+            for module, name in CERTIFICATES.items()} == {name: [] for name in
+                                                          CERTIFICATES.values()}

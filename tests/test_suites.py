@@ -4,6 +4,7 @@ import pytest
 
 from skewex.algebra import FAIL, INCONCLUSIVE, NOT_APPLICABLE, PASS
 from skewex.errors import SkewexError, UnknownSuite
+from skewex import suites
 from skewex.explorer import random_explorer
 from skewex.linalg import Mat
 from skewex.maps import AlgebraEndo, inner_derivation
@@ -115,6 +116,28 @@ def test_prop22_finds_consistency_on_projection(q_times_q):
     proj = AlgebraEndo.certify(q_times_q, Mat.from_rows([[1, 0], [1, 0]]))
     report = run_suite(["prop22", "prop24"], make_ctx(q_times_q, [proj]))
     assert all(r.status == PASS for r in report.records)
+
+
+def test_image_audit_without_the_certificate_decides_by_the_list(monkeypatch, q_times_q, m2):
+    """With the trace certificate switched off, only a listed nonzero
+    idempotent in the image fails the audit (test_failure_witness); with
+    none, a complete list passes it and a partial one leaves it open."""
+    monkeypatch.setattr(suites, "image_trace_certificate", lambda algebra, m: False)
+    identity = AlgebraEndo.certify(q_times_q, Mat.identity(2))
+    idems = suites._idempotent_context(q_times_q)
+    assert idems.complete
+    assert suites._image_audit(q_times_q, idems, "identity", identity) == (
+        PASS, {"map": "identity", "trace_certificate": False, "findings": []})
+    records = run_suite(["thm16_audit"], make_ctx(q_times_q, [identity])).records
+    audits = [r for r in records if "findings" in r.witness]
+    assert audits and all(r.status == PASS and r.witness["findings"] == [] for r in audits)
+    # ad_E12 on M_2: the image is spanned by E12 and E11 - E22, which holds
+    # no rank-one idempotent of the partial list
+    d = inner_derivation(m2, m2.element([0, 1, 0, 0]))
+    idems = suites._idempotent_context(m2)
+    assert not idems.complete
+    assert suites._image_audit(m2, idems, "derivation[0]", d) == (
+        INCONCLUSIVE, {"map": "derivation[0]", "trace_certificate": False, "findings": []})
 
 
 def test_suites_handle_one_dimensional_algebra():
