@@ -67,22 +67,21 @@ generators), assemble skips the relation closure.  Y = X - v, or
 Y = w^(-1) X, is central, so R = A[Y] and p(X) = q(Y) with coefficients in
 Q[v] or Q[w].  The identity gives t_a(Y) 1 = n sum_i e_i q(Y) e_a f_i in
 (p(X)) for the trace polynomials t_a(Y) = Tr(L_{q(Y) e_a}), so g = gcd_a t_a,
-of degree k, has dim R/(p) <= n k.  The route builds the extension on the
-cells e_a X^i, i < k, from the relation X^k = sum_{i<k} r_i X^i that g(Y)
-becomes (r_i in Q[v] or Q[w], which commute with X), and verify_extension
-proves that the result, of dimension n k, is a quotient of R/(p): the two
-are equal, and dim N = (d - k) n.  The closure keeps those same cells: they
-are independent modulo N (e_a X^i = e_a (Y + v)^i is unitriangular in the
-powers of Y, and e_a X^i = e_a w^i Y^i block-diagonal), and N's reduced
-echelon basis, pivoting on the highest powers, leaves exactly the lowest k
-blocks.  The coordinates of a quotient on a given basis are unique, so both
-routes give the same table, byte for byte.  The private
+of degree k, has dim R/(p) <= n k.  The route writes A (x) Q[Y]/(g) in its
+tensor basis e_a (x) Y^j, j < k: its table is the Kronecker product of the
+base's table and that of Q[Y]/(g), with embed(a) = a (x) 1 and u = 1 (x) Y +
+v (x) 1 or w (x) Y.  verify_extension certifies it with every check, as any
+other table, and proves that the result, of dimension n k, is a quotient of
+R/(p): the two are equal, and dim N = (d - k) n.  The closure would write
+the same algebra in the Ore basis e_a X^i, i < k, which e_a X^i = e_a (Y +
+v)^i, or e_a w^i Y^i, carries onto the tensor basis.  The private
 _skip_annihilator_check and every other input keep the closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -104,6 +103,7 @@ from .algebra import poly_of_element as _poly_of_element
 from .errors import (AnnihilatorFails, AssociativityFails, ConstantTermZero, NotAutomorphism,
                      NotMonic, SkewexError, UnitFails)
 from .linalg import (
+    ZERO,
     Mat,
     Poly,
     Subspace,
@@ -117,6 +117,7 @@ from .linalg import (
     is_zero_vec,
     kernel,
     power_reduction_table,
+    unit_vec,
 )
 from .maps import LinearEndo, _first_unmultiplicative_pair, _integer_columns, _integer_image
 
@@ -285,9 +286,15 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
     max(2K, 1) for K the highest kept power, is folded into the window and
     reduced against the relations once, in integers: beta scales by L_beta
     and the residual by the relations' L_N, so its row is L_beta L_N times
-    the kept coordinates of the rational projection.  _kept_cell_quotient
-    forms the table from those rows.  Nothing is checked here:
-    verify_extension is the certificate.
+    the kept coordinates of the rational projection, S x at one scale S =
+    L_beta L_N.  The rows are linear at that one scale, so an integer
+    combination of monomials has exactly the same combination of their rows.
+    The kept cells (e_a X^i)(e_b X^j) = sum e_a c X^(m+j), over the terms
+    (m, c) of xpow[b][i], are such combinations with m + j <= i + j; c
+    scales by L_xpow and the base's constants by its L_table, so every kept
+    entry is an integer over L_table L_xpow S, and the algebra is built from
+    that integer table.  embed, u and the unit combine the rows of X^0 and
+    X^1.  Nothing is checked here: verify_extension is the certificate.
     """
     n, d = base.dim, p.degree
     scale_beta, beta = beta
@@ -301,27 +308,7 @@ def quotient_by_relations(base: Algebra, p: Poly, xpow: IntegerXPow,
 
     top = max(2 * max((i for i, _ in kept), default=0), 1)
     monomials = [[monomial(m, a) for a in range(n)] for m in range(top + 1)]
-    return _kept_cell_quotient(base, xpow, kept, monomials, scale_beta * relations.scale)
-
-
-def _kept_cell_quotient(base: Algebra, xpow: IntegerXPow, kept: list[tuple[int, int]],
-                        monomials: list[list[list[tuple[int, int]]]], scale: int
-                        ) -> tuple[Algebra, Mat, Vec]:
-    """The extension on the kept cells e_a X^i, the (power, base index) pairs
-    of kept, from the rows of the monomials.
-
-    monomials[m][a] is the nonzero (position in kept, S x) pairs of e_a X^m
-    in the extension, x its coordinates on the kept cells, for one integer
-    scale S = scale and every m a kept product reaches.  The rows are linear
-    at that one scale, so an integer combination of monomials has exactly
-    the same combination of their rows.  The kept cells (e_a X^i)(e_b X^j)
-    = sum e_a c X^(m+j), over the terms (m, c) of xpow[b][i], are such
-    combinations with m + j <= i + j; c scales by L_xpow and the base's
-    constants by its L_table, so every kept entry is an integer over
-    L_table L_xpow S, and the algebra is built from that integer table.
-    embed, u and the unit combine the rows of X^0 and X^1.
-    """
-    n = base.dim
+    scale = scale_beta * relations.scale
     scale_table, table = base.integer_sc
     scale_xpow, int_xpow = xpow
 
@@ -350,13 +337,17 @@ def _kept_cell_quotient(base: Algebra, xpow: IntegerXPow, kept: list[tuple[int, 
     unit_terms = _nonzero(unit)
     embed = Mat.from_columns([rational([(0, [(a, 1)])], scale) for a in range(n)])
     u = rational([(1, unit_terms)], scale * scale_unit)
-    labels = []
-    for i, a in kept:
-        lab = base.labels[a]
-        power = "X" if i == 1 else f"X^{i}"
-        labels.append(lab if i == 0 else power if lab == "1" else f"{lab}*{power}")
     ext_unit = rational([(0, unit_terms)], scale * scale_unit)
+    labels = [_label(base.labels[a], "X", i) for i, a in kept]
     return Algebra._from_cells(scale * scale_table * scale_xpow, cells, ext_unit, labels), embed, u
+
+
+def _label(base_label: str, variable: str, power: int) -> str:
+    """The label of the cell e_a variable^power, from the label of e_a."""
+    if power == 0:
+        return base_label
+    monomial = variable if power == 1 else f"{variable}^{power}"
+    return monomial if base_label == "1" else f"{base_label}*{monomial}"
 
 
 def _inner_witness(mode: str, base: Algebra, twist: Mat, separable: Separability
@@ -426,14 +417,16 @@ def _central_simple_quotient(mode: str, base: Algebra, p: Poly, twist: Mat
     (p(X)), R/(p) is a quotient of the span of the e_a Y^i with i < k, and
     dim R/(p) <= n k.
 
-    z commutes with X (D(v) = 0, phi(w) = w), so g(Y) is a polynomial in X
-    with coefficients in Q[z], read off g(X - v) or w^k g(w^(-1) X); it
-    gives X^k = sum_{i<k} r_i X^i.  That rewrites every e_a X^m as
-    sum_i e_a rho_(m,i) X^i on the cells e_a X^i, i < k, where rho_m is
-    X^m reduced by X^(i+1) = X X^i and the r_i, all in integers; the kept
-    cells and _kept_cell_quotient then form the table on exactly the cells
-    the closure keeps (module docstring).  verify_extension proves that the
-    result, of dimension n k, is a quotient of R/(p), so the two are equal.
+    So the extension is A (x) C for C = Q[Y]/(g), the Kronecker product of
+    two tables; tensor products of associative algebras are associative.
+    Its cells e_a (x) Y^j, j < k, sit at index j n + a, so the base block
+    Y^0 leads, and the cell of (e_a Y^i, e_b Y^j) is e_a e_b (x) (Y^(i+j)
+    mod g): the base's integer constants times g's folding table, over
+    L_table L_beta.  embed(a) is a (x) 1, the unit 1 (x) 1, and u, the image
+    of X = Y + v or w Y, is 1 (x) Y + v (x) 1 or w (x) Y, with Y read off
+    the fold of Y^1 (a scalar when k = 1).  verify_extension certifies the
+    table with every check and proves that the result, of dimension n k, is
+    a quotient of R/(p), so the two are equal.
     """
     if base.is_commutative():
         return None
@@ -444,9 +437,9 @@ def _central_simple_quotient(mode: str, base: Algebra, p: Poly, twist: Mat
     if witness is None:
         return None
     n, d = base.dim, p.degree
-    scale_table, table = base.integer_sc
-    # z^i = powers[i] / scale_z, and q_j a common positive multiple of the integer rows q[j]
-    scale_z, powers = _integer_powers(base, _rational_row(witness[1], witness[0]), d)
+    z = _rational_row(witness[1], witness[0])
+    # z^i = powers[i] over one scale, and q_j a common positive multiple of the rows q[j]
+    powers = _integer_powers(base, z, d)[1]
     cp = _integer_row(p.coeffs)[1]
     if mode == "derivation":
         q = [[sum(cp[i] * comb(i, j) * powers[i - j][c] for i in range(j, d + 1))
@@ -465,41 +458,21 @@ def _central_simple_quotient(mode: str, base: Algebra, p: Poly, twist: Mat
     if len(cg) < 2:
         # a constant g puts 1 in (p(X)), which only a p that misses the twist does
         return None
-    # g = cg / scale_g, and X^k = sum_{i<k} relation[i] X^i / (scale_g scale_z)
-    k, scale_g = len(cg) - 1, cg[-1]
+    # Y^m modulo g for every m a cell (m <= 2k - 2) or u (m = 1) reaches
+    k = len(cg) - 1
+    scale_beta, beta = _integer_beta(Poly.of(cg).monic(), max(2 * k - 2, 1))
+    scale_table, table = base.integer_sc
+    cells = [[[(r * n + c, f * x) for r, f in beta[i + j] for c, x in table[a][b]]
+              for j in range(k) for b in range(n)] for i in range(k) for a in range(n)]
+    y = dict(beta[1])
+    u = [Fraction(y.get(j, 0), scale_beta) * x
+         for j in range(k) for x in (base.unit if mode == "derivation" else z)]
     if mode == "derivation":
-        relation = [[-sum(cg[i] * comb(i, j) * (-1) ** (i - j) * powers[i - j][c]
-                          for i in range(j, k + 1)) for c in range(n)] for j in range(k)]
-    else:
-        relation = [[-cg[j] * x for x in powers[k - j]] for j in range(k)]
-    step = [_nonzero(row) for row in relation]
-    lift = scale_table * scale_g * scale_z
-    scale_unit, unit = _integer_row(base.unit)
-    # rho_m = rows / s, its k coefficients dense integer rows over one scale s
-    chain = [(scale_unit, [unit if i == m else [0] * n for i in range(k)]) for m in range(k)]
-    top = max(2 * k - 2, 1)
-    while len(chain) <= top:
-        scale, rows = chain[-1]
-        lead = _nonzero(rows[-1])
-        shifted = [[0] * n] + rows[:-1]
-        if lead:
-            scale *= lift
-            shifted = [[lift * x + y for x, y in zip(row, _integer_product(table, lead, r))]
-                       for row, r in zip(shifted, step)]
-            common = gcd(scale, *(x for row in shifted for x in row))
-            scale, shifted = scale // common, [[x // common for x in row] for row in shifted]
-        chain.append((scale, shifted))
-    common = lcm(*(s for s, _ in chain))
-    monomials = []
-    for scale, rows in chain[:top + 1]:
-        factor = common // scale
-        rows = [_nonzero(row) for row in rows]
-        monomials.append([[(i * n + c, factor * x) for i, row in enumerate(rows)
-                           for c, x in enumerate(_integer_product(table, [(a, 1)], row)) if x]
-                          for a in range(n)])
-    kept = [(i, a) for i in range(k) for a in range(n)]
-    return _kept_cell_quotient(base, twist_table(mode, twist, k - 1), kept, monomials,
-                               scale_table * common)
+        u[:n] = [x + v for x, v in zip(u, z)]
+    embed = Mat.from_columns([unit_vec(a, n * k) for a in range(n)])
+    unit = base.unit + (ZERO,) * (n * (k - 1))
+    labels = [_label(lab, "Y", j) for j in range(k) for lab in base.labels]
+    return Algebra._from_cells(scale_table * scale_beta, cells, unit, labels), embed, tuple(u)
 
 
 def assemble(

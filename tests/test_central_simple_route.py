@@ -1,13 +1,19 @@
 """The central-simple route of _extension.assemble against the relation closure.
 
 A noncommutative base whose trace form satisfies the central-simple identity,
-with a twist the Casimir element makes inner, is built as A (x) Q[Y]/(g) and
-never forms a relation submodule.  Where it applies the route must give the
-closure's extension byte for byte; every other input must keep the closure.
+with a twist the Casimir element makes inner, is built as A (x) Q[Y]/(g) in
+the tensor basis e_a (x) Y^j and never forms a relation submodule.  The
+closure writes the same extension in the Ore basis e_a X^i.  Where the route
+applies, the explicit basis change e_a X^i -> e_a (Y + v)^i, or
+e_a (w Y)^i, must be an isomorphism of the closure's extension onto the
+route's that carries embed, u and the unit; every other input must keep the
+closure.
 """
 
 import random
 from fractions import Fraction
+from math import comb
+from operator import mul
 
 import pytest
 
@@ -21,7 +27,7 @@ from skewex.algebra import (
     upper_triangular,
 )
 from skewex.errors import AnnihilatorFails, AssociativityFails
-from skewex.linalg import Mat, Poly, unit_vec
+from skewex.linalg import Mat, Poly, kernel, unit_vec
 from skewex.maps import derivation_space, inner_automorphism, inner_derivation
 from skewex.sampling import (
     random_element,
@@ -66,10 +72,70 @@ def closure_calls(monkeypatch, mode, algebra, twist, p=None, **flags):
         return build(mode, algebra, twist, p, **flags), len(calls)
 
 
+def tensor_basis_change(mode, algebra, twist, dim):
+    """The matrix T whose column i n + a is the image of the Ore cell e_a X^i
+    in the tensor basis: sum_j C(i, j) e_a v^(i-j) (x) Y^j for X = Y + v, or
+    e_a w^i (x) Y^i for X = w Y, with the route's own inner witness z."""
+    n = algebra.dim
+    scale, ints = _extension._inner_witness(mode, algebra, twist.matrix, separability(algebra))
+    z = tuple(Fraction(x, scale) for x in ints)
+    columns = []
+    for i in range(dim // n):
+        for a in range(n):
+            powers = [algebra.basis_element(a)]  # e_a z^m
+            for _ in range(i):
+                powers.append(algebra.multiply(powers[-1], z))
+            blocks = ([[comb(i, j) * x for x in powers[i - j]] for j in range(i + 1)]
+                      if mode == "derivation" else [[0] * n] * i + [powers[i]])
+            columns.append(tuple(Fraction(x) for block in blocks for x in block)
+                           + (Fraction(0),) * (dim - n * len(blocks)))
+    return Mat.from_columns(columns)
+
+
+def assert_multiplicative(basis_change, source, target, label):
+    """T(x_x x_y) = T(x_x) T(x_y) for every pair of basis cells x_x, x_y of
+    source, in integers: T over its scale, each table over its own."""
+    dim = source.dim
+    scale, rows = basis_change.integer_form
+    columns = list(zip(*rows))
+    scale_source, source_table = source.integer_sc
+    scale_target, target_table = target.integer_sc
+    for y in range(dim):
+        # right[c][q]: coordinate c of e_q T(x_y), an integer over scale_target * scale
+        right = [[0] * dim for _ in range(dim)]
+        for q in range(dim):
+            for p, t in enumerate(columns[y]):
+                for c, x in target_table[q][p] if t else ():
+                    right[c][q] += t * x
+        for x in range(dim):
+            got = [sum(map(mul, columns[x], row)) for row in right]
+            want = [0] * dim
+            for k, c in source_table[x][y]:
+                want = [w + c * t for w, t in zip(want, columns[k])]
+            assert [g * scale_source for g in got] == \
+                [w * scale_target * scale for w in want], (label, x, y)
+
+
 def assert_route_matches_closure(monkeypatch, mode, algebra, twist, p=None, label=""):
+    """The route's extension is the closure's, carried by the explicit basis
+    change T from e_a X^i to the tensor basis e_a (x) Y^j."""
     result = routed(monkeypatch, mode, algebra, twist, p)
     expected = closure(monkeypatch, mode, algebra, twist, p)
-    assert extension_to_json(result) == extension_to_json(expected), label
+    for field in ("mode", "p", "free_module", "defect_dim"):
+        assert getattr(result, field) == getattr(expected, field), (label, field)
+    dim = expected.algebra.dim
+    assert result.algebra.dim == dim, label
+    assert result.algebra.labels == tuple(lab.replace("X", "Y")
+                                          for lab in expected.algebra.labels), label
+    basis_change = tensor_basis_change(mode, algebra, twist, dim)
+    assert kernel(basis_change).dim == 0, label
+    assert basis_change * expected.embed == result.embed, label
+    for field in ("u", "u_inverse"):
+        if getattr(expected, field) is not None:
+            assert basis_change.apply(getattr(expected, field)) == getattr(result, field), \
+                (label, field)
+    assert basis_change.apply(expected.algebra.unit) == result.algebra.unit, label
+    assert_multiplicative(basis_change, expected.algebra, result.algebra, label)
     return result
 
 
@@ -227,6 +293,10 @@ def test_route_skips_the_closure_on_m3(monkeypatch, m3):
         result = routed(monkeypatch, mode, algebra, twist, p)
         assert result.algebra.dim == 27 and result.defect_dim == 36, label
         assert result.embed.column(0) == unit_vec(0, 27), label
+        # the Kronecker product of M_3's 81 one-entry cells and the 9 of Q[Y]/(g)
+        # has 243 nonzero cells; the Ore basis e_a X^i has 405
+        table = result.algebra.integer_sc[1]
+        assert sum(1 for row in table for cell in row if cell) == 243, label
 
 
 def test_generic_m5_derivation_has_dimension_125(monkeypatch):
@@ -235,3 +305,11 @@ def test_generic_m5_derivation_has_dimension_125(monkeypatch):
     result = routed(monkeypatch, "derivation", m5, d)
     assert result.algebra.dim == 125
     assert result.defect_dim == d.minimal_polynomial.degree * 25 - 125
+
+
+def test_generic_m6_derivation_has_dimension_216(monkeypatch):
+    m6 = matrix_algebra(6)
+    d = inner_derivation(m6, random_trace_zero_invertible(m6, random.Random(3)))
+    result = routed(monkeypatch, "derivation", m6, d)
+    assert result.algebra.dim == 216
+    assert result.defect_dim == d.minimal_polynomial.degree * 36 - 216

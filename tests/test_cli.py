@@ -188,10 +188,10 @@ def test_extend_derivation(files, tmp_path):
 
 
 # sha256 of json.dumps(value, sort_keys=True) for the extensions of M_3 by
-# ad_U0 and conj_V0, on the basis of the low powers e_a X^i (21 and 27 KB)
+# ad_U0 and conj_V0, on the tensor basis e_a (x) Y^j (8 and 10 KB)
 M3_EXTENSION_SHA256 = {
-    "derivation": "25ede68a8b722d7a2c5a49b57af46938a612a3cd2211ef7038d1c272031315f4",
-    "automorphism": "ff4102476da67c5af36c52528a1606bb2b51863191ddc6c13d2ad42a2e0df7f6",
+    "derivation": "8f308120712e8106679b629c6aa98d4042d94e52d0c0d6a2ee56b90cf46f154a",
+    "automorphism": "130677e7233c2b8db6721c978becec9793238b1a7257d6ec9f99aaab7f7f1f9a",
 }
 
 

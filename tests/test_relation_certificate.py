@@ -9,7 +9,9 @@ when the submodule is zero.  On a zero submodule the quotient is the free
 model itself, its cells reordered from the grid's highest-power-first layout
 to ascending powers by the projection, and the private
 _skip_annihilator_check hook raises AssociativityFails exactly when the
-oracle reports a mismatch.
+oracle reports a mismatch.  The central-simple route, which writes M_2 and
+M_3 extensions in the tensor basis e_a (x) Y^j, is turned off: every case
+goes through the closure, whose basis is the oracle's.
 """
 
 import random
@@ -23,6 +25,7 @@ from free_model_oracle import (
     relation_generators,
     relation_submodule,
 )
+from skewex import _extension
 from skewex.errors import AnnihilatorFails, AssociativityFails
 from skewex.laurent import laurent_quotient
 from skewex.linalg import Mat, Poly, minimal_polynomial, unit_vec
@@ -77,13 +80,20 @@ def twist_cases(corpus):
                 yield f"{name}/{mode}[{index}]/{p.coeffs}", mode, algebra, twist, p
 
 
+def closure_only(monkeypatch):
+    """Turn the central-simple route off for the rest of the test, so that
+    M_2 and M_3 extensions, too, are built by the relation closure."""
+    monkeypatch.setattr(_extension, "_central_simple_quotient", lambda *args: None)
+
+
 def build(mode, algebra, twist, p, **flags):
     if mode == "derivation":
         return ore_quotient(algebra, twist, p, **flags)
     return laurent_quotient(algebra, twist, p, **flags)
 
 
-def test_relation_submodule_is_the_consistency_certificate(corpus):
+def test_relation_submodule_is_the_consistency_certificate(monkeypatch, corpus):
+    closure_only(monkeypatch)
     zero = nonzero = 0
     for label, mode, algebra, twist, p in twist_cases(corpus):
         xpow = fraction_xpow(mode, algebra, twist, p)

@@ -7,7 +7,9 @@ grid, the span of every reduced p(X) e_b X^k with its left multiples, and the
 quotient that first checks absorption.  Both routes must give the same
 submodule and the same extension.  Then the closure is broken on purpose, in
 two ways, and the universal-property certificate must reject every result
-the breakage changes.
+the breakage changes.  The central-simple route, which writes M_2 and M_3
+extensions in the tensor basis e_a (x) Y^j, is turned off in every test
+that compares with the closure's basis (closure_only).
 """
 
 import random
@@ -21,7 +23,7 @@ from skewex.errors import AssociativityFails, SkewexError
 from skewex.linalg import Mat, span, unit_vec
 from skewex.maps import inner_automorphism, inner_derivation
 from test_extension_fuzz import U0, V0, random_extension_inputs
-from test_relation_certificate import build, twist_cases
+from test_relation_certificate import build, closure_only, twist_cases
 
 # the minimal polynomial X^3 - 3X^2 + 2X of the Euler derivation t d/dt of
 # Q[t]/(t^3), the first element of its derivation basis
@@ -59,7 +61,8 @@ def assert_same_extension(result, expected, label):
         assert getattr(result.algebra, attr) == getattr(expected.algebra, attr), (label, attr)
 
 
-def test_closure_and_kept_cells_match_the_free_model(corpus, m3):
+def test_closure_and_kept_cells_match_the_free_model(monkeypatch, corpus, m3):
+    closure_only(monkeypatch)
     counts = {}
     for source, cases in (("corpus", annihilating_corpus_cases(corpus)),
                           ("fuzz", fuzz_cases()), ("m3", m3_pair(m3))):
@@ -106,12 +109,13 @@ def assert_rejected_or_unchanged(monkeypatch, corpus, m3, mutate):
     SkewexError, an unchanged one give the same extension.  Returns the
     (label, error) of every case that raised.  The central-simple route,
     which builds M_2 and M_3 extensions with no relation submodule, is
-    turned off, so that every case goes through the closure."""
+    turned off first, for the expected extensions too, so that every case
+    goes through the closure."""
+    closure_only(monkeypatch)
     real = _extension.relation_submodule
     errors = []
     for label, mode, algebra, twist, p, expected in mutation_cases(corpus, m3):
         with monkeypatch.context() as patch:
-            patch.setattr(_extension, "_central_simple_quotient", lambda *args: None)
             mutated = mutate(real, patch)
             patch.setattr(_extension, "relation_submodule", mutated)
             if mutated(algebra, p, *integer_tables(mode, twist, p)).dim == expected.defect_dim:
@@ -173,10 +177,11 @@ def window_labels(base, degree):
     return labels
 
 
-def test_extension_keeps_the_low_powers_with_the_base_leading(corpus, m3):
+def test_extension_keeps_the_low_powers_with_the_base_leading(monkeypatch, corpus, m3):
     """The relations pivot on the highest powers of X, so the extension keeps
     the whole X^0 block: embed is the leading identity block, the labels
     start with the base's, and the kept cells ascend in (power, base index)."""
+    closure_only(monkeypatch)
     count = 0
     for label, mode, algebra, twist, p in [*annihilating_corpus_cases(corpus), *fuzz_cases(),
                                            *m3_pair(m3)]:
